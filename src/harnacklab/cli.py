@@ -244,7 +244,6 @@ def emit_outputs(args, cfg, tables, summary=None) -> None:
         "seed": args.seed if args.seed is not None else DEFAULT_SEED,
         "cadence": cfg.get("store_every"),
         "format": fmt,
-        "deterministic": bool(args.deterministic),
         "package": f"harnacklab {__version__}",
     }
     with open(targets[0], "w", encoding="utf-8") as fh:
@@ -423,41 +422,22 @@ def cmd_verify_evolution(args, cfg) -> int:
     tags = cfg["identities"]
     if tags == ("all",):
         tags = _ve.applicable_tags(speed) + ("grad-commutator",)
-    else:
-        known = set(_ve.IDENTITY_TAGS) | {"grad-commutator"}
-        bad = [t for t in tags if t not in known]
-        if bad:
-            raise ConfigError(f"unknown identity tag(s) {bad}; known: {sorted(known)}")
-
     levels = cfg["levels"]
-    if len(levels) < 2:
-        raise ConfigError("need at least two grid levels to fit an order")
-    r0 = cfg["radius"]
-    records = {tag: [] for tag in tags}
-    for n_nodes in levels:
-        dt = cfg["dt0"] * (levels[0] / n_nodes) ** 2
-        traj = _ve.standard_test_flow(ambient, speed, n_nodes, dt,
-                                      t_end=cfg["t_check"] + dt, r0=r0,
-                                      amplitude=cfg["amplitude"], mode=cfg["mode"])
-        for tag in tags:
-            if tag == "grad-commutator":
-                rec = _ve.commutator_residual(traj.state_at(cfg["t_check"]))
-            else:
-                rec = _ve.evolution_residual(traj, tag, cfg["t_check"], dt)
-            records[tag].append(rec)
+    reports = _ve.residual_ladder(ambient, speed, tags=tags, levels=levels,
+                                  dt0=cfg["dt0"], t_check=cfg["t_check"],
+                                  r0=cfg["radius"], amplitude=cfg["amplitude"],
+                                  mode=cfg["mode"])
 
     res_header = ["identity", "n_nodes", "dt", "t", "residual", "rhs_scale"]
     res_rows = [[tag, rec.n_nodes, rec.dt, rec.t, rec.residual, rec.rhs_scale]
-                for tag in tags for rec in records[tag]]
+                for tag in tags for rec in reports[tag].records]
     ord_header = ["identity", "order", "finest_residual", "passed"]
     ord_rows, all_ok = [], True
     for tag in tags:
-        recs = records[tag]
-        order = _ve.estimate_order([r.n_nodes for r in recs], [r.residual for r in recs])
-        finest = recs[-1].residual
-        ok = order >= cfg["min_order"] and finest <= cfg["max_residual"]
+        rep = reports[tag]
+        ok = rep.order >= cfg["min_order"] and rep.finest_residual <= cfg["max_residual"]
         all_ok &= ok
-        ord_rows.append([tag, order, finest, int(ok)])
+        ord_rows.append([tag, rep.order, rep.finest_residual, int(ok)])
 
     summary = {"levels": list(levels), "t_check": cfg["t_check"], "dt0": cfg["dt0"],
                "min_order": cfg["min_order"], "max_residual": cfg["max_residual"],
@@ -561,8 +541,6 @@ def _parse_args(argv):
         p.add_argument("--seed", type=int, default=None, help="RNG seed for scans")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
-        p.add_argument("--deterministic", action="store_true",
-                       help="record determinism intent in the manifest")
     return parser.parse_args(argv)
 
 

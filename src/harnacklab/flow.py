@@ -20,7 +20,7 @@ dimension n ≥ 1 and doubles as the reference solution for grid runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,11 +29,8 @@ from scipy import integrate, optimize
 from . import geometry
 from .errors import (ConfigError, ConvexityLost, DomainExceeded, LabelMismatch,
                      OutOfRange, StabilityViolation, UnsupportedAmbient)
-from .geometry import (AmbientSpace, AxisymmetricProfile, ClosedCurve,
-                       GeodesicSphere, SurfaceState)
+from .geometry import AmbientSpace, GeodesicSphere, SurfaceState
 from .symfunc import SpeedFunction, eval_f
-
-TERMINATIONS = ("completed", "convexity-lost", "curvature-cap", "radius-floor")
 
 
 @dataclass
@@ -79,7 +76,6 @@ class Trajectory:
     config: FlowConfig
     states: list
     termination: str
-    diagnostics: list = field(default_factory=list)
 
     @property
     def times(self) -> np.ndarray:
@@ -118,17 +114,6 @@ def _rk4(ambient, speed, markers, dt, k1=None):
     return _project(ambient, out)
 
 
-def step(state: SurfaceState, dt: float) -> SurfaceState:
-    """One RK4 step of a gridded state; returns the reassembled state at t+Δt."""
-    if state.markers is None:
-        raise ConfigError("step() needs a gridded state; use sphere_ode_solution "
-                          "for grid-free spheres")
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    markers = _rk4(state.ambient, state.speed, state.markers, dt)
-    return geometry.assemble_markers(state.ambient, state.speed, markers, state.t + dt)
-
-
 def _min_extent(ambient, markers):
     """Smallest distance from a marker to the surface's rough center."""
     if ambient.c == 1:
@@ -158,7 +143,7 @@ def run(config: FlowConfig) -> Trajectory:
         # otherwise amplify by 1/Δt.
         markers = markers.astype(config.dtype)
         state0 = geometry.assemble_markers(ambient, speed, markers, 0.0)
-    states, diagnostics = [state0], [_diag_row(state0)]
+    states = [state0]
     termination = "completed"
     t, steps_done = 0.0, 0
 
@@ -205,18 +190,8 @@ def run(config: FlowConfig) -> Trajectory:
                 termination = "convexity-lost"
                 break
             states.append(state)
-            diagnostics.append(_diag_row(state))
 
-    return Trajectory(config=config, states=states, termination=termination,
-                      diagnostics=diagnostics)
-
-
-def _diag_row(state):
-    return {"t": state.t,
-            "min_kappa": float(state.kappa.min()),
-            "max_kappa": float(state.kappa.max()),
-            "speed_min": float(np.abs(state.F).min()),
-            "speed_max": float(np.abs(state.F).max())}
+    return Trajectory(config=config, states=states, termination=termination)
 
 
 def _run_umbilic(config: FlowConfig) -> Trajectory:
@@ -241,8 +216,7 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
     n_out = max(2, int(config.t_end / config.dt) + 1 if config.dt else 129)
     times = np.linspace(0.0, t_stop, n_out)
     states = [sol.state(t) for t in times]
-    return Trajectory(config=config, states=states, termination=termination,
-                      diagnostics=[_diag_row(s) for s in states])
+    return Trajectory(config=config, states=states, termination=termination)
 
 
 # ---------------------------------------------------------------------------

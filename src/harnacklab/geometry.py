@@ -33,14 +33,14 @@ normal of the profile is m = c′ × c / |c′| on the sphere and
 n = (ρ′, −x′)/|c′| in the half-plane; with these conventions h is positive
 definite on convex data and ∂ₜx = −Fν contracts.
 
-Label derivatives use fourth-order periodic central differences; Christoffel
+Label derivatives use sixth-order periodic central differences; Christoffel
 symbols are assembled from the same differenced metric, which makes the
 discrete covariant derivative of g vanish to machine precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -357,7 +357,7 @@ def _assemble_umbilic(ambient, speed, r, t):
         alpha=np.zeros((1, n, n)), gamma=np.zeros((1, n, n)),
         eta=np.zeros((1, n, n)), beta=np.zeros(1), theta=np.zeros(1),
     )
-    _attach_speed_fields(state)
+    _attach_speed_quantities(state)
     return state
 
 
@@ -412,11 +412,11 @@ def _assemble_grid(ambient, speed, markers, t):
         eta=np.zeros((n_nodes, n, n)), beta=np.zeros(n_nodes), theta=np.zeros(n_nodes),
     )
     state.nabla_h = covariant_derivative(state, h, ("lo", "lo"))
-    _attach_speed_fields(state)
+    _attach_speed_quantities(state)
     return state
 
 
-def _attach_speed_fields(state):
+def _attach_speed_quantities(state):
     """Fill F, F^{ij}, gradients and the auxiliary tensors α, γ, η, β, θ."""
     speed = state.speed
     state.F = speed.value(state.kappa)
@@ -429,14 +429,6 @@ def _attach_speed_fields(state):
     state.eta = state.alpha - state.gamma
     state.beta = np.einsum("nij,nij->n", state.dF, state.alpha)
     state.theta = np.einsum("nij,ni,nj->n", state.b, state.grad_F, state.grad_F)
-
-
-def speed_fields(state: SurfaceState) -> dict:
-    """The speed-derived field bundle of a state, keyed by name."""
-    return {"F": state.F, "dF": state.dF, "trace_dF": state.tr_dF,
-            "grad_F": state.grad_F, "hess_F": state.hess_F,
-            "alpha": state.alpha, "gamma": state.gamma, "eta": state.eta,
-            "beta": state.beta, "theta": state.theta}
 
 
 # ---------------------------------------------------------------------------

@@ -126,25 +126,6 @@ def chi3(state: SurfaceState, t: Optional[float] = None,
     return chi2(state, t, delta) + state.ambient.c * t * z
 
 
-def strong_Hp_quantity(state: SurfaceState, t: Optional[float] = None) -> np.ndarray:
-    """Strong Harnack quantity χ₃/t for F = H^p, 0 < p ≤ 1, with δ = p/(p+1)."""
-    _require_mean(state, "the strong Harnack quantity")
-    p = state.speed.exponent
-    if not 0 < p <= 1:
-        raise ConfigError(f"strong quantity needs 0 < p <= 1, got {p:g}")
-    t = state.t if t is None else t
-    if t <= 0:
-        raise ConfigError("the normalized Harnack quantity needs t > 0")
-    return chi3(state, t, p / (p + 1.0)) / t
-
-
-def dtF_from_trajectory(trajectory, t: float, dt: float) -> np.ndarray:
-    """Cross-check value of ∂ₜF by centered differencing of stored states."""
-    if trajectory is None:
-        raise MissingTrajectory("time differencing of F needs a stored trajectory")
-    return _flow.time_derivative(trajectory, "F", t, dt)
-
-
 # ---------------------------------------------------------------------------
 # remainder R of the χ₂ evolution equation
 # ---------------------------------------------------------------------------
@@ -166,79 +147,27 @@ def _bF_gradF(state):
                      state.grad_F, state.grad_F)
 
 
-def remainder_R(state: SurfaceState, form: str = "general") -> np.ndarray:
+def remainder_R(state: SurfaceState) -> np.ndarray:
     """Curvature remainder R in the χ₂ evolution (sphere terms, c = 1 weight).
 
-    form="general" uses the structural expression valid for every admissible
-    speed; form="mean" uses the scalar-calculus specialization available for
-    F = F(H), which must agree with the general form on mean-curvature
-    speeds.  Second derivatives of F enter only through polarized bilinear
-    forms.
+    The structural expression, valid for every admissible speed; second
+    derivatives of F enter only through polarized bilinear forms.  The
+    scalar-calculus specialization for F = F(H) lives in the χ₃ identity of
+    the verify module.
     """
     from . import geometry as _geo
 
-    if form == "general":
-        tr_field = state.tr_dF
-        box_tr = _geo.box_op(state, tr_field)
-        grad_tr = _geo.grad_scalar(state, tr_field)
-        term = state.F * box_tr
-        term = term + 2.0 * np.einsum("nkl,nk,nl->n", state.dF, grad_tr, state.grad_F)
-        term = term + state.F * state.d2F_bilinear(state.alpha, state.g)
-        term = term - 2.0 * state.F * state.d2F_bilinear(state.gamma, state.g)
-        term = term + 2.0 * state.F ** 2 * quad_dF(state, state.h)
-        term = term + (quad_dF(state, state.h) + state.F) * _bb_gradF(state)
-        term = term - 2.0 * _bF_gradF(state)
-        return term
-
-    if form == "mean":
-        _require_mean(state, "the specialized remainder")
-        n = state.dim
-        H = np.sum(state.kappa, axis=-1)
-        F, F1, F2, F3 = state.speed.scalar_derivs(H)
-        boxF = quad_dF(state, state.hess_F)
-        FijH2 = quad_dF(state, state.h_sq)
-        Fijgrad = np.einsum("nij,ni,nj->n", state.dF, state.grad_F, state.grad_F)
-        bgrad = state.theta
-        term = 2.0 * n * (F2 * F / F1) * (boxF + F * FijH2 - bgrad)
-        term = term - n * (F2 * F ** 2 / F1) * FijH2
-        term = term + 2.0 * F ** 2 * F1 * H
-        term = term + n * (2.0 * F2 / F1 - F2 ** 2 * F / F1 ** 3 + F3 * F / F1 ** 2) * Fijgrad
-        term = term + (F1 * H + F) * _bb_gradF(state)
-        term = term - 2.0 * F1 * bgrad
-        return term
-
-    raise ConfigError(f"remainder form must be 'general' or 'mean', got {form!r}")
-
-
-# ---------------------------------------------------------------------------
-# Euclidean variants (Remark-type monitors, c = 0 only)
-# ---------------------------------------------------------------------------
-
-def euclidean_variants(state: SurfaceState, t: Optional[float] = None,
-                       delta: Optional[float] = None) -> np.ndarray:
-    """Q = ∂ₜF − θ + δF/t in Euclidean space, contracting or expanding.
-
-    Contracting speeds F = f^α (any α > 0) admit δ ≥ α/(α+1); expanding
-    speeds F = −f^(−β) (0 < β < 1) admit δ ≤ β/(β−1) < 0.  The positivity
-    of Q is the content of the Euclidean Harnack estimates for
-    inverse-concave f.
-    """
-    if state.ambient.c != 0:
-        raise WrongAmbient("euclidean variants need ambient curvature c = 0")
-    a = state.speed.exponent
-    bound = state.speed.delta_default
-    delta = bound if delta is None else float(delta)
-    if a > 0 and delta < bound - 1e-12:
-        raise ConfigError(
-            f"contracting variant needs delta >= {bound:g}, got {delta:g}")
-    if a < 0 and delta > bound + 1e-12:
-        raise ConfigError(
-            f"expanding variant needs delta <= {bound:g}, got {delta:g}")
-    t = state.t if t is None else t
-    if t <= 0:
-        raise ConfigError("the normalized Harnack quantity needs t > 0")
-    # c = 0: the analytic ∂ₜF is just β
-    return state.beta - state.theta + delta * state.F / t
+    tr_field = state.tr_dF
+    box_tr = _geo.box_op(state, tr_field)
+    grad_tr = _geo.grad_scalar(state, tr_field)
+    term = state.F * box_tr
+    term = term + 2.0 * np.einsum("nkl,nk,nl->n", state.dF, grad_tr, state.grad_F)
+    term = term + state.F * state.d2F_bilinear(state.alpha, state.g)
+    term = term - 2.0 * state.F * state.d2F_bilinear(state.gamma, state.g)
+    term = term + 2.0 * state.F ** 2 * quad_dF(state, state.h)
+    term = term + (quad_dF(state, state.h) + state.F) * _bb_gradF(state)
+    term = term - 2.0 * _bF_gradF(state)
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +256,7 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
     elif dtF_source == "trajectory":
         if trajectory is None or dt is None:
             raise MissingTrajectory("dtF_source='trajectory' needs trajectory and dt")
-        dtF = dtF_from_trajectory(trajectory, t, dt)
+        dtF = _flow.time_derivative(trajectory, "F", t, dt)
     else:
         raise ConfigError(f"unknown dtF_source {dtF_source!r}")
 

@@ -30,7 +30,7 @@ All operations are vectorized over leading batch axes: g and h may be
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -143,11 +143,6 @@ def harmonic_mean() -> CurvatureFunction:
 
     return CurvatureFunction("harmonic-mean", value, gradient, hessian,
                              convex=False, inverse_concave=True)
-
-
-def custom(name, value, gradient, hessian, convex=False, inverse_concave=False):
-    """Wrap user-supplied callables as a CurvatureFunction."""
-    return CurvatureFunction(name, value, gradient, hessian, convex, inverse_concave)
 
 
 _BUILTINS = {"mean": mean, "norm": norm, "harmonic-mean": harmonic_mean}
@@ -368,18 +363,26 @@ def _divided_differences(kappa, phi, hess):
     return dd
 
 
-def d2F_quadratic_from_eig(speed, kappa, T, eta):
-    etahat = np.einsum("...ia,...ij,...jb->...ab", T, eta, T)
+def d2F_quadratic_eigenframe(speed, kappa, eta_hat):
+    """F^{ij,kl} η̂ η̂ for η̂ given in the eigenframe (g = 1, h = diag κ)."""
     phi = speed.dvalue(kappa)
     hess = speed.d2value(kappa)
-    ed = np.einsum("...aa->...a", etahat)
+    ed = np.einsum("...aa->...a", eta_hat)
     quad = np.einsum("...ab,...a,...b->...", hess, ed, ed)
     dd = _divided_differences(kappa, phi, hess)
-    off = etahat ** 2
+    off = eta_hat ** 2
     idx = np.arange(kappa.shape[-1])
-    off = off.copy()
     off[..., idx, idx] = 0.0
     return quad + np.einsum("...ab,...ab->...", dd, off)
+
+
+def _to_eigenframe(T, X):
+    """η̂ = Tᵀ X T: a covariant symmetric matrix in the Weingarten eigenframe."""
+    return np.einsum("...ia,...ij,...jb->...ab", T, X, T)
+
+
+def d2F_quadratic_from_eig(speed, kappa, T, eta):
+    return d2F_quadratic_eigenframe(speed, kappa, _to_eigenframe(T, eta))
 
 
 def d2F_quadratic(F, g, h, eta) -> np.ndarray:

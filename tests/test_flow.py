@@ -220,7 +220,6 @@ def test_time_derivative_label_mismatch():
     s16 = geo.assemble(geo.GeodesicSphere(0.8, nodes=16), SPHERE, spd, t=0.004)
     s24 = geo.assemble(geo.GeodesicSphere(0.8, nodes=24), SPHERE, spd, t=0.006)
     cfg = flow.FlowConfig(SPHERE, spd, geo.GeodesicSphere(0.8, nodes=16), t_end=0.01)
-    fake = flow.Trajectory(config=cfg, states=[s16, s24], termination="completed",
-                           diagnostics=[])
+    fake = flow.Trajectory(config=cfg, states=[s16, s24], termination="completed")
     with pytest.raises(LabelMismatch):
         flow.time_derivative(fake, "F", 0.005, 1e-3)

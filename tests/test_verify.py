@@ -138,6 +138,17 @@ def test_commutator_residual_rejects_bad_mode(umbilic_traj):
         V.commutator_residual(umbilic_traj, which="box", t=4e-3, dt=1e-3)
 
 
+def test_ladder_rejects_bad_input_before_running_a_flow(monkeypatch):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran before the input was checked")
+
+    monkeypatch.setattr(V, "standard_test_flow", no_flow)
+    with pytest.raises(ConfigError, match="nope"):
+        V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta", "nope"), levels=(24, 48))
+    with pytest.raises(ConfigError, match="two grid levels"):
+        V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta",), levels=(24,))
+
+
 # ---------------------------------------------------------------------------
 # pointwise gap functions: frozen examples and equality witnesses
 # ---------------------------------------------------------------------------
@@ -311,6 +322,21 @@ def test_scan_is_deterministic_for_fixed_seed():
         assert rep.samples == 2000 and rep.seed == 7
         assert rep.min_normalized_gap > -1e-10
         assert rep.witness_max_abs_gap < 1e-8
+
+
+def test_harnack_form_scan_solves_one_eigensystem_per_batch(monkeypatch):
+    calls = []
+
+    def counting(g, h):
+        calls.append(np.shape(g))
+        return eigensystem(g, h)
+
+    eigensystem = V._sf.weingarten_eigensystem
+    monkeypatch.setattr(V._sf, "weingarten_eigensystem", counting)
+    gap, wit = V._scan_once("harnack-form", mean(), MEAN_HALF,
+                            np.random.default_rng(5), 300, 3)
+    assert calls == [(300, 3, 3)]
+    assert gap > -1e-10 and wit < 1e-8
 
 
 def test_scan_default_roster_rejects_non_inverse_concave_f():
