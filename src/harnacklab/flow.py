@@ -32,6 +32,10 @@ from .errors import (ConfigError, ConvexityLost, DomainExceeded, LabelMismatch,
 from .geometry import AmbientSpace, GeodesicSphere, SurfaceState
 from .symfunc import SpeedFunction, eval_f
 
+# Relative tolerance (scaled by max(1, |t|)) within which a stored time
+# matches a requested one.
+STATE_RTOL = 1e-9
+
 
 @dataclass
 class FlowConfig:
@@ -81,7 +85,7 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
 
-    def state_at(self, t: float, rtol: float = 1e-9) -> SurfaceState:
+    def state_at(self, t: float, rtol: float = STATE_RTOL) -> SurfaceState:
         times = self.times
         tol = rtol * max(1.0, abs(t))
         i = int(np.argmin(np.abs(times - t)))

@@ -111,7 +111,8 @@ def chi2(state: SurfaceState, t: Optional[float] = None,
     return t * (state.beta - state.theta) + delta * state.F
 
 
-def _require_mean(state, what):
+def require_mean(state, what):
+    """Raise WrongSpeed unless the speed is a power of the mean curvature."""
     if state.speed.f.name != "mean":
         raise WrongSpeed(f"{what} is specific to powers of the mean curvature, "
                          f"got f = {state.speed.f.name}")
@@ -120,7 +121,7 @@ def _require_mean(state, what):
 def chi3(state: SurfaceState, t: Optional[float] = None,
          delta: Optional[float] = None) -> np.ndarray:
     """χ₃ = χ₂ + c·t·ζ(F) for F = H^p (case-split ζ)."""
-    _require_mean(state, "chi3")
+    require_mean(state, "chi3")
     t = state.t if t is None else t
     z = zeta_monitor(state.speed.exponent, state.dim, state.F)
     return chi2(state, t, delta) + state.ambient.c * t * z
@@ -229,7 +230,7 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
         if variant == "euclidean-expanding" and state.speed.contracting:
             raise ConfigError("euclidean-expanding monitor got a contracting speed")
     if variant in ("chi3", "strong-Hp"):
-        _require_mean(state, variant)
+        require_mean(state, variant)
 
     if variant == "strong-Hp":
         p = state.speed.exponent

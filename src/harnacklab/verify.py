@@ -275,7 +275,7 @@ def _rhs_chi2(s):
 
 
 def _rhs_chi3(s):
-    _require_mean_tag(s, "chi3")
+    _ha.require_mean(s, "identity 'chi3'")
     c = s.ambient.c
     p = s.speed.exponent
     n = s.dim
@@ -346,12 +346,6 @@ def _rhs_box_commutator(s):
     return rhs
 
 
-def _require_mean_tag(state, tag):
-    if state.speed.f.name != "mean":
-        raise WrongSpeed(f"identity {tag!r} needs a mean-curvature speed, "
-                         f"got f = {state.speed.f.name}")
-
-
 @dataclass(frozen=True)
 class Identity:
     tag: str
@@ -417,7 +411,7 @@ def evolution_residual(trajectory: Trajectory, tag: str, t: float,
     ident = IDENTITIES[tag]
     state = trajectory.state_at(t)
     if ident.mean_only:
-        _require_mean_tag(state, tag)
+        _ha.require_mean(state, f"identity {tag!r}")
     lhs = time_derivative(trajectory, ident.subject, t, dt)
     rhs = ident.rhs(state)
     scale = float(np.max(np.abs(rhs)))
@@ -522,8 +516,9 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     O(Δt²) shrinks at fourth order in N alongside the label-stencil error.
     Besides the evolution identities, tags may include 'grad-commutator',
     which needs no time differencing and is checked on the state at t_check.
-    Unknown tags and fewer than two levels raise ConfigError before any flow
-    runs.  Returns {tag: LadderReport}.
+    Unknown tags, fewer than two levels and a t_check that is not a whole
+    number of steps at some level raise ConfigError before any flow runs.
+    Returns {tag: LadderReport}.
     """
     if tags is None:
         tags = applicable_tags(speed)
@@ -533,9 +528,15 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
         raise ConfigError(f"unknown identity tag(s) {bad}; known: {sorted(known)}")
     if len(levels) < 2:
         raise ConfigError("need at least two grid levels to fit an order")
+    dts = [dt0 * (levels[0] / n_nodes) ** 2 for n_nodes in levels]
+    for n_nodes, dt in zip(levels, dts):
+        steps = t_check / dt
+        if abs(round(steps) * dt - t_check) > _flow.STATE_RTOL * max(1.0, abs(t_check)):
+            raise ConfigError(
+                f"t_check = {t_check:g} is {steps:.6g} steps of dt = {dt:g} at "
+                f"N = {n_nodes}; it must be a whole number of steps at every level")
     ladders = {tag: [] for tag in tags}
-    for n_nodes in levels:
-        dt = dt0 * (levels[0] / n_nodes) ** 2
+    for n_nodes, dt in zip(levels, dts):
         traj = standard_test_flow(ambient, speed, n_nodes, dt,
                                   t_end=t_check + dt, r0=r0,
                                   amplitude=amplitude, mode=mode)

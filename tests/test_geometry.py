@@ -198,3 +198,43 @@ def test_odd_perturbation_mode_rejected():
     # the doubled profile covers the sphere twice; odd modes break the matching
     with pytest.raises(ConfigError):
         geo.cos_mode_radial(0.8, 0.05, 3)
+
+
+# ---------------------------------------------------------------------------
+# periodic stencils: bit-identical to the np.roll reference
+# ---------------------------------------------------------------------------
+
+def _roll_d1(arr, spacing):
+    p1, p2, p3 = (np.roll(arr, -k, 0) for k in (1, 2, 3))
+    m1, m2, m3 = (np.roll(arr, k, 0) for k in (1, 2, 3))
+    return (p3 - m3 + 9.0 * (m2 - p2) + 45.0 * (p1 - m1)) / (60.0 * spacing)
+
+
+def _roll_d2(arr, spacing):
+    p1, p2, p3 = (np.roll(arr, -k, 0) for k in (1, 2, 3))
+    m1, m2, m3 = (np.roll(arr, k, 0) for k in (1, 2, 3))
+    return (2.0 * (p3 + m3) - 27.0 * (p2 + m2) + 270.0 * (p1 + m1)
+            - 490.0 * arr) / (180.0 * spacing ** 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("tail", [(), (3,), (2, 2), (2, 2, 2)])
+@pytest.mark.parametrize("n_nodes", [8, 64])
+def test_stencils_match_roll_reference_exactly(dtype, tail, n_nodes):
+    rng = np.random.default_rng(n_nodes + len(tail))
+    # dividing in the target dtype fills the extended mantissa of longdouble
+    arr = rng.standard_normal((n_nodes,) + tail).astype(dtype) / dtype(3)
+    du = 2.0 * np.pi / n_nodes
+    for stencil, reference in ((geo.periodic_d1, _roll_d1), (geo.periodic_d2, _roll_d2)):
+        got, want = stencil(arr, du), reference(arr, du)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_spherical_normal_matches_np_cross_exactly(dtype):
+    mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 64).astype(dtype)
+    cp, _, E, normal, *_ = geo._profile_geometry(SPHERE, mk)
+    want = np.cross(cp, mk) / np.sqrt(E)[:, None]
+    assert normal.dtype == want.dtype == dtype
+    assert np.array_equal(normal, want)

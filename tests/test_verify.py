@@ -149,6 +149,17 @@ def test_ladder_rejects_bad_input_before_running_a_flow(monkeypatch):
         V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta",), levels=(24,))
 
 
+def test_ladder_rejects_t_check_off_the_step_grid_before_running_a_flow(monkeypatch):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran before the input was checked")
+
+    monkeypatch.setattr(V, "standard_test_flow", no_flow)
+    # dt = 8e-4 (24/64)^2 = 1.125e-4 at N = 64, so t_check/dt = 35.6
+    with pytest.raises(ConfigError, match=r"t_check = 0\.004 .* dt = 0\.0001125 at N = 64"):
+        V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta",), levels=(24, 48, 64),
+                          dt0=8e-4, t_check=4e-3)
+
+
 # ---------------------------------------------------------------------------
 # pointwise gap functions: frozen examples and equality witnesses
 # ---------------------------------------------------------------------------
