@@ -14,9 +14,9 @@ writes a manifest.json next to its data files; nothing is overwritten
 unless --force is passed.  Outputs carry no timestamps, so a rerun of the
 same configuration is byte-identical.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 loss of convexity,
-3 numerical instability, 4 a certified quantity failed its positivity or
-threshold requirement.
+Exit codes: 0 success, 1 configuration or usage error (and any other package
+error), 2 loss of convexity, 3 numerical instability, 4 a certified quantity
+failed its positivity or threshold requirement.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from . import harnack as _ha
 from . import symfunc as _sf
 from . import verify as _ve
 from .errors import (ConfigError, ConvexityLost, DegenerateGrid,
-                     DomainExceeded, HarnackLabError, LabelMismatch,
-                     MissingTrajectory, NonPositiveCurvature, OutOfRange,
-                     StabilityViolation, UnsupportedAmbient, WrongAmbient,
-                     WrongSpeed)
+                     DomainExceeded, HarnackLabError, OutOfRange,
+                     StabilityViolation, UnsupportedAmbient)
 from .flow import FlowConfig
-from .geometry import AmbientSpace, GeodesicSphere, cos_mode_radial, markers_from_radial
+from .geometry import (AmbientSpace, GeodesicSphere, cos_mode_radial,
+                       marker_representation, markers_from_radial)
 from .symfunc import SpeedFunction
 
 EXIT_OK = 0
@@ -47,11 +46,6 @@ EXIT_CONFIG = 1
 EXIT_CONVEXITY = 2
 EXIT_INSTABILITY = 3
 EXIT_THRESHOLD = 4
-
-_CONFIG_LIKE = (ConfigError, UnsupportedAmbient, WrongSpeed, WrongAmbient,
-                DomainExceeded, OutOfRange, LabelMismatch, MissingTrajectory)
-_CONVEXITY_LIKE = (ConvexityLost, NonPositiveCurvature)
-_INSTABILITY_LIKE = (StabilityViolation, DegenerateGrid)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +282,7 @@ def _initial_data(cfg, ambient):
                           "set amplitude = 0 for the grid-free sphere tier")
     markers = markers_from_radial(
         ambient, cos_mode_radial(r0, cfg["amplitude"], cfg["mode"]), cfg["n_nodes"])
-    if ambient.dim == 2:
-        from .geometry import AxisymmetricProfile
-        return AxisymmetricProfile(markers)
-    from .geometry import ClosedCurve
-    return ClosedCurve(markers)
+    return marker_representation(ambient, markers)
 
 
 def _run_flow(cfg, ambient, speed):
@@ -549,16 +539,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.subcommand)
         return HANDLERS[args.subcommand](args, cfg)
-    except _CONVEXITY_LIKE as exc:
+    except ConvexityLost as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVEXITY
-    except _INSTABILITY_LIKE as exc:
+    except (StabilityViolation, DegenerateGrid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSTABILITY
-    except _CONFIG_LIKE as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except HarnackLabError as exc:      # anything new defaults to config-like
+    except HarnackLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

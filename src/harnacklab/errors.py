@@ -14,12 +14,12 @@ class ConfigError(HarnackLabError):
     """A configuration file or option set is malformed or inconsistent."""
 
 
-class NonPositiveCurvature(HarnackLabError):
-    """A principal-curvature vector left the positive cone Gamma_+."""
-
-
 class ConvexityLost(HarnackLabError):
-    """A surface state stopped being strictly convex (some kappa_i <= 0)."""
+    """A principal-curvature vector left the positive cone Gamma_+.
+
+    F = f^p is defined only on Gamma_+, so this is also how a surface state
+    that stopped being strictly convex (some kappa_i <= 0) is reported.
+    """
 
 
 class DegenerateGrid(HarnackLabError):

@@ -36,6 +36,9 @@ from .symfunc import SpeedFunction, eval_f
 # matches a requested one.
 STATE_RTOL = 1e-9
 
+# Step budget of one grid run; exhausting it raises StabilityViolation.
+MAX_STEPS = 2_000_000
+
 
 @dataclass
 class FlowConfig:
@@ -56,7 +59,6 @@ class FlowConfig:
     store_every: int = 1
     max_kappa: float = 1e4
     min_radius: float = 0.0
-    max_steps: int = 2_000_000
     dtype: str = "float64"
 
     def __post_init__(self):
@@ -85,9 +87,9 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
 
-    def state_at(self, t: float, rtol: float = STATE_RTOL) -> SurfaceState:
+    def state_at(self, t: float) -> SurfaceState:
         times = self.times
-        tol = rtol * max(1.0, abs(t))
+        tol = STATE_RTOL * max(1.0, abs(t))
         i = int(np.argmin(np.abs(times - t)))
         if abs(times[i] - t) > tol:
             raise OutOfRange(
@@ -102,13 +104,11 @@ def _project(ambient, markers):
 
 
 def _velocity(ambient, speed, markers):
-    F, normal = geometry.speed_and_normal(ambient, speed, markers)
-    return -F[:, None] * normal
+    _, _, _, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, markers)
+    return -speed.value(kappa)[:, None] * normal
 
 
-def _rk4(ambient, speed, markers, dt, k1=None):
-    if k1 is None:
-        k1 = _velocity(ambient, speed, markers)
+def _rk4(ambient, speed, markers, dt, k1):
     k2 = _velocity(ambient, speed, markers + 0.5 * dt * k1)
     k3 = _velocity(ambient, speed, markers + 0.5 * dt * k2)
     k4 = _velocity(ambient, speed, markers + dt * k3)
@@ -155,8 +155,8 @@ def run(config: FlowConfig) -> Trajectory:
         remaining = config.t_end - t
         if remaining <= 1e-12 * config.t_end:
             break
-        if steps_done >= config.max_steps:
-            raise StabilityViolation(f"step budget of {config.max_steps} exhausted")
+        if steps_done >= MAX_STEPS:
+            raise StabilityViolation(f"step budget of {MAX_STEPS} exhausted")
         try:
             _, _, E, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, markers)
         except ConvexityLost:
@@ -181,7 +181,7 @@ def run(config: FlowConfig) -> Trajectory:
             dt = min(dt, remaining)
 
         try:
-            markers = _rk4(ambient, speed, markers, dt, k1=-F[:, None] * normal)
+            markers = _rk4(ambient, speed, markers, dt, -F[:, None] * normal)
         except ConvexityLost:
             termination = "convexity-lost"
             break
@@ -236,6 +236,7 @@ class SphereSolution:
     r0: float
     t_extinction: Optional[float]
     _radius_fn: Callable
+    _time_fn: Callable
 
     @property
     def contracting(self) -> bool:
@@ -265,16 +266,13 @@ class SphereSolution:
         """Inverse of radius(); None if the radius is never attained."""
         if not (0 < r <= self.r0) if self.contracting else not (r >= self.r0):
             return None
-        return self._time_of_radius(r)
+        return self._time_fn(r)
 
     def state(self, t) -> SurfaceState:
         """Assembled grid-free umbilic state at time t."""
         st = geometry.assemble(GeodesicSphere(float(self.radius(t))),
                                self.ambient, self.speed, t=float(t))
         return st
-
-    def _time_of_radius(self, r):
-        raise NotImplementedError
 
 
 def sphere_ode_solution(ambient: AmbientSpace, speed: SpeedFunction,
@@ -296,20 +294,17 @@ def sphere_ode_solution(ambient: AmbientSpace, speed: SpeedFunction,
             def time_of(r):
                 return (r0 ** (1.0 + a) - r ** (1.0 + a)) / ((1.0 + a) * f1 ** a)
 
-            sol = SphereSolution(ambient, speed, r0, t_ext, radius_fn)
-        else:
-            # expanding: d/dt r^(1-beta) = (1-beta) f1^(-beta)
-            b = -a
+            return SphereSolution(ambient, speed, r0, t_ext, radius_fn, time_of)
+        # expanding: d/dt r^(1-beta) = (1-beta) f1^(-beta)
+        b = -a
 
-            def radius_fn(t):
-                return (r0 ** (1.0 - b) + (1.0 - b) * f1 ** (-b) * t) ** (1.0 / (1.0 - b))
+        def radius_fn(t):
+            return (r0 ** (1.0 - b) + (1.0 - b) * f1 ** (-b) * t) ** (1.0 / (1.0 - b))
 
-            def time_of(r):
-                return (r ** (1.0 - b) - r0 ** (1.0 - b)) / ((1.0 - b) * f1 ** (-b))
+        def time_of(r):
+            return (r ** (1.0 - b) - r0 ** (1.0 - b)) / ((1.0 - b) * f1 ** (-b))
 
-            sol = SphereSolution(ambient, speed, r0, None, radius_fn)
-        sol._time_of_radius = time_of
-        return sol
+        return SphereSolution(ambient, speed, r0, None, radius_fn, time_of)
 
     if a < 0:
         raise UnsupportedAmbient("expanding speeds are Euclidean-only")
@@ -324,9 +319,7 @@ def sphere_ode_solution(ambient: AmbientSpace, speed: SpeedFunction,
         def time_of(r):
             return math.log(math.cos(r) / math.cos(r0)) / f1
 
-        sol = SphereSolution(ambient, speed, r0, t_ext, radius_fn)
-        sol._time_of_radius = time_of
-        return sol
+        return SphereSolution(ambient, speed, r0, t_ext, radius_fn, time_of)
 
     # general power: t(r) = f1^(-a) ∫_r^{r0} tan^a s ds, inverted by bracketing
     def time_of(r):
@@ -348,9 +341,7 @@ def sphere_ode_solution(ambient: AmbientSpace, speed: SpeedFunction,
             return np.float64(radius_scalar(float(t_arr)))
         return np.array([radius_scalar(float(tv)) for tv in t_arr])
 
-    sol = SphereSolution(ambient, speed, r0, t_ext, radius_fn)
-    sol._time_of_radius = time_of
-    return sol
+    return SphereSolution(ambient, speed, r0, t_ext, radius_fn, time_of)
 
 
 # ---------------------------------------------------------------------------

@@ -203,18 +203,19 @@ class SurfaceState:
     kappa: np.ndarray               # principal curvatures,     (N, n)
     eigT: np.ndarray                # g-orthonormal Weingarten eigenbasis
     christoffel: np.ndarray         # Γ^k_{ij},                 (N, n, n, n)
-    nabla_h: np.ndarray             # ∇_k h_{ij},               (N, n, n, n)
+    nabla_h: Optional[np.ndarray] = None    # ∇_k h_{ij},       (N, n, n, n)
 
-    F: np.ndarray                   # speed,                    (N,)
-    dF: np.ndarray                  # F^{ij}
-    tr_dF: np.ndarray               # g_{ij} F^{ij} = Σ Φ'
-    grad_F: np.ndarray              # ∇_i F
-    hess_F: np.ndarray              # ∇²_{ij} F
-    alpha: np.ndarray               # ∇²F + F h²
-    gamma: np.ndarray               # b^{kl} ∇_k F ∇_l h
-    eta: np.ndarray                 # α − γ
-    beta: np.ndarray                # F^{ij} α_{ij}
-    theta: np.ndarray               # b^{ij} ∇_i F ∇_j F
+    # filled by _attach_speed_quantities
+    F: Optional[np.ndarray] = None          # speed,            (N,)
+    dF: Optional[np.ndarray] = None         # F^{ij}
+    tr_dF: Optional[np.ndarray] = None      # g_{ij} F^{ij} = Σ Φ'
+    grad_F: Optional[np.ndarray] = None     # ∇_i F
+    hess_F: Optional[np.ndarray] = None     # ∇²_{ij} F
+    alpha: Optional[np.ndarray] = None      # ∇²F + F h²
+    gamma: Optional[np.ndarray] = None      # b^{kl} ∇_k F ∇_l h
+    eta: Optional[np.ndarray] = None        # α − γ
+    beta: Optional[np.ndarray] = None       # F^{ij} α_{ij}
+    theta: Optional[np.ndarray] = None      # b^{ij} ∇_i F ∇_j F
 
     @property
     def n_nodes(self) -> int:
@@ -280,12 +281,6 @@ def _profile_geometry(ambient, markers):
     return cp, cpp, E, normal, h_uu, kappa, rho, n_rot
 
 
-def speed_and_normal(ambient, speed, markers):
-    """Light evaluation path for time stepping: (F, outward profile normal)."""
-    _, _, _, normal, _, kappa, _, _ = _profile_geometry(ambient, markers)
-    return speed.value(kappa), normal
-
-
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -314,11 +309,15 @@ def assemble(representation, ambient: AmbientSpace, speed: SpeedFunction,
     raise ConfigError(f"unknown representation {type(representation)!r}")
 
 
+def marker_representation(ambient: AmbientSpace, markers: np.ndarray):
+    """Wrap gridded markers by dimension: a profile for n = 2, a curve for n = 1."""
+    return AxisymmetricProfile(markers) if ambient.dim == 2 else ClosedCurve(markers)
+
+
 def assemble_markers(ambient: AmbientSpace, speed: SpeedFunction,
                      markers: np.ndarray, t: float) -> SurfaceState:
     """Assemble directly from marker coordinates (dim picks the kind)."""
-    rep = AxisymmetricProfile(markers) if ambient.dim == 2 else ClosedCurve(markers)
-    return assemble(rep, ambient, speed, t=t)
+    return assemble(marker_representation(ambient, markers), ambient, speed, t=t)
 
 
 def _validate_radius(ambient, r):
@@ -370,10 +369,6 @@ def _assemble_umbilic(ambient, speed, r, t):
         b=eye / (kap * a * a), h_sq=kap * kap * a * a * eye.copy(),
         kappa=kappa, eigT=eye / a, christoffel=np.zeros((1, n, n, n)),
         nabla_h=np.zeros((1, n, n, n)),
-        F=np.zeros(1), dF=np.zeros((1, n, n)), tr_dF=np.zeros(1),
-        grad_F=np.zeros((1, n)), hess_F=np.zeros((1, n, n)),
-        alpha=np.zeros((1, n, n)), gamma=np.zeros((1, n, n)),
-        eta=np.zeros((1, n, n)), beta=np.zeros(1), theta=np.zeros(1),
     )
     _attach_speed_quantities(state)
     return state
@@ -423,11 +418,7 @@ def _assemble_grid(ambient, speed, markers, t):
         kind="axisymmetric-profile" if n == 2 else "closed-curve",
         markers=markers, du=du, radius=None, normal=normal, ds_min=float(np.min(seg)),
         g=g, g_inv=g_inv, h=h, b=b, h_sq=h_sq, kappa=kappa, eigT=eigT,
-        christoffel=christoffel, nabla_h=np.zeros((n_nodes, n, n, n)),
-        F=np.zeros(n_nodes), dF=np.zeros((n_nodes, n, n)), tr_dF=np.zeros(n_nodes),
-        grad_F=np.zeros((n_nodes, n)), hess_F=np.zeros((n_nodes, n, n)),
-        alpha=np.zeros((n_nodes, n, n)), gamma=np.zeros((n_nodes, n, n)),
-        eta=np.zeros((n_nodes, n, n)), beta=np.zeros(n_nodes), theta=np.zeros(n_nodes),
+        christoffel=christoffel,
     )
     state.nabla_h = covariant_derivative(state, h, ("lo", "lo"))
     _attach_speed_quantities(state)

@@ -90,25 +90,15 @@ def strong_correction_coefficient(p: float, n: int) -> float:
 # χ quantities
 # ---------------------------------------------------------------------------
 
-def _delta_or_default(state, delta):
-    return state.speed.delta_default if delta is None else float(delta)
-
-
-def chi1(state: SurfaceState, t: Optional[float] = None,
-         delta: Optional[float] = None) -> np.ndarray:
-    """χ₁ = t(∂ₜF − θ) + δF with the analytic ∂ₜF = β + cF tr(Ḟ)."""
-    t = state.t if t is None else t
-    delta = _delta_or_default(state, delta)
+def chi1(state: SurfaceState) -> np.ndarray:
+    """χ₁ = t(∂ₜF − θ) + δF, analytic ∂ₜF = β + cF tr(Ḟ), δ = α/(α+1)."""
     dtF = state.beta + state.ambient.c * state.F * state.tr_dF
-    return t * (dtF - state.theta) + delta * state.F
+    return state.t * (dtF - state.theta) + state.speed.delta_default * state.F
 
 
-def chi2(state: SurfaceState, t: Optional[float] = None,
-         delta: Optional[float] = None) -> np.ndarray:
-    """χ₂ = t(β − θ) + δF."""
-    t = state.t if t is None else t
-    delta = _delta_or_default(state, delta)
-    return t * (state.beta - state.theta) + delta * state.F
+def chi2(state: SurfaceState) -> np.ndarray:
+    """χ₂ = t(β − θ) + δF with δ = α/(α+1)."""
+    return state.t * (state.beta - state.theta) + state.speed.delta_default * state.F
 
 
 def require_mean(state, what):
@@ -118,13 +108,11 @@ def require_mean(state, what):
                          f"got f = {state.speed.f.name}")
 
 
-def chi3(state: SurfaceState, t: Optional[float] = None,
-         delta: Optional[float] = None) -> np.ndarray:
+def chi3(state: SurfaceState) -> np.ndarray:
     """χ₃ = χ₂ + c·t·ζ(F) for F = H^p (case-split ζ)."""
     require_mean(state, "chi3")
-    t = state.t if t is None else t
     z = zeta_monitor(state.speed.exponent, state.dim, state.F)
-    return chi2(state, t, delta) + state.ambient.c * t * z
+    return chi2(state) + state.ambient.c * state.t * z
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +228,8 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
         if config.delta is not None and abs(config.delta - delta) > 1e-12:
             raise ConfigError("strong-Hp pins delta = p/(p+1); leave it unset")
     else:
-        delta = _delta_or_default(state, config.delta)
+        delta = (state.speed.delta_default if config.delta is None
+                 else float(config.delta))
         bound = state.speed.delta_default
         if variant == "euclidean-contracting" and delta < bound - 1e-12:
             raise ConfigError(

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ConvexityLost, NonPositiveCurvature
+from .errors import ConfigError, ConvexityLost
 
 # Two eigenvalues closer than this (relative to max |κ|) are treated as
 # coincident and the divided difference is replaced by its analytic limit.
@@ -170,15 +170,15 @@ def _check_cone(kappa):
     if not np.issubdtype(kappa.dtype, np.floating):
         kappa = kappa.astype(float)
     if not np.all(np.isfinite(kappa)):
-        raise NonPositiveCurvature("principal curvatures contain non-finite entries")
+        raise ConvexityLost("principal curvatures contain non-finite entries")
     if np.any(kappa <= 0.0):
-        raise NonPositiveCurvature(
+        raise ConvexityLost(
             f"principal curvatures leave the positive cone (min = {kappa.min():.6g})")
     return kappa
 
 
 def eval_f(f: CurvatureFunction, kappa) -> np.ndarray:
-    """Evaluate f on κ ∈ Γ₊; raises NonPositiveCurvature outside the cone."""
+    """Evaluate f on κ ∈ Γ₊; raises ConvexityLost outside the cone."""
     return f.value(_check_cone(kappa))
 
 
@@ -321,19 +321,10 @@ def weingarten_eigensystem(g, h):
     return kappa, T
 
 
-def _check_convex(kappa):
-    if not np.all(np.isfinite(kappa)):
-        raise ConvexityLost("Weingarten eigenvalues contain non-finite entries")
-    if np.any(kappa <= 0.0):
-        raise ConvexityLost(
-            f"Weingarten map has a nonpositive eigenvalue (min = {kappa.min():.6g})")
-
-
 def dF_matrix(F, g, h) -> np.ndarray:
     """First derivative F^{ij} = Σ_a Φ'_a T^i_a T^j_a (contravariant, SPD)."""
     speed = _as_speed(F)
     kappa, T = weingarten_eigensystem(g, h)
-    _check_convex(kappa)
     return dF_from_eig(speed, kappa, T)
 
 
@@ -346,7 +337,6 @@ def trace_dF(F, g, h) -> np.ndarray:
     """tr(Ḟ) = g_{ij} F^{ij} = Σ_a Φ'_a(κ)."""
     speed = _as_speed(F)
     kappa, _ = weingarten_eigensystem(g, h)
-    _check_convex(kappa)
     return np.sum(speed.dvalue(kappa), axis=-1)
 
 
@@ -392,7 +382,6 @@ def d2F_quadratic(F, g, h, eta) -> np.ndarray:
     """
     speed = _as_speed(F)
     kappa, T = weingarten_eigensystem(g, h)
-    _check_convex(kappa)
     return d2F_quadratic_from_eig(speed, kappa, T, np.asarray(eta, dtype=float))
 
 
@@ -406,6 +395,5 @@ def d2F_bilinear_from_eig(speed, kappa, T, A, C):
 def d2F_bilinear(F, g, h, A, C) -> np.ndarray:
     speed = _as_speed(F)
     kappa, T = weingarten_eigensystem(g, h)
-    _check_convex(kappa)
     return d2F_bilinear_from_eig(speed, kappa, T,
                                  np.asarray(A, dtype=float), np.asarray(C, dtype=float))

@@ -19,7 +19,8 @@ Supported tags: metric, inverse-metric, sff, weingarten, sff-box,
 weingarten-box, inverse-sff, squared-sff, speed, christoffel, grad-speed,
 beta, theta, chi2, chi3 (mean-curvature speeds only), chi1 and
 box-commutator ([∂ₜ, □]F).  The spatial commutator [∇, □]φ is checked on a
-single state by commutator_residual.
+single state by commutator_residual, with φ fixed to the first marker
+coordinate (the speed F on grid-free states).
 
 Pointwise inequality scans
 --------------------------
@@ -48,10 +49,9 @@ from . import harnack as _ha
 from . import symfunc as _sf
 from .errors import ConfigError, WrongSpeed
 from .flow import FlowConfig, Trajectory, time_derivative
-from .geometry import (AmbientSpace, AxisymmetricProfile, ClosedCurve,
-                       SurfaceState, box_op, covariant_derivative,
-                       covariant_hessian, grad_scalar,
-                       cos_mode_radial, markers_from_radial)
+from .geometry import (AmbientSpace, SurfaceState, box_op, covariant_derivative,
+                       covariant_hessian, grad_scalar, cos_mode_radial,
+                       marker_representation, markers_from_radial)
 from .symfunc import CurvatureFunction, SpeedFunction, eval_f, grad_f
 
 
@@ -420,29 +420,14 @@ def evolution_residual(trajectory: Trajectory, tag: str, t: float,
                           residual=residual, rhs_scale=scale)
 
 
-def commutator_residual(obj, which: str = "gradient", phi=None,
-                        t: Optional[float] = None, dt: Optional[float] = None):
-    """Residual of a commutator identity.
+def commutator_residual(state: SurfaceState) -> ResidualRecord:
+    """Residual of the spatial commutator [∇, □]φ on a single state.
 
-    which="gradient" checks [∇, □]φ on a single state (default φ is the
-    first ambient coordinate restricted to the surface); which="time" checks
-    [∂ₜ, □]F along a trajectory and needs t and dt.
+    φ is the first ambient coordinate restricted to the surface (the speed F
+    on grid-free states, which have no markers).  The time commutator
+    [∂ₜ, □]F is the evolution identity 'box-commutator'.
     """
-    if which == "time":
-        if t is None or dt is None:
-            raise ConfigError("the time commutator needs t and dt")
-        return evolution_residual(obj, "box-commutator", t, dt)
-    if which != "gradient":
-        raise ConfigError(f"which must be 'gradient' or 'time', got {which!r}")
-
-    state = obj
-    if not isinstance(state, SurfaceState):
-        raise ConfigError("the gradient commutator is evaluated on a single state")
-    if phi is None:
-        if state.markers is None:
-            phi = state.F
-        else:
-            phi = state.markers[:, 0]
+    phi = state.F if state.markers is None else state.markers[:, 0]
     phi = np.asarray(phi, dtype=float)
     c = state.ambient.c
 
@@ -500,8 +485,8 @@ def standard_test_flow(ambient: AmbientSpace, speed: SpeedFunction, n_nodes: int
     if r0 is None:
         r0 = 0.8 if ambient.c == 1 else 1.0
     markers = markers_from_radial(ambient, cos_mode_radial(r0, amplitude, mode), n_nodes)
-    rep = AxisymmetricProfile(markers) if ambient.dim == 2 else ClosedCurve(markers)
-    config = FlowConfig(ambient=ambient, speed=speed, initial=rep,
+    config = FlowConfig(ambient=ambient, speed=speed,
+                        initial=marker_representation(ambient, markers),
                         t_end=t_end, dt=dt, store_every=1, dtype=dtype)
     return _flow.run(config)
 
@@ -517,7 +502,9 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     Besides the evolution identities, tags may include 'grad-commutator',
     which needs no time differencing and is checked on the state at t_check.
     Unknown tags, fewer than two levels and a t_check that is not a whole
-    number of steps at some level raise ConfigError before any flow runs.
+    number of steps at some level, or is less than one step (the centered
+    time difference needs the state at t_check − Δt), raise ConfigError
+    before any flow runs.
     Returns {tag: LadderReport}.
     """
     if tags is None:
@@ -531,10 +518,12 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     dts = [dt0 * (levels[0] / n_nodes) ** 2 for n_nodes in levels]
     for n_nodes, dt in zip(levels, dts):
         steps = t_check / dt
-        if abs(round(steps) * dt - t_check) > _flow.STATE_RTOL * max(1.0, abs(t_check)):
+        tol = _flow.STATE_RTOL * max(1.0, abs(t_check))
+        if round(steps) < 1 or abs(round(steps) * dt - t_check) > tol:
             raise ConfigError(
                 f"t_check = {t_check:g} is {steps:.6g} steps of dt = {dt:g} at "
-                f"N = {n_nodes}; it must be a whole number of steps at every level")
+                f"N = {n_nodes}; it must be a whole number of steps, at least one, "
+                f"at every level")
     ladders = {tag: [] for tag in tags}
     for n_nodes, dt in zip(levels, dts):
         traj = standard_test_flow(ambient, speed, n_nodes, dt,
@@ -637,7 +626,6 @@ def harnack_form_gap(F, g, h, eta, delta: Optional[float] = None) -> np.ndarray:
     if delta is None:
         delta = speed.delta_default
     kappa, T = _sf.weingarten_eigensystem(g, h)
-    _sf._check_convex(kappa)
     eta_hat = _sf._to_eigenframe(T, np.asarray(eta, dtype=float))
     quad, pos, neg = _harnack_form_terms(speed, kappa, eta_hat, delta)
     return quad + pos - neg
@@ -657,6 +645,11 @@ def fb_dominance(f: CurvatureFunction, kappa) -> np.ndarray:
 
 SCAN_INEQUALITIES = ("f-lemma", "urbas", "harnack-form", "fb-dominance")
 
+# Samples drawn per _scan_once call, and the log-uniform range of each κᵢ;
+# changing either changes every scan result.
+SCAN_BATCH = 20_000
+KAPPA_RANGE = (1e-2, 1e2)
+
 
 @dataclass
 class ScanReport:
@@ -669,10 +662,9 @@ class ScanReport:
     witness_max_abs_gap: float
 
 
-def sample_kappa_eta(rng, samples: int, n: int,
-                     kappa_range=(1e-2, 1e2)):
-    """Log-uniform κ in Γ₊ and symmetric Gaussian η̂, batched."""
-    lo, hi = np.log(kappa_range[0]), np.log(kappa_range[1])
+def sample_kappa_eta(rng, samples: int, n: int):
+    """Log-uniform κ in Γ₊ (over KAPPA_RANGE) and symmetric Gaussian η̂, batched."""
+    lo, hi = np.log(KAPPA_RANGE[0]), np.log(KAPPA_RANGE[1])
     kappa = np.exp(rng.uniform(lo, hi, size=(samples, n)))
     A = rng.standard_normal((samples, n, n))
     eta_hat = 0.5 * (A + np.swapaxes(A, 1, 2))
@@ -709,7 +701,6 @@ def _scan_once(inequality, f, speed, rng, samples, n):
         # eigensolve serves both η and the equality witness η = h.
         g, h = sample_metric_pair(rng, samples, n, kappa)
         kap, T = _sf.weingarten_eigensystem(g, h)
-        _sf._check_convex(kap)
         delta = speed.delta_default
         quad, pos, neg = _harnack_form_terms(speed, kap, _sf._to_eigenframe(T, eta_hat),
                                              delta)
@@ -732,8 +723,7 @@ def _diag_of(kappa):
 def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
                       samples: int = 100_000, seed: int = 20260817,
                       f: Optional[CurvatureFunction] = None,
-                      speed: Optional[SpeedFunction] = None,
-                      batch: int = 20_000) -> list:
+                      speed: Optional[SpeedFunction] = None) -> list:
     """Randomized certification scans of the pointwise matrix inequalities.
 
     One SeedSequence child per (inequality, n) task keeps results
@@ -753,7 +743,7 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
         worst, wit = np.inf, 0.0
         done = 0
         while done < samples:
-            take = min(batch, samples - done)
+            take = min(SCAN_BATCH, samples - done)
             w, ww = _scan_once(ineq, f, speed, rng, take, n)
             worst, wit = min(worst, w), max(wit, ww)
             done += take

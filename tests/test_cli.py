@@ -11,7 +11,8 @@ import json
 import pytest
 
 from harnacklab import cli
-from harnacklab.errors import ConfigError
+from harnacklab.errors import (ConfigError, ConvexityLost, DegenerateGrid,
+                               HarnackLabError, StabilityViolation)
 
 
 def write_cfg(tmp_path, name="run.cfg", **keys):
@@ -57,6 +58,26 @@ def test_missing_exponent_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, speed="mean")
     assert run_cli("sphere-exact", cfg, tmp_path / "out") == cli.EXIT_CONFIG
     assert "exponent" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+# 2 loss of convexity, 3 numerical instability, 1 any other package error
+EXIT_BY_CLASS = {ConvexityLost: 2, StabilityViolation: 3, DegenerateGrid: 3}
+
+
+@pytest.mark.parametrize("error", HarnackLabError.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_each_error_class_has_one_exit_code(tmp_path, monkeypatch, capsys, error):
+    def failing_handler(args, cfg):
+        raise error("raised by the handler")
+
+    monkeypatch.setitem(cli.HANDLERS, "sphere-exact", failing_handler)
+    cfg = write_cfg(tmp_path, exponent=1.0)
+    assert run_cli("sphere-exact", cfg, tmp_path / "out") == EXIT_BY_CLASS.get(error, 1)
+    assert "raised by the handler" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harnacklab import symfunc as sf
-from harnacklab.errors import ConfigError, NonPositiveCurvature
+from harnacklab.errors import ConfigError, ConvexityLost
 
 
 def _fd_grad(f, kappa, step=1e-6):
@@ -126,9 +126,9 @@ def test_harmonic_mean_below_mean():
 
 
 def test_cone_violation_raises():
-    with pytest.raises(NonPositiveCurvature):
+    with pytest.raises(ConvexityLost):
         sf.eval_f(sf.mean(), np.array([1.0, -1.0]))
-    with pytest.raises(NonPositiveCurvature):
+    with pytest.raises(ConvexityLost):
         sf.eval_f(sf.norm(), np.array([0.0, 2.0]))
 
 

@@ -76,7 +76,7 @@ def test_umbilic_residuals_at_time_stencil_scale(umbilic_traj):
 def test_umbilic_commutators_vanish_exactly(umbilic_traj):
     # no grid, no gradients: both commutator defects are exact zeros
     grad = V.commutator_residual(umbilic_traj.state_at(4e-3))
-    box = V.commutator_residual(umbilic_traj, which="time", t=4e-3, dt=1e-3)
+    box = V.evolution_residual(umbilic_traj, "box-commutator", 4e-3, 1e-3)
     assert grad.tag == "grad-commutator"
     assert grad.dt == 0.0
     assert grad.residual == 0.0
@@ -133,11 +133,6 @@ def test_chi3_residual_needs_mean_speed():
         V.evolution_residual(traj, "chi3", 3e-3, 1e-3)
 
 
-def test_commutator_residual_rejects_bad_mode(umbilic_traj):
-    with pytest.raises(ConfigError):
-        V.commutator_residual(umbilic_traj, which="box", t=4e-3, dt=1e-3)
-
-
 def test_ladder_rejects_bad_input_before_running_a_flow(monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran before the input was checked")
@@ -149,15 +144,22 @@ def test_ladder_rejects_bad_input_before_running_a_flow(monkeypatch):
         V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta",), levels=(24,))
 
 
-def test_ladder_rejects_t_check_off_the_step_grid_before_running_a_flow(monkeypatch):
+@pytest.mark.parametrize("levels, t_check, match", [
+    # dt = 8e-4 (24/64)^2 = 1.125e-4 at N = 64, so t_check/dt = 35.6
+    ((24, 48, 64), 4e-3, r"t_check = 0\.004 .* dt = 0\.0001125 at N = 64"),
+    # the centered time difference needs the state at t_check - dt >= 0
+    ((24, 48), 0.0, r"t_check = 0 .* dt = 0\.0008 at N = 24"),
+    ((24, 48), -8e-4, r"t_check = -0\.0008 .* dt = 0\.0008 at N = 24"),
+], ids=["off-grid", "zero", "negative"])
+def test_ladder_rejects_t_check_off_the_step_grid_before_running_a_flow(
+        monkeypatch, levels, t_check, match):
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran before the input was checked")
 
     monkeypatch.setattr(V, "standard_test_flow", no_flow)
-    # dt = 8e-4 (24/64)^2 = 1.125e-4 at N = 64, so t_check/dt = 35.6
-    with pytest.raises(ConfigError, match=r"t_check = 0\.004 .* dt = 0\.0001125 at N = 64"):
-        V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta",), levels=(24, 48, 64),
-                          dt0=8e-4, t_check=4e-3)
+    with pytest.raises(ConfigError, match=match):
+        V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta",), levels=levels,
+                          dt0=8e-4, t_check=t_check)
 
 
 # ---------------------------------------------------------------------------
