@@ -13,8 +13,7 @@
 import numpy as np
 
 from harnacklab.flow import FlowConfig, run, sphere_ode_solution
-from harnacklab.geometry import (AmbientSpace, AxisymmetricProfile,
-                                 cos_mode_radial, markers_from_radial)
+from harnacklab.geometry import AmbientSpace, cos_mode_radial, markers_from_radial
 from harnacklab.harnack import HarnackConfig, evaluate_monitor
 from harnacklab.symfunc import SpeedFunction, mean
 
@@ -26,7 +25,7 @@ markers = markers_from_radial(SPHERE, cos_mode_radial(0.8, 0.05, 2), 48)
 for p in (0.6, 0.9):
     speed = SpeedFunction(mean(), p)
     traj = run(FlowConfig(ambient=SPHERE, speed=speed,
-                          initial=AxisymmetricProfile(markers),
+                          initial=markers,
                           t_end=0.04, dt=5e-4, store_every=10))
     floors = {}
     for variant in ("chi1", "strong-Hp"):

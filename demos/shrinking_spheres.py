@@ -11,8 +11,8 @@
 # worst relative radius error per run, and shows the extinction times.
 import numpy as np
 
-from harnacklab.flow import FlowConfig, GeodesicSphere, run, sphere_ode_solution
-from harnacklab.geometry import AmbientSpace
+from harnacklab.flow import FlowConfig, run, sphere_ode_solution
+from harnacklab.geometry import AmbientSpace, markers_from_radial
 from harnacklab.symfunc import SpeedFunction, mean
 
 N_NODES = 128
@@ -36,7 +36,7 @@ for ambient, r0, p in CASES:
     sol = sphere_ode_solution(ambient, speed, r0)
     t_end = 0.75 * sol.t_extinction
     traj = run(FlowConfig(ambient=ambient, speed=speed,
-                          initial=GeodesicSphere(r0, nodes=N_NODES),
+                          initial=markers_from_radial(ambient, r0, N_NODES),
                           t_end=t_end, store_every=100))
     worst = 0.0
     for state in traj.states:

@@ -35,10 +35,10 @@ from . import symfunc as _sf
 from . import verify as _ve
 from .errors import (ConfigError, ConvexityLost, DegenerateGrid,
                      DomainExceeded, HarnackLabError, OutOfRange,
-                     StabilityViolation, UnsupportedAmbient)
+                     StabilityViolation)
 from .flow import FlowConfig
 from .geometry import (AmbientSpace, GeodesicSphere, cos_mode_radial,
-                       marker_representation, markers_from_radial)
+                       default_radius, markers_from_radial)
 from .symfunc import SpeedFunction
 
 EXIT_OK = 0
@@ -94,12 +94,16 @@ def _cast_strs(v, key):
 
 _REQUIRED = object()
 
-_COMMON = {
-    "ambient": (_cast_choice("sphere", "euclidean"), "sphere"),
-    "dimension": (_cast_int, 2),
+_SPEED = {
     "speed": (_cast_str, "mean"),
     "exponent": (_cast_float, _REQUIRED),
     "format": (_cast_choice("csv", "json"), "csv"),
+}
+
+_COMMON = {
+    "ambient": (_cast_choice("sphere", "euclidean"), "sphere"),
+    "dimension": (_cast_int, 2),
+    **_SPEED,
 }
 
 _FLOW = {
@@ -131,7 +135,7 @@ SCHEMAS = {
                          "mode": (_cast_int, 2),
                          "min_order": (_cast_float, 1.8),
                          "max_residual": (_cast_float, 1e-4)},
-    "scan-inequalities": {**_COMMON,
+    "scan-inequalities": {**_SPEED,
                           "inequalities": (_cast_strs, ("all",)),
                           "dimensions": (_cast_ints, (2, 3, 5)),
                           "samples": (_cast_int, 100_000),
@@ -263,10 +267,6 @@ def _build_speed(cfg) -> SpeedFunction:
     return SpeedFunction(_sf.builtin(cfg["speed"]), cfg["exponent"])
 
 
-def _default_radius(ambient) -> float:
-    return 0.8 if ambient.c == 1 else 1.0
-
-
 def _default_variant(ambient, speed) -> str:
     if ambient.c == 1:
         return "chi2"
@@ -274,20 +274,14 @@ def _default_variant(ambient, speed) -> str:
 
 
 def _initial_data(cfg, ambient):
-    r0 = cfg["radius"] if cfg["radius"] is not None else _default_radius(ambient)
+    r0 = cfg["radius"] if cfg["radius"] is not None else default_radius(ambient)
     if cfg["amplitude"] == 0.0:
         return GeodesicSphere(r0)
-    if ambient.dim not in (1, 2):
-        raise ConfigError("perturbed profile grids support dimension 1 or 2; "
-                          "set amplitude = 0 for the grid-free sphere tier")
-    markers = markers_from_radial(
+    return markers_from_radial(
         ambient, cos_mode_radial(r0, cfg["amplitude"], cfg["mode"]), cfg["n_nodes"])
-    return marker_representation(ambient, markers)
 
 
 def _run_flow(cfg, ambient, speed):
-    if ambient.c == 1 and not speed.contracting:
-        raise UnsupportedAmbient("expanding speeds are Euclidean-only")
     config = FlowConfig(ambient=ambient, speed=speed, initial=_initial_data(cfg, ambient),
                         t_end=cfg["t_end"], dt=cfg["dt"], safety=cfg["safety"],
                         store_every=cfg["store_every"], max_kappa=cfg["max_kappa"],
@@ -375,13 +369,10 @@ def cmd_monitor(args, cfg) -> int:
         if state.t <= 0:
             continue
         try:
-            if use_traj:
-                rep = _ha.evaluate_monitor(state, hcfg, trajectory=traj,
-                                           dt=cfg["dt"], dtF_source="trajectory")
-            else:
-                rep = _ha.evaluate_monitor(state, hcfg)
+            dtF = _flow.time_derivative(traj, "F", state.t, cfg["dt"]) if use_traj else None
         except OutOfRange:
             continue    # no neighbor state to difference against (run edges)
+        rep = _ha.evaluate_monitor(state, hcfg, dtF)
         k = rep.argmin
         rows.append([float(state.t), rep.min_Q, k,
                      float(rep.terms["dtF"][k]), float(rep.terms["minus_theta"][k]),
@@ -407,8 +398,6 @@ def cmd_monitor(args, cfg) -> int:
 def cmd_verify_evolution(args, cfg) -> int:
     ambient = _build_ambient(cfg)
     speed = _build_speed(cfg)
-    if ambient.c == 1 and not speed.contracting:
-        raise UnsupportedAmbient("expanding speeds are Euclidean-only")
     tags = cfg["identities"]
     if tags == ("all",):
         tags = _ve.applicable_tags(speed) + ("grad-commutator",)
@@ -473,7 +462,7 @@ def cmd_scan_inequalities(args, cfg) -> int:
 def cmd_sphere_exact(args, cfg) -> int:
     ambient = _build_ambient(cfg)
     speed = _build_speed(cfg)
-    r0 = cfg["radius"] if cfg["radius"] is not None else _default_radius(ambient)
+    r0 = cfg["radius"] if cfg["radius"] is not None else default_radius(ambient)
     sol = _flow.sphere_ode_solution(ambient, speed, r0)
     if sol.t_extinction is not None and cfg["t_end"] >= sol.t_extinction:
         raise DomainExceeded(

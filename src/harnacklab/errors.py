@@ -52,7 +52,3 @@ class WrongSpeed(HarnackLabError):
 
 class WrongAmbient(HarnackLabError):
     """The operation is only defined for the other ambient curvature."""
-
-
-class MissingTrajectory(HarnackLabError):
-    """A trajectory-based cross-check was requested without a trajectory."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import integrate, optimize
@@ -47,12 +47,13 @@ class FlowConfig:
     dt=None selects the adaptive parabolic step
     Δt = safety · ds_min² / max(tr(Ḟ)·κ_max); an explicit dt is kept fixed
     (except for a final partial step onto t_end), which is what the
-    convergence ladders use.
+    convergence ladders use.  Expanding speeds raise UnsupportedAmbient on
+    the sphere.
     """
 
     ambient: AmbientSpace
     speed: SpeedFunction
-    initial: object
+    initial: Union[GeodesicSphere, np.ndarray]  # grid-free sphere or (N, d) markers
     t_end: float
     dt: Optional[float] = None
     safety: float = 0.2
@@ -62,6 +63,8 @@ class FlowConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
+        if self.ambient.c == 1 and not self.speed.contracting:
+            raise UnsupportedAmbient("expanding speeds are Euclidean-only")
         if not np.isfinite(self.t_end) or self.t_end <= 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end!r}")
         if self.dt is not None and (not np.isfinite(self.dt) or self.dt <= 0):
@@ -135,7 +138,7 @@ def run(config: FlowConfig) -> Trajectory:
     curvature cap is reached, or the surface shrinks below the radius floor.
     Initial data that is already non-convex raises ConvexityLost directly.
     """
-    if isinstance(config.initial, GeodesicSphere) and config.initial.nodes is None:
+    if isinstance(config.initial, GeodesicSphere):
         return _run_umbilic(config)
 
     ambient, speed = config.ambient, config.speed
@@ -146,7 +149,7 @@ def run(config: FlowConfig) -> Trajectory:
         # label-derivative pipeline, which residual time-differencing would
         # otherwise amplify by 1/Δt.
         markers = markers.astype(config.dtype)
-        state0 = geometry.assemble_markers(ambient, speed, markers, 0.0)
+        state0 = geometry.assemble(markers, ambient, speed, t=0.0)
     states = [state0]
     termination = "completed"
     t, steps_done = 0.0, 0
@@ -189,7 +192,7 @@ def run(config: FlowConfig) -> Trajectory:
         steps_done += 1
         if steps_done % config.store_every == 0 or config.t_end - t <= 1e-12 * config.t_end:
             try:
-                state = geometry.assemble_markers(ambient, speed, markers, t)
+                state = geometry.assemble(markers, ambient, speed, t=t)
             except ConvexityLost:
                 termination = "convexity-lost"
                 break
@@ -252,15 +255,6 @@ class SphereSolution:
                 f"requested time beyond the extinction time {self.t_extinction:g}")
         out = self._radius_fn(t_arr)
         return float(out) if np.isscalar(t) else out
-
-    def curvature(self, t):
-        r = self.radius(t)
-        return 1.0 / np.tan(r) if self.ambient.c == 1 else 1.0 / r
-
-    def speed_value(self, t):
-        kap = np.asarray(self.curvature(t), dtype=float)
-        n = self.ambient.dim
-        return self.speed.value(np.broadcast_to(kap[..., None], kap.shape + (n,)))
 
     def time_of_radius(self, r):
         """Inverse of radius(); None if the radius is never attained."""

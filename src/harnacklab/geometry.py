@@ -1,7 +1,10 @@
 """Surface states for rotationally symmetric hypersurfaces.
 
 Ambient spaces are Euclidean space (c = 0) and the unit sphere (c = 1).
-Strictly convex hypersurfaces are represented three ways:
+Initial data is either a GeodesicSphere, which stays grid-free, or an
+(N, d) array of marker coordinates, which assemble() reads as a profile
+for n = 2 and as a curve for n = 1.  The assembled state has one of three
+kinds:
 
 geodesic-sphere
     A perfectly umbilic sphere of radius r, stored without a grid.  All
@@ -12,7 +15,8 @@ axisymmetric-profile (n = 2)
     A surface of revolution.  The profile is stored as a closed curve with
     periodic Lagrangian label w ∈ [0, 2π) sampled at the N offset nodes
     w_k = (k + ½)·2π/N (poles are avoided; N must be even so the node set
-    is symmetric under the double-cover identification w ↦ 2π − w).
+    is symmetric under the double-cover identification w ↦ 2π − w).  A
+    gridded round sphere is markers_from_radial(ambient, r, N).
 
     For c = 1 the profile is a curve c(w) on the unit 2-sphere inside
     x = (c₀, c₁, c₂ cos v, c₂ sin v) ∈ S³; for c = 0 it is a curve
@@ -48,7 +52,7 @@ import numpy as np
 from . import symfunc
 from .errors import (ConfigError, ConvexityLost, DegenerateGrid,
                      UnsupportedAmbient)
-from .symfunc import SpeedFunction, dF_from_eig
+from .symfunc import SpeedFunction, as_float, dF_from_eig
 
 # Grids whose marker spacing varies by more than this ratio are rejected.
 MAX_SPACING_RATIO = 10.0
@@ -70,29 +74,19 @@ class AmbientSpace:
 
 
 # ---------------------------------------------------------------------------
-# initial-data representations
+# initial data
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GeodesicSphere:
-    """Round sphere of geodesic radius r; nodes=None keeps it grid-free."""
+    """Grid-free round sphere of geodesic radius r, for any dimension n."""
 
     radius: float
-    nodes: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class AxisymmetricProfile:
-    """Profile markers, shape (N, 3) on S² for c=1 or (N, 2) = (x, ρ) for c=0."""
-
-    markers: np.ndarray
-
-
-@dataclass(frozen=True)
-class ClosedCurve:
-    """Curve markers, shape (N, 2) in the plane (c=0) or (N, 3) on S² (c=1)."""
-
-    markers: np.ndarray
+def default_radius(ambient: AmbientSpace) -> float:
+    """Initial radius when a config gives none: 0.8 on the sphere, 1 in flat space."""
+    return 0.8 if ambient.c == 1 else 1.0
 
 
 def profile_parameter(n_nodes: int) -> np.ndarray:
@@ -193,7 +187,6 @@ class SurfaceState:
     du: float                       # label spacing (0 for grid-free states)
     radius: Optional[float]         # geodesic-sphere radius
     normal: Optional[np.ndarray]    # profile normal at the markers
-    ds_min: float                   # smallest physical marker spacing
 
     g: np.ndarray                   # metric g_{ij},            (N, n, n)
     g_inv: np.ndarray               # inverse metric g^{ij}
@@ -285,39 +278,17 @@ def _profile_geometry(ambient, markers):
 # assembly
 # ---------------------------------------------------------------------------
 
-def assemble(representation, ambient: AmbientSpace, speed: SpeedFunction,
+def assemble(initial, ambient: AmbientSpace, speed: SpeedFunction,
              t: float = 0.0) -> SurfaceState:
-    """Build the full SurfaceState for the given initial-data representation."""
-    if isinstance(representation, GeodesicSphere):
-        rep = representation
-        _validate_radius(ambient, rep.radius)
-        if rep.nodes is None:
-            return _assemble_umbilic(ambient, speed, rep.radius, t)
-        if ambient.dim not in (1, 2):
-            raise ConfigError("gridded spheres exist only for dim 1 or 2; "
-                              "higher dimensions stay on the grid-free tier")
-        markers = markers_from_radial(ambient, rep.radius, rep.nodes)
-        return _assemble_grid(ambient, speed, markers, t)
-    if isinstance(representation, AxisymmetricProfile):
-        if ambient.dim != 2:
-            raise ConfigError("axisymmetric profiles require dim == 2")
-        return _assemble_grid(ambient, speed, _validated_markers(ambient, representation.markers), t)
-    if isinstance(representation, ClosedCurve):
-        if ambient.dim != 1:
-            raise ConfigError("closed curves require dim == 1")
-        return _assemble_grid(ambient, speed, _validated_markers(ambient, representation.markers), t)
-    raise ConfigError(f"unknown representation {type(representation)!r}")
+    """Build the full SurfaceState of a GeodesicSphere or an (N, d) marker array.
 
-
-def marker_representation(ambient: AmbientSpace, markers: np.ndarray):
-    """Wrap gridded markers by dimension: a profile for n = 2, a curve for n = 1."""
-    return AxisymmetricProfile(markers) if ambient.dim == 2 else ClosedCurve(markers)
-
-
-def assemble_markers(ambient: AmbientSpace, speed: SpeedFunction,
-                     markers: np.ndarray, t: float) -> SurfaceState:
-    """Assemble directly from marker coordinates (dim picks the kind)."""
-    return assemble(marker_representation(ambient, markers), ambient, speed, t=t)
+    Markers are (N, 3) points of S² for c = 1 and (N, 2) plane points for
+    c = 0: a profile (x, ρ) when n = 2, a curve when n = 1.
+    """
+    if isinstance(initial, GeodesicSphere):
+        _validate_radius(ambient, initial.radius)
+        return _assemble_umbilic(ambient, speed, initial.radius, t)
+    return _assemble_grid(ambient, speed, _validated_markers(ambient, initial), t)
 
 
 def _validate_radius(ambient, r):
@@ -328,16 +299,12 @@ def _validate_radius(ambient, r):
             f"geodesic spheres in the unit sphere are strictly convex only for r < pi/2, got {r:g}")
 
 
-def _as_float(arr):
-    """Coerce to a floating array without narrowing an extended-precision one."""
-    arr = np.asarray(arr)
-    if not np.issubdtype(arr.dtype, np.floating):
-        arr = arr.astype(float)
-    return arr
-
-
 def _validated_markers(ambient, markers):
-    markers = _as_float(markers)
+    if ambient.dim not in (1, 2):
+        raise ConfigError(f"marker grids exist only for dimension 1 or 2, got {ambient.dim}; "
+                          "higher dimensions have only the grid-free sphere tier "
+                          "(a GeodesicSphere, or amplitude = 0 in a config)")
+    markers = as_float(markers)
     want = 3 if ambient.c == 1 else 2
     if markers.ndim != 2 or markers.shape[1] != want:
         raise ConfigError(f"markers must have shape (N, {want}) for c = {ambient.c}")
@@ -364,7 +331,7 @@ def _assemble_umbilic(ambient, speed, r, t):
     kappa = np.full((1, n), kap)
     state = SurfaceState(
         ambient=ambient, speed=speed, t=t, kind="geodesic-sphere",
-        markers=None, du=0.0, radius=float(r), normal=None, ds_min=np.inf,
+        markers=None, du=0.0, radius=float(r), normal=None,
         g=a * a * eye.copy(), g_inv=eye / (a * a), h=kap * a * a * eye.copy(),
         b=eye / (kap * a * a), h_sq=kap * kap * a * a * eye.copy(),
         kappa=kappa, eigT=eye / a, christoffel=np.zeros((1, n, n, n)),
@@ -416,7 +383,7 @@ def _assemble_grid(ambient, speed, markers, t):
     state = SurfaceState(
         ambient=ambient, speed=speed, t=t,
         kind="axisymmetric-profile" if n == 2 else "closed-curve",
-        markers=markers, du=du, radius=None, normal=normal, ds_min=float(np.min(seg)),
+        markers=markers, du=du, radius=None, normal=normal,
         g=g, g_inv=g_inv, h=h, b=b, h_sq=h_sq, kappa=kappa, eigT=eigT,
         christoffel=christoffel,
     )
@@ -446,7 +413,7 @@ def _attach_speed_quantities(state):
 
 def partial_u(state: SurfaceState, fld: np.ndarray) -> np.ndarray:
     """∂/∂u along the label direction; zero on grid-free states."""
-    fld = _as_float(fld)
+    fld = as_float(fld)
     if state.du == 0.0:
         return np.zeros_like(fld)
     return periodic_d1(fld, state.du)
@@ -454,7 +421,7 @@ def partial_u(state: SurfaceState, fld: np.ndarray) -> np.ndarray:
 
 def grad_scalar(state: SurfaceState, phi: np.ndarray) -> np.ndarray:
     """∇_i φ of a per-node scalar; only the label slot is nonzero."""
-    phi = _as_float(phi)
+    phi = as_float(phi)
     out = np.zeros((state.n_nodes, state.dim), dtype=phi.dtype)
     out[:, 0] = partial_u(state, phi)
     return out
@@ -462,7 +429,7 @@ def grad_scalar(state: SurfaceState, phi: np.ndarray) -> np.ndarray:
 
 def covariant_hessian(state: SurfaceState, phi: np.ndarray) -> np.ndarray:
     """∇²_{ij} φ = ∂_i ∂_j φ − Γ^k_{ij} ∇_k φ for a per-node scalar."""
-    phi = _as_float(phi)
+    phi = as_float(phi)
     n = state.dim
     d2 = np.zeros((state.n_nodes, n, n), dtype=phi.dtype)
     if state.du != 0.0:
@@ -478,7 +445,7 @@ def covariant_derivative(state: SurfaceState, tensor: np.ndarray,
     index_types lists each tensor slot as "up" or "lo"; the result has shape
     (N, n) + tensor.shape[1:], component [k, ...] = ∇_k T[...].
     """
-    tensor = _as_float(tensor)
+    tensor = as_float(tensor)
     if tensor.ndim - 1 != len(index_types):
         raise ConfigError("index_types must describe every tensor slot")
     n = state.dim

@@ -32,9 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import flow as _flow
-from .errors import (ConfigError, MissingTrajectory, WrongAmbient, WrongSpeed)
+from .errors import ConfigError, WrongAmbient, WrongSpeed
 from .geometry import SurfaceState
+from .symfunc import as_float
 
 VARIANTS = ("chi1", "chi2", "chi3", "strong-Hp",
             "euclidean-contracting", "euclidean-expanding")
@@ -60,7 +60,7 @@ def zeta_general(p: float, n: int, F, order: int = 0):
         raise ConfigError(f"zeta formula needs p > 1/2, got p = {p:g}")
     amp = p * (n - 1.0 / (2.0 * p - 1.0))
     e = 2.0 - 1.0 / p
-    F = np.asarray(F, dtype=float)
+    F = as_float(F)
     if order == 0:
         return amp * F ** e
     if order == 1:
@@ -74,7 +74,7 @@ def zeta_monitor(p: float, n: int, F, order: int = 0):
     """Case-split ζ used by the monitors: nonzero only for p₀ < p < 1."""
     if zeta_branch_threshold(n) < p < 1.0:
         return zeta_general(p, n, F, order)
-    return np.zeros_like(np.asarray(F, dtype=float))
+    return np.zeros_like(as_float(F))
 
 
 def strong_correction_coefficient(p: float, n: int) -> float:
@@ -196,13 +196,12 @@ class HarnackReport:
 
 
 def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
-                     trajectory=None, dt: Optional[float] = None,
-                     dtF_source: str = "analytic") -> HarnackReport:
+                     dtF: Optional[np.ndarray] = None) -> HarnackReport:
     """Evaluate the configured Harnack quantity Q = χ/t on one state.
 
-    dtF_source="trajectory" replaces the analytic ∂ₜF = β + cF tr(Ḟ) with a
-    centered difference of stored states (raises MissingTrajectory without
-    one); the default keeps the closed-form value.
+    dtF replaces the analytic ∂ₜF = β + cF tr(Ḟ), for instance with a
+    centered difference of stored states (flow.time_derivative); None keeps
+    the closed-form value.
     """
     t = state.t
     if t <= 0:
@@ -241,14 +240,8 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
             raise ConfigError(
                 f"contracting monitors need delta > 0, got {delta:g}")
 
-    if dtF_source == "analytic":
+    if dtF is None:
         dtF = state.beta + c * state.F * state.tr_dF
-    elif dtF_source == "trajectory":
-        if trajectory is None or dt is None:
-            raise MissingTrajectory("dtF_source='trajectory' needs trajectory and dt")
-        dtF = _flow.time_derivative(trajectory, "F", t, dt)
-    else:
-        raise ConfigError(f"unknown dtF_source {dtF_source!r}")
 
     zero = np.zeros_like(state.F)
     correction = zero

@@ -165,10 +165,16 @@ def builtin(name: str) -> CurvatureFunction:
     raise ConfigError(f"unknown curvature function {name!r}")
 
 
+def as_float(arr):
+    """Coerce to a floating array without narrowing an extended-precision one."""
+    arr = np.asarray(arr)
+    if not np.issubdtype(arr.dtype, np.floating):
+        arr = arr.astype(float)
+    return arr
+
+
 def _check_cone(kappa):
-    kappa = np.asarray(kappa)
-    if not np.issubdtype(kappa.dtype, np.floating):
-        kappa = kappa.astype(float)
+    kappa = as_float(kappa)
     if not np.all(np.isfinite(kappa)):
         raise ConvexityLost("principal curvatures contain non-finite entries")
     if np.any(kappa <= 0.0):
@@ -282,9 +288,7 @@ class SpeedFunction:
         Used by the mean-curvature specializations where F = F(H).
         """
         a, s = self.exponent, self.sign
-        fval = np.asarray(fval)
-        if not np.issubdtype(fval.dtype, np.floating):
-            fval = fval.astype(float)
+        fval = as_float(fval)
         return (s * fval ** a,
                 abs(a) * fval ** (a - 1.0),
                 abs(a) * (a - 1.0) * fval ** (a - 2.0),

@@ -51,7 +51,7 @@ from .errors import ConfigError, WrongSpeed
 from .flow import FlowConfig, Trajectory, time_derivative
 from .geometry import (AmbientSpace, SurfaceState, box_op, covariant_derivative,
                        covariant_hessian, grad_scalar, cos_mode_radial,
-                       marker_representation, markers_from_radial)
+                       default_radius, markers_from_radial)
 from .symfunc import CurvatureFunction, SpeedFunction, eval_f, grad_f
 
 
@@ -473,21 +473,19 @@ def estimate_order(n_values, residuals) -> float:
 
 def standard_test_flow(ambient: AmbientSpace, speed: SpeedFunction, n_nodes: int,
                        dt: float, t_end: float, r0: Optional[float] = None,
-                       amplitude: float = 0.05, mode: int = 2,
-                       dtype: str = "longdouble") -> Trajectory:
+                       amplitude: float = 0.05, mode: int = 2) -> Trajectory:
     """Perturbed-sphere reference flow used by the residual ladders.
 
-    Runs in extended precision by default: the deepest residual subjects sit
-    four label derivatives above the marker positions, and their double
-    precision evaluation noise (ε ≈ 10⁻¹⁶/Δu⁴), divided by the 2Δt of the
-    centered time difference, would dominate the finest-level residuals.
+    Runs in extended precision: the deepest residual subjects sit four label
+    derivatives above the marker positions, and their double precision
+    evaluation noise (ε ≈ 10⁻¹⁶/Δu⁴), divided by the 2Δt of the centered
+    time difference, would dominate the finest-level residuals.
     """
     if r0 is None:
-        r0 = 0.8 if ambient.c == 1 else 1.0
+        r0 = default_radius(ambient)
     markers = markers_from_radial(ambient, cos_mode_radial(r0, amplitude, mode), n_nodes)
-    config = FlowConfig(ambient=ambient, speed=speed,
-                        initial=marker_representation(ambient, markers),
-                        t_end=t_end, dt=dt, store_every=1, dtype=dtype)
+    config = FlowConfig(ambient=ambient, speed=speed, initial=markers,
+                        t_end=t_end, dt=dt, store_every=1, dtype="longdouble")
     return _flow.run(config)
 
 

@@ -18,8 +18,7 @@ from harnacklab import cli
 from harnacklab import flow as fl
 from harnacklab import harnack as ha
 from harnacklab import verify as V
-from harnacklab.geometry import (AmbientSpace, AxisymmetricProfile,
-                                 cos_mode_radial, markers_from_radial)
+from harnacklab.geometry import AmbientSpace, cos_mode_radial, markers_from_radial
 from harnacklab.symfunc import SpeedFunction, harmonic_mean, mean, norm
 
 SPHERE = AmbientSpace(c=1, dim=2)
@@ -43,7 +42,7 @@ def _node_radii(state):
 def _perturbed_run(speed, t_end=0.04, dt=5e-4, store_every=10, n_nodes=48):
     markers = markers_from_radial(SPHERE, cos_mode_radial(0.8, 0.05, 2), n_nodes)
     cfgf = fl.FlowConfig(ambient=SPHERE, speed=speed,
-                         initial=AxisymmetricProfile(markers),
+                         initial=markers,
                          t_end=t_end, dt=dt, store_every=store_every)
     return fl.run(cfgf)
 
@@ -80,7 +79,7 @@ def test_criterion_1_round_sphere_fidelity(certify):
             speed = MEAN(p)
             sol = fl.sphere_ode_solution(ambient, speed, r0)
             cfgf = fl.FlowConfig(ambient=ambient, speed=speed,
-                                 initial=fl.GeodesicSphere(r0, nodes=256),
+                                 initial=markers_from_radial(ambient, r0, 256),
                                  t_end=0.8 * sol.t_extinction, store_every=200)
             traj = fl.run(cfgf)
             assert traj.termination == "completed"

@@ -233,6 +233,13 @@ def test_scan_excludes_urbas_for_non_inverse_concave_f(tmp_path):
     assert {"f-lemma", "harnack-form", "fb-dominance"} == set(names)
 
 
+@pytest.mark.parametrize("key, value", [("dimension", 3), ("ambient", "euclidean")])
+def test_scan_rejects_flow_keys(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, exponent=1.0, samples=2000, **{key: value})
+    assert run_cli("scan-inequalities", cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert f"unknown config key(s) '{key}'" in capsys.readouterr().err
+
+
 def test_scan_full_roster_with_seed_override(tmp_path):
     cfg = write_cfg(tmp_path, exponent=1.0, samples=2000, dimensions="2, 3")
     out = tmp_path / "out"

@@ -133,7 +133,7 @@ def test_umbilic_radius_floor_and_curvature_cap():
 
 def test_grid_flow_tracks_round_solution():
     """A gridded round sphere must follow the radius ODE to stencil accuracy."""
-    cfg = flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(0.8, nodes=48),
+    cfg = flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 48),
                           t_end=0.05, store_every=10)
     traj = flow.run(cfg)
     sol = flow.sphere_ode_solution(SPHERE, _speed(1.0), 0.8)
@@ -144,16 +144,15 @@ def test_grid_flow_tracks_round_solution():
 
 def test_grid_flow_terminations():
     mk = geo.markers_from_radial(FLAT, geo.cos_mode_radial(1.0, 0.0, 2), 32)
-    prof = geo.AxisymmetricProfile(mk)
-    floor = flow.run(flow.FlowConfig(FLAT, _speed(1.0), prof, t_end=0.5, min_radius=0.6))
+    floor = flow.run(flow.FlowConfig(FLAT, _speed(1.0), mk, t_end=0.5, min_radius=0.6))
     assert floor.termination == "radius-floor"
-    cap = flow.run(flow.FlowConfig(FLAT, _speed(1.0), prof, t_end=0.5, max_kappa=3.0))
+    cap = flow.run(flow.FlowConfig(FLAT, _speed(1.0), mk, t_end=0.5, max_kappa=3.0))
     assert cap.termination == "curvature-cap"
     assert cap.states[-1].t < 0.5
 
 
 def test_grid_flow_stores_at_cadence():
-    cfg = flow.FlowConfig(SPHERE, _speed(0.5), geo.GeodesicSphere(0.8, nodes=32),
+    cfg = flow.FlowConfig(SPHERE, _speed(0.5), geo.markers_from_radial(SPHERE, 0.8, 32),
                           t_end=0.02, dt=1e-3, store_every=4)
     traj = flow.run(cfg)
     times = traj.times
@@ -164,7 +163,7 @@ def test_grid_flow_stores_at_cadence():
 
 def test_nonconvex_initial_data_raises():
     mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.3, 4), 48)
-    cfg = flow.FlowConfig(SPHERE, _speed(1.0), geo.AxisymmetricProfile(mk), t_end=0.01)
+    cfg = flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=0.01)
     with pytest.raises(ConvexityLost):
         flow.run(cfg)
 
@@ -180,8 +179,16 @@ def test_flow_config_validation():
                         safety=0.0)
 
 
+def test_flow_config_refuses_expanding_speed_on_the_sphere():
+    mk = geo.markers_from_radial(SPHERE, 0.8, 16)
+    for initial in (geo.GeodesicSphere(0.8), mk):
+        with pytest.raises(UnsupportedAmbient, match="Euclidean-only"):
+            flow.FlowConfig(SPHERE, _speed(-0.5), initial, t_end=0.1)
+    flow.FlowConfig(FLAT, _speed(-0.5), geo.GeodesicSphere(1.0), t_end=0.1)
+
+
 def test_extended_precision_trajectory():
-    cfg = flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(0.8, nodes=16),
+    cfg = flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 16),
                           t_end=0.002, dt=1e-3, dtype="longdouble")
     traj = flow.run(cfg)
     assert traj.states[-1].F.dtype == np.longdouble
@@ -217,9 +224,9 @@ def test_time_derivative_needs_stored_neighbors():
 
 def test_time_derivative_label_mismatch():
     spd = _speed(1.0)
-    s16 = geo.assemble(geo.GeodesicSphere(0.8, nodes=16), SPHERE, spd, t=0.004)
-    s24 = geo.assemble(geo.GeodesicSphere(0.8, nodes=24), SPHERE, spd, t=0.006)
-    cfg = flow.FlowConfig(SPHERE, spd, geo.GeodesicSphere(0.8, nodes=16), t_end=0.01)
+    s16 = geo.assemble(geo.markers_from_radial(SPHERE, 0.8, 16), SPHERE, spd, t=0.004)
+    s24 = geo.assemble(geo.markers_from_radial(SPHERE, 0.8, 24), SPHERE, spd, t=0.006)
+    cfg = flow.FlowConfig(SPHERE, spd, geo.markers_from_radial(SPHERE, 0.8, 16), t_end=0.01)
     fake = flow.Trajectory(config=cfg, states=[s16, s24], termination="completed")
     with pytest.raises(LabelMismatch):
         flow.time_derivative(fake, "F", 0.005, 1e-3)

@@ -17,9 +17,9 @@ FLAT = geo.AmbientSpace(0, 2)
 
 def _perturbed(ambient, n_nodes, r0=None, amplitude=0.05, mode=2, speed=MEAN1):
     if r0 is None:
-        r0 = 0.8 if ambient.c == 1 else 1.0
+        r0 = geo.default_radius(ambient)
     mk = geo.markers_from_radial(ambient, geo.cos_mode_radial(r0, amplitude, mode), n_nodes)
-    return geo.assemble_markers(ambient, speed, mk, 0.0)
+    return geo.assemble(mk, ambient, speed)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def test_grad_scalar_is_profile_directed():
 def test_convexity_lost_raises():
     mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.3, 4), 48)
     with pytest.raises(ConvexityLost):
-        geo.assemble_markers(SPHERE, MEAN1, mk, 0.0)
+        geo.assemble(mk, SPHERE, MEAN1)
 
 
 def test_degenerate_grid_raises():
@@ -160,29 +160,40 @@ def test_degenerate_grid_raises():
     warp = u + 0.95 * np.sin(u)  # parameter speed varies by ~40x around the curve
     mk = np.stack([np.cos(warp), np.sin(warp)], axis=1)
     with pytest.raises(DegenerateGrid):
-        geo.assemble_markers(FLAT, MEAN1, mk, 0.0)
+        geo.assemble(mk, FLAT, MEAN1)
 
 
 def test_marker_shape_validation():
     bad = np.zeros((16, 3))
     with pytest.raises(ConfigError):
-        geo.assemble_markers(FLAT, MEAN1, bad, 0.0)
+        geo.assemble(bad, FLAT, MEAN1)
+
+
+def test_marker_dimension_picks_the_kind():
+    """The same marker array is a profile for n = 2 and a curve for n = 1."""
+    mk = geo.markers_from_radial(FLAT, 2.0, 32)
+    assert geo.assemble(mk, FLAT, MEAN1).kind == "axisymmetric-profile"
+    curve = geo.assemble(mk, geo.AmbientSpace(0, 1), MEAN1)
+    assert curve.kind == "closed-curve"
+    npt.assert_allclose(curve.kappa, 0.5, rtol=1e-6)
+    with pytest.raises(ConfigError, match="grid-free"):
+        geo.assemble(mk, geo.AmbientSpace(0, 3), MEAN1)
 
 
 def test_extended_precision_propagates():
     mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 32)
-    st = geo.assemble_markers(SPHERE, MEAN1, mk.astype(np.longdouble), 0.0)
+    st = geo.assemble(mk.astype(np.longdouble), SPHERE, MEAN1)
     for fld in (st.g, st.h, st.kappa, st.F, st.grad_F, st.beta):
         assert np.asarray(fld).dtype == np.longdouble
     # and the default stays double
-    st64 = geo.assemble_markers(SPHERE, MEAN1, mk, 0.0)
+    st64 = geo.assemble(mk, SPHERE, MEAN1)
     assert np.asarray(st64.F).dtype == np.float64
 
 
 def test_integer_markers_are_coerced():
     ang = (np.arange(32) + 0.5) * 2 * np.pi / 32
     mk = np.round(100 * np.stack([np.cos(ang), np.sin(ang)], axis=1)).astype(int)
-    st = geo.assemble_markers(FLAT, MEAN1, mk, 0.0)
+    st = geo.assemble(mk, FLAT, MEAN1)
     assert st.F.dtype == np.float64
     npt.assert_allclose(st.kappa, 0.01, rtol=2e-1)  # rounding-noise circle of r=100
 

@@ -7,7 +7,7 @@ import pytest
 
 from harnacklab import flow, geometry as geo, harnack as ha
 from harnacklab import symfunc as sf
-from harnacklab.errors import ConfigError, MissingTrajectory, WrongAmbient, WrongSpeed
+from harnacklab.errors import ConfigError, WrongAmbient, WrongSpeed
 
 SPHERE = geo.AmbientSpace(1, 2)
 FLAT = geo.AmbientSpace(0, 2)
@@ -75,7 +75,7 @@ def test_chi_variant_offsets_on_umbilic_sphere():
 
 def test_terms_decompose_Q_exactly():
     mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 32)
-    traj = flow.run(flow.FlowConfig(SPHERE, MEAN(0.5), geo.AxisymmetricProfile(mk),
+    traj = flow.run(flow.FlowConfig(SPHERE, MEAN(0.5), mk,
                                     t_end=0.01, dt=1e-3))
     st = traj.states[-1]
     for variant in ("chi1", "chi2", "chi3", "strong-Hp"):
@@ -88,15 +88,13 @@ def test_terms_decompose_Q_exactly():
 def test_trajectory_sourced_time_derivative():
     mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 32)
     dt = 5e-4
-    traj = flow.run(flow.FlowConfig(SPHERE, MEAN(1.0), geo.AxisymmetricProfile(mk),
+    traj = flow.run(flow.FlowConfig(SPHERE, MEAN(1.0), mk,
                                     t_end=0.01, dt=dt))
     st = traj.state_at(0.005)
     analytic = ha.evaluate_monitor(st, ha.HarnackConfig("chi1"))
-    differenced = ha.evaluate_monitor(st, ha.HarnackConfig("chi1"), trajectory=traj,
-                                      dt=dt, dtF_source="trajectory")
+    dtF = flow.time_derivative(traj, "F", 0.005, dt)
+    differenced = ha.evaluate_monitor(st, ha.HarnackConfig("chi1"), dtF)
     npt.assert_allclose(differenced.Q, analytic.Q, rtol=1e-5)
-    with pytest.raises(MissingTrajectory):
-        ha.evaluate_monitor(st, ha.HarnackConfig("chi1"), dtF_source="trajectory")
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +122,14 @@ def test_zeta_monitor_vanishes_outside_first_branch():
     assert ha.zeta_monitor(0.6, 2, 2.0) == 0.0       # below threshold 3/4
     assert ha.zeta_monitor(1.0, 2, 2.0) == 0.0       # p = 1 uses the plain branch
     assert ha.zeta_monitor(0.9, 2, 2.0) == ha.zeta_general(0.9, 2, 2.0)
+
+
+@pytest.mark.parametrize("p", [0.6, 0.9], ids=["zero-branch", "first-branch"])
+def test_zeta_keeps_extended_precision(p):
+    F = np.array([1.5, 2.0, 2.5], dtype=np.longdouble)
+    for order in (0, 1, 2):
+        assert ha.zeta_general(p, 2, F, order).dtype == np.longdouble
+        assert ha.zeta_monitor(p, 2, F, order).dtype == np.longdouble
 
 
 def test_strong_correction_coefficients():

@@ -13,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from harnacklab import verify as V
-from harnacklab.errors import ConfigError, WrongSpeed
+from harnacklab.errors import ConfigError, UnsupportedAmbient, WrongSpeed
 from harnacklab.flow import FlowConfig, GeodesicSphere, run
 from harnacklab.geometry import AmbientSpace
 from harnacklab.symfunc import (SpeedFunction, d2F_quadratic, harmonic_mean,
@@ -142,6 +142,16 @@ def test_ladder_rejects_bad_input_before_running_a_flow(monkeypatch):
         V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta", "nope"), levels=(24, 48))
     with pytest.raises(ConfigError, match="two grid levels"):
         V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta",), levels=(24,))
+
+
+def test_ladder_refuses_expanding_speed_on_the_sphere_before_running_a_flow(monkeypatch):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran before the speed was checked")
+
+    monkeypatch.setattr(V._flow, "run", no_flow)
+    with pytest.raises(UnsupportedAmbient, match="Euclidean-only"):
+        V.residual_ladder(SPHERE, SpeedFunction(mean(), -0.5), tags=("beta",),
+                          levels=(24, 48), dt0=8e-4, t_check=4e-3)
 
 
 @pytest.mark.parametrize("levels, t_check, match", [
