@@ -2,7 +2,9 @@
 
 Markers move with the surface: each grid node follows its own flow line, so
 stored states at different times share the same label grid and Lagrangian
-time derivatives are plain centered differences of per-node fields.
+time derivatives are plain centered differences of per-node fields.  A run
+stores the stepper's output (marker arrays, or geodesic spheres on the
+grid-free tier); a stored step becomes a SurfaceState only when it is read.
 
 The stepper is classical RK4 on the marker coordinates.  For c = 1 the
 velocity −F m is tangent to the unit sphere containing the profile (m ⊥ c by
@@ -20,7 +22,7 @@ dimension n ≥ 1 and doubles as the reference solution for grid runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -47,8 +49,9 @@ class FlowConfig:
     dt=None selects the adaptive parabolic step
     Δt = safety · ds_min² / max(tr(Ḟ)·κ_max); an explicit dt is kept fixed
     (except for a final partial step onto t_end), which is what the
-    convergence ladders use.  Expanding speeds raise UnsupportedAmbient on
-    the sphere.
+    convergence ladders use.  The run stops at the curvature cap max_kappa
+    (positive and finite) and at the radius floor min_radius (finite, 0 for
+    none).  Expanding speeds raise UnsupportedAmbient on the sphere.
     """
 
     ambient: AmbientSpace
@@ -73,6 +76,10 @@ class FlowConfig:
             raise ConfigError(f"safety factor must lie in (0, 1], got {self.safety!r}")
         if self.store_every < 1:
             raise ConfigError("store_every must be >= 1")
+        if not np.isfinite(self.max_kappa) or self.max_kappa <= 0:
+            raise ConfigError(f"max_kappa must be positive, got {self.max_kappa!r}")
+        if not np.isfinite(self.min_radius) or self.min_radius < 0:
+            raise ConfigError(f"min_radius must be non-negative, got {self.min_radius!r}")
         if self.dtype not in ("float64", "longdouble"):
             raise ConfigError(
                 f"dtype must be 'float64' or 'longdouble', got {self.dtype!r}")
@@ -80,24 +87,43 @@ class FlowConfig:
 
 @dataclass
 class Trajectory:
-    """Stored states of one run, all on the same Lagrangian grid."""
+    """Stored steps of one run, all on the same Lagrangian grid.
+
+    steps[i], the step at times[i], is what geometry.assemble reads: an
+    (N, d) marker array, or a GeodesicSphere on the grid-free tier.  states
+    and state_at assemble a step the first time it is read and keep it.
+    """
 
     config: FlowConfig
-    states: list
+    times: np.ndarray
+    steps: list
     termination: str
+    _assembled: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+    def states(self) -> list:
+        """Every stored SurfaceState, in time order."""
+        return [self._state(i) for i in range(len(self.steps))]
 
     def state_at(self, t: float) -> SurfaceState:
-        times = self.times
         tol = STATE_RTOL * max(1.0, abs(t))
-        i = int(np.argmin(np.abs(times - t)))
-        if abs(times[i] - t) > tol:
+        i = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[i] - t) > tol:
             raise OutOfRange(
-                f"no stored state at t = {t:g} (nearest is {times[i]:g})")
-        return self.states[i]
+                f"no stored state at t = {t:g} (nearest is {self.times[i]:g})")
+        return self._state(i)
+
+    def _state(self, i: int) -> SurfaceState:
+        if i not in self._assembled:
+            self._assembled[i] = geometry.assemble(
+                self.steps[i], self.config.ambient, self.config.speed, t=float(self.times[i]))
+        return self._assembled[i]
+
+
+def whole_steps(span: float, dt: float) -> Optional[int]:
+    """round(span / dt) if span is that many steps of dt within STATE_RTOL, else None."""
+    n = round(span / dt)
+    return n if abs(n * dt - span) <= STATE_RTOL * max(1.0, abs(span)) else None
 
 
 def _project(ambient, markers):
@@ -136,21 +162,26 @@ def run(config: FlowConfig) -> Trajectory:
 
     Stops at t_end ("completed") or earlier when convexity fails, the
     curvature cap is reached, or the surface shrinks below the radius floor.
-    Initial data that is already non-convex raises ConvexityLost directly.
+    Every step's markers go through _profile_geometry, whose output also
+    drives the next step; the markers of every store_every-th step and of
+    the last are stored, and nothing is assembled here.  Initial data that
+    is already non-convex raises ConvexityLost, and a marker grid that
+    degenerates raises DegenerateGrid at the step where it does.
     """
     if isinstance(config.initial, GeodesicSphere):
         return _run_umbilic(config)
 
     ambient, speed = config.ambient, config.speed
-    state0 = geometry.assemble(config.initial, ambient, speed, t=0.0)
-    markers = state0.markers
+    markers = geometry._validated_markers(ambient, config.initial)
+    initial = config.initial        # what state 0 is assembled from
     if markers.dtype != np.dtype(config.dtype):
         # Extended precision pushes down the roundoff floor of the stacked
         # label-derivative pipeline, which residual time-differencing would
         # otherwise amplify by 1/Δt.
-        markers = markers.astype(config.dtype)
-        state0 = geometry.assemble(markers, ambient, speed, t=0.0)
-    states = [state0]
+        markers = initial = markers.astype(config.dtype)
+    # non-convex or degenerate initial data raises here, before any step
+    _, _, E, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, markers)
+    times, steps = [0.0], [initial]
     termination = "completed"
     t, steps_done = 0.0, 0
 
@@ -160,11 +191,6 @@ def run(config: FlowConfig) -> Trajectory:
             break
         if steps_done >= MAX_STEPS:
             raise StabilityViolation(f"step budget of {MAX_STEPS} exhausted")
-        try:
-            _, _, E, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, markers)
-        except ConvexityLost:
-            termination = "convexity-lost"
-            break
         F = speed.value(kappa)
 
         kappa_max = float(kappa.max())
@@ -185,24 +211,26 @@ def run(config: FlowConfig) -> Trajectory:
 
         try:
             markers = _rk4(ambient, speed, markers, dt, -F[:, None] * normal)
+            _, _, E, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, markers)
         except ConvexityLost:
             termination = "convexity-lost"
             break
         t += dt
         steps_done += 1
         if steps_done % config.store_every == 0 or config.t_end - t <= 1e-12 * config.t_end:
-            try:
-                state = geometry.assemble(markers, ambient, speed, t=t)
-            except ConvexityLost:
-                termination = "convexity-lost"
-                break
-            states.append(state)
+            times.append(t)
+            steps.append(markers)
 
-    return Trajectory(config=config, states=states, termination=termination)
+    return Trajectory(config=config, times=np.array(times), steps=steps,
+                      termination=termination)
 
 
 def _run_umbilic(config: FlowConfig) -> Trajectory:
-    """Grid-free tier: spheres stay round, so states come from the radius ODE."""
+    """Grid-free tier: spheres stay round, so each step is the radius ODE's sphere.
+
+    A t_end that is a whole number of dt steps (within STATE_RTOL) stores
+    the dt grid, the same times a gridded run stores.
+    """
     sol = sphere_ode_solution(config.ambient, config.speed, config.initial.radius)
     t_stop, termination = config.t_end, "completed"
 
@@ -220,10 +248,14 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
         if t_cap is not None and t_cap < t_stop:
             t_stop, termination = t_cap, "curvature-cap"
 
-    n_out = max(2, int(config.t_end / config.dt) + 1 if config.dt else 129)
+    if config.dt:
+        n_steps = whole_steps(config.t_end, config.dt)
+        n_out = max(2, (int(config.t_end / config.dt) if n_steps is None else n_steps) + 1)
+    else:
+        n_out = 129
     times = np.linspace(0.0, t_stop, n_out)
-    states = [sol.state(t) for t in times]
-    return Trajectory(config=config, states=states, termination=termination)
+    return Trajectory(config=config, times=times, steps=[sol.sphere(t) for t in times],
+                      termination=termination)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +294,13 @@ class SphereSolution:
             return None
         return self._time_fn(r)
 
+    def sphere(self, t) -> GeodesicSphere:
+        """The grid-free sphere at time t."""
+        return GeodesicSphere(float(self.radius(t)))
+
     def state(self, t) -> SurfaceState:
         """Assembled grid-free umbilic state at time t."""
-        st = geometry.assemble(GeodesicSphere(float(self.radius(t))),
-                               self.ambient, self.speed, t=float(t))
-        return st
+        return geometry.assemble(self.sphere(t), self.ambient, self.speed, t=float(t))
 
 
 def sphere_ode_solution(ambient: AmbientSpace, speed: SpeedFunction,

@@ -235,7 +235,9 @@ def _profile_geometry(ambient, markers):
 
     Returns (cp, cpp, E, normal, h_uu, kappa, rho, n_rot) where rho and
     n_rot (the rotation components of position and normal) are None for
-    curves.  Raises ConvexityLost if any principal curvature is <= 0.
+    curves.  Raises DegenerateGrid if E = |c′|² is not positive and finite
+    or the marker spacing √E varies by a ratio above MAX_SPACING_RATIO (10),
+    and ConvexityLost if any principal curvature is <= 0.
     """
     n_nodes = markers.shape[0]
     du = 2.0 * np.pi / n_nodes
@@ -244,6 +246,13 @@ def _profile_geometry(ambient, markers):
     E = np.sum(cp * cp, axis=1)
     if not np.all(np.isfinite(E)) or np.any(E <= 0):
         raise DegenerateGrid("profile tangent degenerated")
+    # diagnose bad parameterizations before curvature: a bunched-up grid
+    # produces garbage kappa and would misreport as a convexity failure
+    spacing = np.sqrt(E)
+    ratio = np.max(spacing) / np.min(spacing)
+    if ratio > MAX_SPACING_RATIO:
+        raise DegenerateGrid(
+            f"marker spacing ratio {ratio:.3g} exceeds {MAX_SPACING_RATIO:g}")
 
     if ambient.c == 1:
         # cp × markers by components: the same IEEE operations as np.cross
@@ -251,9 +260,9 @@ def _profile_geometry(ambient, markers):
         a0, a1, a2 = cp.T
         b0, b1, b2 = markers.T
         normal = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
-                          axis=1) / np.sqrt(E)[:, None]
+                          axis=1) / spacing[:, None]
     else:
-        normal = np.stack([cp[:, 1], -cp[:, 0]], axis=1) / np.sqrt(E)[:, None]
+        normal = np.stack([cp[:, 1], -cp[:, 0]], axis=1) / spacing[:, None]
 
     h_uu = -np.sum(cpp * normal, axis=1)
     k1 = h_uu / E
@@ -344,12 +353,6 @@ def _assemble_umbilic(ambient, speed, r, t):
 def _assemble_grid(ambient, speed, markers, t):
     n_nodes = markers.shape[0]
     du = 2.0 * np.pi / n_nodes
-    # diagnose bad parameterizations before curvature: a bunched-up grid
-    # produces garbage kappa and would misreport as a convexity failure
-    seg = np.sqrt(np.sum(periodic_d1(markers, du) ** 2, axis=1)) * du
-    if np.max(seg) / np.min(seg) > MAX_SPACING_RATIO:
-        raise DegenerateGrid(
-            f"marker spacing ratio {np.max(seg) / np.min(seg):.3g} exceeds {MAX_SPACING_RATIO:g}")
     cp, cpp, E, normal, h_uu, kappa, rho, n_rot = _profile_geometry(ambient, markers)
 
     n = ambient.dim

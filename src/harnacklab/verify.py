@@ -427,8 +427,7 @@ def commutator_residual(state: SurfaceState) -> ResidualRecord:
     on grid-free states, which have no markers).  The time commutator
     [∂ₜ, □]F is the evolution identity 'box-commutator'.
     """
-    phi = state.F if state.markers is None else state.markers[:, 0]
-    phi = np.asarray(phi, dtype=float)
+    phi = _sf.as_float(state.F if state.markers is None else state.markers[:, 0])
     c = state.ambient.c
 
     lhs = grad_scalar(state, box_op(state, phi)) - box_op(state, grad_scalar(state, phi), ("lo",))
@@ -515,11 +514,10 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
         raise ConfigError("need at least two grid levels to fit an order")
     dts = [dt0 * (levels[0] / n_nodes) ** 2 for n_nodes in levels]
     for n_nodes, dt in zip(levels, dts):
-        steps = t_check / dt
-        tol = _flow.STATE_RTOL * max(1.0, abs(t_check))
-        if round(steps) < 1 or abs(round(steps) * dt - t_check) > tol:
+        steps = _flow.whole_steps(t_check, dt)
+        if steps is None or steps < 1:
             raise ConfigError(
-                f"t_check = {t_check:g} is {steps:.6g} steps of dt = {dt:g} at "
+                f"t_check = {t_check:g} is {t_check / dt:.6g} steps of dt = {dt:g} at "
                 f"N = {n_nodes}; it must be a whole number of steps, at least one, "
                 f"at every level")
     ladders = {tag: [] for tag in tags}

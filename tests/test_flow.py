@@ -110,6 +110,19 @@ def test_umbilic_run_matches_solution():
         npt.assert_allclose(st.radius, sol.radius(st.t), rtol=1e-12)
 
 
+def test_both_tiers_store_the_dt_grid():
+    """t_end = 49·dt is a whole number of steps even though t_end/dt = 48.99…"""
+    t_end, dt = 49 * 1e-4, 1e-4
+    umbilic = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(0.8),
+                                       t_end=t_end, dt=dt))
+    grid = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 16),
+                                    t_end=t_end, dt=dt))
+    assert len(umbilic.times) == len(grid.times) == 50
+    npt.assert_allclose(umbilic.times, grid.times, rtol=0, atol=1e-15)
+    for traj in (umbilic, grid):
+        assert flow.time_derivative(traj, "F", 7e-4, dt).shape == (traj.states[0].n_nodes,)
+
+
 def test_umbilic_run_past_extinction_raises():
     cfg = flow.FlowConfig(FLAT, _speed(1.0), geo.GeodesicSphere(1.0), t_end=0.5)
     with pytest.raises(DomainExceeded):
@@ -168,6 +181,40 @@ def test_nonconvex_initial_data_raises():
         flow.run(cfg)
 
 
+def _count_assemble(monkeypatch):
+    calls = []
+    real = geo.assemble
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("t"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(geo, "assemble", counted)
+    return calls
+
+
+def test_run_stores_markers_without_assembling(monkeypatch):
+    calls = _count_assemble(monkeypatch)
+    cfg = flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 16),
+                          t_end=0.005, dt=1e-3, store_every=1)
+    traj = flow.run(cfg)
+    assert calls == []
+    assert isinstance(traj.times, np.ndarray) and len(traj.times) == 6
+    assert all(step.shape == (16, 3) for step in traj.steps)
+    assert [st.t for st in traj.states] == list(traj.times)
+    assert len(calls) == 6
+
+
+def test_state_at_assembles_once_and_keeps_the_state(monkeypatch):
+    cfg = flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 16),
+                          t_end=0.005, dt=1e-3)
+    traj = flow.run(cfg)
+    calls = _count_assemble(monkeypatch)
+    first = traj.state_at(0.003)
+    assert traj.state_at(0.003) is first
+    assert len(calls) == 1
+    assert traj.states[3] is first
+
+
 def test_flow_config_validation():
     with pytest.raises(ConfigError):
         flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(0.8), t_end=-1.0)
@@ -177,6 +224,11 @@ def test_flow_config_validation():
     with pytest.raises(ConfigError):
         flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(0.8), t_end=0.1,
                         safety=0.0)
+    for bad in ({"max_kappa": np.nan}, {"max_kappa": np.inf}, {"max_kappa": 0.0},
+                {"max_kappa": -1.0}, {"min_radius": np.nan}, {"min_radius": np.inf},
+                {"min_radius": -0.1}):
+        with pytest.raises(ConfigError):
+            flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(0.8), t_end=0.1, **bad)
 
 
 def test_flow_config_refuses_expanding_speed_on_the_sphere():
@@ -224,9 +276,10 @@ def test_time_derivative_needs_stored_neighbors():
 
 def test_time_derivative_label_mismatch():
     spd = _speed(1.0)
-    s16 = geo.assemble(geo.markers_from_radial(SPHERE, 0.8, 16), SPHERE, spd, t=0.004)
-    s24 = geo.assemble(geo.markers_from_radial(SPHERE, 0.8, 24), SPHERE, spd, t=0.006)
-    cfg = flow.FlowConfig(SPHERE, spd, geo.markers_from_radial(SPHERE, 0.8, 16), t_end=0.01)
-    fake = flow.Trajectory(config=cfg, states=[s16, s24], termination="completed")
+    m16 = geo.markers_from_radial(SPHERE, 0.8, 16)
+    m24 = geo.markers_from_radial(SPHERE, 0.8, 24)
+    cfg = flow.FlowConfig(SPHERE, spd, m16, t_end=0.01)
+    fake = flow.Trajectory(config=cfg, times=np.array([0.004, 0.006]), steps=[m16, m24],
+                           termination="completed")
     with pytest.raises(LabelMismatch):
         flow.time_derivative(fake, "F", 0.005, 1e-3)

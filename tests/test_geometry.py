@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from harnacklab import geometry as geo
+from harnacklab import flow, geometry as geo
 from harnacklab import symfunc as sf
 from harnacklab.errors import ConfigError, ConvexityLost, DegenerateGrid
 
@@ -155,12 +155,16 @@ def test_convexity_lost_raises():
         geo.assemble(mk, SPHERE, MEAN1)
 
 
-def test_degenerate_grid_raises():
+@pytest.mark.parametrize("consume", [
+    lambda mk: geo.assemble(mk, FLAT, MEAN1),
+    lambda mk: flow.run(flow.FlowConfig(FLAT, MEAN1, mk, t_end=0.01)),
+], ids=["assemble", "run"])
+def test_degenerate_grid_raises(consume):
     u = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     warp = u + 0.95 * np.sin(u)  # parameter speed varies by ~40x around the curve
     mk = np.stack([np.cos(warp), np.sin(warp)], axis=1)
-    with pytest.raises(DegenerateGrid):
-        geo.assemble(mk, FLAT, MEAN1)
+    with pytest.raises(DegenerateGrid, match="spacing ratio"):
+        consume(mk)
 
 
 def test_marker_shape_validation():

@@ -15,7 +15,7 @@ import pytest
 from harnacklab import verify as V
 from harnacklab.errors import ConfigError, UnsupportedAmbient, WrongSpeed
 from harnacklab.flow import FlowConfig, GeodesicSphere, run
-from harnacklab.geometry import AmbientSpace
+from harnacklab.geometry import AmbientSpace, assemble, markers_from_radial
 from harnacklab.symfunc import (SpeedFunction, d2F_quadratic, harmonic_mean,
                                 mean, norm)
 
@@ -82,6 +82,20 @@ def test_umbilic_commutators_vanish_exactly(umbilic_traj):
     assert grad.residual == 0.0
     assert box.tag == "box-commutator"
     assert box.residual == 0.0
+
+
+def test_commutator_keeps_extended_precision_phi(monkeypatch):
+    markers = markers_from_radial(SPHERE, 0.8, 16).astype(np.longdouble)
+    state = assemble(markers, SPHERE, MEAN_HALF)
+    seen = []
+    real = V.box_op
+
+    def spy(st, fld, *index_types):
+        seen.append(np.asarray(fld).dtype)
+        return real(st, fld, *index_types)
+    monkeypatch.setattr(V, "box_op", spy)
+    V.commutator_residual(state)
+    assert seen[0] == np.longdouble
 
 
 def test_residual_record_fields(umbilic_traj):
