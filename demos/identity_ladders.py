@@ -14,15 +14,13 @@
 # or a missing term, not noise.
 from harnacklab.geometry import AmbientSpace
 from harnacklab.symfunc import SpeedFunction, mean
-from harnacklab.verify import applicable_tags, residual_ladder
+from harnacklab.verify import residual_ladder
 
 SPHERE = AmbientSpace(c=1, dim=2)
 SPEED = SpeedFunction(mean(), 0.5)      # F = H^(1/2) in the unit sphere
 LEVELS = (32, 64, 128)
 
-tags = applicable_tags(SPEED) + ("grad-commutator",)
-ladders = residual_ladder(SPHERE, SPEED, tags=tags, levels=LEVELS,
-                          dt0=4e-4, t_check=8e-3)
+ladders = residual_ladder(SPHERE, SPEED, levels=LEVELS, dt0=4e-4, t_check=8e-3)
 
 print(f"residual ladder, levels {LEVELS}, F = H^0.5, c = 1")
 print(f"{'identity':>18} {'order':>7}  " + "  ".join(f"N={n:<4}" for n in LEVELS))

@@ -13,9 +13,9 @@ renormalized once per completed step, which only removes the O(Δt⁵)
 integrator drift and keeps the scheme fourth-order.
 
 Round spheres stay round: their radius obeys ṙ = −F(cot r) (c = 1) or
-ṙ = −F(1/r) (c = 0), which is solved in closed form where possible
-(Euclidean contracting/expanding powers, spherical p = 1) and by quadrature
-plus root bracketing otherwise.  The grid-free sphere tier works in every
+ṙ = −F(1/r) (c = 0), which is solved in closed form: for spherical p ≠ 1
+the lifespan integral is an incomplete beta function, summed as a series and
+inverted by Newton's method.  The grid-free sphere tier works in every
 dimension n ≥ 1 and doubles as the reference solution for grid runs.
 """
 
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import integrate, optimize
 
 from . import geometry
 from .errors import (ConfigError, ConvexityLost, DomainExceeded, LabelMismatch,
@@ -40,6 +39,12 @@ STATE_RTOL = 1e-9
 
 # Step budget of one grid run; exhausting it raises StabilityViolation.
 MAX_STEPS = 2_000_000
+
+SERIES_TERMS = 60     # terms of each power series in _tan_power_integral
+
+# Newton budget of one radius query; the worst seen (1e-15 of the lifespan
+# short of extinction, at a near-odd exponent) needs 48.
+NEWTON_STEPS = 100
 
 
 @dataclass
@@ -164,8 +169,8 @@ def run(config: FlowConfig) -> Trajectory:
     curvature cap is reached, or the surface shrinks below the radius floor.
     Every step's markers go through _profile_geometry, whose output also
     drives the next step; the markers of every store_every-th step and of
-    the last are stored, and nothing is assembled here.  Initial data that
-    is already non-convex raises ConvexityLost, and a marker grid that
+    the last completed step are stored, and nothing is assembled here.
+    Non-convex initial data raises ConvexityLost, and a marker grid that
     degenerates raises DegenerateGrid at the step where it does.
     """
     if isinstance(config.initial, GeodesicSphere):
@@ -210,16 +215,19 @@ def run(config: FlowConfig) -> Trajectory:
             dt = min(dt, remaining)
 
         try:
-            markers = _rk4(ambient, speed, markers, dt, -F[:, None] * normal)
-            _, _, E, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, markers)
+            stepped = _rk4(ambient, speed, markers, dt, -F[:, None] * normal)
+            _, _, E, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, stepped)
         except ConvexityLost:
             termination = "convexity-lost"
             break
-        t += dt
+        markers, t = stepped, t + dt
         steps_done += 1
-        if steps_done % config.store_every == 0 or config.t_end - t <= 1e-12 * config.t_end:
+        if steps_done % config.store_every == 0:
             times.append(t)
             steps.append(markers)
+    if steps_done % config.store_every:
+        times.append(t)
+        steps.append(markers)
 
     return Trajectory(config=config, times=np.array(times), steps=steps,
                       termination=termination)
@@ -229,7 +237,8 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
     """Grid-free tier: spheres stay round, so each step is the radius ODE's sphere.
 
     A t_end that is a whole number of dt steps (within STATE_RTOL) stores
-    the dt grid, the same times a gridded run stores.
+    the dt grid, the same times a gridded run stores; a run stopped early
+    stores the dt grid below its stop, then the stop.
     """
     sol = sphere_ode_solution(config.ambient, config.speed, config.initial.radius)
     t_stop, termination = config.t_end, "completed"
@@ -237,23 +246,22 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
     if sol.t_extinction is not None and config.t_end >= sol.t_extinction:
         raise DomainExceeded(
             f"t_end = {config.t_end:g} reaches the extinction time {sol.t_extinction:g}")
-    if config.min_radius > 0:
-        t_floor = sol.time_of_radius(config.min_radius) if sol.contracting else None
-        if t_floor is not None and t_floor < t_stop:
-            t_stop, termination = t_floor, "radius-floor"
-    kap_cap = config.max_kappa
-    if sol.contracting:
-        r_cap = (math.atan(1.0 / kap_cap) if config.ambient.c == 1 else 1.0 / kap_cap)
-        t_cap = sol.time_of_radius(r_cap)
-        if t_cap is not None and t_cap < t_stop:
-            t_stop, termination = t_cap, "curvature-cap"
+    if config.speed.contracting:
+        r_cap = 1.0 / config.max_kappa
+        r_cap = math.atan(r_cap) if config.ambient.c == 1 else r_cap
+        for r_stop, cause in ((config.min_radius, "radius-floor"), (r_cap, "curvature-cap")):
+            t_hit = sol.time_of_radius(r_stop)      # None for no floor (0) or r_stop > r0
+            if t_hit is not None and t_hit < t_stop:
+                t_stop, termination = t_hit, cause
 
-    if config.dt:
+    if not config.dt:
+        times = np.linspace(0.0, t_stop, 129)
+    elif termination != "completed":
+        times = np.append(config.dt * np.arange(math.ceil(t_stop / config.dt)), t_stop)
+    else:
         n_steps = whole_steps(config.t_end, config.dt)
         n_out = max(2, (int(config.t_end / config.dt) if n_steps is None else n_steps) + 1)
-    else:
-        n_out = 129
-    times = np.linspace(0.0, t_stop, n_out)
+        times = np.linspace(0.0, t_stop, n_out)
     return Trajectory(config=config, times=times, steps=[sol.sphere(t) for t in times],
                       termination=termination)
 
@@ -264,7 +272,7 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
 
 @dataclass
 class SphereSolution:
-    """Closed-form (or quadrature) solution of ṙ = −F for a round sphere."""
+    """Closed-form solution of ṙ = −F for a round sphere."""
 
     ambient: AmbientSpace
     speed: SpeedFunction
@@ -272,10 +280,6 @@ class SphereSolution:
     t_extinction: Optional[float]
     _radius_fn: Callable
     _time_fn: Callable
-
-    @property
-    def contracting(self) -> bool:
-        return self.speed.contracting
 
     def radius(self, t):
         """Geodesic radius r(t); raises DomainExceeded outside the lifespan."""
@@ -290,7 +294,7 @@ class SphereSolution:
 
     def time_of_radius(self, r):
         """Inverse of radius(); None if the radius is never attained."""
-        if not (0 < r <= self.r0) if self.contracting else not (r >= self.r0):
+        if not (0 < r <= self.r0) if self.speed.contracting else not (r >= self.r0):
             return None
         return self._time_fn(r)
 
@@ -307,32 +311,21 @@ def sphere_ode_solution(ambient: AmbientSpace, speed: SpeedFunction,
                         r0: float) -> SphereSolution:
     """Solve the round-sphere radius ODE for the given ambient and speed."""
     geometry._validate_radius(ambient, r0)
-    n = ambient.dim
-    f1 = float(eval_f(speed.f, np.ones(n)))
+    f1 = float(eval_f(speed.f, np.ones(ambient.dim)))
     a = speed.exponent
 
     if ambient.c == 0:
-        if a > 0:
-            # d/dt r^(1+a) = -(1+a) f1^a
-            t_ext = r0 ** (1.0 + a) / ((1.0 + a) * f1 ** a)
-
-            def radius_fn(t):
-                return (r0 ** (1.0 + a) - (1.0 + a) * f1 ** a * t) ** (1.0 / (1.0 + a))
-
-            def time_of(r):
-                return (r0 ** (1.0 + a) - r ** (1.0 + a)) / ((1.0 + a) * f1 ** a)
-
-            return SphereSolution(ambient, speed, r0, t_ext, radius_fn, time_of)
-        # expanding: d/dt r^(1-beta) = (1-beta) f1^(-beta)
-        b = -a
+        # d/dt r^(1+a) = ∓(1+a) f1^a, contracting (a > 0) or expanding (a = −β)
+        rate = -speed.sign * (1.0 + a) * f1 ** a
+        t_ext = -r0 ** (1.0 + a) / rate if speed.contracting else None
 
         def radius_fn(t):
-            return (r0 ** (1.0 - b) + (1.0 - b) * f1 ** (-b) * t) ** (1.0 / (1.0 - b))
+            return (r0 ** (1.0 + a) + rate * t) ** (1.0 / (1.0 + a))
 
         def time_of(r):
-            return (r ** (1.0 - b) - r0 ** (1.0 - b)) / ((1.0 - b) * f1 ** (-b))
+            return (r ** (1.0 + a) - r0 ** (1.0 + a)) / rate
 
-        return SphereSolution(ambient, speed, r0, None, radius_fn, time_of)
+        return SphereSolution(ambient, speed, r0, t_ext, radius_fn, time_of)
 
     if a < 0:
         raise UnsupportedAmbient("expanding speeds are Euclidean-only")
@@ -349,27 +342,56 @@ def sphere_ode_solution(ambient: AmbientSpace, speed: SpeedFunction,
 
         return SphereSolution(ambient, speed, r0, t_ext, radius_fn, time_of)
 
-    # general power: t(r) = f1^(-a) ∫_r^{r0} tan^a s ds, inverted by bracketing
+    # general power: t(r) = f1^(-a)·(G(r0) − G(r)).  G rises and is convex on
+    # (0, π/2), so Newton from r0 falls monotonically onto r(t) until roundoff.
+    G = _tan_power_integral(a)
+    scale = f1 ** (-a)
+    g0 = float(G(r0))
+
     def time_of(r):
-        val, _ = integrate.quad(lambda s: math.tan(s) ** a, r, r0,
-                                epsabs=1e-14, epsrel=1e-12, limit=200)
-        return val * f1 ** (-a)
-
-    t_ext = time_of(0.0)
-
-    def radius_scalar(t):
-        if t == 0.0:
-            return r0
-        return optimize.brentq(lambda r: time_of(r) - t, 1e-15, r0,
-                               xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        return (g0 - float(G(r))) * scale
 
     def radius_fn(t):
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            return np.float64(radius_scalar(float(t_arr)))
-        return np.array([radius_scalar(float(tv)) for tv in t_arr])
+        target = g0 - np.asarray(t, dtype=float) / scale
+        r = np.full(target.shape, r0)
+        for _ in range(NEWTON_STEPS):
+            step = (G(r) - target) / np.tan(r) ** a
+            done = r - step >= r
+            if done.all():
+                return r
+            r = np.where(done, r, r - step)
+        raise StabilityViolation(f"radius did not settle in {NEWTON_STEPS} Newton steps")
 
-    return SphereSolution(ambient, speed, r0, t_ext, radius_fn, time_of)
+    return SphereSolution(ambient, speed, r0, g0 * scale, radius_fn, time_of)
+
+
+def _tan_power_integral(a):
+    """G(r) = ∫₀^r tanᵃs ds = ½·B(sin²r; p, 1−p), p = (1+a)/2, as a function of r.
+
+    B (DLMF §8.17) is summed as two power series that converge like 2⁻ᵏ, so
+    SERIES_TERMS terms serve every r in [0, π/2): about 0 in x = sin²r up to
+    x = ½, then about 1 in z = cos²r, taken directly so nothing cancels near π/2.
+    """
+    p = 0.5 * (1.0 + a)
+    k = np.arange(SERIES_TERMS)
+    f, e = p + k, 1.0 - p + k
+    # ∫₀^x u^(p−1)(1−u)^(−p) du = Σ (p)ₖ/k!·x^f/f and
+    # ∫_z^½ (1−u)^(p−1) u^(−p) du = Σ (1−p)ₖ/k!·(2^(−e) − z^e)/e, summed as
+    # −2^(−e)·expm1(−e·log(½/z))/e; the e = 0 term (odd a) is log(½/z).
+    # (s)ₖ/k! is a cumulative product of (s + k − 1)/k.
+    lower = np.cumprod(np.r_[1.0, f[:-1] / k[1:]]) / f
+    upper = np.cumprod(np.r_[1.0, e[:-1] / k[1:]])
+    log_coef = float(upper[e == 0].sum())
+    upper = -upper * 0.5 ** e / np.where(e == 0, np.inf, e)
+
+    def integral(r):
+        r = np.asarray(r, dtype=float)
+        x = np.minimum(np.sin(r) ** 2, 0.5)[..., None]
+        log_ratio = np.log(0.5 / np.minimum(np.cos(r) ** 2, 0.5))
+        terms = lower * x ** f + upper * np.expm1(-e * log_ratio[..., None])
+        return 0.5 * (terms.sum(axis=-1) + log_coef * log_ratio)
+
+    return integral
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,6 @@ def _rhs_chi2(s):
 
 
 def _rhs_chi3(s):
-    _ha.require_mean(s, "identity 'chi3'")
     c = s.ambient.c
     p = s.speed.exponent
     n = s.dim
@@ -497,7 +496,8 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     Level N uses Δt = dt0·(levels[0]/N)², so the centered-difference error
     O(Δt²) shrinks at fourth order in N alongside the label-stencil error.
     Besides the evolution identities, tags may include 'grad-commutator',
-    which needs no time differencing and is checked on the state at t_check.
+    which needs no time differencing and is checked on the state at t_check;
+    tags=None runs every identity valid for the speed, then 'grad-commutator'.
     Unknown tags, fewer than two levels and a t_check that is not a whole
     number of steps at some level, or is less than one step (the centered
     time difference needs the state at t_check − Δt), raise ConfigError
@@ -505,7 +505,7 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     Returns {tag: LadderReport}.
     """
     if tags is None:
-        tags = applicable_tags(speed)
+        tags = applicable_tags(speed) + ("grad-commutator",)
     known = set(IDENTITY_TAGS) | {"grad-commutator"}
     bad = [t for t in tags if t not in known]
     if bad:

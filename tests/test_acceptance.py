@@ -96,9 +96,7 @@ def test_criterion_2_evolution_identity_ladders(certify):
     worst_order, worst_tag = np.inf, ""
     worst_res = 0.0
     for speed in (MEAN(0.5), MEAN(1.0), NORM(0.5), NORM(1.0)):
-        tags = V.applicable_tags(speed) + ("grad-commutator",)
-        ladders = V.residual_ladder(SPHERE, speed, tags=tags,
-                                    levels=(64, 128, 256),
+        ladders = V.residual_ladder(SPHERE, speed, levels=(64, 128, 256),
                                     dt0=2e-4, t_check=8e-3)
         for tag, rep in ladders.items():
             if rep.order < worst_order:

@@ -7,9 +7,14 @@ certification lives in test_acceptance.py.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import harnacklab
 from harnacklab import cli
 from harnacklab.errors import (ConfigError, ConvexityLost, DegenerateGrid,
                                HarnackLabError, StabilityViolation)
@@ -249,3 +254,18 @@ def test_scan_full_roster_with_seed_override(tmp_path):
     assert all(r[4] == "99" and r[-1] == "1" for r in rows)
     assert json.loads((out / "manifest.json").read_text())["seed"] == 99
     assert json.loads((out / "summary.json").read_text())["all_passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+# ---------------------------------------------------------------------------
+
+def test_cli_import_loads_nothing_beyond_numpy_and_the_standard_library():
+    """Every run pays for what importing the driver loads, before it reads its config."""
+    src = str(Path(harnacklab.__file__).resolve().parents[1])
+    probe = ("import sys; before = set(sys.modules); import harnacklab.cli; "
+             "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+             " - set(sys.stdlib_module_names))))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert set(out.stdout.split()) <= {"harnacklab", "numpy"}

@@ -65,6 +65,43 @@ def test_spherical_root_flow_satisfies_ode():
     assert np.all(np.diff(rs) < 0)
 
 
+@pytest.mark.parametrize("r0", [0.8, 1.3, 1.5, 1.5707])
+def test_spherical_integer_power_extinction_times(r0):
+    """∫₀^r0 tan²s ds = tan r0 − r0 and ∫₀^r0 tan³s ds = tan²r0/2 + ln cos r0, f(1, 1) = 2."""
+    sol2 = flow.sphere_ode_solution(SPHERE, _speed(2.0), r0)
+    npt.assert_allclose(sol2.t_extinction, (np.tan(r0) - r0) / 4, rtol=1e-14)
+    sol3 = flow.sphere_ode_solution(SPHERE, _speed(3.0), r0)
+    npt.assert_allclose(sol3.t_extinction, (np.tan(r0) ** 2 / 2 + np.log(np.cos(r0))) / 8,
+                        rtol=1e-14)
+
+
+def test_spherical_root_flow_extinction_time_is_pinned():
+    # reference: adaptive quadrature of ∫₀^0.8 tan^0.5 s ds, times f(1, 1)^(-0.5) = 2^(-0.5)
+    sol = flow.sphere_ode_solution(SPHERE, _speed(0.5), 0.8)
+    npt.assert_allclose(sol.t_extinction, 0.3551121836414276, rtol=1e-13)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5, 3.0])
+def test_spherical_power_radius_inverts_time_of_radius(p):
+    sol = flow.sphere_ode_solution(SPHERE, _speed(p), 1.3)
+    for t in np.linspace(0.05, 0.95, 7) * sol.t_extinction:
+        npt.assert_allclose(sol.time_of_radius(sol.radius(t)), t, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.5, 3.0, 5.0])
+def test_spherical_power_radius_just_before_extinction(p):
+    sol = flow.sphere_ode_solution(SPHERE, _speed(p), 1.3)
+    assert 0 < sol.radius(sol.t_extinction * (1 - 1e-9)) < 1.3
+
+
+def test_spherical_power_radius_of_an_array_matches_scalar_queries():
+    sol = flow.sphere_ode_solution(SPHERE, _speed(0.5), 0.8)
+    ts = np.linspace(0.0, 0.95 * sol.t_extinction, 17)
+    rs = sol.radius(ts)
+    assert rs.shape == ts.shape and rs[0] == 0.8
+    npt.assert_allclose(rs, [sol.radius(float(t)) for t in ts], rtol=1e-15, atol=0)
+
+
 def test_flat_expanding_flow_closed_form():
     # F = -H^(-1/2): dr/dt = (r/2)^(1/2)  =>  sqrt(r) = 1 + t/(2 sqrt 2)
     sol = flow.sphere_ode_solution(FLAT, _speed(-0.5), 1.0)
@@ -123,6 +160,16 @@ def test_both_tiers_store_the_dt_grid():
         assert flow.time_derivative(traj, "F", 7e-4, dt).shape == (traj.states[0].n_nodes,)
 
 
+def test_umbilic_run_stopped_early_keeps_the_dt_grid():
+    """The radius floor r = 0.5 is reached at t = 0.1875, between grid points."""
+    traj = flow.run(flow.FlowConfig(FLAT, _speed(1.0), geo.GeodesicSphere(1.0),
+                                    t_end=0.2, dt=0.01, min_radius=0.5))
+    assert traj.termination == "radius-floor"
+    npt.assert_allclose(traj.times, np.append(0.01 * np.arange(19), 0.1875), rtol=1e-12)
+    npt.assert_allclose(flow.time_derivative(traj, "F", 0.05, 0.01),
+                        traj.state_at(0.05).beta, rtol=1e-2)
+
+
 def test_umbilic_run_past_extinction_raises():
     cfg = flow.FlowConfig(FLAT, _speed(1.0), geo.GeodesicSphere(1.0), t_end=0.5)
     with pytest.raises(DomainExceeded):
@@ -162,6 +209,17 @@ def test_grid_flow_terminations():
     cap = flow.run(flow.FlowConfig(FLAT, _speed(1.0), mk, t_end=0.5, max_kappa=3.0))
     assert cap.termination == "curvature-cap"
     assert cap.states[-1].t < 0.5
+
+
+@pytest.mark.parametrize("stop", [{"min_radius": 0.6}, {"max_kappa": 3.0}])
+def test_grid_flow_stores_the_state_it_stops_at(stop):
+    mk = geo.markers_from_radial(FLAT, 1.0, 32)
+    every, sparse = (flow.run(flow.FlowConfig(FLAT, _speed(1.0), mk, t_end=0.5,
+                                              store_every=n, **stop))
+                     for n in (1, 50))
+    assert sparse.termination == every.termination != "completed"
+    assert sparse.times[-1] == every.times[-1]
+    npt.assert_array_equal(sparse.steps[-1], every.steps[-1])
 
 
 def test_grid_flow_stores_at_cadence():

@@ -147,6 +147,11 @@ def test_chi3_residual_needs_mean_speed():
         V.evolution_residual(traj, "chi3", 3e-3, 1e-3)
 
 
+def test_default_ladder_runs_every_applicable_check():
+    ladders = V.residual_ladder(SPHERE, MEAN_HALF, levels=(24, 48), dt0=8e-4, t_check=4e-3)
+    assert tuple(ladders) == V.applicable_tags(MEAN_HALF) + ("grad-commutator",)
+
+
 def test_ladder_rejects_bad_input_before_running_a_flow(monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran before the input was checked")
