@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from . import flow as _flow
+from . import geometry as _geo
 from . import harnack as _ha
 from . import symfunc as _sf
 from . import verify as _ve
@@ -471,11 +472,13 @@ def cmd_sphere_exact(args, cfg) -> int:
     else:
         variant = _default_variant(ambient, speed)
 
+    if cfg["n_times"] < 1:
+        raise ConfigError(f"n_times must be at least 1, got {cfg['n_times']}")
     times = np.linspace(0.0, cfg["t_end"], cfg["n_times"])
     header = ["t", "radius", "kappa", "speed", "Q"]
     rows = []
-    for t in times:
-        state = sol.state(t)
+    for t, r in zip(times, sol.radius(times)):
+        state = _geo.assemble(GeodesicSphere(float(r)), ambient, speed, t=float(t))
         if t > 0:
             q = _ha.evaluate_monitor(state, _ha.HarnackConfig(variant)).min_Q
         else:

@@ -262,8 +262,8 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
         n_steps = whole_steps(config.t_end, config.dt)
         n_out = max(2, (int(config.t_end / config.dt) if n_steps is None else n_steps) + 1)
         times = np.linspace(0.0, t_stop, n_out)
-    return Trajectory(config=config, times=times, steps=[sol.sphere(t) for t in times],
-                      termination=termination)
+    steps = [GeodesicSphere(float(r)) for r in sol.radius(times)]
+    return Trajectory(config=config, times=times, steps=steps, termination=termination)
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +298,10 @@ class SphereSolution:
             return None
         return self._time_fn(r)
 
-    def sphere(self, t) -> GeodesicSphere:
-        """The grid-free sphere at time t."""
-        return GeodesicSphere(float(self.radius(t)))
-
     def state(self, t) -> SurfaceState:
         """Assembled grid-free umbilic state at time t."""
-        return geometry.assemble(self.sphere(t), self.ambient, self.speed, t=float(t))
+        return geometry.assemble(GeodesicSphere(float(self.radius(t))), self.ambient,
+                                 self.speed, t=float(t))
 
 
 def sphere_ode_solution(ambient: AmbientSpace, speed: SpeedFunction,

@@ -45,6 +45,7 @@ discrete covariant derivative of g vanish to machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -218,12 +219,15 @@ class SurfaceState:
     def dim(self) -> int:
         return self.ambient.dim
 
-    def d2F_bilinear(self, A, C):
-        """F^{ij,kl} A_{ij} C_{kl} at every node (polarized quadratic form)."""
-        return symfunc.d2F_bilinear_from_eig(self.speed, self.kappa, self.eigT, A, C)
+    @cached_property
+    def d2F(self) -> np.ndarray:
+        """F^{ij,kl}, (N, n, n, n, n), built from the Weingarten spectrum on
+        first read and kept; assemblies that never read it never build it."""
+        return symfunc.d2F_from_eig(self.speed, self.kappa, self.eigT)
 
-    def d2F_quadratic(self, eta):
-        return symfunc.d2F_quadratic_from_eig(self.speed, self.kappa, self.eigT, eta)
+    def d2F_bilinear(self, A, C):
+        """F^{ij,kl} A_{ij} C_{kl} at every node."""
+        return np.einsum("nijkl,nij,nkl->n", self.d2F, A, C)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +402,10 @@ def _assemble_grid(ambient, speed, markers, t):
 def _attach_speed_quantities(state):
     """Fill F, F^{ij}, gradients and the auxiliary tensors α, γ, η, β, θ."""
     speed = state.speed
+    phi = speed.dvalue(state.kappa)
     state.F = speed.value(state.kappa)
-    state.dF = dF_from_eig(speed, state.kappa, state.eigT)
-    state.tr_dF = np.sum(speed.dvalue(state.kappa), axis=-1)
+    state.dF = dF_from_eig(phi, state.eigT)
+    state.tr_dF = np.sum(phi, axis=-1)
     state.grad_F = grad_scalar(state, state.F)
     state.hess_F = covariant_hessian(state, state.F)
     state.alpha = state.hess_F + state.F[:, None, None] * state.h_sq

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, WrongAmbient, WrongSpeed
-from .geometry import SurfaceState
+from .geometry import SurfaceState, box_op, grad_scalar
 from .symfunc import as_float
 
 VARIANTS = ("chi1", "chi2", "chi3", "strong-Hp",
@@ -116,7 +116,7 @@ def chi3(state: SurfaceState) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# remainder R of the χ₂ evolution equation
+# remainders R_β, R_θ and R = R_β − R_θ of the β, θ and χ₂ evolutions
 # ---------------------------------------------------------------------------
 
 def quad_dF(state, X):
@@ -136,27 +136,31 @@ def _bF_gradF(state):
                      state.grad_F, state.grad_F)
 
 
+def remainder_beta(state: SurfaceState) -> np.ndarray:
+    """Sphere terms R_β of the β evolution (c = 1 weight)."""
+    grad_tr = grad_scalar(state, state.tr_dF)
+    return state.F * box_op(state, state.tr_dF) \
+        + 2.0 * np.einsum("nkl,nk,nl->n", state.dF, grad_tr, state.grad_F) \
+        + state.F * state.d2F_bilinear(state.alpha, state.g) \
+        + 2.0 * state.F ** 2 * quad_dF(state, state.h)
+
+
+def remainder_theta(state: SurfaceState) -> np.ndarray:
+    """Sphere terms R_θ of the θ evolution (c = 1 weight)."""
+    return -(quad_dF(state, state.h) + state.F) * _bb_gradF(state) \
+        + 2.0 * _bF_gradF(state) \
+        + 2.0 * state.F * state.d2F_bilinear(state.g, state.gamma)
+
+
 def remainder_R(state: SurfaceState) -> np.ndarray:
-    """Curvature remainder R in the χ₂ evolution (sphere terms, c = 1 weight).
+    """Curvature remainder R = R_β − R_θ in the χ₂ evolution (c = 1 weight).
 
     The structural expression, valid for every admissible speed; second
-    derivatives of F enter only through polarized bilinear forms.  The
+    derivatives of F enter only through the state's tensor F^{ij,kl}.  The
     scalar-calculus specialization for F = F(H) lives in the χ₃ identity of
     the verify module.
     """
-    from . import geometry as _geo
-
-    tr_field = state.tr_dF
-    box_tr = _geo.box_op(state, tr_field)
-    grad_tr = _geo.grad_scalar(state, tr_field)
-    term = state.F * box_tr
-    term = term + 2.0 * np.einsum("nkl,nk,nl->n", state.dF, grad_tr, state.grad_F)
-    term = term + state.F * state.d2F_bilinear(state.alpha, state.g)
-    term = term - 2.0 * state.F * state.d2F_bilinear(state.gamma, state.g)
-    term = term + 2.0 * state.F ** 2 * quad_dF(state, state.h)
-    term = term + (quad_dF(state, state.h) + state.F) * _bb_gradF(state)
-    term = term - 2.0 * _bF_gradF(state)
-    return term
+    return remainder_beta(state) - remainder_theta(state)
 
 
 # ---------------------------------------------------------------------------

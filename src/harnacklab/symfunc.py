@@ -22,7 +22,9 @@ and the second derivative, as a quadratic form on symmetric matrices η
                               + Σ_{a≠b} (Φ'_a − Φ'_b)/(κ_a − κ_b) · η̂_{ab}²,
 
 where the divided difference is replaced by its limit when κ_a → κ_b.
-Bilinear values F^{ij,kl} A_{ij} C_{kl} are recovered by polarization.
+Pushed through T, the same two parts give the tensor F^{ij,kl} itself
+(d2F_from_eig), and bilinear values F^{ij,kl} A_{ij} C_{kl} are its
+contraction with A and C.
 
 All operations are vectorized over leading batch axes: g and h may be
 (..., n, n) stacks and κ a (..., n) stack.
@@ -329,11 +331,11 @@ def dF_matrix(F, g, h) -> np.ndarray:
     """First derivative F^{ij} = Σ_a Φ'_a T^i_a T^j_a (contravariant, SPD)."""
     speed = _as_speed(F)
     kappa, T = weingarten_eigensystem(g, h)
-    return dF_from_eig(speed, kappa, T)
+    return dF_from_eig(speed.dvalue(kappa), T)
 
 
-def dF_from_eig(speed, kappa, T):
-    phi = speed.dvalue(kappa)
+def dF_from_eig(phi, T):
+    """F^{ij} from the spectral derivatives Φ'_a and the eigenbasis T."""
     return np.einsum("...ia,...a,...ja->...ij", T, phi, T)
 
 
@@ -344,8 +346,15 @@ def trace_dF(F, g, h) -> np.ndarray:
     return np.sum(speed.dvalue(kappa), axis=-1)
 
 
-def _divided_differences(kappa, phi, hess):
-    """(Φ'_a − Φ'_b)/(κ_a − κ_b) with the analytic limit at coincidence."""
+def d2F_spectrum(speed, kappa):
+    """(Φ''_ab, D_ab): the two parts of F^{ij,kl} in the eigenframe.
+
+    D_ab = (Φ'_a − Φ'_b)/(κ_a − κ_b) off the diagonal, with the analytic
+    limit ½(Φ''_aa + Φ''_bb) − Φ''_ab where κ_a and κ_b coincide, and zero
+    on the diagonal, whose η̂_aa entries the Φ'' part carries.
+    """
+    phi = speed.dvalue(kappa)
+    hess = speed.d2value(kappa)
     dk = kappa[..., :, None] - kappa[..., None, :]
     dphi = phi[..., :, None] - phi[..., None, :]
     scale = np.max(np.abs(kappa), axis=-1)[..., None, None]
@@ -354,20 +363,17 @@ def _divided_differences(kappa, phi, hess):
     limit = 0.5 * (hd[..., :, None] + hd[..., None, :]) - hess
     with np.errstate(divide="ignore", invalid="ignore"):
         dd = np.where(near, limit, dphi / np.where(near, 1.0, dk))
-    return dd
+    idx = np.arange(kappa.shape[-1])
+    dd[..., idx, idx] = 0.0
+    return hess, dd
 
 
 def d2F_quadratic_eigenframe(speed, kappa, eta_hat):
     """F^{ij,kl} η̂ η̂ for η̂ given in the eigenframe (g = 1, h = diag κ)."""
-    phi = speed.dvalue(kappa)
-    hess = speed.d2value(kappa)
+    hess, dd = d2F_spectrum(speed, kappa)
     ed = np.einsum("...aa->...a", eta_hat)
     quad = np.einsum("...ab,...a,...b->...", hess, ed, ed)
-    dd = _divided_differences(kappa, phi, hess)
-    off = eta_hat ** 2
-    idx = np.arange(kappa.shape[-1])
-    off[..., idx, idx] = 0.0
-    return quad + np.einsum("...ab,...ab->...", dd, off)
+    return quad + np.einsum("...ab,...ab->...", dd, eta_hat ** 2)
 
 
 def _to_eigenframe(T, X):
@@ -375,29 +381,30 @@ def _to_eigenframe(T, X):
     return np.einsum("...ia,...ij,...jb->...ab", T, X, T)
 
 
-def d2F_quadratic_from_eig(speed, kappa, T, eta):
-    return d2F_quadratic_eigenframe(speed, kappa, _to_eigenframe(T, eta))
+def d2F_from_eig(speed, kappa, T):
+    """The tensor F^{ij,kl}, shape (..., n, n, n, n), from the spectrum.
 
-
-def d2F_quadratic(F, g, h, eta) -> np.ndarray:
-    """Second-derivative quadratic form F^{ij,kl} η_{ij} η_{kl}.
-
-    η must be symmetric with the same covariant index placement as h.
+    d2F_spectrum's two parts pushed through T: Φ''_ab T^i_a T^j_a T^k_b T^l_b
+    plus ½ D_ab T^i_a T^j_b (T^k_a T^l_b + T^k_b T^l_a), which is symmetric
+    in i ↔ j, in k ↔ l and in the pair exchange (ij) ↔ (kl).
     """
-    speed = _as_speed(F)
-    kappa, T = weingarten_eigensystem(g, h)
-    return d2F_quadratic_from_eig(speed, kappa, T, np.asarray(eta, dtype=float))
-
-
-def d2F_bilinear_from_eig(speed, kappa, T, A, C):
-    """F^{ij,kl} A_{ij} C_{kl} by polarization of the quadratic form."""
-    qp = d2F_quadratic_from_eig(speed, kappa, T, A + C)
-    qm = d2F_quadratic_from_eig(speed, kappa, T, A - C)
-    return 0.25 * (qp - qm)
+    hess, dd = d2F_spectrum(speed, kappa)
+    off = np.einsum("...ab,...ia,...jb,...ka,...lb->...ijkl", dd, T, T, T, T)
+    return np.einsum("...ab,...ia,...ja,...kb,...lb->...ijkl", hess, T, T, T, T) \
+        + 0.5 * (off + np.swapaxes(off, -1, -2))
 
 
 def d2F_bilinear(F, g, h, A, C) -> np.ndarray:
+    """F^{ij,kl} A_{ij} C_{kl}, contracted from the tensor of d2F_from_eig.
+
+    A and C must be symmetric with the same covariant index placement as h.
+    """
     speed = _as_speed(F)
     kappa, T = weingarten_eigensystem(g, h)
-    return d2F_bilinear_from_eig(speed, kappa, T,
-                                 np.asarray(A, dtype=float), np.asarray(C, dtype=float))
+    return np.einsum("...ijkl,...ij,...kl->...", d2F_from_eig(speed, kappa, T),
+                     np.asarray(A, dtype=float), np.asarray(C, dtype=float))
+
+
+def d2F_quadratic(F, g, h, eta) -> np.ndarray:
+    """Second-derivative quadratic form F^{ij,kl} η_{ij} η_{kl}."""
+    return d2F_bilinear(F, g, h, eta, eta)

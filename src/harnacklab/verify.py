@@ -81,14 +81,7 @@ def _gradF_sq(state):
 
 def _second_form_matrix(state, D):
     """V_{ij} = F^{kl,rs} D_{i,kl} D_{j,rs} for a (N, n, n, n) slot array D."""
-    n = state.dim
-    V = np.zeros((state.n_nodes, n, n), dtype=np.asarray(D).dtype)
-    for i in range(n):
-        for j in range(i, n):
-            V[:, i, j] = state.d2F_bilinear(D[:, i], D[:, j])
-            if j != i:
-                V[:, j, i] = V[:, i, j]
-    return V
+    return np.einsum("nklrs,nikl,njrs->nij", state.d2F, D, D)
 
 
 def _rhs_metric(s):
@@ -194,10 +187,8 @@ def _rhs_christoffel(s):
 
 def _rhs_grad_speed(s):
     c = s.ambient.c
-    n = s.dim
     rhs = box_op(s, s.grad_F, ("lo",))
-    for i in range(n):
-        rhs[:, i] += s.d2F_bilinear(s.nabla_h[:, i], s.alpha)
+    rhs = rhs + np.einsum("nklrs,nikl,nrs->ni", s.d2F, s.nabla_h, s.alpha)
     rhs = rhs + 2.0 * s.F[:, None] * np.einsum(
         "nkl,nrs,nrl,niks->ni", s.dF, s.b, s.h_sq, s.nabla_h)
     rhs = rhs + _ha.quad_dF(s, s.h_sq)[:, None] * s.grad_F
@@ -217,18 +208,13 @@ def _rhs_beta(s):
     rhs = box_op(s, s.beta) \
         + (Fh2 + c * s.tr_dF) * s.beta \
         + (s.F - Fh) * _gradF_sq(s) \
-        + s.d2F_quadratic(s.alpha) \
+        + s.d2F_bilinear(s.alpha, s.alpha) \
         + 2.0 * np.einsum("nij,nkm,nmi,nk,nj->n",
                           s.dF, s.g_inv, s.h, s.grad_F, s.grad_F) \
         + 4.0 * s.F * _pair_quad(s, s.hess_F, s.h_sq) \
         + 2.0 * s.F ** 2 * _pair_quad(s, s.h_sq, s.h_sq)
     if c:
-        grad_tr = grad_scalar(s, s.tr_dF)
-        R_beta = s.F * box_op(s, s.tr_dF) \
-            + 2.0 * np.einsum("nkl,nk,nl->n", s.dF, grad_tr, s.grad_F) \
-            + s.F * s.d2F_bilinear(s.alpha, s.g) \
-            + 2.0 * s.F ** 2 * Fh
-        rhs = rhs + R_beta
+        rhs = rhs + _ha.remainder_beta(s)
     return rhs
 
 
@@ -241,22 +227,19 @@ def _rhs_theta(s):
         + (s.F - Fh) * _gradF_sq(s) \
         + 2.0 * np.einsum("nij,nkm,nmi,nk,nj->n",
                           s.dF, s.g_inv, s.h, s.grad_F, s.grad_F) \
-        - (s.d2F_quadratic(s.gamma) - 2.0 * s.d2F_bilinear(s.alpha, s.gamma)) \
+        - (s.d2F_bilinear(s.gamma, s.gamma) - 2.0 * s.d2F_bilinear(s.alpha, s.gamma)) \
         - 2.0 * (_pair_quad(s, s.gamma, s.gamma)
                  - 2.0 * _pair_quad(s, s.alpha, s.gamma)
                  + _pair_quad(s, s.hess_F, s.hess_F))
     if c:
-        R_theta = -(Fh + s.F) * _ha._bb_gradF(s) \
-            + 2.0 * _ha._bF_gradF(s) \
-            + 2.0 * s.F * s.d2F_bilinear(s.g, s.gamma)
-        rhs = rhs + R_theta
+        rhs = rhs + _ha.remainder_theta(s)
     return rhs
 
 
 def _chi_quadratic(s, delta):
     """t-independent quadratic part: B(η,η) + 2b·F(η,η) − (F^{ij}η_{ij})²/(δF)."""
     Feta = _ha.quad_dF(s, s.eta)
-    return s.d2F_quadratic(s.eta) + 2.0 * _pair_quad(s, s.eta, s.eta) \
+    return s.d2F_bilinear(s.eta, s.eta) + 2.0 * _pair_quad(s, s.eta, s.eta) \
         - Feta ** 2 / (delta * s.F)
 
 
@@ -317,7 +300,7 @@ def _rhs_chi1(s):
         + ((s.beta - s.theta) / (delta * s.F) + _ha.quad_dF(s, s.h_sq)
            + c * ((delta - 1.0) / delta) * s.tr_dF) * chi \
         + (c * s.tr_dF * s.F / delta) * (t * c * s.tr_dF + 2.0 * delta) \
-        + t * s.d2F_quadratic(eta_c) \
+        + t * s.d2F_bilinear(eta_c, eta_c) \
         + t * (2.0 * _pair_quad(s, s.eta, s.eta) - Feta ** 2 / (delta * s.F))
     if c:
         extra = 2.0 * s.F ** 2 * Fh \
@@ -326,10 +309,6 @@ def _rhs_chi1(s):
                               s.dF, s.b, s.g, s.grad_F, s.grad_F)
         rhs = rhs + t * extra
     return rhs
-
-
-def _box_F_field(s):
-    return box_op(s, s.F)
 
 
 def _rhs_box_commutator(s):
@@ -371,7 +350,7 @@ IDENTITIES = {
         Identity("chi2", _ha.chi2, _rhs_chi2),
         Identity("chi3", _ha.chi3, _rhs_chi3, mean_only=True),
         Identity("chi1", _ha.chi1, _rhs_chi1),
-        Identity("box-commutator", _box_F_field, _rhs_box_commutator),
+        Identity("box-commutator", lambda s: box_op(s, s.F), _rhs_box_commutator),
     ]
 }
 
@@ -432,10 +411,7 @@ def commutator_residual(state: SurfaceState) -> ResidualRecord:
     lhs = grad_scalar(state, box_op(state, phi)) - box_op(state, grad_scalar(state, phi), ("lo",))
     hphi = covariant_hessian(state, phi)
     gphi = grad_scalar(state, phi)
-    n = state.dim
-    rhs = np.zeros_like(lhs)
-    for i in range(n):
-        rhs[:, i] = state.d2F_bilinear(state.nabla_h[:, i], hphi)
+    rhs = np.einsum("nklrs,nikl,nrs->ni", state.d2F, state.nabla_h, hphi)
     rhs = rhs + np.einsum("nkl,nmq,nqk,nli,nm->ni",
                           state.dF, state.g_inv, state.h, state.h, gphi)
     rhs = rhs - _ha.quad_dF(state, state.h)[:, None] * np.einsum(
@@ -727,6 +703,10 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
     the worst normalized gap over all samples and the equality-witness
     check at η̂ = diag(κ).
     """
+    if samples < 1 or not inequalities or not n_values or min(n_values) < 1:
+        raise ConfigError(
+            f"a scan needs samples >= 1, an inequality and dimensions >= 1, got "
+            f"samples = {samples}, {tuple(inequalities)} and {tuple(n_values)}")
     if f is None:
         f = _sf.mean()
     if speed is None:

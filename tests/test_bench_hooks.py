@@ -1,0 +1,42 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps harnacklab's module
+attributes from outside, so renaming or bypassing one of them breaks the
+benchmark without failing any library test.  Run the benchmark's child once
+per workload subcommand, traced, on a tiny config, and require that each
+patch point still sees calls."""
+
+import json
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+CASES = {
+    "simulate": ({"exponent": 0.5, "n_nodes": 32, "amplitude": 0.05, "t_end": 0.01},
+                 "geometry.rhs.calls"),
+    "verify-evolution": ({"speed": "norm", "exponent": 0.5, "levels": "32,64",
+                          "t_check": 2e-3, "identities": "sff-box,beta,grad-commutator"},
+                         "verify.residual.calls"),
+    "scan-inequalities": ({"exponent": 1, "dimensions": "2,3", "samples": 200},
+                          "symfunc.eigensystem.calls"),
+}
+
+
+@pytest.mark.parametrize("sub", CASES)
+def test_traced_child_reaches_its_patch_point(tmp_path, sub):
+    keys, counter = CASES[sub]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()), encoding="utf-8")
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), "--subcommand", sub, "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--seed", "1", "--result", str(result),
+         "--run-id", "hooks", "--trace", "--spawned", repr(time.monotonic())],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(result.read_text(encoding="utf-8"))
+    assert report["exit_code"] == 0
+    assert report["layers"][counter] > 0

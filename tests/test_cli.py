@@ -256,6 +256,24 @@ def test_scan_full_roster_with_seed_override(tmp_path):
     assert json.loads((out / "summary.json").read_text())["all_passed"] is True
 
 
+@pytest.mark.parametrize("sub, keys", [
+    ("scan-inequalities", {"samples": 0}),
+    ("scan-inequalities", {"samples": -5}),
+    ("scan-inequalities", {"dimensions": 0}),
+    ("scan-inequalities", {"dimensions": ""}),
+    ("scan-inequalities", {"inequalities": ""}),
+    ("sphere-exact", {"n_times": 0}),
+], ids=["samples0", "samples-5", "dimension0", "no-dimensions", "no-inequalities",
+        "n_times0"])
+def test_empty_certification_is_refused(tmp_path, capsys, sub, keys):
+    """A run that would check nothing must not report a pass."""
+    cfg = write_cfg(tmp_path, exponent=1.0, **keys)
+    out = tmp_path / "out"
+    assert run_cli(sub, cfg, out) == cli.EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # import footprint
 # ---------------------------------------------------------------------------

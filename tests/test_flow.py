@@ -170,6 +170,18 @@ def test_umbilic_run_stopped_early_keeps_the_dt_grid():
                         traj.state_at(0.05).beta, rtol=1e-2)
 
 
+def test_umbilic_run_solves_its_radii_in_one_query(monkeypatch):
+    calls = []
+    real = flow.SphereSolution.radius
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return real(self, t)
+    monkeypatch.setattr(flow.SphereSolution, "radius", counted)
+    traj = flow.run(flow.FlowConfig(SPHERE, _speed(0.5), geo.GeodesicSphere(0.8), t_end=0.1))
+    assert calls == [len(traj.times)] == [129]
+
+
 def test_umbilic_run_past_extinction_raises():
     cfg = flow.FlowConfig(FLAT, _speed(1.0), geo.GeodesicSphere(1.0), t_end=0.5)
     with pytest.raises(DomainExceeded):

@@ -126,6 +126,39 @@ def test_umbilic_compatibility_exact():
     assert geo.gauss_codazzi_residual(st) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_umbilic_second_derivative_is_the_power_law_oracle(p, n, c):
+    """On a round sphere all κ coincide and F = H^p has F^{ij,kl} = p(p−1)H^(p−2) g^{ij} g^{kl}."""
+    st = geo.assemble(geo.GeodesicSphere(0.7), geo.AmbientSpace(c, n),
+                      sf.SpeedFunction(sf.mean(), p))
+    H = st.kappa.sum(axis=-1)
+    expected = (p * (p - 1.0) * H ** (p - 2.0))[:, None, None, None, None] \
+        * np.einsum("nij,nkl->nijkl", st.g_inv, st.g_inv)
+    npt.assert_allclose(st.d2F, expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize("ambient", [SPHERE, FLAT], ids=["sphere", "flat"])
+@pytest.mark.parametrize("speed", [sf.SpeedFunction(sf.norm(), 0.5),
+                                   sf.SpeedFunction(sf.harmonic_mean(), 1.0)],
+                         ids=["norm^0.5", "harmonic-mean"])
+def test_second_derivative_tensor_matches_the_polarized_eigenframe_form(speed, ambient):
+    st = _perturbed(ambient, 32, speed=speed)
+    rng = np.random.default_rng(3)
+    A, C = (0.5 * (M + M.swapaxes(1, 2)) for M in rng.normal(size=(2, st.n_nodes, 2, 2)))
+
+    def q(X):
+        eta_hat = np.einsum("nia,nij,njb->nab", st.eigT, X, st.eigT)
+        return sf.d2F_quadratic_eigenframe(speed, st.kappa, eta_hat)
+
+    npt.assert_allclose(st.d2F_bilinear(A, C), 0.25 * (q(A + C) - q(A - C)), rtol=1e-10)
+    d2F = st.d2F
+    atol = 1e-14 * np.max(np.abs(d2F))
+    for axes in ((0, 2, 1, 3, 4), (0, 1, 2, 4, 3), (0, 3, 4, 1, 2)):
+        npt.assert_allclose(d2F.transpose(axes), d2F, rtol=1e-13, atol=atol)
+
+
 def test_covariant_hessian_of_constant_vanishes():
     st = _perturbed(SPHERE, 48)
     phi = np.full(st.n_nodes, 3.7)

@@ -280,11 +280,11 @@ def test_d2F_bilinear_polarization():
 def test_repeated_eigenvalues_continuous():
     """The divided-difference Hessian route must not jump across coincidences."""
     sp = sf.SpeedFunction(sf.norm(), 0.5)
-    T = np.eye(2)
+    eye = np.eye(2)
     eta = np.array([[0.3, 1.1], [1.1, -0.4]])
-    exact = sf.d2F_quadratic_from_eig(sp, np.array([2.0, 2.0]), T, eta)
+    exact = sf.d2F_quadratic(sp, eye, np.diag([2.0, 2.0]), eta)
     for gap in (1e-12, 1e-10, 1e-9):
-        near = sf.d2F_quadratic_from_eig(sp, np.array([2.0, 2.0 + gap]), T, eta)
+        near = sf.d2F_quadratic(sp, eye, np.diag([2.0, 2.0 + gap]), eta)
         npt.assert_allclose(near, exact, rtol=1e-6)
 
 
@@ -293,5 +293,5 @@ def test_dF_from_eig_matches_matrix_route():
     g, h = _random_pair(rng, 3, batch=(10,))
     sp = sf.SpeedFunction(sf.harmonic_mean(), 1.0)
     kappa, T = sf.weingarten_eigensystem(g, h)
-    npt.assert_allclose(sf.dF_from_eig(sp, kappa, T), sf.dF_matrix(sp, g, h),
+    npt.assert_allclose(sf.dF_from_eig(sp.dvalue(kappa), T), sf.dF_matrix(sp, g, h),
                         rtol=1e-11, atol=1e-13)

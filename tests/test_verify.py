@@ -98,6 +98,20 @@ def test_commutator_keeps_extended_precision_phi(monkeypatch):
     assert seen[0] == np.longdouble
 
 
+def test_residuals_of_one_state_build_its_second_derivative_once(monkeypatch):
+    traj = V.standard_test_flow(SPHERE, NORM_HALF, 24, 1e-3, t_end=3e-3)
+    calls = []
+    real = SpeedFunction.d2value
+
+    def counted(self, kappa):
+        calls.append(kappa.shape)
+        return real(self, kappa)
+    monkeypatch.setattr(SpeedFunction, "d2value", counted)
+    for tag in ("sff-box", "beta", "theta", "grad-speed"):
+        V.evolution_residual(traj, tag, 2e-3, 1e-3)
+    assert len(calls) == 1
+
+
 def test_residual_record_fields(umbilic_traj):
     rec = V.evolution_residual(umbilic_traj, "beta", 4e-3, 1e-3)
     assert rec.tag == "beta"
