@@ -26,7 +26,7 @@ for rep in scan_inequalities(samples=SAMPLES, seed=SEED):
           f"{rep.min_normalized_gap:>11.2e} {rep.witness_max_abs_gap:>11.2e}")
 
 # harmonic mean: the borderline inverse-concave case, Urbas gap vanishes
-for rep in scan_inequalities(inequalities=("urbas",), f=harmonic_mean(),
+for rep in scan_inequalities(inequalities=("urbas",),
                              speed=SpeedFunction(harmonic_mean(), 0.5),
                              samples=SAMPLES, seed=SEED):
     print(f"{rep.inequality:>14} {rep.f_name:>14} {rep.n:>3} "
@@ -35,7 +35,7 @@ for rep in scan_inequalities(inequalities=("urbas",), f=harmonic_mean(),
 # the 2-norm is convex but not inverse-concave, so Urbas is excluded
 for rep in scan_inequalities(inequalities=("f-lemma", "harnack-form",
                                            "fb-dominance"),
-                             f=norm(), speed=SpeedFunction(norm(), 0.5),
+                             speed=SpeedFunction(norm(), 0.5),
                              samples=SAMPLES, seed=SEED):
     print(f"{rep.inequality:>14} {rep.f_name:>14} {rep.n:>3} "
           f"{rep.min_normalized_gap:>11.2e} {rep.witness_max_abs_gap:>11.2e}")

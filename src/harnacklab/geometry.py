@@ -187,7 +187,6 @@ class SurfaceState:
     markers: Optional[np.ndarray]   # (N, d) marker coordinates, None for grid-free
     du: float                       # label spacing (0 for grid-free states)
     radius: Optional[float]         # geodesic-sphere radius
-    normal: Optional[np.ndarray]    # profile normal at the markers
 
     g: np.ndarray                   # metric g_{ij},            (N, n, n)
     g_inv: np.ndarray               # inverse metric g^{ij}
@@ -344,7 +343,7 @@ def _assemble_umbilic(ambient, speed, r, t):
     kappa = np.full((1, n), kap)
     state = SurfaceState(
         ambient=ambient, speed=speed, t=t, kind="geodesic-sphere",
-        markers=None, du=0.0, radius=float(r), normal=None,
+        markers=None, du=0.0, radius=float(r),
         g=a * a * eye.copy(), g_inv=eye / (a * a), h=kap * a * a * eye.copy(),
         b=eye / (kap * a * a), h_sq=kap * kap * a * a * eye.copy(),
         kappa=kappa, eigT=eye / a, christoffel=np.zeros((1, n, n, n)),
@@ -357,7 +356,7 @@ def _assemble_umbilic(ambient, speed, r, t):
 def _assemble_grid(ambient, speed, markers, t):
     n_nodes = markers.shape[0]
     du = 2.0 * np.pi / n_nodes
-    cp, cpp, E, normal, h_uu, kappa, rho, n_rot = _profile_geometry(ambient, markers)
+    cp, cpp, E, _, h_uu, kappa, rho, n_rot = _profile_geometry(ambient, markers)
 
     n = ambient.dim
     g = np.zeros((n_nodes, n, n), dtype=markers.dtype)
@@ -390,7 +389,7 @@ def _assemble_grid(ambient, speed, markers, t):
     state = SurfaceState(
         ambient=ambient, speed=speed, t=t,
         kind="axisymmetric-profile" if n == 2 else "closed-curve",
-        markers=markers, du=du, radius=None, normal=normal,
+        markers=markers, du=du, radius=None,
         g=g, g_inv=g_inv, h=h, b=b, h_sq=h_sq, kappa=kappa, eigT=eigT,
         christoffel=christoffel,
     )

@@ -347,7 +347,7 @@ def trace_dF(F, g, h) -> np.ndarray:
 
 
 def d2F_spectrum(speed, kappa):
-    """(Φ''_ab, D_ab): the two parts of F^{ij,kl} in the eigenframe.
+    """(Φ'_a, Φ''_ab, D_ab): Φ' and the two parts of F^{ij,kl} in the eigenframe.
 
     D_ab = (Φ'_a − Φ'_b)/(κ_a − κ_b) off the diagonal, with the analytic
     limit ½(Φ''_aa + Φ''_bb) − Φ''_ab where κ_a and κ_b coincide, and zero
@@ -365,12 +365,12 @@ def d2F_spectrum(speed, kappa):
         dd = np.where(near, limit, dphi / np.where(near, 1.0, dk))
     idx = np.arange(kappa.shape[-1])
     dd[..., idx, idx] = 0.0
-    return hess, dd
+    return phi, hess, dd
 
 
-def d2F_quadratic_eigenframe(speed, kappa, eta_hat):
-    """F^{ij,kl} η̂ η̂ for η̂ given in the eigenframe (g = 1, h = diag κ)."""
-    hess, dd = d2F_spectrum(speed, kappa)
+def d2F_quadratic_eigenframe(spectrum, eta_hat):
+    """F^{ij,kl} η̂ η̂ for η̂ in the eigenframe, from a given d2F_spectrum at κ."""
+    _, hess, dd = spectrum
     ed = np.einsum("...aa->...a", eta_hat)
     quad = np.einsum("...ab,...a,...b->...", hess, ed, ed)
     return quad + np.einsum("...ab,...ab->...", dd, eta_hat ** 2)
@@ -388,7 +388,7 @@ def d2F_from_eig(speed, kappa, T):
     plus ½ D_ab T^i_a T^j_b (T^k_a T^l_b + T^k_b T^l_a), which is symmetric
     in i ↔ j, in k ↔ l and in the pair exchange (ij) ↔ (kl).
     """
-    hess, dd = d2F_spectrum(speed, kappa)
+    _, hess, dd = d2F_spectrum(speed, kappa)
     off = np.einsum("...ab,...ia,...jb,...ka,...lb->...ijkl", dd, T, T, T, T)
     return np.einsum("...ab,...ia,...ja,...kb,...lb->...ijkl", hess, T, T, T, T) \
         + 0.5 * (off + np.swapaxes(off, -1, -2))

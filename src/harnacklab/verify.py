@@ -32,9 +32,12 @@ Working in the g-orthonormal Weingarten eigenframe, κ ∈ Γ₊ and a symmetric
     harnack_form_gap Q_F(η̂) + 2Σ (Φ'_j/κ_i) η̂_ij² − (Σ Φ'_i η̂_ii)²/(δF) ≥ 0
     fb_dominance     min_i (f/κ_i − f_i)                                ≥ 0
 
-with equality at η̂ ∝ diag(κ) for the first three.  Samples draw κ
-log-uniformly and η̂ from symmetrized Gaussians, seeded through a splittable
-64-bit SeedSequence so scans are reproducible per task.
+with equality at η̂ ∝ diag(κ) for the first three.  Each inequality has one
+kernel in SCAN_KERNELS: it evaluates the derivatives of f (or F) at a κ batch
+once and returns terms(η̂) → (quad, pos, neg) for the sample, its equality
+witness and the public gap function alike.  Samples draw κ log-uniformly and
+η̂ from symmetrized Gaussians, seeded through a splittable 64-bit
+SeedSequence so scans are reproducible per task.
 """
 
 from __future__ import annotations
@@ -474,20 +477,21 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     Besides the evolution identities, tags may include 'grad-commutator',
     which needs no time differencing and is checked on the state at t_check;
     tags=None runs every identity valid for the speed, then 'grad-commutator'.
-    Unknown tags, fewer than two levels and a t_check that is not a whole
-    number of steps at some level, or is less than one step (the centered
-    time difference needs the state at t_check − Δt), raise ConfigError
-    before any flow runs.
+    Unknown or repeated tags, fewer than two levels or a repeated one, and a
+    t_check that is not a whole number of steps at some level, or is less
+    than one step (the centered time difference needs the state at
+    t_check − Δt), raise ConfigError before any flow runs.
     Returns {tag: LadderReport}.
     """
     if tags is None:
         tags = applicable_tags(speed) + ("grad-commutator",)
     known = set(IDENTITY_TAGS) | {"grad-commutator"}
-    bad = [t for t in tags if t not in known]
+    bad = [t for t in tags if t not in known] + sorted({t for t in tags if tags.count(t) > 1})
     if bad:
-        raise ConfigError(f"unknown identity tag(s) {bad}; known: {sorted(known)}")
-    if len(levels) < 2:
-        raise ConfigError("need at least two grid levels to fit an order")
+        raise ConfigError(f"unknown or repeated identity tag(s) {bad}; known: {sorted(known)}")
+    if len(levels) < 2 or len(set(levels)) < len(levels):
+        raise ConfigError(f"need at least two grid levels, none repeated, to fit an "
+                          f"order, got {tuple(levels)}")
     dts = [dt0 * (levels[0] / n_nodes) ** 2 for n_nodes in levels]
     for n_nodes, dt in zip(levels, dts):
         steps = _flow.whole_steps(t_check, dt)
@@ -535,33 +539,64 @@ def convexity_monitor(trajectory: Trajectory) -> dict:
 # pointwise inequality gaps (eigenframe inputs)
 # ---------------------------------------------------------------------------
 
-def _f_lemma_terms(f, kappa, eta_hat):
-    """(quad, pos, neg) of the f-lemma gap, which has no quadratic part."""
+def _f_lemma_kernel(f, speed, kappa):
+    """terms(η̂) → (quad, pos, neg) of the f-lemma gap, which has no quadratic part."""
     fi = grad_f(f, kappa)
     fv = eval_f(f, kappa)
-    pos = np.einsum("...i,...j,...ij->...", fi, 1.0 / kappa, eta_hat ** 2)
-    neg = np.einsum("...i,...ii->...", fi, eta_hat) ** 2 / fv
-    return 0.0, pos, neg
+    inv = 1.0 / kappa
+
+    def terms(eta_hat):
+        pos = np.einsum("...i,...j,...ij->...", fi, inv, eta_hat ** 2)
+        neg = np.einsum("...i,...ii->...", fi, eta_hat) ** 2 / fv
+        return 0.0, pos, neg
+    return terms
+
+
+def _urbas_kernel(f, speed, kappa):
+    """terms(η̂) → (quad, pos, neg) of the Urbas gap: f^{ij,kl} η̂ η̂ and twice the
+    f-lemma's terms.  f must be inverse-concave."""
+    if not f.inverse_concave:
+        raise WrongSpeed(f"the Urbas inequality needs an inverse-concave f, "
+                         f"got {f.name}")
+    lemma = _f_lemma_kernel(f, speed, kappa)
+    spectrum = _sf.d2F_spectrum(SpeedFunction(f, 1.0), kappa)
+
+    def terms(eta_hat):
+        _, pos, neg = lemma(eta_hat)
+        return _sf.d2F_quadratic_eigenframe(spectrum, eta_hat), 2.0 * pos, 2.0 * neg
+    return terms
+
+
+def _harnack_form_kernel(f, speed, kappa, delta=None):
+    """terms(η̂) → (quad, pos, neg) of the Harnack-form gap in the eigenframe."""
+    spectrum = _sf.d2F_spectrum(speed, kappa)
+    phi = spectrum[0]
+    inv = 1.0 / kappa
+    dFv = (speed.delta_default if delta is None else delta) * speed.value(kappa)
+
+    def terms(eta_hat):
+        quad = _sf.d2F_quadratic_eigenframe(spectrum, eta_hat)
+        pos = 2.0 * np.einsum("...i,...j,...ij->...", inv, phi, eta_hat ** 2)
+        neg = np.einsum("...i,...ii->...", phi, eta_hat) ** 2 / dFv
+        return quad, pos, neg
+    return terms
+
+
+def _fb_dominance_kernel(f, speed, kappa):
+    """terms(·) → (0, f/κ_i, f_i) per direction; the gap ignores η̂."""
+    fi = grad_f(f, kappa)
+    ratio = eval_f(f, kappa)[..., None] / kappa
+    return lambda eta_hat: (0.0, ratio, fi)
+
+
+def _gap(terms, eta_hat):
+    quad, pos, neg = terms(np.asarray(eta_hat, dtype=float))
+    return quad + pos - neg
 
 
 def f_lemma_gap(f: CurvatureFunction, kappa, eta_hat) -> np.ndarray:
     """Gap of (f^{ik} b^{jl} − f^{ij} f^{kl}/f) η η ≥ 0 in the eigenframe."""
-    quad, pos, neg = _f_lemma_terms(f, np.asarray(kappa, dtype=float),
-                                    np.asarray(eta_hat, dtype=float))
-    return quad + pos - neg
-
-
-def _urbas_terms(f, kappa, eta_hat):
-    """(quad, pos, neg) of the Urbas gap; f must be inverse-concave."""
-    if not f.inverse_concave:
-        raise WrongSpeed(f"the Urbas inequality needs an inverse-concave f, "
-                         f"got {f.name}")
-    fi = grad_f(f, kappa)
-    fv = eval_f(f, kappa)
-    quad = _sf.d2F_quadratic_eigenframe(SpeedFunction(f, 1.0), kappa, eta_hat)
-    pos = 2.0 * np.einsum("...i,...j,...ij->...", fi, 1.0 / kappa, eta_hat ** 2)
-    neg = 2.0 * np.einsum("...i,...ii->...", fi, eta_hat) ** 2 / fv
-    return quad, pos, neg
+    return _gap(_f_lemma_kernel(f, None, np.asarray(kappa, dtype=float)), eta_hat)
 
 
 def urbas_gap(f: CurvatureFunction, kappa, eta_hat) -> np.ndarray:
@@ -569,19 +604,7 @@ def urbas_gap(f: CurvatureFunction, kappa, eta_hat) -> np.ndarray:
 
     Valid for inverse-concave f; raises WrongSpeed otherwise.
     """
-    quad, pos, neg = _urbas_terms(f, np.asarray(kappa, dtype=float),
-                                  np.asarray(eta_hat, dtype=float))
-    return quad + pos - neg
-
-
-def _harnack_form_terms(speed, kappa, eta_hat, delta):
-    """(quad, pos, neg) of the Harnack-form gap in the eigenframe."""
-    phi = speed.dvalue(kappa)
-    Fv = speed.value(kappa)
-    quad = _sf.d2F_quadratic_eigenframe(speed, kappa, eta_hat)
-    pos = 2.0 * np.einsum("...i,...j,...ij->...", 1.0 / kappa, phi, eta_hat ** 2)
-    neg = np.einsum("...i,...ii->...", phi, eta_hat) ** 2 / (delta * Fv)
-    return quad, pos, neg
+    return _gap(_urbas_kernel(f, None, np.asarray(kappa, dtype=float)), eta_hat)
 
 
 def harnack_form_gap(F, g, h, eta, delta: Optional[float] = None) -> np.ndarray:
@@ -595,27 +618,26 @@ def harnack_form_gap(F, g, h, eta, delta: Optional[float] = None) -> np.ndarray:
     2αf^{α−1}·f_lemma_gap(f, ·), each nonnegative.
     """
     speed = _sf._as_speed(F)
-    if delta is None:
-        delta = speed.delta_default
     kappa, T = _sf.weingarten_eigensystem(g, h)
     eta_hat = _sf._to_eigenframe(T, np.asarray(eta, dtype=float))
-    quad, pos, neg = _harnack_form_terms(speed, kappa, eta_hat, delta)
-    return quad + pos - neg
+    return _gap(_harnack_form_kernel(speed.f, speed, kappa, delta), eta_hat)
 
 
 def fb_dominance(f: CurvatureFunction, kappa) -> np.ndarray:
     """min_i (f/κ_i − f_i): monotone 1-homogeneous f dominates each Euler term."""
-    kappa = np.asarray(kappa, dtype=float)
-    fi = grad_f(f, kappa)
-    fv = eval_f(f, kappa)
-    return np.min(fv[..., None] / kappa - fi, axis=-1)
+    _, ratio, fi = _fb_dominance_kernel(f, None, np.asarray(kappa, dtype=float))(None)
+    return np.min(ratio - fi, axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # randomized scans
 # ---------------------------------------------------------------------------
 
-SCAN_INEQUALITIES = ("f-lemma", "urbas", "harnack-form", "fb-dominance")
+# One kernel per scanned inequality, in report order.
+SCAN_KERNELS = {"f-lemma": _f_lemma_kernel, "urbas": _urbas_kernel,
+                "harnack-form": _harnack_form_kernel,
+                "fb-dominance": _fb_dominance_kernel}
+SCAN_INEQUALITIES = tuple(SCAN_KERNELS)
 
 # Samples drawn per _scan_once call, and the log-uniform range of each κᵢ;
 # changing either changes every scan result.
@@ -655,62 +677,49 @@ def sample_metric_pair(rng, samples: int, n: int, kappa):
 
 
 def _scan_once(inequality, f, speed, rng, samples, n):
+    """Worst normalized gap of one batch, then the gap at its equality witness."""
     kappa, eta_hat = sample_kappa_eta(rng, samples, n)
-    if inequality == "fb-dominance":
-        fi = grad_f(f, kappa)
-        fv = eval_f(f, kappa)
-        ratio = (fv[..., None] / kappa - fi) / (fv[..., None] / kappa + fi)
-        return float(ratio.min()), 0.0
-    if inequality == "f-lemma":
-        quad, pos, neg = _f_lemma_terms(f, kappa, eta_hat)
-        wit = f_lemma_gap(f, kappa, _diag_of(kappa))
-    elif inequality == "urbas":
-        quad, pos, neg = _urbas_terms(f, kappa, eta_hat)
-        wit = urbas_gap(f, kappa, _diag_of(kappa))
-    elif inequality == "harnack-form":
+    general = inequality == "harnack-form"
+    if general:
         # Exercised through general-position (g, h) pairs rather than the
         # eigenframe: the sampled η is a coordinate matrix here.  One
         # eigensolve serves both η and the equality witness η = h.
         g, h = sample_metric_pair(rng, samples, n, kappa)
-        kap, T = _sf.weingarten_eigensystem(g, h)
-        delta = speed.delta_default
-        quad, pos, neg = _harnack_form_terms(speed, kap, _sf._to_eigenframe(T, eta_hat),
-                                             delta)
-        wq, wp, wn = _harnack_form_terms(speed, kap, _sf._to_eigenframe(T, h), delta)
-        wit = wq + wp - wn
-    else:
-        raise ConfigError(f"unknown inequality {inequality!r}; "
-                          f"known: {SCAN_INEQUALITIES}")
-    normalized = (quad + pos - neg) / np.maximum(np.abs(quad) + pos + neg, 1e-300)
-    return float(normalized.min()), float(np.max(np.abs(wit)))
-
-
-def _diag_of(kappa):
-    out = np.zeros(kappa.shape + (kappa.shape[-1],))
-    idx = np.arange(kappa.shape[-1])
-    out[..., idx, idx] = kappa
-    return out
+        kappa, T = _sf.weingarten_eigensystem(g, h)
+        eta_hat = _sf._to_eigenframe(T, eta_hat)
+    terms = SCAN_KERNELS[inequality](f, speed, kappa)
+    quad, pos, neg = terms(eta_hat)
+    worst = float(((quad + pos - neg)
+                   / np.maximum(np.abs(quad) + pos + neg, 1e-300)).min())
+    if inequality == "fb-dominance":
+        return worst, 0.0
+    witness = _sf._to_eigenframe(T, h) if general else _sf._diag_embed(kappa)
+    return worst, float(np.max(np.abs(_gap(terms, witness))))
 
 
 def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
                       samples: int = 100_000, seed: int = 20260817,
-                      f: Optional[CurvatureFunction] = None,
                       speed: Optional[SpeedFunction] = None) -> list:
     """Randomized certification scans of the pointwise matrix inequalities.
 
-    One SeedSequence child per (inequality, n) task keeps results
-    reproducible and independent of task order.  Returns ScanReports with
-    the worst normalized gap over all samples and the equality-witness
-    check at η̂ = diag(κ).
+    Scans f = speed.f (speed defaults to the mean curvature H).  Unknown
+    tags, samples < 1 and empty or non-positive dimensions raise ConfigError
+    before any sample is drawn.  One SeedSequence child per (inequality, n)
+    task keeps results reproducible and independent of task order.  Returns
+    ScanReports with the worst normalized gap over all samples and the
+    equality-witness check at η̂ = diag(κ).
     """
+    bad = [iq for iq in inequalities if iq not in SCAN_KERNELS]
+    if bad:
+        raise ConfigError(f"unknown inequality tag(s) {bad}; "
+                          f"known: {list(SCAN_INEQUALITIES)}")
     if samples < 1 or not inequalities or not n_values or min(n_values) < 1:
         raise ConfigError(
             f"a scan needs samples >= 1, an inequality and dimensions >= 1, got "
             f"samples = {samples}, {tuple(inequalities)} and {tuple(n_values)}")
-    if f is None:
-        f = _sf.mean()
     if speed is None:
-        speed = SpeedFunction(f, 1.0)
+        speed = SpeedFunction(_sf.mean(), 1.0)
+    f = speed.f
     tasks = [(ineq, n) for ineq in inequalities for n in n_values]
     children = np.random.SeedSequence(seed).spawn(len(tasks))
     reports = []
@@ -733,10 +742,6 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
 # ---------------------------------------------------------------------------
 # scalar ζ-conditions for the strong sphere estimate (F = H^p)
 # ---------------------------------------------------------------------------
-
-ZETA_CONDITION_KEYS = ("correction-size", "correction-square",
-                       "correction-slope", "gradient-term", "closure-identity")
-
 
 def zeta_conditions(p: float, n: int, H_values) -> dict:
     """The five scalar conditions behind the strong sphere estimate.

@@ -174,11 +174,10 @@ def test_criterion_6_inequality_scans(certify):
     """1e5-sample randomized scans of the four matrix inequalities stay above
     the -1e-10 gap floor with equality witnesses below 1e-8."""
     reports = list(V.scan_inequalities())
-    reports += V.scan_inequalities(inequalities=("urbas",), f=harmonic_mean(),
+    reports += V.scan_inequalities(inequalities=("urbas",),
                                    speed=SpeedFunction(harmonic_mean(), 0.5))
     reports += V.scan_inequalities(
-        inequalities=("f-lemma", "harnack-form", "fb-dominance"),
-        f=norm(), speed=NORM(0.5))
+        inequalities=("f-lemma", "harnack-form", "fb-dominance"), speed=NORM(0.5))
     gap = min(rep.min_normalized_gap for rep in reports)
     wit = max(rep.witness_max_abs_gap for rep in reports)
     n_rep = len(reports)

@@ -2,7 +2,9 @@
 attributes from outside, so renaming or bypassing one of them breaks the
 benchmark without failing any library test.  Run the benchmark's child once
 per workload subcommand, traced, on a tiny config, and require that each
-patch point still sees calls."""
+patch point still sees calls.  The scan child's counters are pinned exactly:
+the tracer reads the tag and the batch size of verify._scan_once by position,
+so reordering its arguments changes them."""
 
 import json
 import subprocess
@@ -24,6 +26,10 @@ CASES = {
                           "symfunc.eigensystem.calls"),
 }
 
+# four inequalities x two dimensions x 200 samples; harnack-form's 2 x 200 eigensolves
+EXACT = {"scan-inequalities": {"verify.scan.samples": 1600,
+                               "symfunc.eigensystem.matrices": 400}}
+
 
 @pytest.mark.parametrize("sub", CASES)
 def test_traced_child_reaches_its_patch_point(tmp_path, sub):
@@ -40,3 +46,5 @@ def test_traced_child_reaches_its_patch_point(tmp_path, sub):
     report = json.loads(result.read_text(encoding="utf-8"))
     assert report["exit_code"] == 0
     assert report["layers"][counter] > 0
+    for key, value in EXACT.get(sub, {}).items():
+        assert report["layers"][key] == value, key

@@ -150,7 +150,7 @@ def test_second_derivative_tensor_matches_the_polarized_eigenframe_form(speed, a
 
     def q(X):
         eta_hat = np.einsum("nia,nij,njb->nab", st.eigT, X, st.eigT)
-        return sf.d2F_quadratic_eigenframe(speed, st.kappa, eta_hat)
+        return sf.d2F_quadratic_eigenframe(sf.d2F_spectrum(speed, st.kappa), eta_hat)
 
     npt.assert_allclose(st.d2F_bilinear(A, C), 0.25 * (q(A + C) - q(A - C)), rtol=1e-10)
     d2F = st.d2F

@@ -175,6 +175,10 @@ def test_ladder_rejects_bad_input_before_running_a_flow(monkeypatch):
         V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta", "nope"), levels=(24, 48))
     with pytest.raises(ConfigError, match="two grid levels"):
         V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta",), levels=(24,))
+    with pytest.raises(ConfigError, match="two grid levels"):
+        V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta",), levels=(32, 32))
+    with pytest.raises(ConfigError, match="repeated identity tag.*'beta'"):
+        V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta", "beta"), levels=(24, 48))
 
 
 def test_ladder_refuses_expanding_speed_on_the_sphere_before_running_a_flow(monkeypatch):
@@ -395,16 +399,45 @@ def test_harnack_form_scan_solves_one_eigensystem_per_batch(monkeypatch):
     assert gap > -1e-10 and wit < 1e-8
 
 
+def test_scan_rejects_an_unknown_inequality_before_drawing_a_sample(monkeypatch):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the roster was checked")
+
+    monkeypatch.setattr(V, "sample_kappa_eta", no_sample)
+    with pytest.raises(ConfigError, match="bogus"):
+        V.scan_inequalities(("f-lemma", "bogus"))
+
+
+def test_scan_evaluates_the_speed_derivatives_once_per_batch(monkeypatch):
+    calls = {"dvalue": 0, "d2value": 0}
+    for name in calls:
+        method = getattr(SpeedFunction, name)
+
+        def counting(self, kappa, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, kappa)
+        monkeypatch.setattr(SpeedFunction, name, counting)
+    V.scan_inequalities(n_values=(2, 3, 5), samples=2000, seed=1)
+    # urbas and harnack-form each build one spectrum per batch, three batches each
+    assert calls == {"dvalue": 6, "d2value": 6}
+
+
+def test_scan_reports_the_curvature_function_of_the_speed():
+    speed = SpeedFunction(harmonic_mean(), 0.5)
+    reps = V.scan_inequalities(("fb-dominance", "urbas"), n_values=(2,), samples=100,
+                               seed=1, speed=speed)
+    assert [r.f_name for r in reps] == [speed.f.name] * 2
+
+
 def test_scan_default_roster_rejects_non_inverse_concave_f():
     with pytest.raises(WrongSpeed):
-        V.scan_inequalities(n_values=(2,), samples=200, seed=1,
-                            f=norm(), speed=NORM_HALF)
+        V.scan_inequalities(n_values=(2,), samples=200, seed=1, speed=NORM_HALF)
 
 
 def test_scan_explicit_roster_runs_for_norm():
     reps = V.scan_inequalities(
         inequalities=("f-lemma", "harnack-form", "fb-dominance"),
-        n_values=(2,), samples=500, seed=1, f=norm(), speed=NORM_HALF)
+        n_values=(2,), samples=500, seed=1, speed=NORM_HALF)
     assert [r.inequality for r in reps] == ["f-lemma", "harnack-form",
                                             "fb-dominance"]
     for rep in reps:
