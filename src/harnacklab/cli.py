@@ -22,6 +22,7 @@ failed its positivity or threshold requirement.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -107,17 +108,18 @@ _COMMON = {
     **_SPEED,
 }
 
+_STEPPING_CASTS = {"dt": _cast_opt_float, "store_every": _cast_int, "safety": _cast_float,
+                   "max_kappa": _cast_float, "min_radius": _cast_float}
+
 _FLOW = {
     "n_nodes": (_cast_int, 128),
     "radius": (_cast_opt_float, None),
     "amplitude": (_cast_float, 0.0),
     "mode": (_cast_int, 2),
     "t_end": (_cast_float, 0.1),
-    "dt": (_cast_opt_float, None),
-    "store_every": (_cast_int, 1),
-    "safety": (_cast_float, 0.2),
-    "max_kappa": (_cast_float, 1e4),
-    "min_radius": (_cast_float, 0.0),
+    # the stepping knobs take FlowConfig's own defaults
+    **{fld.name: (_STEPPING_CASTS[fld.name], fld.default)
+       for fld in dataclasses.fields(FlowConfig) if fld.name in _STEPPING_CASTS},
 }
 
 SCHEMAS = {

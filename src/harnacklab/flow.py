@@ -12,6 +12,15 @@ construction), so |c| is a first integral of the extended system; markers are
 renormalized once per completed step, which only removes the O(Δt⁵)
 integrator drift and keeps the scheme fourth-order.
 
+An adaptive run (dt=None) takes Δt = safety · RK4_LIMIT · ds_min² / max Φ'.
+RK4_LIMIT · ds_min² / max Φ' is the largest step for which RK4 stays stable
+on the frozen-coefficient linearization ∂ₜψ = Φ'ᵢ ∂²ψ/∂sᵢ² discretized by
+periodic_d2, and safety ∈ (0, 1] is the fraction of it taken.  The bound is
+invariant under parabolic rescaling, so a rescaled problem takes the same
+number of steps.  An adaptive step that leaves the convex cone is retried
+once at half its size; a fixed step that does so raises StabilityViolation,
+since the flow itself keeps convex surfaces convex.
+
 Round spheres stay round: their radius obeys ṙ = −F(cot r) (c = 1) or
 ṙ = −F(1/r) (c = 0), which is solved in closed form: for spherical p ≠ 1
 the lifespan integral is an incomplete beta function, summed as a series and
@@ -40,6 +49,11 @@ STATE_RTOL = 1e-9
 # Step budget of one grid run; exhausting it raises StabilityViolation.
 MAX_STEPS = 2_000_000
 
+# RK4's stability interval on the negative real axis (2.785…) over the
+# largest |eigenvalue|·ds² of periodic_d2, reached at the Nyquist mode:
+# (2·2 + 27·2 + 270·2 + 490)/180 = 1088/180 ≈ 6.044.
+RK4_LIMIT = 2.785 / (1088.0 / 180.0)
+
 SERIES_TERMS = 60     # terms of each power series in _tan_power_integral
 
 # Newton budget of one radius query; the worst seen (1e-15 of the lifespan
@@ -52,11 +66,17 @@ class FlowConfig:
     """Everything run() needs: ambient, speed, initial data and stepping knobs.
 
     dt=None selects the adaptive parabolic step
-    Δt = safety · ds_min² / max(tr(Ḟ)·κ_max); an explicit dt is kept fixed
-    (except for a final partial step onto t_end), which is what the
-    convergence ladders use.  The run stops at the curvature cap max_kappa
-    (positive and finite) and at the radius floor min_radius (finite, 0 for
-    none).  Expanding speeds raise UnsupportedAmbient on the sphere.
+    Δt = safety · RK4_LIMIT · ds_min² / max Φ', where ds_min is the shortest
+    marker spacing, max Φ' = max ∂F/∂κᵢ over the nodes and the principal
+    directions, and safety ∈ (0, 1] is the fraction of RK4's stability limit
+    that is used.  An adaptive step that leaves the convex cone is retried
+    once at Δt/2 (counted in Trajectory.rejected_steps); if that fails too
+    the run ends as "convexity-lost".  An explicit dt is kept fixed (except
+    for a final partial step onto t_end), which is what the convergence
+    ladders use; a fixed step that leaves the cone raises StabilityViolation.
+    The run stops at the curvature cap max_kappa (positive and finite) and
+    at the radius floor min_radius (finite, 0 for none).  Expanding speeds
+    raise UnsupportedAmbient on the sphere.
     """
 
     ambient: AmbientSpace
@@ -64,7 +84,7 @@ class FlowConfig:
     initial: Union[GeodesicSphere, np.ndarray]  # grid-free sphere or (N, d) markers
     t_end: float
     dt: Optional[float] = None
-    safety: float = 0.2
+    safety: float = 0.8
     store_every: int = 1
     max_kappa: float = 1e4
     min_radius: float = 0.0
@@ -97,12 +117,14 @@ class Trajectory:
     steps[i], the step at times[i], is what geometry.assemble reads: an
     (N, d) marker array, or a GeodesicSphere on the grid-free tier.  states
     and state_at assemble a step the first time it is read and keep it.
+    rejected_steps counts adaptive steps retried at half size.
     """
 
     config: FlowConfig
     times: np.ndarray
     steps: list
     termination: str
+    rejected_steps: int = 0
     _assembled: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -152,6 +174,13 @@ def _rk4(ambient, speed, markers, dt, k1):
     return _project(ambient, out)
 
 
+def _advance(ambient, speed, markers, dt, k1):
+    """One RK4 step and the geometry of its result: (markers, E, normal, kappa)."""
+    stepped = _rk4(ambient, speed, markers, dt, k1)
+    _, _, E, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, stepped)
+    return stepped, E, normal, kappa
+
+
 def _min_extent(ambient, markers):
     """Smallest distance from a marker to the surface's rough center."""
     if ambient.c == 1:
@@ -165,12 +194,14 @@ def _min_extent(ambient, markers):
 def run(config: FlowConfig) -> Trajectory:
     """Integrate the flow from the configured initial data.
 
-    Stops at t_end ("completed") or earlier when convexity fails, the
+    Stops at t_end ("completed") or earlier when an adaptive step and its
+    half-size retry both leave the convex cone ("convexity-lost"), the
     curvature cap is reached, or the surface shrinks below the radius floor.
     Every step's markers go through _profile_geometry, whose output also
     drives the next step; the markers of every store_every-th step and of
     the last completed step are stored, and nothing is assembled here.
-    Non-convex initial data raises ConvexityLost, and a marker grid that
+    Non-convex initial data raises ConvexityLost, a fixed-dt step that
+    leaves the cone raises StabilityViolation, and a marker grid that
     degenerates raises DegenerateGrid at the step where it does.
     """
     if isinstance(config.initial, GeodesicSphere):
@@ -188,7 +219,7 @@ def run(config: FlowConfig) -> Trajectory:
     _, _, E, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, markers)
     times, steps = [0.0], [initial]
     termination = "completed"
-    t, steps_done = 0.0, 0
+    t, steps_done, rejected = 0.0, 0, 0
 
     while True:
         remaining = config.t_end - t
@@ -210,16 +241,25 @@ def run(config: FlowConfig) -> Trajectory:
             dt = min(config.dt, remaining)
         else:
             ds_min = math.sqrt(float(E.min())) * (2.0 * np.pi / markers.shape[0])
-            stiffness = float((np.sum(speed.dvalue(kappa), axis=1) * kappa.max(axis=1)).max())
-            dt = config.safety * ds_min ** 2 / max(stiffness, 1e-300)
+            phi_max = float(speed.dvalue(kappa).max())
+            dt = config.safety * RK4_LIMIT * ds_min ** 2 / max(phi_max, 1e-300)
             dt = min(dt, remaining)
 
+        k1 = -F[:, None] * normal
         try:
-            stepped = _rk4(ambient, speed, markers, dt, -F[:, None] * normal)
-            _, _, E, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, stepped)
+            stepped, E, normal, kappa = _advance(ambient, speed, markers, dt, k1)
         except ConvexityLost:
-            termination = "convexity-lost"
-            break
+            if config.dt is not None:
+                raise StabilityViolation(
+                    f"a step of dt = {dt:g} from t = {t:g} left the convex cone; "
+                    f"the fixed dt is too large") from None
+            rejected += 1
+            dt *= 0.5
+            try:
+                stepped, E, normal, kappa = _advance(ambient, speed, markers, dt, k1)
+            except ConvexityLost:
+                termination = "convexity-lost"
+                break
         markers, t = stepped, t + dt
         steps_done += 1
         if steps_done % config.store_every == 0:
@@ -230,7 +270,7 @@ def run(config: FlowConfig) -> Trajectory:
         steps.append(markers)
 
     return Trajectory(config=config, times=np.array(times), steps=steps,
-                      termination=termination)
+                      termination=termination, rejected_steps=rejected)
 
 
 def _run_umbilic(config: FlowConfig) -> Trajectory:

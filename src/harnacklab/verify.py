@@ -552,12 +552,16 @@ def _f_lemma_kernel(f, speed, kappa):
     return terms
 
 
-def _urbas_kernel(f, speed, kappa):
-    """terms(η̂) → (quad, pos, neg) of the Urbas gap: f^{ij,kl} η̂ η̂ and twice the
-    f-lemma's terms.  f must be inverse-concave."""
+def _require_inverse_concave(f):
     if not f.inverse_concave:
         raise WrongSpeed(f"the Urbas inequality needs an inverse-concave f, "
                          f"got {f.name}")
+
+
+def _urbas_kernel(f, speed, kappa):
+    """terms(η̂) → (quad, pos, neg) of the Urbas gap: f^{ij,kl} η̂ η̂ and twice the
+    f-lemma's terms.  f must be inverse-concave."""
+    _require_inverse_concave(f)
     lemma = _f_lemma_kernel(f, speed, kappa)
     spectrum = _sf.d2F_spectrum(SpeedFunction(f, 1.0), kappa)
 
@@ -703,8 +707,9 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
     """Randomized certification scans of the pointwise matrix inequalities.
 
     Scans f = speed.f (speed defaults to the mean curvature H).  Unknown
-    tags, samples < 1 and empty or non-positive dimensions raise ConfigError
-    before any sample is drawn.  One SeedSequence child per (inequality, n)
+    tags, samples < 1 and empty or non-positive dimensions raise ConfigError,
+    and urbas for an f that is not inverse-concave raises WrongSpeed, before
+    any sample is drawn.  One SeedSequence child per (inequality, n)
     task keeps results reproducible and independent of task order.  Returns
     ScanReports with the worst normalized gap over all samples and the
     equality-witness check at η̂ = diag(κ).
@@ -720,6 +725,8 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
     if speed is None:
         speed = SpeedFunction(_sf.mean(), 1.0)
     f = speed.f
+    if "urbas" in inequalities:
+        _require_inverse_concave(f)
     tasks = [(ineq, n) for ineq in inequalities for n in n_values]
     children = np.random.SeedSequence(seed).spawn(len(tasks))
     reports = []

@@ -4,7 +4,8 @@ benchmark without failing any library test.  Run the benchmark's child once
 per workload subcommand, traced, on a tiny config, and require that each
 patch point still sees calls.  The scan child's counters are pinned exactly:
 the tracer reads the tag and the batch size of verify._scan_once by position,
-so reordering its arguments changes them."""
+so reordering its arguments changes them.  The simulate child's step count is
+pinned too, so a change to the adaptive step bound shows here."""
 
 import json
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 CASES = {
-    "simulate": ({"exponent": 0.5, "n_nodes": 32, "amplitude": 0.05, "t_end": 0.01},
+    "simulate": ({"exponent": 0.5, "n_nodes": 64, "amplitude": 0.05, "t_end": 0.1},
                  "geometry.rhs.calls"),
     "verify-evolution": ({"speed": "norm", "exponent": 0.5, "levels": "32,64",
                           "t_check": 2e-3, "identities": "sff-box,beta,grad-commutator"},
@@ -26,9 +27,11 @@ CASES = {
                           "symfunc.eigensystem.calls"),
 }
 
-# four inequalities x two dimensions x 200 samples; harnack-form's 2 x 200 eigensolves
+# four inequalities x two dimensions x 200 samples; harnack-form's 2 x 200 eigensolves.
+# The adaptive simulate run takes 24 RK4 steps to t = 0.1.
 EXACT = {"scan-inequalities": {"verify.scan.samples": 1600,
-                               "symfunc.eigensystem.matrices": 400}}
+                               "symfunc.eigensystem.matrices": 400},
+         "simulate": {"flow.steps": 24}}
 
 
 @pytest.mark.parametrize("sub", CASES)

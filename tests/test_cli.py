@@ -162,6 +162,15 @@ def test_simulate_nonconvex_start_exits_convexity(tmp_path, capsys):
     assert "convex" in capsys.readouterr().err.lower()
 
 
+def test_simulate_fixed_dt_blow_up_exits_instability(tmp_path, capsys):
+    """dt = 1e-2 is far beyond RK4's limit at N = 64: a blow-up, not convexity loss."""
+    cfg = write_cfg(tmp_path, exponent=1.0, amplitude=0.05, n_nodes=64,
+                    dt=1e-2, t_end=0.05)
+    assert run_cli("simulate", cfg, tmp_path / "out") == cli.EXIT_INSTABILITY
+    err = capsys.readouterr().err
+    assert "dt = 0.01" in err and "t = 0.03" in err
+
+
 def test_monitor_positive_floor(tmp_path):
     cfg = write_cfg(tmp_path, exponent=0.5, amplitude=0.05, mode=2,
                     n_nodes=32, t_end=0.02, dt=1e-3, store_every=5)

@@ -244,6 +244,61 @@ def test_grid_flow_stores_at_cadence():
     npt.assert_allclose(times[-1], 0.02, rtol=1e-9)
 
 
+def _record_steps(monkeypatch, failures=0):
+    """Record the dt of every RK4 step; the first `failures` steps leave the cone."""
+    dts = []
+    real = flow._rk4
+
+    def recorded(ambient, speed, markers, dt, k1):
+        dts.append(dt)
+        if len(dts) <= failures:
+            raise ConvexityLost("injected")
+        return real(ambient, speed, markers, dt, k1)
+    monkeypatch.setattr(flow, "_rk4", recorded)
+    return dts
+
+
+def test_adaptive_step_count_is_scale_invariant(monkeypatch):
+    """Mean-curvature spheres of radius 0.1, 1 and 10 are one problem up to parabolic
+    rescaling, so each takes the same number of steps to half its lifespan."""
+    dts = _record_steps(monkeypatch)
+    counts = []
+    for r0 in (0.1, 1.0, 10.0):
+        before = len(dts)
+        t_end = 0.5 * flow.sphere_ode_solution(FLAT, _speed(1.0), r0).t_extinction
+        traj = flow.run(flow.FlowConfig(FLAT, _speed(1.0), geo.markers_from_radial(FLAT, r0, 64),
+                                        t_end=t_end, store_every=1000))
+        assert traj.termination == "completed" and traj.rejected_steps == 0
+        counts.append(len(dts) - before)
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_adaptive_run_reaches_the_curvature_cap_near_extinction(monkeypatch):
+    """A perturbed sphere dying near t = 0.174 reaches κ = 1e4 in under 2,000 steps."""
+    dts = _record_steps(monkeypatch)
+    mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 64)
+    traj = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=0.2, store_every=1000))
+    assert traj.termination == "curvature-cap"
+    assert 0.17 < traj.times[-1] < 0.175
+    assert len(dts) < 2_000
+
+
+def test_adaptive_step_that_leaves_the_cone_is_retried_at_half_size(monkeypatch):
+    dts = _record_steps(monkeypatch, failures=1)
+    traj = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 32),
+                                    t_end=0.005))
+    assert traj.termination == "completed" and traj.rejected_steps == 1
+    assert dts[1] == 0.5 * dts[0] == traj.times[1]
+
+
+def test_adaptive_step_whose_retry_fails_ends_the_run(monkeypatch):
+    _record_steps(monkeypatch, failures=2)
+    traj = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 32),
+                                    t_end=0.005))
+    assert traj.termination == "convexity-lost" and traj.rejected_steps == 1
+    assert list(traj.times) == [0.0]
+
+
 def test_nonconvex_initial_data_raises():
     mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.3, 4), 48)
     cfg = flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=0.01)

@@ -408,6 +408,14 @@ def test_scan_rejects_an_unknown_inequality_before_drawing_a_sample(monkeypatch)
         V.scan_inequalities(("f-lemma", "bogus"))
 
 
+def test_scan_refuses_urbas_for_non_inverse_concave_f_before_scanning(monkeypatch):
+    calls = []
+    monkeypatch.setattr(V, "_scan_once", lambda *args: calls.append(args[0]))
+    with pytest.raises(WrongSpeed, match="inverse-concave"):
+        V.scan_inequalities(("f-lemma", "urbas"), speed=NORM_HALF)
+    assert calls == []
+
+
 def test_scan_evaluates_the_speed_derivatives_once_per_batch(monkeypatch):
     calls = {"dvalue": 0, "d2value": 0}
     for name in calls:
