@@ -313,18 +313,23 @@ def weingarten_eigensystem(g, h):
     """Principal curvatures and a g-orthonormal eigenbasis of g⁻¹h.
 
     Returns (κ, T) with κ ascending, Tᵀ g T = 1 and (g⁻¹h) T = T diag(κ).
-    Computed through the Cholesky factor g = LLᵀ so that the symmetric
-    eigenproblem is solved for L⁻¹ h L⁻ᵀ.
+    With the Cholesky factor g = LLᵀ and its inverse Li = L⁻¹, formed once,
+    the symmetric matrix A = Li h Liᵀ (symmetrized against rounding) has the
+    eigendecomposition A = U diag(κ) Uᵀ, and T = Liᵀ U.  A metric that is
+    not positive definite raises ConfigError.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
-    L = np.linalg.cholesky(g)
-    A = np.linalg.solve(L, h)
-    A = np.linalg.solve(L, np.swapaxes(A, -1, -2))
+    try:
+        L = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise ConfigError("the metric g is not positive definite") from None
+    Li = np.linalg.inv(L)
+    LiT = np.swapaxes(Li, -1, -2)
+    A = Li @ h @ LiT
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     kappa, U = np.linalg.eigh(A)
-    T = np.linalg.solve(np.swapaxes(L, -1, -2), U)
-    return kappa, T
+    return kappa, LiT @ U
 
 
 def dF_matrix(F, g, h) -> np.ndarray:
@@ -372,13 +377,13 @@ def d2F_quadratic_eigenframe(spectrum, eta_hat):
     """F^{ij,kl} η̂ η̂ for η̂ in the eigenframe, from a given d2F_spectrum at κ."""
     _, hess, dd = spectrum
     ed = np.einsum("...aa->...a", eta_hat)
-    quad = np.einsum("...ab,...a,...b->...", hess, ed, ed)
-    return quad + np.einsum("...ab,...ab->...", dd, eta_hat ** 2)
+    quad = ((hess @ ed[..., None])[..., 0] * ed).sum(axis=-1)
+    return quad + (dd * eta_hat ** 2).sum(axis=(-2, -1))
 
 
 def _to_eigenframe(T, X):
     """η̂ = Tᵀ X T: a covariant symmetric matrix in the Weingarten eigenframe."""
-    return np.einsum("...ia,...ij,...jb->...ab", T, X, T)
+    return np.swapaxes(T, -1, -2) @ X @ T
 
 
 def d2F_from_eig(speed, kappa, T):

@@ -675,7 +675,7 @@ def sample_metric_pair(rng, samples: int, n: int, kappa):
     g = A @ np.swapaxes(A, 1, 2) + n * np.eye(n)[None]
     L = np.linalg.cholesky(g)
     Q, _ = np.linalg.qr(rng.standard_normal((samples, n, n)))
-    core = np.einsum("nia,na,nja->nij", Q, kappa, Q)
+    core = (Q * kappa[:, None, :]) @ np.swapaxes(Q, 1, 2)
     h = L @ core @ np.swapaxes(L, 1, 2)
     return g, h
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harnacklab import symfunc as sf
+from harnacklab import verify as V
 from harnacklab.errors import ConfigError, ConvexityLost
 
 
@@ -186,21 +187,59 @@ def _random_pair(rng, n, batch=()):
     return g, h
 
 
-def test_weingarten_eigensystem_reconstructs():
-    rng = np.random.default_rng(5)
-    g, h = _random_pair(rng, 3, batch=(40,))
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_weingarten_eigensystem_reconstructs(n):
+    """General-position pairs with prescribed κ, log-uniform over the scan range."""
+    rng = np.random.default_rng(5 + n)
+    lo, hi = np.log(V.KAPPA_RANGE)
+    kappa_in = np.exp(rng.uniform(lo, hi, size=(500, n)))
+    g, h = V.sample_metric_pair(rng, 500, n, kappa_in)
     kappa, T = sf.weingarten_eigensystem(g, h)
-    assert np.all(kappa > 0)
-    # columns are g-orthonormal and diagonalize h
+    scale = kappa_in.max(axis=1)[:, None]
+    # columns are g-orthonormal and diagonalize h to the prescribed spectrum
+    assert np.all(np.diff(kappa, axis=1) >= 0.0)
+    npt.assert_allclose(kappa / scale, np.sort(kappa_in, axis=1) / scale,
+                        rtol=0, atol=1e-13)
     npt.assert_allclose(np.einsum("nia,nij,njb->nab", T, g, T),
-                        np.broadcast_to(np.eye(3), (40, 3, 3)), atol=1e-12)
-    npt.assert_allclose(np.einsum("nia,nij,njb->nab", T, h, T),
-                        kappa[:, None, :] * np.broadcast_to(np.eye(3), (40, 3, 3)),
-                        atol=1e-11)
-    # Weingarten eigenvalues agree with the generalized spectrum
-    w = np.einsum("nij,njk->nik", np.linalg.inv(g), h)
-    npt.assert_allclose(np.sort(np.linalg.eigvals(w).real, axis=1),
-                        np.sort(kappa, axis=1), rtol=1e-10)
+                        np.broadcast_to(np.eye(n), (500, n, n)), rtol=0, atol=1e-13)
+    npt.assert_allclose(np.einsum("nia,nij,njb->nab", T, h, T) / scale[:, :, None],
+                        sf._diag_embed(kappa / scale), rtol=0, atol=1e-13)
+
+
+def test_weingarten_eigensystem_refuses_an_indefinite_metric():
+    eta = np.array([[0.3, 0.1], [0.1, -0.2]])
+    with pytest.raises(ConfigError, match="metric g is not positive definite"):
+        V.harnack_form_gap(sf.SpeedFunction(sf.mean(), 0.5),
+                           np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), eta)
+
+
+def test_to_eigenframe_matches_the_einsum_contraction():
+    rng = np.random.default_rng(29)
+    for n in (2, 3, 5):
+        T = rng.normal(size=(200, n, n))
+        X = rng.normal(size=(200, n, n))
+        X = X + X.swapaxes(1, 2)
+        oracle = np.einsum("...ia,...ij,...jb->...ab", T, X, T)
+        npt.assert_allclose(sf._to_eigenframe(T, X), oracle, rtol=1e-14,
+                            atol=1e-14 * np.abs(oracle).max())
+
+
+def test_d2F_quadratic_eigenframe_matches_the_einsum_form():
+    """Coincident eigenvalues in the batch exercise the divided-difference limit."""
+    rng = np.random.default_rng(31)
+    kappa = np.exp(rng.uniform(-2.0, 2.0, size=(300, 3)))
+    kappa[:100, 1] = kappa[:100, 0]
+    kappa[100:150] = kappa[100:150, :1]
+    eta_hat = rng.normal(size=(300, 3, 3))
+    eta_hat = eta_hat + eta_hat.swapaxes(1, 2)
+    spectrum = sf.d2F_spectrum(sf.SpeedFunction(sf.norm(), 0.5), kappa)
+    _, hess, dd = spectrum
+    assert np.all(np.isfinite(dd)) and np.any(dd[:150, 0, 1] != 0.0)
+    ed = np.einsum("...aa->...a", eta_hat)
+    oracle = np.einsum("...ab,...a,...b->...", hess, ed, ed) \
+        + np.einsum("...ab,...ab->...", dd, eta_hat ** 2)
+    npt.assert_allclose(sf.d2F_quadratic_eigenframe(spectrum, eta_hat), oracle,
+                        rtol=1e-13, atol=1e-13 * np.abs(oracle).max())
 
 
 def test_dF_matrix_power_composition():

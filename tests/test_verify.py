@@ -384,6 +384,34 @@ def test_scan_is_deterministic_for_fixed_seed():
         assert rep.witness_max_abs_gap < 1e-8
 
 
+# (min_normalized_gap, witness_max_abs_gap) of scan_inequalities(samples=2000,
+# seed=7), recorded with the einsum forms of the eigenframe products.  A
+# rewrite that only reorders roundings may move a gap by rounding, no more.
+FROZEN_SCAN_GAPS = {
+    ("f-lemma", 2): (0.000809307644816533, 2.842170943040401e-14),
+    ("f-lemma", 3): (0.16674838761669672, 2.842170943040401e-14),
+    ("f-lemma", 5): (0.4191116650934092, 5.684341886080802e-14),
+    ("urbas", 2): (0.0006086395946332899, 5.684341886080802e-14),
+    ("urbas", 3): (0.1353339405098816, 1.1368683772161603e-13),
+    ("urbas", 5): (0.5328398875346204, 5.684341886080802e-14),
+    ("harnack-form", 2): (0.0014925001125720163, 5.684341886080802e-14),
+    ("harnack-form", 3): (0.13831387993160565, 1.1368683772161603e-13),
+    ("harnack-form", 5): (0.5723531368897112, 1.7053025658242404e-13),
+    ("fb-dominance", 2): (6.525181876501294e-05, 0.0),
+    ("fb-dominance", 3): (0.0001641825439906629, 0.0),
+    ("fb-dominance", 5): (0.0005101206808141284, 0.0),
+}
+
+
+def test_scan_gaps_are_frozen_to_rounding():
+    reports = V.scan_inequalities(samples=2000, seed=7)
+    assert [(r.inequality, r.n) for r in reports] == list(FROZEN_SCAN_GAPS)
+    for rep in reports:
+        gap, witness = FROZEN_SCAN_GAPS[rep.inequality, rep.n]
+        assert abs(rep.min_normalized_gap - gap) <= 1e-15, rep
+        assert abs(rep.witness_max_abs_gap - witness) <= 1e-15, rep
+
+
 def test_harnack_form_scan_solves_one_eigensystem_per_batch(monkeypatch):
     calls = []
 
