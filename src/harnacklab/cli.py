@@ -15,8 +15,9 @@ unless --force is passed.  Outputs carry no timestamps, so a rerun of the
 same configuration is byte-identical.
 
 Exit codes: 0 success, 1 configuration or usage error (and any other package
-error), 2 loss of convexity, 3 numerical instability, 4 a certified quantity
-failed its positivity or threshold requirement.
+error), 2 loss of convexity, 3 numerical instability (a run whose marker grid
+degenerates writes its outputs first), 4 a certified quantity failed its
+positivity or threshold requirement.
 """
 
 from __future__ import annotations
@@ -318,9 +319,8 @@ def _extinction_window(ambient, speed, state0):
 
 
 def _termination_exit(trajectory) -> int:
-    if trajectory.termination == "convexity-lost":
-        return EXIT_CONVEXITY
-    return EXIT_OK
+    return {"convexity-lost": EXIT_CONVEXITY,
+            "grid-degenerate": EXIT_INSTABILITY}.get(trajectory.termination, EXIT_OK)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import geometry
-from .errors import (ConfigError, ConvexityLost, DomainExceeded, LabelMismatch,
-                     OutOfRange, StabilityViolation, UnsupportedAmbient)
+from .errors import (ConfigError, ConvexityLost, DegenerateGrid, DomainExceeded,
+                     LabelMismatch, OutOfRange, StabilityViolation, UnsupportedAmbient)
 from .geometry import AmbientSpace, GeodesicSphere, SurfaceState
 from .symfunc import SpeedFunction, eval_f
 
@@ -195,14 +195,15 @@ def run(config: FlowConfig) -> Trajectory:
     """Integrate the flow from the configured initial data.
 
     Stops at t_end ("completed") or earlier when an adaptive step and its
-    half-size retry both leave the convex cone ("convexity-lost"), the
-    curvature cap is reached, or the surface shrinks below the radius floor.
-    Every step's markers go through _profile_geometry, whose output also
-    drives the next step; the markers of every store_every-th step and of
-    the last completed step are stored, and nothing is assembled here.
-    Non-convex initial data raises ConvexityLost, a fixed-dt step that
-    leaves the cone raises StabilityViolation, and a marker grid that
-    degenerates raises DegenerateGrid at the step where it does.
+    half-size retry both leave the convex cone ("convexity-lost"), a step's
+    marker grid degenerates ("grid-degenerate"), the curvature cap is
+    reached, or the surface shrinks below the radius floor.  Every step's
+    markers go through _profile_geometry, whose output also drives the next
+    step; the markers of every store_every-th step and of the last completed
+    step are stored, and nothing is assembled here.  Non-convex or
+    degenerate initial data raises ConvexityLost or DegenerateGrid before
+    any step, and a fixed-dt step that leaves the cone raises
+    StabilityViolation.
     """
     if isinstance(config.initial, GeodesicSphere):
         return _run_umbilic(config)
@@ -247,19 +248,22 @@ def run(config: FlowConfig) -> Trajectory:
 
         k1 = -F[:, None] * normal
         try:
-            stepped, E, normal, kappa = _advance(ambient, speed, markers, dt, k1)
-        except ConvexityLost:
-            if config.dt is not None:
-                raise StabilityViolation(
-                    f"a step of dt = {dt:g} from t = {t:g} left the convex cone; "
-                    f"the fixed dt is too large") from None
-            rejected += 1
-            dt *= 0.5
             try:
                 stepped, E, normal, kappa = _advance(ambient, speed, markers, dt, k1)
             except ConvexityLost:
-                termination = "convexity-lost"
-                break
+                if config.dt is not None:
+                    raise StabilityViolation(
+                        f"a step of dt = {dt:g} from t = {t:g} left the convex cone; "
+                        f"the fixed dt is too large") from None
+                rejected += 1
+                dt *= 0.5
+                stepped, E, normal, kappa = _advance(ambient, speed, markers, dt, k1)
+        except ConvexityLost:       # the half-size retry failed too
+            termination = "convexity-lost"
+            break
+        except DegenerateGrid:
+            termination = "grid-degenerate"
+            break
         markers, t = stepped, t + dt
         steps_done += 1
         if steps_done % config.store_every == 0:

@@ -23,6 +23,9 @@ exactly χ₃/t because −c F tr(Ḟ) + c ζ collapses to the single correction
 
 Reports carry an exact term breakdown (∂ₜF, −θ, curvature correction,
 δF/t, c·ζ): Q is computed as the literal sum of the stored term arrays.
+
+This module only evaluates the quantities; their evolution equations and
+the sphere remainders R_β, R_θ and R are the verify module's identities.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, WrongAmbient, WrongSpeed
-from .geometry import SurfaceState, box_op, grad_scalar
+from .geometry import SurfaceState
 from .symfunc import as_float
 
 VARIANTS = ("chi1", "chi2", "chi3", "strong-Hp",
@@ -113,54 +116,6 @@ def chi3(state: SurfaceState) -> np.ndarray:
     require_mean(state, "chi3")
     z = zeta_monitor(state.speed.exponent, state.dim, state.F)
     return chi2(state) + state.ambient.c * state.t * z
-
-
-# ---------------------------------------------------------------------------
-# remainders R_β, R_θ and R = R_β − R_θ of the β, θ and χ₂ evolutions
-# ---------------------------------------------------------------------------
-
-def quad_dF(state, X):
-    """F^{ij} X_{ij}."""
-    return np.einsum("nij,nij->n", state.dF, X)
-
-
-def _bb_gradF(state):
-    """b^{ir} b^j_r ∇_i F ∇_j F."""
-    return np.einsum("nir,njm,nmr,ni,nj->n", state.b, state.b, state.g,
-                     state.grad_F, state.grad_F)
-
-
-def _bF_gradF(state):
-    """b^j_k F^{kl} ∇_l F ∇_j F."""
-    return np.einsum("njm,nmk,nkl,nl,nj->n", state.b, state.g, state.dF,
-                     state.grad_F, state.grad_F)
-
-
-def remainder_beta(state: SurfaceState) -> np.ndarray:
-    """Sphere terms R_β of the β evolution (c = 1 weight)."""
-    grad_tr = grad_scalar(state, state.tr_dF)
-    return state.F * box_op(state, state.tr_dF) \
-        + 2.0 * np.einsum("nkl,nk,nl->n", state.dF, grad_tr, state.grad_F) \
-        + state.F * state.d2F_bilinear(state.alpha, state.g) \
-        + 2.0 * state.F ** 2 * quad_dF(state, state.h)
-
-
-def remainder_theta(state: SurfaceState) -> np.ndarray:
-    """Sphere terms R_θ of the θ evolution (c = 1 weight)."""
-    return -(quad_dF(state, state.h) + state.F) * _bb_gradF(state) \
-        + 2.0 * _bF_gradF(state) \
-        + 2.0 * state.F * state.d2F_bilinear(state.g, state.gamma)
-
-
-def remainder_R(state: SurfaceState) -> np.ndarray:
-    """Curvature remainder R = R_β − R_θ in the χ₂ evolution (c = 1 weight).
-
-    The structural expression, valid for every admissible speed; second
-    derivatives of F enter only through the state's tensor F^{ij,kl}.  The
-    scalar-calculus specialization for F = F(H) lives in the χ₃ identity of
-    the verify module.
-    """
-    return remainder_beta(state) - remainder_theta(state)
 
 
 # ---------------------------------------------------------------------------

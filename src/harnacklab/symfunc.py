@@ -43,6 +43,9 @@ from .errors import ConfigError, ConvexityLost
 # coincident and the divided difference is replaced by its analytic limit.
 EIG_COINCIDENCE_RTOL = 1e-8
 
+# g and h must be symmetric to this fraction of their largest entry.
+SYMMETRY_RTOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # curvature functions f(κ)
@@ -59,16 +62,14 @@ class CurvatureFunction:
     value, gradient, hessian : callables
         Vectorized evaluations at κ of shape (..., n); value returns (...,),
         gradient (..., n) and hessian (..., n, n).
-    convex, inverse_concave : bool
-        Structural flags used by the monitors that need them (the Urbas-type
-        inequality requires inverse concavity, curvature pinching convexity).
+    inverse_concave : bool
+        Whether f is inverse-concave, which the Urbas inequality scan requires.
     """
 
     name: str
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    convex: bool = False
     inverse_concave: bool = False
 
 
@@ -103,13 +104,13 @@ def _diag_embed(v):
 def mean() -> CurvatureFunction:
     """Mean curvature f(κ) = Σ κᵢ (convex and inverse-concave)."""
     v, g, h = _power_mean_core(1.0)
-    return CurvatureFunction("mean", v, g, h, convex=True, inverse_concave=True)
+    return CurvatureFunction("mean", v, g, h, inverse_concave=True)
 
 
 def norm() -> CurvatureFunction:
     """Euclidean norm f(κ) = |κ| (convex, not inverse-concave)."""
     v, g, h = _power_mean_core(2.0)
-    return CurvatureFunction("norm", v, g, h, convex=True, inverse_concave=False)
+    return CurvatureFunction("norm", v, g, h)
 
 
 def power_mean(r: float) -> CurvatureFunction:
@@ -117,8 +118,7 @@ def power_mean(r: float) -> CurvatureFunction:
     if r == 0:
         raise ConfigError("power-mean exponent r must be nonzero")
     v, g, h = _power_mean_core(float(r))
-    return CurvatureFunction(f"power-mean({r:g})", v, g, h,
-                             convex=(r >= 1.0), inverse_concave=(r == 1.0))
+    return CurvatureFunction(f"power-mean({r:g})", v, g, h, inverse_concave=(r == 1.0))
 
 
 def harmonic_mean() -> CurvatureFunction:
@@ -144,7 +144,7 @@ def harmonic_mean() -> CurvatureFunction:
         return n * n * (2.0 / s ** 3 * outer - 2.0 / s ** 2 * _diag_embed(kappa ** -3.0))
 
     return CurvatureFunction("harmonic-mean", value, gradient, hessian,
-                             convex=False, inverse_concave=True)
+                             inverse_concave=True)
 
 
 _BUILTINS = {"mean": mean, "norm": norm, "harmonic-mean": harmonic_mean}
@@ -315,11 +315,18 @@ def weingarten_eigensystem(g, h):
     Returns (κ, T) with κ ascending, Tᵀ g T = 1 and (g⁻¹h) T = T diag(κ).
     With the Cholesky factor g = LLᵀ and its inverse Li = L⁻¹, formed once,
     the symmetric matrix A = Li h Liᵀ (symmetrized against rounding) has the
-    eigendecomposition A = U diag(κ) Uᵀ, and T = Liᵀ U.  A metric that is
-    not positive definite raises ConfigError.
+    eigendecomposition A = U diag(κ) Uᵀ, and T = Liᵀ U.  A g or h with a
+    non-finite entry or not symmetric to SYMMETRY_RTOL of its largest entry,
+    and a metric that is not positive definite, raise ConfigError.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
+    for name, X in (("metric g", g), ("second form h", h)):
+        if not np.all(np.isfinite(X)):
+            raise ConfigError(f"the {name} has non-finite entries")
+        asym = np.abs(X - np.swapaxes(X, -1, -2)).max(axis=(-2, -1))
+        if np.any(asym > SYMMETRY_RTOL * np.abs(X).max(axis=(-2, -1))):
+            raise ConfigError(f"the {name} is not symmetric")
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:

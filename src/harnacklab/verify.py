@@ -5,8 +5,10 @@ Evolution identities
 Each supported identity says that the Lagrangian time derivative of a stored
 field equals a closed-form right-hand side built from a single state (the
 parabolic ones carry □ = F^{ij}∇²_{ij} of the subject inside the RHS).  The
-left side is a centered difference of the field between stored states at
-t ± Δt; the residual is
+right-hand sides live here, the sphere remainders R_β, R_θ and R included,
+and a term that several of them share is written once.  The left side is a
+centered difference of the field between stored states at t ± Δt; the
+residual is
 
     max_nodes |LHS − RHS| / (1 + max_nodes |RHS|).
 
@@ -67,6 +69,11 @@ def _raise_second(state, X):
     return np.einsum("nil,nlj->nij", X, state.g_inv)
 
 
+def _quad_dF(state, X):
+    """F^{ij} X_{ij}."""
+    return np.einsum("nij,nij->n", state.dF, X)
+
+
 def _pair_quad(state, A, C):
     """b^{il} F^{jk} A_{ij} C_{kl} (order of A and C matters)."""
     return np.einsum("nil,njk,nij,nkl->n", state.b, state.dF, A, C)
@@ -77,9 +84,37 @@ def _grad_quadratic(state):
     return np.einsum("nij,ni,nj->n", state.dF, state.grad_F, state.grad_F)
 
 
-def _gradF_sq(state):
-    """|∇F|² = g^{ij} ∇_i F ∇_j F."""
-    return np.einsum("nij,ni,nj->n", state.g_inv, state.grad_F, state.grad_F)
+def _bb_gradF(state):
+    """b^{ir} b^j_r ∇_i F ∇_j F."""
+    return np.einsum("nir,njm,nmr,ni,nj->n", state.b, state.b, state.g,
+                     state.grad_F, state.grad_F)
+
+
+def _bF_gradF(state):
+    """b^j_k F^{kl} ∇_l F ∇_j F."""
+    return np.einsum("njm,nmk,nkl,nl,nj->n", state.b, state.g, state.dF,
+                     state.grad_F, state.grad_F)
+
+
+def _gradient_block(s):
+    """(F − F^{ij}h_{ij})|∇F|² + 2F^{ij}h^k_i ∇_kF ∇_jF, shared by the β, θ
+    and [∂ₜ, □]F evolutions."""
+    grad_sq = np.einsum("nij,ni,nj->n", s.g_inv, s.grad_F, s.grad_F)
+    return (s.F - _quad_dF(s, s.h)) * grad_sq \
+        + 2.0 * np.einsum("nij,nkm,nmi,nk,nj->n", s.dF, s.g_inv, s.h, s.grad_F, s.grad_F)
+
+
+def _commutator_rhs(s, grad_phi, X):
+    """Curvature terms of [∇_i, □]φ with X in the place of ∇²φ:
+    F^{kl,rs}∇_ih_{kl}X_{rs} + F^{kl}h_l^m h_{ki}∇_mφ − F^{kl}h_{kl}h_i^m∇_mφ
+    + c(F^{kl}g_{li}∇_kφ − tr Ḟ ∇_iφ)."""
+    rhs = np.einsum("nklrs,nikl,nrs->ni", s.d2F, s.nabla_h, X)
+    rhs = rhs + np.einsum("nkl,nmq,nql,nki,nm->ni", s.dF, s.g_inv, s.h, s.h, grad_phi)
+    rhs = rhs - _quad_dF(s, s.h)[:, None] * np.einsum("nmq,nqi,nm->ni", s.g_inv, s.h, grad_phi)
+    if s.ambient.c:
+        rhs = rhs + np.einsum("nkl,nli,nk->ni", s.dF, s.g, grad_phi)
+        rhs = rhs - s.tr_dF[:, None] * grad_phi
+    return rhs
 
 
 def _second_form_matrix(state, D):
@@ -102,7 +137,7 @@ def _rhs_sff(s):
 
 
 def _weingarten(s):
-    return np.einsum("nil,nlj->nij", s.h, s.g_inv)
+    return _raise_second(s, s.h)
 
 
 def _rhs_weingarten(s):
@@ -113,8 +148,8 @@ def _rhs_weingarten(s):
 
 def _rhs_sff_box(s):
     c = s.ambient.c
-    Fh2 = _ha.quad_dF(s, s.h_sq)
-    Fh = _ha.quad_dF(s, s.h)
+    Fh2 = _quad_dF(s, s.h_sq)
+    Fh = _quad_dF(s, s.h)
     V = _second_form_matrix(s, s.nabla_h)
     rhs = box_op(s, s.h, ("lo", "lo")) \
         + Fh2[:, None, None] * s.h \
@@ -127,8 +162,8 @@ def _rhs_sff_box(s):
 
 def _rhs_weingarten_box(s):
     c = s.ambient.c
-    Fh2 = _ha.quad_dF(s, s.h_sq)
-    Fh = _ha.quad_dF(s, s.h)
+    Fh2 = _quad_dF(s, s.h_sq)
+    Fh = _quad_dF(s, s.h)
     V = _second_form_matrix(s, s.nabla_h)
     W = _weingarten(s)
     rhs = box_op(s, W, ("lo", "up")) \
@@ -156,8 +191,8 @@ def _box_inverse_sff(s):
 
 def _rhs_inverse_sff(s):
     c = s.ambient.c
-    Fh2 = _ha.quad_dF(s, s.h_sq)
-    Fh = _ha.quad_dF(s, s.h)
+    Fh2 = _quad_dF(s, s.h_sq)
+    Fh = _quad_dF(s, s.h)
     V = _second_form_matrix(s, s.nabla_h)
     M = 2.0 * np.einsum("nlq,nkp,nrkl,nspq->nrs", s.b, s.dF, s.nabla_h, s.nabla_h) + V
     rhs = _box_inverse_sff(s) \
@@ -189,103 +224,113 @@ def _rhs_christoffel(s):
 
 
 def _rhs_grad_speed(s):
-    c = s.ambient.c
-    rhs = box_op(s, s.grad_F, ("lo",))
-    rhs = rhs + np.einsum("nklrs,nikl,nrs->ni", s.d2F, s.nabla_h, s.alpha)
+    """□∇F, the [∇, □] terms with X = α, and the rest of ∇∂ₜF."""
+    rhs = box_op(s, s.grad_F, ("lo",)) + _commutator_rhs(s, s.grad_F, s.alpha)
     rhs = rhs + 2.0 * s.F[:, None] * np.einsum(
         "nkl,nrs,nrl,niks->ni", s.dF, s.b, s.h_sq, s.nabla_h)
-    rhs = rhs + _ha.quad_dF(s, s.h_sq)[:, None] * s.grad_F
-    rhs = rhs + np.einsum("nkl,nmq,nql,nki,nm->ni", s.dF, s.g_inv, s.h, s.h, s.grad_F)
-    rhs = rhs - _ha.quad_dF(s, s.h)[:, None] * np.einsum(
-        "nmq,nqi,nm->ni", s.g_inv, s.h, s.grad_F)
-    if c:
-        rhs = rhs + np.einsum("nkl,nki,nl->ni", s.dF, s.g, s.grad_F)
-        rhs = rhs + s.F[:, None] * grad_scalar(s, s.tr_dF)
+    rhs = rhs + _quad_dF(s, s.h_sq)[:, None] * s.grad_F
+    if s.ambient.c:
+        rhs = rhs + s.tr_dF[:, None] * s.grad_F + s.F[:, None] * grad_scalar(s, s.tr_dF)
     return rhs
+
+
+def _remainder_beta(s):
+    """Sphere terms R_β of the β evolution (c = 1 weight)."""
+    grad_tr = grad_scalar(s, s.tr_dF)
+    return s.F * box_op(s, s.tr_dF) \
+        + 2.0 * np.einsum("nkl,nk,nl->n", s.dF, grad_tr, s.grad_F) \
+        + s.F * s.d2F_bilinear(s.alpha, s.g) \
+        + 2.0 * s.F ** 2 * _quad_dF(s, s.h)
+
+
+def _remainder_theta(s):
+    """Sphere terms R_θ of the θ evolution (c = 1 weight)."""
+    return -(_quad_dF(s, s.h) + s.F) * _bb_gradF(s) + 2.0 * _bF_gradF(s) \
+        + 2.0 * s.F * s.d2F_bilinear(s.g, s.gamma)
+
+
+def _remainder_R(s):
+    """R = R_β − R_θ of the χ₂ evolution (c = 1 weight), for every admissible
+    speed; the χ₃ identity specializes it independently to F = F(H)."""
+    return _remainder_beta(s) - _remainder_theta(s)
 
 
 def _rhs_beta(s):
     c = s.ambient.c
-    Fh2 = _ha.quad_dF(s, s.h_sq)
-    Fh = _ha.quad_dF(s, s.h)
     rhs = box_op(s, s.beta) \
-        + (Fh2 + c * s.tr_dF) * s.beta \
-        + (s.F - Fh) * _gradF_sq(s) \
+        + (_quad_dF(s, s.h_sq) + c * s.tr_dF) * s.beta \
+        + _gradient_block(s) \
         + s.d2F_bilinear(s.alpha, s.alpha) \
-        + 2.0 * np.einsum("nij,nkm,nmi,nk,nj->n",
-                          s.dF, s.g_inv, s.h, s.grad_F, s.grad_F) \
         + 4.0 * s.F * _pair_quad(s, s.hess_F, s.h_sq) \
         + 2.0 * s.F ** 2 * _pair_quad(s, s.h_sq, s.h_sq)
     if c:
-        rhs = rhs + _ha.remainder_beta(s)
+        rhs = rhs + _remainder_beta(s)
     return rhs
 
 
 def _rhs_theta(s):
     c = s.ambient.c
-    Fh2 = _ha.quad_dF(s, s.h_sq)
-    Fh = _ha.quad_dF(s, s.h)
     rhs = box_op(s, s.theta) \
-        + (Fh2 + c * s.tr_dF) * s.theta \
-        + (s.F - Fh) * _gradF_sq(s) \
-        + 2.0 * np.einsum("nij,nkm,nmi,nk,nj->n",
-                          s.dF, s.g_inv, s.h, s.grad_F, s.grad_F) \
+        + (_quad_dF(s, s.h_sq) + c * s.tr_dF) * s.theta \
+        + _gradient_block(s) \
         - (s.d2F_bilinear(s.gamma, s.gamma) - 2.0 * s.d2F_bilinear(s.alpha, s.gamma)) \
         - 2.0 * (_pair_quad(s, s.gamma, s.gamma)
                  - 2.0 * _pair_quad(s, s.alpha, s.gamma)
                  + _pair_quad(s, s.hess_F, s.hess_F))
     if c:
-        rhs = rhs + _ha.remainder_theta(s)
+        rhs = rhs + _remainder_theta(s)
     return rhs
+
+
+def _chi_factor(s):
+    """(β − θ)/(δF) + F^{ij}h²_{ij} + c·tr Ḟ, which multiplies χ₂ (χ₂, χ₃ RHS)."""
+    return (s.beta - s.theta) / (s.speed.delta_default * s.F) \
+        + _quad_dF(s, s.h_sq) + s.ambient.c * s.tr_dF
 
 
 def _chi_quadratic(s, delta):
     """t-independent quadratic part: B(η,η) + 2b·F(η,η) − (F^{ij}η_{ij})²/(δF)."""
-    Feta = _ha.quad_dF(s, s.eta)
+    Feta = _quad_dF(s, s.eta)
     return s.d2F_bilinear(s.eta, s.eta) + 2.0 * _pair_quad(s, s.eta, s.eta) \
         - Feta ** 2 / (delta * s.F)
 
 
 def _rhs_chi2(s):
-    c = s.ambient.c
-    delta = s.speed.delta_default
-    t = s.t
     chi = _ha.chi2(s)
-    rhs = box_op(s, chi) \
-        + ((s.beta - s.theta) / (delta * s.F) + _ha.quad_dF(s, s.h_sq)
-           + c * s.tr_dF) * chi \
-        + t * _chi_quadratic(s, delta)
-    if c:
-        rhs = rhs + t * _ha.remainder_R(s)
+    rhs = box_op(s, chi) + _chi_factor(s) * chi \
+        + s.t * _chi_quadratic(s, s.speed.delta_default)
+    if s.ambient.c:
+        rhs = rhs + s.t * _remainder_R(s)
     return rhs
+
+
+def _zeta_gradient_coefficient(n, F, F1, F2, F3):
+    """n(2F''/F' − F''²F/F'³ + F'''F/F'²) for F = F(H), shared by the χ₃
+    evolution and the gradient-term ζ-condition."""
+    return n * (2.0 * F2 / F1 - F2 ** 2 * F / F1 ** 3 + F3 * F / F1 ** 2)
 
 
 def _rhs_chi3(s):
     c = s.ambient.c
     p = s.speed.exponent
     n = s.dim
-    delta = s.speed.delta_default
     t = s.t
-    chi_2 = _ha.chi2(s)
-    rhs = box_op(s, _ha.chi3(s)) \
-        + ((s.beta - s.theta) / (delta * s.F) + _ha.quad_dF(s, s.h_sq)
-           + c * s.tr_dF) * chi_2 \
-        + t * _chi_quadratic(s, delta)
+    rhs = box_op(s, _ha.chi3(s)) + _chi_factor(s) * _ha.chi2(s) \
+        + t * _chi_quadratic(s, s.speed.delta_default)
     if c:
         zeta = _ha.zeta_monitor(p, n, s.F, 0)
         zeta1 = _ha.zeta_monitor(p, n, s.F, 1)
         zeta2 = _ha.zeta_monitor(p, n, s.F, 2)
         H = np.sum(s.kappa, axis=-1)
         F, F1, F2, F3 = s.speed.scalar_derivs(H)
-        boxF = _ha.quad_dF(s, s.hess_F)
-        FijH2 = _ha.quad_dF(s, s.h_sq)
+        boxF = _quad_dF(s, s.hess_F)
+        FijH2 = _quad_dF(s, s.h_sq)
         brace = 2.0 * n * (F2 * F / F1) * (boxF + F * FijH2 - s.theta) \
             + (zeta1 - n * F2 * F / F1) * FijH2 * F \
             + c * zeta1 * s.tr_dF * F \
             + 2.0 * F ** 2 * F1 * H \
-            + (n * (2.0 * F2 / F1 - F2 ** 2 * F / F1 ** 3 + F3 * F / F1 ** 2)
-               - zeta2) * _grad_quadratic(s) \
-            + (F1 * H + F) * _ha._bb_gradF(s) \
+            + (_zeta_gradient_coefficient(n, F, F1, F2, F3) - zeta2) * _grad_quadratic(s) \
+            + (F1 * H + F) * _bb_gradF(s) \
             - 2.0 * F1 * s.theta
         rhs = rhs + c * zeta + c * t * brace
     return rhs
@@ -296,20 +341,17 @@ def _rhs_chi1(s):
     delta = s.speed.delta_default
     t = s.t
     chi = _ha.chi1(s)
-    Feta = _ha.quad_dF(s, s.eta)
+    Feta = _quad_dF(s, s.eta)
     eta_c = s.eta + c * s.F[:, None, None] * s.g
-    Fh = _ha.quad_dF(s, s.h)
+    Fh = _quad_dF(s, s.h)
     rhs = box_op(s, chi) \
-        + ((s.beta - s.theta) / (delta * s.F) + _ha.quad_dF(s, s.h_sq)
+        + ((s.beta - s.theta) / (delta * s.F) + _quad_dF(s, s.h_sq)
            + c * ((delta - 1.0) / delta) * s.tr_dF) * chi \
         + (c * s.tr_dF * s.F / delta) * (t * c * s.tr_dF + 2.0 * delta) \
         + t * s.d2F_bilinear(eta_c, eta_c) \
         + t * (2.0 * _pair_quad(s, s.eta, s.eta) - Feta ** 2 / (delta * s.F))
     if c:
-        extra = 2.0 * s.F ** 2 * Fh \
-            + (Fh + s.F) * _ha._bb_gradF(s) \
-            - 2.0 * np.einsum("nir,njm,nmr,ni,nj->n",
-                              s.dF, s.b, s.g, s.grad_F, s.grad_F)
+        extra = 2.0 * s.F ** 2 * Fh + (Fh + s.F) * _bb_gradF(s) - 2.0 * _bF_gradF(s)
         rhs = rhs + t * extra
     return rhs
 
@@ -321,10 +363,7 @@ def _rhs_box_commutator(s):
     rhs = rhs + s.d2F_bilinear(s.hess_F, s.alpha + c * s.F[:, None, None] * s.g)
     rhs = rhs + 2.0 * s.F * np.einsum("nij,nkm,nmi,nkj->n",
                                       s.dF, s.g_inv, s.h, s.hess_F)
-    rhs = rhs + 2.0 * np.einsum("nij,nkm,nmi,nk,nj->n",
-                                s.dF, s.g_inv, s.h, s.grad_F, s.grad_F)
-    rhs = rhs + (s.F - _ha.quad_dF(s, s.h)) * _gradF_sq(s)
-    return rhs
+    return rhs + _gradient_block(s)
 
 
 @dataclass(frozen=True)
@@ -409,19 +448,9 @@ def commutator_residual(state: SurfaceState) -> ResidualRecord:
     [∂ₜ, □]F is the evolution identity 'box-commutator'.
     """
     phi = _sf.as_float(state.F if state.markers is None else state.markers[:, 0])
-    c = state.ambient.c
-
-    lhs = grad_scalar(state, box_op(state, phi)) - box_op(state, grad_scalar(state, phi), ("lo",))
-    hphi = covariant_hessian(state, phi)
     gphi = grad_scalar(state, phi)
-    rhs = np.einsum("nklrs,nikl,nrs->ni", state.d2F, state.nabla_h, hphi)
-    rhs = rhs + np.einsum("nkl,nmq,nqk,nli,nm->ni",
-                          state.dF, state.g_inv, state.h, state.h, gphi)
-    rhs = rhs - _ha.quad_dF(state, state.h)[:, None] * np.einsum(
-        "nmq,nqi,nm->ni", state.g_inv, state.h, gphi)
-    if c:
-        rhs = rhs + np.einsum("nkl,nli,nk->ni", state.dF, state.g, gphi)
-        rhs = rhs - state.tr_dF[:, None] * gphi
+    lhs = grad_scalar(state, box_op(state, phi)) - box_op(state, gphi, ("lo",))
+    rhs = _commutator_rhs(state, gphi, covariant_hessian(state, phi))
     scale = float(np.max(np.abs(rhs)))
     residual = float(np.max(np.abs(lhs - rhs))) / (1.0 + scale)
     return ResidualRecord(tag="grad-commutator", t=state.t, dt=0.0,
@@ -780,7 +809,7 @@ def zeta_conditions(p: float, n: int, H_values) -> dict:
     z2 = _ha.zeta_general(p, n, F, 2)
     p_star = (n + 1.0) / (2.0 * n)
 
-    grad_term = n * (2.0 * F2 / F1 - F2 ** 2 * F / F1 ** 3 + F3 * F / F1 ** 2) \
+    grad_term = _zeta_gradient_coefficient(n, F, F1, F2, F3) \
         + F / (F1 * H ** 2) - 1.0 / H
 
     values = {

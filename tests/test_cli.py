@@ -171,6 +171,20 @@ def test_simulate_fixed_dt_blow_up_exits_instability(tmp_path, capsys):
     assert "dt = 0.01" in err and "t = 0.03" in err
 
 
+def test_simulate_grid_degenerate_writes_outputs_then_exits_instability(tmp_path):
+    """A grid that degenerates mid-run keeps its last good step in the tables."""
+    cfg = write_cfg(tmp_path, exponent=0.3, amplitude=0.1, n_nodes=32, t_end=0.6,
+                    store_every=1000000)
+    out = tmp_path / "out"
+    assert run_cli("simulate", cfg, out) == cli.EXIT_INSTABILITY
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "grid-degenerate"
+    assert 0.0 < summary["t_final"] < 0.6
+    rows = (out / "simulate.csv").read_text().splitlines()
+    assert len(rows) == 3        # header, t = 0 and the last good step
+    assert float(rows[-1].split(",")[0]) == pytest.approx(summary["t_final"], rel=1e-12)
+
+
 def test_monitor_positive_floor(tmp_path):
     cfg = write_cfg(tmp_path, exponent=0.5, amplitude=0.05, mode=2,
                     n_nodes=32, t_end=0.02, dt=1e-3, store_every=5)

@@ -7,7 +7,7 @@ import pytest
 
 from harnacklab import flow, geometry as geo
 from harnacklab import symfunc as sf
-from harnacklab.errors import (ConfigError, ConvexityLost, DomainExceeded,
+from harnacklab.errors import (ConfigError, ConvexityLost, DegenerateGrid, DomainExceeded,
                                LabelMismatch, OutOfRange, UnsupportedAmbient)
 
 SPHERE = geo.AmbientSpace(1, 2)
@@ -304,6 +304,28 @@ def test_nonconvex_initial_data_raises():
     cfg = flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=0.01)
     with pytest.raises(ConvexityLost):
         flow.run(cfg)
+
+
+def test_grid_that_degenerates_mid_run_ends_the_run_and_keeps_its_steps():
+    """For p < 1 the markers bunch up before extinction: the run ends as
+    grid-degenerate at the last good step, whatever the storage cadence."""
+    mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.1, 2), 32)
+    every, sparse = (flow.run(flow.FlowConfig(SPHERE, _speed(0.3), mk, t_end=0.6,
+                                              store_every=n))
+                     for n in (1, 10 ** 6))
+    assert every.termination == sparse.termination == "grid-degenerate"
+    assert len(every.times) > 2 and 0.0 < sparse.times[-1] < 0.6
+    assert list(sparse.times) == [0.0, every.times[-1]]
+    npt.assert_array_equal(sparse.steps[-1], every.steps[-1])
+    assert np.all(sparse.states[-1].kappa > 0.0)
+
+
+def test_degenerate_initial_grid_raises():
+    w = geo.profile_parameter(32)
+    w = w + 0.45 * np.sin(2.0 * w)          # spacing ratio 1.9 / 0.1
+    mk = np.stack([np.cos(w), np.sin(w)], axis=1)
+    with pytest.raises(DegenerateGrid):
+        flow.run(flow.FlowConfig(FLAT, _speed(1.0), mk, t_end=0.01))
 
 
 def _count_assemble(monkeypatch):

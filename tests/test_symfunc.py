@@ -213,6 +213,36 @@ def test_weingarten_eigensystem_refuses_an_indefinite_metric():
                            np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), eta)
 
 
+@pytest.mark.parametrize("which", ["g", "h"])
+def test_weingarten_eigensystem_refuses_non_finite_entries(which):
+    """A NaN metric used to surface as a loss of convexity of the curvatures."""
+    pair = {"g": np.eye(2), "h": np.eye(2)}
+    pair[which] = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ConfigError, match="non-finite"):
+        sf.weingarten_eigensystem(pair["g"], pair["h"])
+
+
+@pytest.mark.parametrize("which", ["g", "h"])
+def test_weingarten_eigensystem_refuses_an_asymmetric_pair(which):
+    """cholesky reads only the lower triangle, so [[1, 0.5], [0, 1]] used to pass
+    as the identity; an asymmetry at 1e-11 of the largest entry is refused too,
+    one at 1e-13 is rounding and passes."""
+    rng = np.random.default_rng(3)
+    g, h = _random_pair(rng, 3, batch=(4,))
+    pair = {"g": g, "h": h}
+    for tilt, refused in ((0.5, True), (1e-11, True), (1e-13, False)):
+        bad = dict(pair)
+        bad[which] = pair[which].copy()
+        bad[which][2, 0, 1] += tilt * np.abs(pair[which][2]).max()
+        if refused:
+            with pytest.raises(ConfigError, match="not symmetric"):
+                sf.weingarten_eigensystem(bad["g"], bad["h"])
+        else:
+            sf.weingarten_eigensystem(bad["g"], bad["h"])
+    with pytest.raises(ConfigError, match="metric g is not symmetric"):
+        sf.weingarten_eigensystem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
+
+
 def test_to_eigenframe_matches_the_einsum_contraction():
     rng = np.random.default_rng(29)
     for n in (2, 3, 5):
