@@ -4,8 +4,10 @@ benchmark without failing any library test.  Run the benchmark's child once
 per workload subcommand, traced, on a tiny config, and require that each
 patch point still sees calls.  The scan child's counters are pinned exactly:
 the tracer reads the tag and the batch size of verify._scan_once by position,
-so reordering its arguments changes them.  The simulate child's step count is
-pinned too, so a change to the adaptive step bound shows here."""
+so reordering its arguments changes them.  The flow children's steps, RHS
+evaluations and (for simulate) stencil calls are pinned too, so a change to
+the adaptive step bound, or an RK4 stage that bypasses a patch point or adds
+or drops an evaluation, shows here and not only in the benchmark's report."""
 
 import json
 import subprocess
@@ -28,10 +30,16 @@ CASES = {
 }
 
 # four inequalities x two dimensions x 200 samples; harnack-form's 2 x 200 eigensolves.
-# The adaptive simulate run takes 24 RK4 steps to t = 0.1.
+# The adaptive simulate run takes 24 RK4 steps to t = 0.1: 4 x 24 stage RHS,
+# one for the initial markers and 25 from assembling every stored step make
+# 122.  Each RHS calls the stencil pair and each assembly 5 more stencils:
+# 2 x 122 + 5 x 25 = 369.  The ladder's two fixed-dt flows take 52 steps:
+# 4 x 52 + 2 initial RHS + 6 assemblies make 216.
 EXACT = {"scan-inequalities": {"verify.scan.samples": 1600,
                                "symfunc.eigensystem.matrices": 400},
-         "simulate": {"flow.steps": 24}}
+         "simulate": {"flow.steps": 24, "geometry.rhs.calls": 122,
+                      "geometry.stencil.calls": 369},
+         "verify-evolution": {"flow.steps": 52, "geometry.rhs.calls": 216}}
 
 
 @pytest.mark.parametrize("sub", CASES)

@@ -1,6 +1,8 @@
 """Flow integration against closed-form round-sphere solutions, stopping
 rules, and the Lagrangian time-differencing helper."""
 
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from harnacklab import flow, geometry as geo
 from harnacklab import symfunc as sf
 from harnacklab.errors import (ConfigError, ConvexityLost, DegenerateGrid, DomainExceeded,
-                               LabelMismatch, OutOfRange, UnsupportedAmbient)
+                               LabelMismatch, OutOfRange, StabilityViolation,
+                               UnsupportedAmbient)
 
 SPHERE = geo.AmbientSpace(1, 2)
 FLAT = geo.AmbientSpace(0, 2)
@@ -244,6 +247,48 @@ def test_grid_flow_stores_at_cadence():
     npt.assert_allclose(times[-1], 0.02, rtol=1e-9)
 
 
+def _exact_digest(*arrays):
+    """sha256 prefix of the arrays' values, each x held as the float64 pair
+    hi = float64(x), lo = float64(x − hi); the pair is exact for x87 extended
+    precision, whose tobytes() would include unspecified padding bytes."""
+    digest = hashlib.sha256()
+    for arr in arrays:
+        hi = arr.astype(np.float64)
+        digest.update(np.stack([hi, (arr - hi).astype(np.float64)]).astype("<f8").tobytes())
+    return digest.hexdigest()[:16]
+
+
+# Final markers and stored times of short runs, recorded on x86-64 (80-bit
+# longdouble) with numpy 2.4: float64 with the adaptive step to t = 0.1, and
+# longdouble with dt = 1e-3 to t = 5e-3, from a mode-2, 5% perturbation of the
+# default radius on 32 nodes.  Any change to the RK4 stage's arithmetic shows.
+PINNED_RUNS = {
+    ((1, 2), "float64"): "2f12f0a267f05ee5",
+    ((1, 2), "longdouble"): "23702b65f2f2697b",
+    ((0, 2), "float64"): "134f8dd6265f13a1",
+    ((0, 2), "longdouble"): "c33cc24850609afd",
+    ((0, 1), "float64"): "238b2e3974cd09b6",
+    ((0, 1), "longdouble"): "7d01476cd686a09a",
+    ((1, 1), "float64"): "cf87a39fe7668e4a",
+    ((1, 1), "longdouble"): "35034327f6d47eee",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_RUNS, ids=lambda case: f"c{case[0][0]}n{case[0][1]}-{case[1]}")
+def test_stepper_output_is_pinned_bit_for_bit(case):
+    (c, n), dtype = case
+    if dtype == "longdouble" and np.finfo(np.longdouble).nmant != 63:
+        pytest.skip("the longdouble pins are 80-bit x87 values")
+    ambient = geo.AmbientSpace(c, n)
+    speed = _speed(0.5, "mean" if (c + n) % 2 else "norm")
+    mk = geo.markers_from_radial(
+        ambient, geo.cos_mode_radial(geo.default_radius(ambient), 0.05, 2), 32)
+    stepping = {"t_end": 0.1} if dtype == "float64" else {"t_end": 5e-3, "dt": 1e-3}
+    traj = flow.run(flow.FlowConfig(ambient, speed, mk, dtype=dtype, **stepping))
+    assert traj.termination == "completed" and traj.steps[-1].dtype == np.dtype(dtype)
+    assert _exact_digest(traj.times, traj.steps[-1]) == PINNED_RUNS[case]
+
+
 def _record_steps(monkeypatch, failures=0):
     """Record the dt of every RK4 step; the first `failures` steps leave the cone."""
     dts = []
@@ -297,6 +342,18 @@ def test_adaptive_step_whose_retry_fails_ends_the_run(monkeypatch):
                                     t_end=0.005))
     assert traj.termination == "convexity-lost" and traj.rejected_steps == 1
     assert list(traj.times) == [0.0]
+
+
+@pytest.mark.parametrize("dt", [None, 1e-3], ids=["adaptive", "fixed"])
+def test_non_finite_step_raises_stability_violation(monkeypatch, dt):
+    """Every stage's κ is checked finite, so only the RK4 combination itself
+    can go non-finite; a NaN velocity stands in for that here."""
+    monkeypatch.setattr(flow, "_velocity", lambda ambient, speed, markers: markers * np.nan)
+    cfg = flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 16),
+                          t_end=0.005, dt=dt)
+    with pytest.raises(StabilityViolation, match="markers became non-finite") as info:
+        flow.run(cfg)
+    assert info.type is StabilityViolation
 
 
 def test_nonconvex_initial_data_raises():

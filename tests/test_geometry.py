@@ -1,6 +1,8 @@
 """Discrete-geometry checks: assembled states against round-sphere formulas,
 compatibility identities that hold exactly, and stencil convergence."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -198,6 +200,44 @@ def test_degenerate_grid_raises(consume):
     mk = np.stack([np.cos(warp), np.sin(warp)], axis=1)
     with pytest.raises(DegenerateGrid, match="spacing ratio"):
         consume(mk)
+
+
+CONSUMERS = {"assemble": lambda mk, amb: geo.assemble(mk, amb, MEAN1),
+             "run": lambda mk, amb: flow.run(flow.FlowConfig(amb, MEAN1, mk, t_end=0.01))}
+
+
+def _on_circle(ambient, w, r=0.8):
+    """Markers at labels w on a circle: radius r in the plane, geodesic radius r in S²."""
+    if ambient.c == 1:
+        return np.stack([np.full_like(w, np.cos(r)), np.sin(r) * np.cos(w),
+                         np.sin(r) * np.sin(w)], axis=1)
+    return r * np.stack([np.cos(w), np.sin(w)], axis=1)
+
+
+@pytest.mark.parametrize("consume", CONSUMERS)
+@pytest.mark.parametrize("ambient", [FLAT, SPHERE], ids=["flat", "sphere"])
+def test_vanishing_tangent_raises_degenerate_grid(ambient, consume):
+    """Mirror-symmetric markers (markers[k] == markers[-k]) fold back at node 0,
+    where every stencil difference, and so c′, is exactly zero."""
+    k = np.arange(16)
+    mk = _on_circle(ambient, 0.2 + 0.3 * np.minimum(k, 16 - k))
+    with pytest.raises(DegenerateGrid, match="profile tangent degenerated") as info:
+        CONSUMERS[consume](mk, ambient)
+    assert info.type is DegenerateGrid
+
+
+@pytest.mark.parametrize("consume", CONSUMERS)
+@pytest.mark.parametrize("ambient", [FLAT, SPHERE], ids=["flat", "sphere"])
+def test_marker_on_the_rotation_axis_raises_convexity_lost(ambient, consume):
+    """Labels 2πk/N put node 0 on the axis, ρ = 0, where κ₂ = n_rot/ρ is not
+    finite; the division is expected, so no RuntimeWarning may escape."""
+    mk = _on_circle(ambient, 2.0 * np.pi * np.arange(16) / 16)
+    assert mk[0, -1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvexityLost) as info:
+            CONSUMERS[consume](mk, ambient)
+    assert info.type is ConvexityLost
 
 
 def test_marker_shape_validation():
