@@ -10,7 +10,9 @@ The stepper is classical RK4 on the marker coordinates.  For c = 1 the
 velocity −F m is tangent to the unit sphere containing the profile (m ⊥ c by
 construction), so |c| is a first integral of the extended system; markers are
 renormalized once per completed step, which only removes the O(Δt⁵)
-integrator drift and keeps the scheme fourth-order.
+integrator drift and keeps the scheme fourth-order.  geometry._profile_geometry
+is the one check of each stage's κ, so a stage and a step read f(κ) without
+eval_f's second cone check, and a step evaluates f once for both F and Φ'.
 
 An adaptive run (dt=None) takes Δt = safety · RK4_LIMIT · ds_min² / max Φ'.
 RK4_LIMIT · ds_min² / max Φ' is the largest step for which RK4 stays stable
@@ -155,13 +157,14 @@ def whole_steps(span: float, dt: float) -> Optional[int]:
 
 def _project(ambient, markers):
     if ambient.c == 1:
-        return markers / np.linalg.norm(markers, axis=1, keepdims=True)
+        return markers / np.sqrt(geometry._row_dot(markers, markers))[:, None]
     return markers
 
 
 def _velocity(ambient, speed, markers):
+    """−F ν at a stage's markers; f reads κ unchecked, as _profile_geometry just checked it."""
     _, _, _, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, markers)
-    return -speed.value(kappa)[:, None] * normal
+    return -speed._from_f(speed.f.value(kappa))[:, None] * normal
 
 
 def _rk4(ambient, speed, markers, dt, k1):
@@ -169,7 +172,7 @@ def _rk4(ambient, speed, markers, dt, k1):
     k3 = _velocity(ambient, speed, markers + 0.5 * dt * k2)
     k4 = _velocity(ambient, speed, markers + dt * k3)
     out = markers + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise StabilityViolation("markers became non-finite during a step")
     return _project(ambient, out)
 
@@ -228,7 +231,8 @@ def run(config: FlowConfig) -> Trajectory:
             break
         if steps_done >= MAX_STEPS:
             raise StabilityViolation(f"step budget of {MAX_STEPS} exhausted")
-        F = speed.value(kappa)
+        fv = speed.f.value(kappa)       # F and Φ' share one f(κ)
+        F = speed._from_f(fv)
 
         kappa_max = float(kappa.max())
         if kappa_max >= config.max_kappa:
@@ -242,7 +246,7 @@ def run(config: FlowConfig) -> Trajectory:
             dt = min(config.dt, remaining)
         else:
             ds_min = math.sqrt(float(E.min())) * (2.0 * np.pi / markers.shape[0])
-            phi_max = float(speed.dvalue(kappa).max())
+            phi_max = float(speed._dvalue_from_f(kappa, fv).max())
             dt = config.safety * RK4_LIMIT * ds_min ** 2 / max(phi_max, 1e-300)
             dt = min(dt, remaining)
 

@@ -233,54 +233,60 @@ class SurfaceState:
 # profile differential geometry (shared by assembly and the flow stepper)
 # ---------------------------------------------------------------------------
 
+def _row_dot(x, y):
+    """np.sum(x * y, axis=1) of (N, d) arrays by explicit column sums: same bits, less overhead."""
+    out = x[:, 0] * y[:, 0]
+    for j in range(1, x.shape[1]):
+        out += x[:, j] * y[:, j]
+    return out
+
+
 def _profile_geometry(ambient, markers):
     """First/second label derivatives, E, normal and curvature components.
 
-    Returns (cp, cpp, E, normal, h_uu, kappa, rho, n_rot) where rho and
-    n_rot (the rotation components of position and normal) are None for
-    curves.  Raises DegenerateGrid if E = |c′|² is not positive and finite
-    or the marker spacing √E varies by a ratio above MAX_SPACING_RATIO (10),
-    and ConvexityLost if any principal curvature is <= 0.
+    Returns (cp, cpp, E, normal, h_uu, kappa, rho, n_rot); rho and n_rot (the
+    rotation components of position and normal) are None for curves.  This is
+    the only validation of each RK4 stage's and each assembly's E, spacing and
+    κ: DegenerateGrid if E = |c′|² is not positive and finite or the spacing √E
+    varies by a ratio above MAX_SPACING_RATIO (10), ConvexityLost if any
+    principal curvature is not finite or is <= 0.
     """
     n_nodes = markers.shape[0]
     du = 2.0 * np.pi / n_nodes
     cp = periodic_d1(markers, du)
     cpp = periodic_d2(markers, du)
-    E = np.sum(cp * cp, axis=1)
-    if not np.all(np.isfinite(E)) or np.any(E <= 0):
+    E = _row_dot(cp, cp)
+    if not np.isfinite(E).all() or (E <= 0).any():
         raise DegenerateGrid("profile tangent degenerated")
     # diagnose bad parameterizations before curvature: a bunched-up grid
     # produces garbage kappa and would misreport as a convexity failure
     spacing = np.sqrt(E)
-    ratio = np.max(spacing) / np.min(spacing)
+    ratio = spacing.max() / spacing.min()
     if ratio > MAX_SPACING_RATIO:
         raise DegenerateGrid(
             f"marker spacing ratio {ratio:.3g} exceeds {MAX_SPACING_RATIO:g}")
 
+    normal = np.empty_like(cp)
     if ambient.c == 1:
         # cp × markers by components: the same IEEE operations as np.cross
         # at about half its per-call overhead
-        a0, a1, a2 = cp.T
-        b0, b1, b2 = markers.T
-        normal = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
-                          axis=1) / spacing[:, None]
+        for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+            np.subtract(cp[:, j] * markers[:, k], cp[:, k] * markers[:, j], out=normal[:, i])
     else:
-        normal = np.stack([cp[:, 1], -cp[:, 0]], axis=1) / spacing[:, None]
+        np.multiply(cp[:, ::-1], (1.0, -1.0), out=normal)      # (x′, ρ′) ↦ (ρ′, −x′)
+    normal /= spacing[:, None]
 
-    h_uu = -np.sum(cpp * normal, axis=1)
-    k1 = h_uu / E
-
-    if ambient.dim == 1:
-        kappa = k1[:, None]
-        rho = n_rot = None
-    else:
-        rho = markers[:, 2] if ambient.c == 1 else markers[:, 1]
-        n_rot = normal[:, 2] if ambient.c == 1 else normal[:, 1]
+    h_uu = -_row_dot(cpp, normal)
+    kappa = np.empty((n_nodes, ambient.dim), dtype=E.dtype)
+    np.divide(h_uu, E, out=kappa[:, 0])
+    rho = n_rot = None
+    if ambient.dim == 2:
+        # the rotation components are the last coordinates for both ambients
+        rho, n_rot = markers[:, -1], normal[:, -1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            k2 = n_rot / rho
-        kappa = np.stack([k1, k2], axis=1)
+            np.divide(n_rot, rho, out=kappa[:, 1])
 
-    if not np.all(np.isfinite(kappa)) or np.any(kappa <= 0):
+    if not np.isfinite(kappa).all() or (kappa <= 0).any():
         raise ConvexityLost(
             f"surface stopped being strictly convex (min kappa = {np.nanmin(kappa):.6g})")
     return cp, cpp, E, normal, h_uu, kappa, rho, n_rot

@@ -177,9 +177,9 @@ def as_float(arr):
 
 def _check_cone(kappa):
     kappa = as_float(kappa)
-    if not np.all(np.isfinite(kappa)):
+    if not np.isfinite(kappa).all():
         raise ConvexityLost("principal curvatures contain non-finite entries")
-    if np.any(kappa <= 0.0):
+    if (kappa <= 0.0).any():
         raise ConvexityLost(
             f"principal curvatures leave the positive cone (min = {kappa.min():.6g})")
     return kappa
@@ -265,14 +265,19 @@ class SpeedFunction:
         return self.exponent / (self.exponent + 1.0)
 
     def value(self, kappa):
-        return self.sign * eval_f(self.f, kappa) ** self.exponent
+        return self._from_f(eval_f(self.f, kappa))
 
     def dvalue(self, kappa):
         """Φ'_i = ∂F/∂κᵢ = |α| f^(α−1) ∂f/∂κᵢ (positive in both modes)."""
         kappa = _check_cone(kappa)
-        a = self.exponent
-        fv = self.f.value(kappa)[..., None]
-        return abs(a) * fv ** (a - 1.0) * self.f.gradient(kappa)
+        return self._dvalue_from_f(kappa, self.f.value(kappa))
+
+    # F and Φ' from fv = f(κ), for a caller that has already checked κ's cone
+    def _from_f(self, fv):
+        return self.sign * fv ** self.exponent
+
+    def _dvalue_from_f(self, kappa, fv):
+        return abs(self.exponent) * fv[..., None] ** (self.exponent - 1.0) * self.f.gradient(kappa)
 
     def d2value(self, kappa):
         """Φ''_{ij} = |α| f^(α−1) f_{ij} + |α|(α−1) f^(α−2) f_i f_j."""
