@@ -162,7 +162,7 @@ def _project(ambient, markers):
 
 
 def _velocity(ambient, speed, markers):
-    """−F ν at a stage's markers; f reads κ unchecked, as _profile_geometry just checked it."""
+    """−F ν at a stage's markers; κ goes to f unchecked: _profile_geometry has just checked it."""
     _, _, _, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, markers)
     return -speed._from_f(speed.f.value(kappa))[:, None] * normal
 

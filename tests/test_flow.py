@@ -274,7 +274,8 @@ PINNED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("case", PINNED_RUNS, ids=lambda case: f"c{case[0][0]}n{case[0][1]}-{case[1]}")
+@pytest.mark.parametrize("case", PINNED_RUNS,
+                         ids=lambda case: f"c{case[0][0]}n{case[0][1]}-{case[1]}")
 def test_stepper_output_is_pinned_bit_for_bit(case):
     (c, n), dtype = case
     if dtype == "longdouble" and np.finfo(np.longdouble).nmant != 63:

@@ -326,3 +326,22 @@ def test_spherical_normal_matches_np_cross_exactly(dtype):
     want = np.cross(cp, mk) / np.sqrt(E)[:, None]
     assert normal.dtype == want.dtype == dtype
     assert np.array_equal(normal, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("c, n", [(1, 2), (0, 2), (0, 1), (1, 1)])
+def test_profile_geometry_matches_the_row_sum_reference_exactly(c, n, dtype):
+    """E, the normal, h_uu and κ bit for bit against np.sum over rows and np.stack."""
+    ambient = geo.AmbientSpace(c, n)
+    mk = geo.markers_from_radial(
+        ambient, geo.cos_mode_radial(geo.default_radius(ambient), 0.05, 2), 64).astype(dtype)
+    cp, cpp, E, normal, h_uu, kappa, *_ = geo._profile_geometry(ambient, mk)
+    want_E = np.sum(cp * cp, axis=1)
+    raw_normal = np.cross(cp, mk) if c == 1 else np.stack([cp[:, 1], -cp[:, 0]], axis=1)
+    want_normal = raw_normal / np.sqrt(want_E)[:, None]
+    want_h = -np.sum(cpp * want_normal, axis=1)
+    curvatures = [want_h / want_E] + ([want_normal[:, -1] / mk[:, -1]] if n == 2 else [])
+    for got, want in ((E, want_E), (normal, want_normal), (h_uu, want_h),
+                      (kappa, np.stack(curvatures, axis=1))):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
