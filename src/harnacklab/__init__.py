@@ -4,7 +4,7 @@ Hypersurfaces move by ∂ₜx = −F ν where F is a positive power of a strictl
 monotone, 1-homogeneous, convex curvature function, in Euclidean space or in
 the unit sphere.  The package provides
 
-- ``symfunc``  — symmetric-function calculus (F^{ij}, F^{ij,kl}, traces, duals),
+- ``symfunc``  — curvature functions, speeds and the spectral F^{ij}, F^{ij,kl},
 - ``geometry`` — assembled surface states with covariant derivative machinery,
 - ``flow``     — Lagrangian marker evolution plus exact sphere solutions,
 - ``harnack``  — differential Harnack quantities as runtime monitors,

@@ -332,8 +332,8 @@ class SphereSolution:
     def radius(self, t):
         """Geodesic radius r(t); raises DomainExceeded outside the lifespan."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
-            raise DomainExceeded("negative times are outside the solution domain")
+        if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
+            raise DomainExceeded("negative or non-finite times are outside the domain")
         if self.t_extinction is not None and np.any(t_arr >= self.t_extinction):
             raise DomainExceeded(
                 f"requested time beyond the extinction time {self.t_extinction:g}")

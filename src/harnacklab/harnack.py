@@ -80,23 +80,18 @@ def zeta_monitor(p: float, n: int, F, order: int = 0):
     return np.zeros_like(as_float(F))
 
 
-def strong_correction_coefficient(p: float, n: int) -> float:
-    """corr in Q = ∂ₜF − θ − c·corr·H^(2p−1) + pF/((p+1)t)."""
-    if not 0 < p <= 1:
-        raise ConfigError(f"strong quantity needs 0 < p <= 1, got {p:g}")
-    if zeta_branch_threshold(n) < p < 1.0:
-        return p / (2.0 * p - 1.0)
-    return n * p
-
-
 # ---------------------------------------------------------------------------
 # χ quantities
 # ---------------------------------------------------------------------------
 
+def analytic_dtF(state: SurfaceState) -> np.ndarray:
+    """∂ₜF = β + cF tr(Ḟ) along the flow, from a single state."""
+    return state.beta + state.ambient.c * state.F * state.tr_dF
+
+
 def chi1(state: SurfaceState) -> np.ndarray:
-    """χ₁ = t(∂ₜF − θ) + δF, analytic ∂ₜF = β + cF tr(Ḟ), δ = α/(α+1)."""
-    dtF = state.beta + state.ambient.c * state.F * state.tr_dF
-    return state.t * (dtF - state.theta) + state.speed.delta_default * state.F
+    """χ₁ = t(∂ₜF − θ) + δF with the analytic ∂ₜF and δ = α/(α+1)."""
+    return state.t * (analytic_dtF(state) - state.theta) + state.speed.delta_default * state.F
 
 
 def chi2(state: SurfaceState) -> np.ndarray:
@@ -133,6 +128,8 @@ class HarnackConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"unknown Harnack variant {self.variant!r}; choose from {VARIANTS}")
+        if self.delta is not None and not np.isfinite(self.delta):
+            raise ConfigError(f"delta must be a finite number, got {self.delta}")
 
 
 @dataclass
@@ -182,7 +179,7 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
         p = state.speed.exponent
         if not 0 < p <= 1:
             raise ConfigError(f"strong-Hp needs 0 < p <= 1, got {p:g}")
-        delta = p / (p + 1.0)
+        delta = state.speed.delta_default
         if config.delta is not None and abs(config.delta - delta) > 1e-12:
             raise ConfigError("strong-Hp pins delta = p/(p+1); leave it unset")
     else:
@@ -200,7 +197,7 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
                 f"contracting monitors need delta > 0, got {delta:g}")
 
     if dtF is None:
-        dtF = state.beta + c * state.F * state.tr_dF
+        dtF = analytic_dtF(state)
 
     zero = np.zeros_like(state.F)
     correction = zero

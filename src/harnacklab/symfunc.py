@@ -23,8 +23,8 @@ and the second derivative, as a quadratic form on symmetric matrices η
 
 where the divided difference is replaced by its limit when κ_a → κ_b.
 Pushed through T, the same two parts give the tensor F^{ij,kl} itself
-(d2F_from_eig), and bilinear values F^{ij,kl} A_{ij} C_{kl} are its
-contraction with A and C.
+(d2F_from_eig), which a surface state builds once and contracts with
+symmetric pairs A, C into F^{ij,kl} A_{ij} C_{kl}.
 
 All operations are vectorized over leading batch axes: g and h may be
 (..., n, n) stacks and κ a (..., n) stack.
@@ -195,38 +195,6 @@ def grad_f(f: CurvatureFunction, kappa) -> np.ndarray:
     return f.gradient(_check_cone(kappa))
 
 
-def hess_f(f: CurvatureFunction, kappa) -> np.ndarray:
-    """∂²f/∂κᵢ∂κⱼ, shape (..., n, n)."""
-    return f.hessian(_check_cone(kappa))
-
-
-def dual_f(f: CurvatureFunction) -> CurvatureFunction:
-    """The dual function f̃(κ) = 1/f(κ⁻¹), with derivatives by the chain rule.
-
-    The dual of the dual reproduces f, and f is inverse-concave exactly when
-    f̃ is concave.
-    """
-
-    def value(kappa):
-        return 1.0 / f.value(1.0 / kappa)
-
-    def gradient(kappa):
-        x = 1.0 / kappa
-        fv = f.value(x)[..., None]
-        return f.gradient(x) * x ** 2 / fv ** 2
-
-    def hessian(kappa):
-        x = 1.0 / kappa
-        fv = f.value(x)[..., None, None]
-        gr = f.gradient(x)
-        gx2 = gr * x ** 2
-        outer = gx2[..., :, None] * gx2[..., None, :]
-        hx = f.hessian(x) * x[..., :, None] ** 2 * x[..., None, :] ** 2
-        return 2.0 * outer / fv ** 3 - hx / fv ** 2 - 2.0 * _diag_embed(gr * x ** 3) / fv ** 2
-
-    return CurvatureFunction(f.name + "-dual", value, gradient, hessian)
-
-
 # ---------------------------------------------------------------------------
 # flow speeds F = ±f^α
 # ---------------------------------------------------------------------------
@@ -302,14 +270,6 @@ class SpeedFunction:
                 abs(a) * (a - 1.0) * (a - 2.0) * fval ** (a - 3.0))
 
 
-def _as_speed(F) -> SpeedFunction:
-    if isinstance(F, SpeedFunction):
-        return F
-    if isinstance(F, CurvatureFunction):
-        return SpeedFunction(F, 1.0)
-    raise ConfigError(f"expected a SpeedFunction or CurvatureFunction, got {type(F)!r}")
-
-
 # ---------------------------------------------------------------------------
 # spectral calculus of F on (g, h) pairs
 # ---------------------------------------------------------------------------
@@ -344,23 +304,9 @@ def weingarten_eigensystem(g, h):
     return kappa, LiT @ U
 
 
-def dF_matrix(F, g, h) -> np.ndarray:
-    """First derivative F^{ij} = Σ_a Φ'_a T^i_a T^j_a (contravariant, SPD)."""
-    speed = _as_speed(F)
-    kappa, T = weingarten_eigensystem(g, h)
-    return dF_from_eig(speed.dvalue(kappa), T)
-
-
 def dF_from_eig(phi, T):
-    """F^{ij} from the spectral derivatives Φ'_a and the eigenbasis T."""
+    """F^{ij} = Σ_a Φ'_a T^i_a T^j_a (contravariant, SPD) from Φ' and T."""
     return np.einsum("...ia,...a,...ja->...ij", T, phi, T)
-
-
-def trace_dF(F, g, h) -> np.ndarray:
-    """tr(Ḟ) = g_{ij} F^{ij} = Σ_a Φ'_a(κ)."""
-    speed = _as_speed(F)
-    kappa, _ = weingarten_eigensystem(g, h)
-    return np.sum(speed.dvalue(kappa), axis=-1)
 
 
 def d2F_spectrum(speed, kappa):
@@ -410,18 +356,3 @@ def d2F_from_eig(speed, kappa, T):
     return np.einsum("...ab,...ia,...ja,...kb,...lb->...ijkl", hess, T, T, T, T) \
         + 0.5 * (off + np.swapaxes(off, -1, -2))
 
-
-def d2F_bilinear(F, g, h, A, C) -> np.ndarray:
-    """F^{ij,kl} A_{ij} C_{kl}, contracted from the tensor of d2F_from_eig.
-
-    A and C must be symmetric with the same covariant index placement as h.
-    """
-    speed = _as_speed(F)
-    kappa, T = weingarten_eigensystem(g, h)
-    return np.einsum("...ijkl,...ij,...kl->...", d2F_from_eig(speed, kappa, T),
-                     np.asarray(A, dtype=float), np.asarray(C, dtype=float))
-
-
-def d2F_quadratic(F, g, h, eta) -> np.ndarray:
-    """Second-derivative quadratic form F^{ij,kl} η_{ij} η_{kl}."""
-    return d2F_bilinear(F, g, h, eta, eta)

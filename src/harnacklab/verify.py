@@ -211,10 +211,6 @@ def _rhs_squared_sff(s):
     return P + np.swapaxes(P, 1, 2) + 2.0 * c * s.F[:, None, None] * s.h
 
 
-def _rhs_speed(s):
-    return s.beta + s.ambient.c * s.F * s.tr_dF
-
-
 def _rhs_christoffel(s):
     rhs = -s.F[:, None, None, None] * np.einsum("nkl,nlij->nkij", s.g_inv, s.nabla_h)
     rhs = rhs - np.einsum("nkl,nli,nj->nkij", s.g_inv, s.h, s.grad_F)
@@ -358,8 +354,7 @@ def _rhs_chi1(s):
 
 def _rhs_box_commutator(s):
     c = s.ambient.c
-    dtF = s.beta + c * s.F * s.tr_dF
-    rhs = box_op(s, dtF)
+    rhs = box_op(s, _ha.analytic_dtF(s))
     rhs = rhs + s.d2F_bilinear(s.hess_F, s.alpha + c * s.F[:, None, None] * s.g)
     rhs = rhs + 2.0 * s.F * np.einsum("nij,nkm,nmi,nkj->n",
                                       s.dF, s.g_inv, s.h, s.hess_F)
@@ -384,7 +379,7 @@ IDENTITIES = {
         Identity("weingarten-box", _weingarten, _rhs_weingarten_box),
         Identity("inverse-sff", lambda s: s.b, _rhs_inverse_sff),
         Identity("squared-sff", lambda s: s.h_sq, _rhs_squared_sff),
-        Identity("speed", lambda s: s.F, _rhs_speed),
+        Identity("speed", lambda s: s.F, _ha.analytic_dtF),
         Identity("christoffel", lambda s: s.christoffel, _rhs_christoffel),
         Identity("grad-speed", lambda s: s.grad_F, _rhs_grad_speed),
         Identity("beta", lambda s: s.beta, _rhs_beta),
@@ -506,9 +501,10 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     Besides the evolution identities, tags may include 'grad-commutator',
     which needs no time differencing and is checked on the state at t_check;
     tags=None runs every identity valid for the speed, then 'grad-commutator'.
-    Unknown or repeated tags, fewer than two levels or a repeated one, and a
-    t_check that is not a whole number of steps at some level, or is less
-    than one step (the centered time difference needs the state at
+    Unknown or repeated tags, fewer than two levels, a repeated, odd or
+    below-8 one, a dt0 that is not positive and finite, a non-finite t_check
+    and a t_check that is not a whole number of steps at some level, or is
+    less than one step (the centered time difference needs the state at
     t_check − Δt), raise ConfigError before any flow runs.
     Returns {tag: LadderReport}.
     """
@@ -518,9 +514,12 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     bad = [t for t in tags if t not in known] + sorted({t for t in tags if tags.count(t) > 1})
     if bad:
         raise ConfigError(f"unknown or repeated identity tag(s) {bad}; known: {sorted(known)}")
-    if len(levels) < 2 or len(set(levels)) < len(levels):
-        raise ConfigError(f"need at least two grid levels, none repeated, to fit an "
-                          f"order, got {tuple(levels)}")
+    if (len(levels) < 2 or len(set(levels)) < len(levels)
+            or any(n < 8 or n % 2 for n in levels)):
+        raise ConfigError(f"need at least two grid levels, none repeated, each an even "
+                          f"node count >= 8, to fit an order, got {tuple(levels)}")
+    if not (np.isfinite(dt0) and dt0 > 0 and np.isfinite(t_check)):
+        raise ConfigError(f"dt0 = {dt0:g} and t_check = {t_check:g} must be finite, dt0 > 0")
     dts = [dt0 * (levels[0] / n_nodes) ** 2 for n_nodes in levels]
     for n_nodes, dt in zip(levels, dts):
         steps = _flow.whole_steps(t_check, dt)
@@ -640,17 +639,17 @@ def urbas_gap(f: CurvatureFunction, kappa, eta_hat) -> np.ndarray:
     return _gap(_urbas_kernel(f, None, np.asarray(kappa, dtype=float)), eta_hat)
 
 
-def harnack_form_gap(F, g, h, eta, delta: Optional[float] = None) -> np.ndarray:
+def harnack_form_gap(speed: SpeedFunction, g, h, eta,
+                     delta: Optional[float] = None) -> np.ndarray:
     """Gap of the Harnack quadratic form from the χ₂ evolution,
 
         F^{ij,kl} η η + 2 b^{il} F^{jk} η η − (F^{ij}η_{ij})²/(δF) ≥ 0,
 
-    on a strictly convex (g, h) pair, with δ defaulting to α/(α+1).
+    on a strictly convex (g, h) pair, with δ defaulting to speed.delta_default.
 
     For convex f the gap decomposes as αf^{α−1}·(f^{ij,kl}ηη) plus
     2αf^{α−1}·f_lemma_gap(f, ·), each nonnegative.
     """
-    speed = _sf._as_speed(F)
     kappa, T = _sf.weingarten_eigensystem(g, h)
     eta_hat = _sf._to_eigenframe(T, np.asarray(eta, dtype=float))
     return _gap(_harnack_form_kernel(speed.f, speed, kappa, delta), eta_hat)
@@ -802,7 +801,7 @@ def zeta_conditions(p: float, n: int, H_values) -> dict:
     if np.any(H <= 0):
         raise ConfigError("H values must be positive")
     speed = SpeedFunction(_sf.mean(), p)
-    delta = p / (p + 1.0)
+    delta = speed.delta_default
     F, F1, F2, F3 = speed.scalar_derivs(H)
     z = _ha.zeta_general(p, n, F, 0)
     z1 = _ha.zeta_general(p, n, F, 1)

@@ -6,6 +6,7 @@ and the overwrite guard.  The numerical payloads are kept tiny; heavier
 certification lives in test_acceptance.py.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -117,6 +118,16 @@ def test_sphere_exact_past_extinction_is_config_error(tmp_path, capsys):
     assert "extinction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ambient, exponent", [("sphere", 0.6), ("euclidean", -0.5)])
+def test_sphere_exact_non_finite_end_time_is_a_domain_error(tmp_path, capsys,
+                                                            ambient, exponent):
+    """t_end = nan used to exit 3 on the sphere (Newton did not settle) and
+    blame a nan radius on the Euclidean ambient."""
+    cfg = write_cfg(tmp_path, ambient=ambient, exponent=exponent, t_end="nan")
+    assert run_cli("sphere-exact", cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert "negative or non-finite times are outside" in capsys.readouterr().err
+
+
 def test_overwrite_guard_and_forced_rerun_is_byte_identical(tmp_path, capsys):
     cfg = write_cfg(tmp_path, exponent=1.0, t_end=0.05, n_times=9)
     out = tmp_path / "out"
@@ -199,11 +210,61 @@ def test_monitor_positive_floor(tmp_path):
     assert len(lines) > 1
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_monitor_refuses_a_non_finite_delta(tmp_path, capsys, delta):
+    """A non-finite delta used to exit 0 with a NaN or Infinity min_Q in summary.json."""
+    cfg = write_cfg(tmp_path, exponent=0.5, delta=delta, t_end=0.004, dt=1e-3)
+    out = tmp_path / "out"
+    assert run_cli("monitor", cfg, out) == cli.EXIT_CONFIG
+    assert f"delta must be a finite number, got {delta}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_monitor_trajectory_source_needs_dense_storage(tmp_path, capsys):
     cfg = write_cfg(tmp_path, exponent=0.5, dtf_source="trajectory",
                     t_end=0.02)     # no dt given
     assert run_cli("monitor", cfg, tmp_path / "out") == cli.EXIT_CONFIG
     assert "store_every" in capsys.readouterr().err
+
+
+# sha256 prefixes of the data tables that ∂ₜF and δ = p/(p+1) feed, recorded
+# on x86-64 with numpy 2.4: any change to their arithmetic moves a digest.
+PINNED_TABLES = {
+    "monitor-chi1-trajectory": (
+        "monitor", "monitor",
+        dict(exponent=0.5, variant="chi1", dtf_source="trajectory", amplitude=0.05,
+             n_nodes=16, t_end=0.004, dt=5e-4, store_every=1),
+        "32e6b1d29f9a3726"),
+    "monitor-chi3": (
+        "monitor", "monitor",
+        dict(exponent=0.8, variant="chi3", amplitude=0.05, n_nodes=16, t_end=0.004,
+             dt=5e-4, store_every=2),
+        "09a3a318416ce01f"),
+    "monitor-strong-Hp-sphere": (
+        "monitor", "monitor",
+        dict(exponent=0.6, variant="strong-Hp", t_end=0.02, dt=2e-3, store_every=2),
+        "3bd53d02a19bd5e4"),
+    "sphere-exact-spherical": (
+        "sphere-exact", "sphere", dict(exponent=0.6, t_end=0.05, n_times=9),
+        "597bc4ada655a041"),
+    "sphere-exact-euclidean": (
+        "sphere-exact", "sphere",
+        dict(ambient="euclidean", exponent=-0.5, t_end=0.05, n_times=9),
+        "014ec2b3486fcd34"),
+    "simulate": (
+        "simulate", "simulate",
+        dict(exponent=0.5, amplitude=0.05, n_nodes=16, t_end=0.01, store_every=5),
+        "6ea67ae54eb6d277"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_TABLES)
+def test_data_table_is_pinned_byte_for_byte(tmp_path, case):
+    sub, table, keys, digest = PINNED_TABLES[case]
+    out = tmp_path / "out"
+    assert run_cli(sub, write_cfg(tmp_path, **keys), out) == cli.EXIT_OK
+    data = (out / f"{table}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +298,18 @@ def test_verify_evolution_needs_two_levels(tmp_path, capsys):
     cfg = write_cfg(tmp_path, exponent=0.5, levels="64")
     assert run_cli("verify-evolution", cfg, tmp_path / "out") == cli.EXIT_CONFIG
     assert "two grid levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys, match", [
+    ({"dt0": 0}, "dt0 = 0 and"),
+    ({"t_check": "inf"}, "t_check = inf"),
+    ({"levels": "18, 9"}, "even node count >= 8, to fit an order, got (18, 9)"),
+], ids=["dt0-zero", "t_check-inf", "odd-level"])
+def test_verify_evolution_bad_step_inputs_are_config_errors(tmp_path, capsys, keys, match):
+    cfg = write_cfg(tmp_path, **{"exponent": 0.5, "identities": "beta",
+                                 "levels": "24, 48", **keys})
+    assert run_cli("verify-evolution", cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert match in capsys.readouterr().err
 
 
 def test_verify_evolution_rejects_unknown_identity(tmp_path, capsys):

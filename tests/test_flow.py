@@ -127,6 +127,16 @@ def test_radius_queries_past_extinction_raise():
         sol.state(0.25)
 
 
+@pytest.mark.parametrize("ambient, exponent", [(SPHERE, 0.6), (FLAT, -0.5)],
+                         ids=["sphere", "flat-expanding"])
+@pytest.mark.parametrize("t", [np.nan, np.inf, np.array([0.0, np.nan])],
+                         ids=["nan", "inf", "array-with-nan"])
+def test_radius_queries_at_non_finite_times_raise(ambient, exponent, t):
+    sol = flow.sphere_ode_solution(ambient, _speed(exponent), 0.8)
+    with pytest.raises(DomainExceeded, match="non-finite times"):
+        sol.radius(t)
+
+
 def test_solution_state_fields():
     sol = flow.sphere_ode_solution(SPHERE, _speed(1.0), 0.8)
     st = sol.state(0.1)

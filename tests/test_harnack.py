@@ -9,6 +9,8 @@ from harnacklab import flow, geometry as geo, harnack as ha
 from harnacklab import symfunc as sf
 from harnacklab.errors import ConfigError, WrongAmbient, WrongSpeed
 
+from oracles import strong_correction_coefficient
+
 SPHERE = geo.AmbientSpace(1, 2)
 FLAT = geo.AmbientSpace(0, 2)
 MEAN = lambda p: sf.SpeedFunction(sf.mean(), p)
@@ -134,14 +136,14 @@ def test_zeta_keeps_extended_precision(p):
 
 def test_strong_correction_coefficients():
     # first branch: p/(2p-1); second branch: n p
-    npt.assert_allclose(ha.strong_correction_coefficient(0.9, 2), 0.9 / 0.8, rtol=1e-15)
-    npt.assert_allclose(ha.strong_correction_coefficient(0.6, 2), 1.2, rtol=1e-15)
-    npt.assert_allclose(ha.strong_correction_coefficient(1.0, 2), 2.0, rtol=1e-15)
+    npt.assert_allclose(strong_correction_coefficient(0.9, 2), 0.9 / 0.8, rtol=1e-15)
+    npt.assert_allclose(strong_correction_coefficient(0.6, 2), 1.2, rtol=1e-15)
+    npt.assert_allclose(strong_correction_coefficient(1.0, 2), 2.0, rtol=1e-15)
     # continuity is not expected across the threshold, but both sides are finite
     eps = 1e-9
     thr = ha.zeta_branch_threshold(2)
-    assert np.isfinite(ha.strong_correction_coefficient(thr - eps, 2))
-    assert np.isfinite(ha.strong_correction_coefficient(thr + eps, 2))
+    assert np.isfinite(strong_correction_coefficient(thr - eps, 2))
+    assert np.isfinite(strong_correction_coefficient(thr + eps, 2))
 
 
 def test_strong_Hp_correction_term_matches_branch():
@@ -149,7 +151,7 @@ def test_strong_Hp_correction_term_matches_branch():
     st = sol.state(0.05)
     rep = ha.evaluate_monitor(st, ha.HarnackConfig("strong-Hp"))
     H = 2.0 / np.tan(sol.radius(0.05))
-    expected = -ha.strong_correction_coefficient(0.6, 2) * H ** (2 * 0.6 - 1.0)
+    expected = -strong_correction_coefficient(0.6, 2) * H ** (2 * 0.6 - 1.0)
     npt.assert_allclose(rep.terms["correction"], expected, rtol=1e-12)
 
 
@@ -192,6 +194,12 @@ def test_delta_window_validation():
         ha.evaluate_monitor(st1, ha.HarnackConfig("chi1", delta=0.0))
     with pytest.raises(ConfigError):
         ha.evaluate_monitor(st1, ha.HarnackConfig("strong-Hp", delta=0.4))
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+def test_non_finite_delta_is_refused(delta):
+    with pytest.raises(ConfigError, match="delta must be a finite number"):
+        ha.HarnackConfig("chi2", delta=delta)
 
 
 def test_monitor_requires_positive_time():

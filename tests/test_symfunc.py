@@ -1,8 +1,9 @@
-"""Unit checks for the symmetric-function layer: values, derivatives, duals.
+"""Unit checks for the symmetric-function layer: values, derivatives, F^{ij}.
 
 Analytic gradients/Hessians are checked against centered finite differences
-(independent oracle), algebraic structure (homogeneity, Euler, duality)
-against direct evaluation.
+(independent oracle), algebraic structure (homogeneity, Euler) against direct
+evaluation.  F^{ij} and F^{ij,kl} on a (g, h) pair are composed here from the
+Weingarten eigensystem and the spectral builders the package uses.
 """
 
 import numpy as np
@@ -57,7 +58,7 @@ def test_eval_broadcasts_over_leading_axes():
     assert vals.shape == (7, 4)
     npt.assert_allclose(vals, np.sqrt((kappa ** 2).sum(axis=-1)), rtol=1e-14)
     assert sf.grad_f(f, kappa).shape == (7, 4, 3)
-    assert sf.hess_f(f, kappa).shape == (7, 4, 3, 3)
+    assert f.hessian(kappa).shape == (7, 4, 3, 3)
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
@@ -73,7 +74,7 @@ def test_gradient_matches_finite_differences(name, kappa):
 def test_hessian_matches_finite_differences(name, kappa):
     f = sf.builtin(name)
     kappa = np.array(kappa)
-    hess = sf.hess_f(f, kappa)
+    hess = f.hessian(kappa)
     npt.assert_allclose(hess, hess.swapaxes(-1, -2), rtol=0, atol=1e-13)
     npt.assert_allclose(hess, _fd_hess(f, kappa), rtol=1e-5, atol=1e-8)
 
@@ -82,11 +83,11 @@ def test_power_mean_derivatives():
     f = sf.power_mean(3.0)
     kappa = np.array([1.0, 2.0])
     npt.assert_allclose(sf.grad_f(f, kappa), _fd_grad(f, kappa, step=1e-6), rtol=1e-6)
-    npt.assert_allclose(sf.hess_f(f, kappa), _fd_hess(f, kappa), rtol=1e-5)
+    npt.assert_allclose(f.hessian(kappa), _fd_hess(f, kappa), rtol=1e-5)
 
 
 def test_mean_hessian_vanishes():
-    npt.assert_array_equal(sf.hess_f(sf.mean(), np.array([1.0, 2.0, 3.0])),
+    npt.assert_array_equal(sf.mean().hessian(np.array([1.0, 2.0, 3.0])),
                            np.zeros((3, 3)))
 
 
@@ -103,19 +104,6 @@ def test_homogeneity_euler_monotonicity(n, lam, seed):
         # degree-one homogeneity and its Euler consequence
         npt.assert_allclose(sf.eval_f(f, lam * kappa), lam * val, rtol=1e-12)
         npt.assert_allclose(np.dot(kappa, grad), val, rtol=1e-12)
-
-
-@given(st.integers(2, 4), st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_duality_involution(n, seed):
-    kappa = np.random.default_rng(seed).uniform(0.1, 10.0, size=n)
-    for name in ALL_BUILTINS:
-        f = sf.builtin(name)
-        star = sf.dual_f(f)
-        npt.assert_allclose(sf.eval_f(star, kappa), 1.0 / sf.eval_f(f, 1.0 / kappa),
-                            rtol=1e-13)
-        npt.assert_allclose(sf.eval_f(sf.dual_f(star), kappa), sf.eval_f(f, kappa),
-                            rtol=1e-12)
 
 
 def test_harmonic_mean_below_mean():
@@ -185,6 +173,22 @@ def _random_pair(rng, n, batch=()):
     b = rng.normal(size=batch + (n, n))
     h = np.einsum("...ik,...jk->...ij", b, b) + 0.5 * np.eye(n)
     return g, h
+
+
+def _dF(speed, g, h):
+    """F^{ij} on a (g, h) pair: Φ' at the Weingarten spectrum, pushed through T."""
+    kappa, T = sf.weingarten_eigensystem(g, h)
+    return sf.dF_from_eig(speed.dvalue(kappa), T)
+
+
+def _d2F_bilinear(speed, g, h, A, C):
+    """F^{ij,kl} A_{ij} C_{kl} on a (g, h) pair, contracted from d2F_from_eig."""
+    kappa, T = sf.weingarten_eigensystem(g, h)
+    return np.einsum("...ijkl,...ij,...kl->...", sf.d2F_from_eig(speed, kappa, T), A, C)
+
+
+def _d2F_quadratic(speed, g, h, eta):
+    return _d2F_bilinear(speed, g, h, eta, eta)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -280,8 +284,8 @@ def test_dF_matrix_power_composition():
     powered = sf.SpeedFunction(sf.norm(), 0.5)
     kappa, _ = sf.weingarten_eigensystem(g, h)
     fval = sf.eval_f(sf.norm(), kappa)
-    npt.assert_allclose(sf.dF_matrix(powered, g, h),
-                        0.5 * fval ** (-0.5) * sf.dF_matrix(base, g, h), rtol=1e-12)
+    npt.assert_allclose(_dF(powered, g, h),
+                        0.5 * fval ** (-0.5) * _dF(base, g, h), rtol=1e-12)
 
 
 def test_trace_dF_from_eigenvalues():
@@ -291,14 +295,17 @@ def test_trace_dF_from_eigenvalues():
     kappa, _ = sf.weingarten_eigensystem(g, h)
     H = kappa.sum()
     # tr(F') = g_{ij} F^{ij} = sum of spectral derivatives for f = mean
-    npt.assert_allclose(sf.trace_dF(sp, g, h), 4 * 0.5 * H ** (-0.5), rtol=1e-12)
+    npt.assert_allclose(np.sum(sp.dvalue(kappa), axis=-1), 4 * 0.5 * H ** (-0.5),
+                        rtol=1e-12)
+    npt.assert_allclose(np.einsum("ij,ij->", g, _dF(sp, g, h)), 4 * 0.5 * H ** (-0.5),
+                        rtol=1e-12)
 
 
 def test_d2F_quadratic_frozen_example():
     # F = H^(1/2) at the unit-metric umbilic point h = 2g in two dimensions,
     # direction eta = identity: value is -1/8 (pure p(p-1) f^(p-2) term).
     sp = sf.SpeedFunction(sf.mean(), 0.5)
-    val = sf.d2F_quadratic(sp, np.eye(2), 2.0 * np.eye(2), np.eye(2))
+    val = _d2F_quadratic(sp, np.eye(2), 2.0 * np.eye(2), np.eye(2))
     npt.assert_allclose(val, -0.125, rtol=1e-13)
 
 
@@ -311,8 +318,8 @@ def test_d2F_quadratic_frame_invariant():
     sp = sf.SpeedFunction(sf.norm(), 0.5)
     P = rng.normal(size=(25, 3, 3)) + 2.0 * np.eye(3)
     push = lambda M: np.einsum("nai,nab,nbj->nij", P, M, P)
-    npt.assert_allclose(sf.d2F_quadratic(sp, push(g), push(h), push(eta)),
-                        sf.d2F_quadratic(sp, g, h, eta), rtol=1e-8, atol=1e-12)
+    npt.assert_allclose(_d2F_quadratic(sp, push(g), push(h), push(eta)),
+                        _d2F_quadratic(sp, g, h, eta), rtol=1e-8, atol=1e-12)
 
 
 def test_d2F_quadratic_matches_finite_difference_of_dF():
@@ -329,7 +336,7 @@ def test_d2F_quadratic_matches_finite_difference_of_dF():
 
     step = 1e-4
     fd = (F_of(step) - 2.0 * F_of(0.0) + F_of(-step)) / step ** 2
-    npt.assert_allclose(sf.d2F_quadratic(sp, g, h, eta), fd, rtol=1e-5)
+    npt.assert_allclose(_d2F_quadratic(sp, g, h, eta), fd, rtol=1e-5)
 
 
 def test_d2F_bilinear_polarization():
@@ -338,11 +345,11 @@ def test_d2F_bilinear_polarization():
     A = rng.normal(size=(3, 3)); A = 0.5 * (A + A.T)
     C = rng.normal(size=(3, 3)); C = 0.5 * (C + C.T)
     sp = sf.SpeedFunction(sf.mean(), 0.75)
-    bAC = sf.d2F_bilinear(sp, g, h, A, C)
-    npt.assert_allclose(bAC, sf.d2F_bilinear(sp, g, h, C, A), rtol=1e-12)
-    quad = lambda M: sf.d2F_quadratic(sp, g, h, M)
+    bAC = _d2F_bilinear(sp, g, h, A, C)
+    npt.assert_allclose(bAC, _d2F_bilinear(sp, g, h, C, A), rtol=1e-12)
+    quad = lambda M: _d2F_quadratic(sp, g, h, M)
     npt.assert_allclose(bAC, 0.25 * (quad(A + C) - quad(A - C)), rtol=1e-9, atol=1e-12)
-    npt.assert_allclose(sf.d2F_bilinear(sp, g, h, 2.0 * A + C, C),
+    npt.assert_allclose(_d2F_bilinear(sp, g, h, 2.0 * A + C, C),
                         2.0 * bAC + quad(C), rtol=1e-9, atol=1e-12)
 
 
@@ -351,16 +358,7 @@ def test_repeated_eigenvalues_continuous():
     sp = sf.SpeedFunction(sf.norm(), 0.5)
     eye = np.eye(2)
     eta = np.array([[0.3, 1.1], [1.1, -0.4]])
-    exact = sf.d2F_quadratic(sp, eye, np.diag([2.0, 2.0]), eta)
+    exact = _d2F_quadratic(sp, eye, np.diag([2.0, 2.0]), eta)
     for gap in (1e-12, 1e-10, 1e-9):
-        near = sf.d2F_quadratic(sp, eye, np.diag([2.0, 2.0 + gap]), eta)
+        near = _d2F_quadratic(sp, eye, np.diag([2.0, 2.0 + gap]), eta)
         npt.assert_allclose(near, exact, rtol=1e-6)
-
-
-def test_dF_from_eig_matches_matrix_route():
-    rng = np.random.default_rng(17)
-    g, h = _random_pair(rng, 3, batch=(10,))
-    sp = sf.SpeedFunction(sf.harmonic_mean(), 1.0)
-    kappa, T = sf.weingarten_eigensystem(g, h)
-    npt.assert_allclose(sf.dF_from_eig(sp.dvalue(kappa), T), sf.dF_matrix(sp, g, h),
-                        rtol=1e-11, atol=1e-13)

@@ -16,8 +16,8 @@ from harnacklab import verify as V
 from harnacklab.errors import ConfigError, UnsupportedAmbient, WrongSpeed
 from harnacklab.flow import FlowConfig, GeodesicSphere, run
 from harnacklab.geometry import AmbientSpace, assemble, markers_from_radial
-from harnacklab.symfunc import (SpeedFunction, d2F_quadratic, harmonic_mean,
-                                mean, norm)
+from harnacklab.symfunc import (SpeedFunction, d2F_from_eig, harmonic_mean, mean,
+                                norm, weingarten_eigensystem)
 
 SPHERE = AmbientSpace(c=1, dim=2)
 MEAN_HALF = SpeedFunction(mean(), 0.5)
@@ -289,6 +289,26 @@ def test_ladder_rejects_t_check_off_the_step_grid_before_running_a_flow(
                           dt0=8e-4, t_check=t_check)
 
 
+@pytest.mark.parametrize("keys, match", [
+    # these used to escape flow.whole_steps as ZeroDivisionError, ValueError
+    # and OverflowError
+    ({"dt0": 0.0}, r"dt0 = 0 and"),
+    ({"dt0": float("nan")}, r"dt0 = nan"),
+    ({"t_check": float("inf")}, r"t_check = inf"),
+    # the odd level used to be refused only after the N = 18 flow had run
+    ({"levels": (18, 9)}, r"even node count >= 8, to fit an order, got \(18, 9\)"),
+    ({"levels": (6, 12)}, r"even node count >= 8, to fit an order, got \(6, 12\)"),
+], ids=["dt0-zero", "dt0-nan", "t_check-inf", "odd-level", "level-below-8"])
+def test_ladder_rejects_bad_step_inputs_before_running_a_flow(monkeypatch, keys, match):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran before the input was checked")
+
+    monkeypatch.setattr(V, "standard_test_flow", no_flow)
+    args = {"levels": (24, 48), "dt0": 8e-4, "t_check": 4e-3, **keys}
+    with pytest.raises(ConfigError, match=match):
+        V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta",), **args)
+
+
 # ---------------------------------------------------------------------------
 # pointwise gap functions: frozen examples and equality witnesses
 # ---------------------------------------------------------------------------
@@ -325,13 +345,14 @@ def test_harnack_form_decomposes_into_quadratic_and_lemma_gap():
     kappa = np.array([0.9, 1.7, 2.4])
     g, h = np.eye(3), np.diag(kappa)
     f = mean()
+    d2f = d2F_from_eig(SpeedFunction(f, 1.0), *weingarten_eigensystem(g, h))
     for p in (0.5, 1.0):
         F = SpeedFunction(f, p)
         for _ in range(5):
             a = rng.normal(size=(3, 3))
             eta = 0.5 * (a + a.T)
             left = V.harnack_form_gap(F, g, h, eta)
-            q = d2F_quadratic(f, g, h, eta)
+            q = np.einsum("ijkl,ij,kl->", d2f, eta, eta)
             lem = V.f_lemma_gap(f, kappa, eta)
             fval = f.value(kappa)
             npt.assert_allclose(left, p * fval**(p - 1.0) * (q + 2.0 * lem),
