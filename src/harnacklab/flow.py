@@ -77,8 +77,10 @@ class FlowConfig:
     for a final partial step onto t_end), which is what the convergence
     ladders use; a fixed step that leaves the cone raises StabilityViolation.
     The run stops at the curvature cap max_kappa (positive and finite) and
-    at the radius floor min_radius (finite, 0 for none).  Expanding speeds
-    raise UnsupportedAmbient on the sphere.
+    at the radius floor min_radius (finite, 0 for none), measured from the
+    symmetry center: e₀ on the sphere, the origin in the plane
+    (geometry.center_distance).  Expanding speeds raise UnsupportedAmbient
+    on the sphere.
     """
 
     ambient: AmbientSpace
@@ -184,16 +186,6 @@ def _advance(ambient, speed, markers, dt, k1):
     return stepped, E, normal, kappa
 
 
-def _min_extent(ambient, markers):
-    """Smallest distance from a marker to the surface's rough center."""
-    if ambient.c == 1:
-        center = markers.mean(axis=0)
-        center = center / np.linalg.norm(center)
-        return float(np.arccos(np.clip(markers @ center, -1.0, 1.0)).min())
-    center = markers.mean(axis=0)
-    return float(np.linalg.norm(markers - center, axis=1).min())
-
-
 def run(config: FlowConfig) -> Trajectory:
     """Integrate the flow from the configured initial data.
 
@@ -238,7 +230,8 @@ def run(config: FlowConfig) -> Trajectory:
         if kappa_max >= config.max_kappa:
             termination = "curvature-cap"
             break
-        if config.min_radius > 0 and _min_extent(ambient, markers) < config.min_radius:
+        if (config.min_radius > 0
+                and geometry.center_distance(ambient, markers).min() < config.min_radius):
             termination = "radius-floor"
             break
 
@@ -284,9 +277,9 @@ def run(config: FlowConfig) -> Trajectory:
 def _run_umbilic(config: FlowConfig) -> Trajectory:
     """Grid-free tier: spheres stay round, so each step is the radius ODE's sphere.
 
-    A t_end that is a whole number of dt steps (within STATE_RTOL) stores
-    the dt grid, the same times a gridded run stores; a run stopped early
-    stores the dt grid below its stop, then the stop.
+    A fixed-dt run stores what the gridded stepper stores: every
+    store_every-th multiple of dt below the stop, then the stop.  An
+    adaptive run stores 129 evenly spaced times.
     """
     sol = sphere_ode_solution(config.ambient, config.speed, config.initial.radius)
     t_stop, termination = config.t_end, "completed"
@@ -304,12 +297,9 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
 
     if not config.dt:
         times = np.linspace(0.0, t_stop, 129)
-    elif termination != "completed":
-        times = np.append(config.dt * np.arange(math.ceil(t_stop / config.dt)), t_stop)
     else:
-        n_steps = whole_steps(config.t_end, config.dt)
-        n_out = max(2, (int(config.t_end / config.dt) if n_steps is None else n_steps) + 1)
-        times = np.linspace(0.0, t_stop, n_out)
+        n_steps = whole_steps(t_stop, config.dt) or math.ceil(t_stop / config.dt)
+        times = np.append(config.dt * np.arange(0, n_steps, config.store_every), t_stop)
     steps = [GeodesicSphere(float(r)) for r in sol.radius(times)]
     return Trajectory(config=config, times=times, steps=steps, termination=termination)
 

@@ -116,6 +116,13 @@ def markers_from_radial(ambient: AmbientSpace, radial, n_nodes: int) -> np.ndarr
     return np.stack([r * np.cos(w), r * np.sin(w)], axis=1)
 
 
+def center_distance(ambient: AmbientSpace, markers: np.ndarray) -> np.ndarray:
+    """Distance of each marker from e₀ (geodesic) on the sphere, from the origin in the plane."""
+    if ambient.c == 1:
+        return np.arccos(np.clip(markers[:, 0], -1.0, 1.0))
+    return np.linalg.norm(markers, axis=1)
+
+
 def cos_mode_radial(r0: float, amplitude: float = 0.0, mode: int = 2) -> Callable:
     """Radial profile r(w) = r0·(1 + amplitude·cos(mode·w)).
 

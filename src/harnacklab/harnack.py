@@ -157,7 +157,8 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
 
     dtF replaces the analytic ∂ₜF = β + cF tr(Ḟ), for instance with a
     centered difference of stored states (flow.time_derivative); None keeps
-    the closed-form value.
+    the closed-form value.  A δ so large that δF/t overflows raises
+    ConfigError.
     """
     t = state.t
     if t <= 0:
@@ -196,6 +197,10 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
             raise ConfigError(
                 f"contracting monitors need delta > 0, got {delta:g}")
 
+    with np.errstate(over="ignore"):
+        delta_F_over_t = delta * state.F / t
+    if not np.isfinite(delta_F_over_t).all():
+        raise ConfigError(f"delta = {delta:g} makes the term delta*F/t overflow at t = {t:g}")
     if dtF is None:
         dtF = analytic_dtF(state)
 
@@ -210,7 +215,7 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
     terms = {"dtF": dtF,
              "minus_theta": -state.theta,
              "correction": correction,
-             "delta_F_over_t": delta * state.F / t,
+             "delta_F_over_t": delta_F_over_t,
              "zeta": zterm}
     Q = terms["dtF"] + terms["minus_theta"] + terms["correction"] \
         + terms["delta_F_over_t"] + terms["zeta"]

@@ -547,22 +547,6 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     return out
 
 
-def convexity_monitor(trajectory: Trajectory) -> dict:
-    """Minimum principal curvature per stored state, its infimum and location.
-
-    The infimum's location is reported as (argmin_t, argmin_node); a strictly
-    positive infimum certifies empirical convexity preservation for the run.
-    """
-    per_state = np.array([float(s.kappa.min()) for s in trajectory.states])
-    i = int(np.argmin(per_state))
-    node = int(np.unravel_index(np.argmin(trajectory.states[i].kappa),
-                                trajectory.states[i].kappa.shape)[0])
-    return {"t": trajectory.times, "min_kappa_per_state": per_state,
-            "min_kappa": float(per_state.min()),
-            "argmin_t": float(trajectory.times[i]), "argmin_node": node,
-            "all_convex": bool(np.all(per_state > 0.0))}
-
-
 # ---------------------------------------------------------------------------
 # pointwise inequality gaps (eigenframe inputs)
 # ---------------------------------------------------------------------------
@@ -671,6 +655,14 @@ SCAN_KERNELS = {"f-lemma": _f_lemma_kernel, "urbas": _urbas_kernel,
                 "fb-dominance": _fb_dominance_kernel}
 SCAN_INEQUALITIES = tuple(SCAN_KERNELS)
 
+DEFAULT_SEED = 20260817
+
+
+def scan_roster(f: CurvatureFunction) -> tuple:
+    """The scanned inequalities that apply to f: urbas only if f is inverse-concave."""
+    return tuple(iq for iq in SCAN_INEQUALITIES if iq != "urbas" or f.inverse_concave)
+
+
 # Samples drawn per _scan_once call, and the log-uniform range of each κᵢ;
 # changing either changes every scan result.
 SCAN_BATCH = 20_000
@@ -730,7 +722,7 @@ def _scan_once(inequality, f, speed, rng, samples, n):
 
 
 def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
-                      samples: int = 100_000, seed: int = 20260817,
+                      samples: int = 100_000, seed: int = DEFAULT_SEED,
                       speed: Optional[SpeedFunction] = None) -> list:
     """Randomized certification scans of the pointwise matrix inequalities.
 

@@ -217,10 +217,10 @@ def test_criterion_8_convexity_preserved(certify, weak_harnack_runs, strong_harn
     trajs = dict(weak_harnack_runs)
     trajs.update({("mean", p, "strong"): t for p, t in strong_harnack_runs.items()})
     for key, traj in trajs.items():
-        out = V.convexity_monitor(traj)
-        assert out["all_convex"] is True, key
-        if out["min_kappa"] < floor:
-            floor, where = out["min_kappa"], str(key)
+        min_kappa = min(float(state.kappa.min()) for state in traj.states)
+        assert min_kappa > 0.0, key
+        if min_kappa < floor:
+            floor, where = min_kappa, str(key)
     certify("convexity preserved", floor > 0.0,
              f"min principal curvature {floor:.6f} at {where} over "
              f"{len(trajs)} runs")

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,27 @@ def test_unknown_key_is_named(tmp_path, capsys):
     cfg = write_cfg(tmp_path, exponent=1.0, tyop=3)
     assert run_cli("sphere-exact", cfg, tmp_path / "out") == cli.EXIT_CONFIG
     assert "'tyop'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, key, value, message", [
+    ("simulate", "n_nodes", "abc", "config key 'n_nodes' expects an integer, got 'abc'"),
+    ("sphere-exact", "exponent", "x", "config key 'exponent' expects a number, got 'x'"),
+    ("sphere-exact", "ambient", "torus",
+     "config key 'ambient' must be one of ('sphere', 'euclidean'), got 'torus'"),
+    ("scan-inequalities", "gap_floor", "nan", "config key 'gap_floor' must be a finite"),
+    ("scan-inequalities", "witness_tol", "nan", "config key 'witness_tol' must be a finite"),
+    ("verify-evolution", "min_order", "nan", "config key 'min_order' must be a finite"),
+    ("verify-evolution", "max_residual", "inf", "config key 'max_residual' must be a finite"),
+], ids=["n_nodes", "exponent", "ambient", "gap_floor", "witness_tol", "min_order",
+        "max_residual"])
+def test_a_value_of_the_wrong_kind_is_named_before_any_work(tmp_path, capsys, sub, key,
+                                                            value, message):
+    """A non-finite threshold used to fail every row, exit 4 and write NaN into summary.json."""
+    cfg = write_cfg(tmp_path, **{"exponent": 1.0, key: value})
+    out = tmp_path / "out"
+    assert run_cli(sub, cfg, out) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_exponent_is_config_error(tmp_path, capsys):
@@ -166,6 +188,28 @@ def test_simulate_round_sphere(tmp_path):
     assert summary["termination"] == "completed"
 
 
+def test_simulate_grid_free_run_stores_at_the_cadence(tmp_path):
+    """The grid-free tier used to ignore store_every and write all 11 dt steps."""
+    cfg = write_cfg(tmp_path, exponent=1.0, t_end=0.01, dt=1e-3, store_every=5)
+    out = tmp_path / "out"
+    assert run_cli("simulate", cfg, out) == cli.EXIT_OK
+    rows = (out / "simulate.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.005, 0.01]
+
+
+@pytest.mark.parametrize("ambient, min_radius", [("sphere", 0.7), ("euclidean", 0.8)])
+def test_simulate_radius_floor_stops_below_the_floor(tmp_path, ambient, min_radius):
+    """The floor and the extent columns measure from the same center."""
+    cfg = write_cfg(tmp_path, ambient=ambient, exponent=1.0, amplitude=0.05, n_nodes=16,
+                    t_end=0.3, min_radius=min_radius)
+    out = tmp_path / "out"
+    assert run_cli("simulate", cfg, out) == cli.EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["termination"] == "radius-floor"
+    rows = [row.split(",") for row in (out / "simulate.csv").read_text().splitlines()]
+    extent_min = [float(row[rows[0].index("extent_min")]) for row in rows[1:]]
+    assert extent_min[-1] < min_radius <= min(extent_min[:-1])
+
+
 def test_simulate_nonconvex_start_exits_convexity(tmp_path, capsys):
     cfg = write_cfg(tmp_path, exponent=1.0, amplitude=0.3, mode=4,
                     n_nodes=32, t_end=0.01)
@@ -220,6 +264,29 @@ def test_monitor_refuses_a_non_finite_delta(tmp_path, capsys, delta):
     assert not out.exists()
 
 
+def test_monitor_refuses_a_delta_that_overflows(tmp_path, capsys):
+    """delta = 1e308 used to exit 0 with "min_Q": Infinity, which is not JSON."""
+    cfg = write_cfg(tmp_path, exponent=0.5, delta=1e308, t_end=0.004, dt=1e-3)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("monitor", cfg, out) == cli.EXIT_CONFIG
+    assert "delta = 1e+308 makes the term delta*F/t overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_monitor_trajectory_source_on_the_grid_free_tier(tmp_path):
+    """t_end = 10.5 steps used to store linspace times off the dt grid and
+    leave the centered differences nothing to pair."""
+    cfg = write_cfg(tmp_path, exponent=0.5, dtf_source="trajectory", dt=1e-3,
+                    t_end=0.0105)
+    out = tmp_path / "out"
+    assert run_cli("monitor", cfg, out) == cli.EXIT_OK
+    rows = (out / "monitor.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == pytest.approx(
+        [k * 1e-3 for k in range(1, 10)], rel=1e-12)
+
+
 def test_monitor_trajectory_source_needs_dense_storage(tmp_path, capsys):
     cfg = write_cfg(tmp_path, exponent=0.5, dtf_source="trajectory",
                     t_end=0.02)     # no dt given
@@ -243,7 +310,7 @@ PINNED_TABLES = {
     "monitor-strong-Hp-sphere": (
         "monitor", "monitor",
         dict(exponent=0.6, variant="strong-Hp", t_end=0.02, dt=2e-3, store_every=2),
-        "3bd53d02a19bd5e4"),
+        "58083f650bfae5c5"),
     "sphere-exact-spherical": (
         "sphere-exact", "sphere", dict(exponent=0.6, t_end=0.05, n_times=9),
         "597bc4ada655a041"),
@@ -255,6 +322,11 @@ PINNED_TABLES = {
         "simulate", "simulate",
         dict(exponent=0.5, amplitude=0.05, n_nodes=16, t_end=0.01, store_every=5),
         "6ea67ae54eb6d277"),
+    "simulate-euclidean": (
+        "simulate", "simulate",
+        dict(ambient="euclidean", speed="power-mean(3)", exponent=1.0, radius="auto",
+             amplitude=0.05, n_nodes=16, t_end=0.01, store_every=5),
+        "e1b6a8215f351d8e"),
 }
 
 

@@ -161,16 +161,34 @@ def test_umbilic_run_matches_solution():
 
 
 def test_both_tiers_store_the_dt_grid():
-    """t_end = 49·dt is a whole number of steps even though t_end/dt = 48.99…"""
-    t_end, dt = 49 * 1e-4, 1e-4
-    umbilic = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(0.8),
-                                       t_end=t_end, dt=dt))
-    grid = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 16),
-                                    t_end=t_end, dt=dt))
-    assert len(umbilic.times) == len(grid.times) == 50
-    npt.assert_allclose(umbilic.times, grid.times, rtol=0, atol=1e-15)
-    for traj in (umbilic, grid):
-        assert flow.time_derivative(traj, "F", 7e-4, dt).shape == (traj.states[0].n_nodes,)
+    """Both tiers store every store_every-th multiple of dt below the stop, then the stop.
+
+    t_end = 49·dt is a whole number of steps even though t_end/dt = 48.99…;
+    t_end = 49.5·dt ends on a partial step; the flat radius floor r = 0.5 is
+    reached at t = 0.1875, which the gridded tier detects at the next step.
+    """
+    cases = [  # ambient, r0, t_end, dt, store_every, extra config, stored times
+        (SPHERE, 0.8, 49 * 1e-4, 1e-4, 1, {}, 50),
+        (SPHERE, 0.8, 49 * 1e-4, 1e-4, 5, {}, 11),
+        (SPHERE, 0.8, 4.95e-3, 1e-4, 1, {}, 51),
+        (SPHERE, 0.8, 4.95e-3, 1e-4, 5, {}, 11),
+        (FLAT, 1.0, 0.2, 0.01, 3, {"min_radius": 0.5}, 8),
+    ]
+    for ambient, r0, t_end, dt, every, extra, n_stored in cases:
+        umbilic, grid = (flow.run(flow.FlowConfig(ambient, _speed(1.0), initial, t_end=t_end,
+                                                  dt=dt, store_every=every, **extra))
+                         for initial in (geo.GeodesicSphere(r0),
+                                         geo.markers_from_radial(ambient, r0, 16)))
+        assert umbilic.termination == grid.termination
+        assert len(umbilic.times) == len(grid.times) == n_stored
+        npt.assert_allclose(umbilic.times[:-1], grid.times[:-1], rtol=0, atol=1e-15)
+        if extra:
+            assert grid.times[-1] - dt < umbilic.times[-1] < grid.times[-1]
+        else:
+            npt.assert_allclose(umbilic.times[-1], grid.times[-1], rtol=0, atol=1e-15)
+        h = every * dt
+        for traj in (umbilic, grid):
+            assert flow.time_derivative(traj, "F", 2 * h, h).shape == (traj.states[0].n_nodes,)
 
 
 def test_umbilic_run_stopped_early_keeps_the_dt_grid():

@@ -168,6 +168,12 @@ def test_variant_and_ambient_guards():
     st0 = sol0.state(0.1)
     with pytest.raises(ConfigError):
         ha.evaluate_monitor(st0, ha.HarnackConfig("euclidean-expanding"))
+    expanding = flow.sphere_ode_solution(FLAT, MEAN(-0.5), 1.0).state(1.0)
+    with pytest.raises(ConfigError, match="euclidean-contracting monitor got an expanding"):
+        ha.evaluate_monitor(expanding, ha.HarnackConfig("euclidean-contracting"))
+    steep = flow.sphere_ode_solution(SPHERE, MEAN(1.5), 0.8).state(0.01)
+    with pytest.raises(ConfigError, match="strong-Hp needs 0 < p <= 1, got 1.5"):
+        ha.evaluate_monitor(steep, ha.HarnackConfig("strong-Hp"))
     with pytest.raises(ConfigError):
         ha.evaluate_monitor(st1, ha.HarnackConfig("no-such-variant"))
 

@@ -451,22 +451,6 @@ def test_zeta_condition_applicability_split(p, n):
 
 
 # ---------------------------------------------------------------------------
-# convexity monitor
-# ---------------------------------------------------------------------------
-
-def test_convexity_monitor_report(umbilic_traj):
-    out = V.convexity_monitor(umbilic_traj)
-    assert set(out) == {"t", "min_kappa_per_state", "min_kappa",
-                        "argmin_t", "argmin_node", "all_convex"}
-    assert len(out["min_kappa_per_state"]) == len(out["t"])
-    assert out["min_kappa"] == out["min_kappa_per_state"].min()
-    assert out["argmin_t"] in out["t"]
-    assert out["all_convex"] is True
-    # cot(0.8) ~ 0.97: the sphere only steepens as it contracts
-    assert out["min_kappa"] > 0.9
-
-
-# ---------------------------------------------------------------------------
 # random inequality scans
 # ---------------------------------------------------------------------------
 
