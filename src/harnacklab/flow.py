@@ -28,6 +28,11 @@ Round spheres stay round: their radius obeys ṙ = −F(cot r) (c = 1) or
 the lifespan integral is an incomplete beta function, summed as a series and
 inverted by Newton's method.  The grid-free sphere tier works in every
 dimension n ≥ 1 and doubles as the reference solution for grid runs.
+
+Both tiers share one stop rule (_stop): a run ends at the first time t ≥ 0
+at which κ_max ≥ max_kappa or the distance from the center falls below
+min_radius, or else at t_end.  A contracting sphere reaches the curvature cap
+before it goes extinct, so no grid-free run asks for a time past extinction.
 """
 
 from __future__ import annotations
@@ -76,9 +81,10 @@ class FlowConfig:
     the run ends as "convexity-lost".  An explicit dt is kept fixed (except
     for a final partial step onto t_end), which is what the convergence
     ladders use; a fixed step that leaves the cone raises StabilityViolation.
-    The run stops at the curvature cap max_kappa (positive and finite) and
-    at the radius floor min_radius (finite, 0 for none), measured from the
-    symmetry center: e₀ on the sphere, the origin in the plane
+    On both tiers the run stops at the first time t ≥ 0, t = 0 included,
+    at which the curvature cap max_kappa (positive and finite) or the radius
+    floor min_radius (finite, 0 for none) holds; the floor is measured from
+    the symmetry center: e₀ on the sphere, the origin in the plane
     (geometry.center_distance).  Expanding speeds raise UnsupportedAmbient
     on the sphere.
     """
@@ -191,11 +197,12 @@ def run(config: FlowConfig) -> Trajectory:
 
     Stops at t_end ("completed") or earlier when an adaptive step and its
     half-size retry both leave the convex cone ("convexity-lost"), a step's
-    marker grid degenerates ("grid-degenerate"), the curvature cap is
-    reached, or the surface shrinks below the radius floor.  Every step's
-    markers go through _profile_geometry, whose output also drives the next
-    step; the markers of every store_every-th step and of the last completed
-    step are stored, and nothing is assembled here.  Non-convex or
+    marker grid degenerates ("grid-degenerate"), or a step, the initial
+    data included, meets the curvature cap ("curvature-cap") or the radius
+    floor ("radius-floor").  Every step's markers go through
+    _profile_geometry, whose output also drives the next step; the markers
+    of every store_every-th step and of the last completed step are stored,
+    and nothing is assembled here.  Non-convex or
     degenerate initial data raises ConvexityLost or DegenerateGrid before
     any step, and a fixed-dt step that leaves the cone raises
     StabilityViolation.
@@ -226,13 +233,10 @@ def run(config: FlowConfig) -> Trajectory:
         fv = speed.f.value(kappa)       # F and Φ' share one f(κ)
         F = speed._from_f(fv)
 
-        kappa_max = float(kappa.max())
-        if kappa_max >= config.max_kappa:
-            termination = "curvature-cap"
-            break
-        if (config.min_radius > 0
-                and geometry.center_distance(ambient, markers).min() < config.min_radius):
-            termination = "radius-floor"
+        stop = _stop(config, float(kappa.max()),
+                     lambda: geometry.center_distance(ambient, markers).min())
+        if stop:
+            termination = stop
             break
 
         if config.dt is not None:
@@ -274,33 +278,54 @@ def run(config: FlowConfig) -> Trajectory:
                       termination=termination, rejected_steps=rejected)
 
 
+def _stop(config: FlowConfig, kappa_max: float, distance: Callable) -> Optional[str]:
+    """The stop that holds at a state with largest curvature kappa_max, or None.
+
+    distance() is the state's least distance from the center; it is only
+    called when the run has a radius floor.
+    """
+    if kappa_max >= config.max_kappa:
+        return "curvature-cap"
+    if config.min_radius > 0 and distance() < config.min_radius:
+        return "radius-floor"
+    return None
+
+
 def _run_umbilic(config: FlowConfig) -> Trajectory:
     """Grid-free tier: spheres stay round, so each step is the radius ODE's sphere.
 
-    A fixed-dt run stores what the gridded stepper stores: every
-    store_every-th multiple of dt below the stop, then the stop.  An
-    adaptive run stores 129 evenly spaced times.
+    The run stops where run() stops: at t = 0 if the starting sphere already
+    meets the curvature cap or the radius floor, else at the first crossing
+    of either, else at t_end.  An expanding sphere moves away from both, and
+    a contracting one reaches the cap radius before it goes extinct, so no
+    run queries the solution past extinction; the stop row holds the stop
+    radius itself, since the cap's crossing time can round onto the
+    extinction time.  A fixed-dt run stores what the gridded stepper stores:
+    every store_every-th multiple of dt below the stop, then the stop.  An
+    adaptive run stores 129 evenly spaced times, or t = 0 alone.
     """
-    sol = sphere_ode_solution(config.ambient, config.speed, config.initial.radius)
-    t_stop, termination = config.t_end, "completed"
-
-    if sol.t_extinction is not None and config.t_end >= sol.t_extinction:
-        raise DomainExceeded(
-            f"t_end = {config.t_end:g} reaches the extinction time {sol.t_extinction:g}")
-    if config.speed.contracting:
-        r_cap = 1.0 / config.max_kappa
-        r_cap = math.atan(r_cap) if config.ambient.c == 1 else r_cap
-        for r_stop, cause in ((config.min_radius, "radius-floor"), (r_cap, "curvature-cap")):
-            t_hit = sol.time_of_radius(r_stop)      # None for no floor (0) or r_stop > r0
-            if t_hit is not None and t_hit < t_stop:
-                t_stop, termination = t_hit, cause
+    ambient, r0 = config.ambient, config.initial.radius
+    sol = sphere_ode_solution(ambient, config.speed, r0)
+    t_stop, r_stop = 0.0, r0
+    termination = _stop(config, geometry._umbilic_kappa(ambient, r0), lambda: r0)
+    if termination is None:
+        t_stop, r_stop, termination = config.t_end, None, "completed"
+        if config.speed.contracting:
+            r_cap = 1.0 / config.max_kappa
+            # κ(r0) < max_kappa, but the cap radius can round onto or past r0
+            r_cap = min(math.atan(r_cap) if ambient.c == 1 else r_cap, r0)
+            for r_hit, cause in ((config.min_radius, "radius-floor"), (r_cap, "curvature-cap")):
+                t_hit = sol.time_of_radius(r_hit)       # None for no floor (0)
+                if t_hit is not None and t_hit <= t_stop:
+                    t_stop, r_stop, termination = t_hit, r_hit, cause
 
     if not config.dt:
-        times = np.linspace(0.0, t_stop, 129)
+        times = np.linspace(0.0, t_stop, 129 if t_stop else 1)
     else:
         n_steps = whole_steps(t_stop, config.dt) or math.ceil(t_stop / config.dt)
         times = np.append(config.dt * np.arange(0, n_steps, config.store_every), t_stop)
-    steps = [GeodesicSphere(float(r)) for r in sol.radius(times)]
+    radii = sol.radius(times) if r_stop is None else np.append(sol.radius(times[:-1]), r_stop)
+    steps = [GeodesicSphere(float(r)) for r in radii]
     return Trajectory(config=config, times=times, steps=steps, termination=termination)
 
 
@@ -331,7 +356,7 @@ class SphereSolution:
         return float(out) if np.isscalar(t) else out
 
     def time_of_radius(self, r):
-        """Inverse of radius(); None if the radius is never attained."""
+        """Inverse of radius(), never past t_extinction; None if r is never attained."""
         if not (0 < r <= self.r0) if self.speed.contracting else not (r >= self.r0):
             return None
         return self._time_fn(r)
@@ -372,8 +397,8 @@ def sphere_ode_solution(ambient: AmbientSpace, speed: SpeedFunction,
         def radius_fn(t):
             return np.arccos(np.minimum(math.cos(r0) * np.exp(f1 * t), 1.0))
 
-        def time_of(r):
-            return math.log(math.cos(r) / math.cos(r0)) / f1
+        def time_of(r):     # the ratio's rounding can put r → 0 an ulp past t_ext
+            return min(math.log(math.cos(r) / math.cos(r0)) / f1, t_ext)
 
         return SphereSolution(ambient, speed, r0, t_ext, radius_fn, time_of)
 

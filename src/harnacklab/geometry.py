@@ -324,6 +324,11 @@ def _validate_radius(ambient, r):
             f"geodesic spheres in the unit sphere are strictly convex only for r < pi/2, got {r:g}")
 
 
+def _umbilic_kappa(ambient, r):
+    """Principal curvature of the geodesic sphere of radius r: cot r, or 1/r in the plane."""
+    return np.cos(r) / np.sin(r) if ambient.c == 1 else 1.0 / r
+
+
 def _validated_markers(ambient, markers):
     if ambient.dim not in (1, 2):
         raise ConfigError(f"marker grids exist only for dimension 1 or 2, got {ambient.dim}; "
@@ -348,10 +353,7 @@ def _validated_markers(ambient, markers):
 def _assemble_umbilic(ambient, speed, r, t):
     """Grid-free geodesic sphere: every field is closed-form, gradients vanish."""
     n = ambient.dim
-    if ambient.c == 1:
-        a, kap = np.sin(r), np.cos(r) / np.sin(r)
-    else:
-        a, kap = r, 1.0 / r
+    a, kap = (np.sin(r) if ambient.c == 1 else r), _umbilic_kappa(ambient, r)
     eye = np.eye(n)[None]
     kappa = np.full((1, n), kap)
     state = SurfaceState(

@@ -29,15 +29,16 @@ Pointwise inequality scans
 Working in the g-orthonormal Weingarten eigenframe, κ ∈ Γ₊ and a symmetric
 η̂ determine every scanned quantity:
 
-    f_lemma_gap      Σ (f_i/κ_j) η̂_ij² − (Σ f_i η̂_ii)²/f               ≥ 0
-    urbas_gap        Q_f(η̂) + 2Σ (f_i/κ_j) η̂_ij² − 2(Σ f_i η̂_ii)²/f    ≥ 0
-    harnack_form_gap Q_F(η̂) + 2Σ (Φ'_j/κ_i) η̂_ij² − (Σ Φ'_i η̂_ii)²/(δF) ≥ 0
-    fb_dominance     min_i (f/κ_i − f_i)                                ≥ 0
+    f-lemma       Σ (f_i/κ_j) η̂_ij² − (Σ f_i η̂_ii)²/f               ≥ 0
+    urbas         Q_f(η̂) + 2Σ (f_i/κ_j) η̂_ij² − 2(Σ f_i η̂_ii)²/f    ≥ 0
+    harnack-form  Q_F(η̂) + 2Σ (Φ'_j/κ_i) η̂_ij² − (Σ Φ'_i η̂_ii)²/(δF) ≥ 0
+    fb-dominance  min_i (f/κ_i − f_i)                                ≥ 0
 
-with equality at η̂ ∝ diag(κ) for the first three.  Each inequality has one
-kernel in SCAN_KERNELS: it evaluates the derivatives of f (or F) at a κ batch
-once and returns terms(η̂) → (quad, pos, neg) for the sample, its equality
-witness and the public gap function alike.  Samples draw κ log-uniformly and
+with equality at η̂ ∝ diag(κ) for the first three, and δ = speed.delta_default.
+Each inequality has one kernel in SCAN_KERNELS, under its scan tag: it
+evaluates the derivatives of f (or F) at a κ batch once and returns
+terms(η̂) → (quad, pos, neg), whose sum quad + pos − neg is the gap, for the
+sample and its equality witness alike.  Samples draw κ log-uniformly and
 η̂ from symmetrized Gaussians, seeded through a splittable 64-bit
 SeedSequence so scans are reproducible per task.
 """
@@ -583,12 +584,12 @@ def _urbas_kernel(f, speed, kappa):
     return terms
 
 
-def _harnack_form_kernel(f, speed, kappa, delta=None):
+def _harnack_form_kernel(f, speed, kappa):
     """terms(η̂) → (quad, pos, neg) of the Harnack-form gap in the eigenframe."""
     spectrum = _sf.d2F_spectrum(speed, kappa)
     phi = spectrum[0]
     inv = 1.0 / kappa
-    dFv = (speed.delta_default if delta is None else delta) * speed.value(kappa)
+    dFv = speed.delta_default * speed.value(kappa)
 
     def terms(eta_hat):
         quad = _sf.d2F_quadratic_eigenframe(spectrum, eta_hat)
@@ -603,46 +604,6 @@ def _fb_dominance_kernel(f, speed, kappa):
     fi = grad_f(f, kappa)
     ratio = eval_f(f, kappa)[..., None] / kappa
     return lambda eta_hat: (0.0, ratio, fi)
-
-
-def _gap(terms, eta_hat):
-    quad, pos, neg = terms(np.asarray(eta_hat, dtype=float))
-    return quad + pos - neg
-
-
-def f_lemma_gap(f: CurvatureFunction, kappa, eta_hat) -> np.ndarray:
-    """Gap of (f^{ik} b^{jl} − f^{ij} f^{kl}/f) η η ≥ 0 in the eigenframe."""
-    return _gap(_f_lemma_kernel(f, None, np.asarray(kappa, dtype=float)), eta_hat)
-
-
-def urbas_gap(f: CurvatureFunction, kappa, eta_hat) -> np.ndarray:
-    """Gap of (f^{ij,kl} + 2f^{ik}b^{jl}) η η ≥ 2 f⁻¹ (f^{ij}η_{ij})².
-
-    Valid for inverse-concave f; raises WrongSpeed otherwise.
-    """
-    return _gap(_urbas_kernel(f, None, np.asarray(kappa, dtype=float)), eta_hat)
-
-
-def harnack_form_gap(speed: SpeedFunction, g, h, eta,
-                     delta: Optional[float] = None) -> np.ndarray:
-    """Gap of the Harnack quadratic form from the χ₂ evolution,
-
-        F^{ij,kl} η η + 2 b^{il} F^{jk} η η − (F^{ij}η_{ij})²/(δF) ≥ 0,
-
-    on a strictly convex (g, h) pair, with δ defaulting to speed.delta_default.
-
-    For convex f the gap decomposes as αf^{α−1}·(f^{ij,kl}ηη) plus
-    2αf^{α−1}·f_lemma_gap(f, ·), each nonnegative.
-    """
-    kappa, T = _sf.weingarten_eigensystem(g, h)
-    eta_hat = _sf._to_eigenframe(T, np.asarray(eta, dtype=float))
-    return _gap(_harnack_form_kernel(speed.f, speed, kappa, delta), eta_hat)
-
-
-def fb_dominance(f: CurvatureFunction, kappa) -> np.ndarray:
-    """min_i (f/κ_i − f_i): monotone 1-homogeneous f dominates each Euler term."""
-    _, ratio, fi = _fb_dominance_kernel(f, None, np.asarray(kappa, dtype=float))(None)
-    return np.min(ratio - fi, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +679,8 @@ def _scan_once(inequality, f, speed, rng, samples, n):
     if inequality == "fb-dominance":
         return worst, 0.0
     witness = _sf._to_eigenframe(T, h) if general else _sf._diag_embed(kappa)
-    return worst, float(np.max(np.abs(_gap(terms, witness))))
+    quad, pos, neg = terms(witness)
+    return worst, float(np.max(np.abs(quad + pos - neg)))
 
 
 def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),

@@ -197,6 +197,17 @@ def test_simulate_grid_free_run_stores_at_the_cadence(tmp_path):
     assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.005, 0.01]
 
 
+def test_simulate_grid_free_past_extinction_stops_at_the_cap(tmp_path):
+    """t_end = 0.4 lies past the extinction at t = 0.1807; the grid-free run
+    used to exit 1 as a configuration error, the gridded one stops at the cap."""
+    cfg = write_cfg(tmp_path, exponent=1.0, amplitude=0, t_end=0.4)
+    out = tmp_path / "out"
+    assert run_cli("simulate", cfg, out) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "curvature-cap"
+    assert summary["t_final"] < 0.1807
+
+
 @pytest.mark.parametrize("ambient, min_radius", [("sphere", 0.7), ("euclidean", 0.8)])
 def test_simulate_radius_floor_stops_below_the_floor(tmp_path, ambient, min_radius):
     """The floor and the extent columns measure from the same center."""

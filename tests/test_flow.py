@@ -213,10 +213,89 @@ def test_umbilic_run_solves_its_radii_in_one_query(monkeypatch):
     assert calls == [len(traj.times)] == [129]
 
 
-def test_umbilic_run_past_extinction_raises():
-    cfg = flow.FlowConfig(FLAT, _speed(1.0), geo.GeodesicSphere(1.0), t_end=0.5)
-    with pytest.raises(DomainExceeded):
-        flow.run(cfg)
+def test_umbilic_run_past_extinction_stops_at_the_cap():
+    """t_end = 0.5 lies past the extinction at t = 1/4: both tiers stop at the
+    curvature cap first (the grid-free tier used to raise DomainExceeded)."""
+    for initial in (geo.GeodesicSphere(1.0), geo.markers_from_radial(FLAT, 1.0, 16)):
+        traj = flow.run(flow.FlowConfig(FLAT, _speed(1.0), initial, t_end=0.5))
+        assert traj.termination == "curvature-cap"
+        assert traj.times[-1] < 0.25
+        assert traj.states[-1].kappa.max() >= 0.99 * traj.config.max_kappa
+
+
+@pytest.mark.parametrize("dt", [None, 1e-3], ids=["adaptive", "fixed"])
+@pytest.mark.parametrize("stop, cause", [({"max_kappa": 0.5}, "curvature-cap"),
+                                         ({"min_radius": 2.0}, "radius-floor")],
+                         ids=["cap", "floor"])
+@pytest.mark.parametrize("ambient, r0, p", [(SPHERE, 0.8, 1.0), (FLAT, 1.0, 1.0),
+                                            (FLAT, 1.0, -0.5)],
+                         ids=["sphere-mean", "flat-mean", "flat-mean^-0.5"])
+def test_a_stop_that_holds_at_the_start_ends_both_tiers_at_t0(ambient, r0, p, stop, cause, dt):
+    """The grid-free tier used to ignore a stop that already held and return
+    "completed" with 129 rows."""
+    for initial in (geo.GeodesicSphere(r0), geo.markers_from_radial(ambient, r0, 16)):
+        traj = flow.run(flow.FlowConfig(ambient, _speed(p), initial, t_end=0.1, dt=dt, **stop))
+        assert traj.termination == cause
+        assert list(traj.times) == [0.0] and len(traj.steps) == 1
+
+
+@pytest.mark.parametrize("dt", [None, 1e-3], ids=["adaptive", "fixed"])
+def test_a_cap_equal_to_the_starting_curvature_ends_the_run_at_t0(dt):
+    """An adaptive grid-free run used to store 129 rows, all at t = 0."""
+    for ambient, r0 in ((SPHERE, 0.8), (FLAT, 1.0)):
+        for initial in (geo.GeodesicSphere(r0), geo.markers_from_radial(ambient, r0, 16)):
+            kappa0 = float(geo.assemble(initial, ambient, _speed(1.0)).kappa.max())
+            traj = flow.run(flow.FlowConfig(ambient, _speed(1.0), initial, t_end=0.1, dt=dt,
+                                            max_kappa=kappa0))
+            assert traj.termination == "curvature-cap"
+            assert list(traj.times) == [0.0] and len(traj.steps) == 1
+
+
+@pytest.mark.parametrize("dt", [None, 1e-3], ids=["adaptive", "fixed"])
+@pytest.mark.parametrize("ambient, r0, max_kappa, t_end", [(SPHERE, 0.8, 1e8, 0.2),
+                                                           (FLAT, 1.0, 1e12, 0.3)],
+                         ids=["sphere", "flat"])
+def test_a_cap_crossing_that_rounds_onto_extinction_stores_the_cap_sphere(
+        ambient, r0, max_kappa, t_end, dt):
+    """Here the cap's crossing time rounds onto the extinction time, where
+    SphereSolution.radius has no answer: the stop row is the cap sphere itself."""
+    sol = flow.sphere_ode_solution(ambient, _speed(1.0), r0)
+    traj = flow.run(flow.FlowConfig(ambient, _speed(1.0), geo.GeodesicSphere(r0), t_end=t_end,
+                                    dt=dt, max_kappa=max_kappa))
+    assert traj.termination == "curvature-cap"
+    assert traj.times[-1] <= sol.t_extinction
+    assert np.isfinite(traj.steps[-1].radius) and traj.steps[-1].radius > 0
+    npt.assert_allclose(traj.states[-1].kappa.max(), max_kappa, rtol=1e-9)
+
+
+@pytest.mark.parametrize("dt", [None, 1e-3], ids=["adaptive", "fixed"])
+def test_a_cap_one_ulp_above_the_starting_curvature_still_stops_the_sphere(dt):
+    """At r0 = 15/32 the cap radius arctan(1/max_kappa) of this cap rounds
+    past r0, so the sphere would never be seen to cross it."""
+    r0 = 0.46875
+    max_kappa = float(np.nextafter(geo._umbilic_kappa(SPHERE, r0), np.inf))
+    sol = flow.sphere_ode_solution(SPHERE, _speed(1.0), r0)
+    traj = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(r0),
+                                    t_end=2.0 * sol.t_extinction, dt=dt, max_kappa=max_kappa))
+    assert traj.termination == "curvature-cap"
+    assert traj.times[-1] <= sol.t_extinction
+
+
+@pytest.mark.parametrize("ambient, r0, p", [
+    (SPHERE, 0.8, 1.0), (SPHERE, 0.9, 1.0), (SPHERE, 0.8, 0.5), (SPHERE, 1.2, 2.0),
+    (FLAT, 1.0, 1.0), (FLAT, 1.0, 0.3), (geo.AmbientSpace(1, 3), 0.8, 1.0)])
+def test_no_cap_takes_a_contracting_sphere_past_extinction(ambient, r0, p):
+    """At r0 = 0.9 the closed-form crossing time of a tiny cap radius rounds an
+    ulp past the extinction time unless time_of_radius clamps it."""
+    sol = flow.sphere_ode_solution(ambient, _speed(p), r0)
+    for max_kappa in (1e4, 1e12, 1e300, np.finfo(float).max):
+        for t_end in (sol.t_extinction, 2.0 * sol.t_extinction):
+            for dt in (None, sol.t_extinction / 7):
+                traj = flow.run(flow.FlowConfig(ambient, _speed(p), geo.GeodesicSphere(r0),
+                                                t_end=t_end, dt=dt, max_kappa=max_kappa))
+                assert traj.termination == "curvature-cap"
+                assert traj.times[-1] <= sol.t_extinction
+                assert 0 < traj.steps[-1].radius <= r0
 
 
 def test_umbilic_radius_floor_and_curvature_cap():
@@ -355,6 +434,15 @@ def test_adaptive_run_reaches_the_curvature_cap_near_extinction(monkeypatch):
     assert traj.termination == "curvature-cap"
     assert 0.17 < traj.times[-1] < 0.175
     assert len(dts) < 2_000
+
+
+def test_a_run_without_a_radius_floor_never_measures_its_distance(monkeypatch):
+    def refused(*args):
+        raise AssertionError("center_distance called with min_radius = 0")
+    monkeypatch.setattr(geo, "center_distance", refused)
+    traj = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 16),
+                                    t_end=0.005))
+    assert traj.termination == "completed"
 
 
 def test_adaptive_step_that_leaves_the_cone_is_retried_at_half_size(monkeypatch):

@@ -16,8 +16,8 @@ from harnacklab import verify as V
 from harnacklab.errors import ConfigError, UnsupportedAmbient, WrongSpeed
 from harnacklab.flow import FlowConfig, GeodesicSphere, run
 from harnacklab.geometry import AmbientSpace, assemble, markers_from_radial
-from harnacklab.symfunc import (SpeedFunction, d2F_from_eig, harmonic_mean, mean,
-                                norm, weingarten_eigensystem)
+from harnacklab.symfunc import (SpeedFunction, _to_eigenframe, d2F_from_eig, harmonic_mean,
+                                mean, norm, weingarten_eigensystem)
 
 SPHERE = AmbientSpace(c=1, dim=2)
 MEAN_HALF = SpeedFunction(mean(), 0.5)
@@ -313,30 +313,46 @@ def test_ladder_rejects_bad_step_inputs_before_running_a_flow(monkeypatch, keys,
 # pointwise gap functions: frozen examples and equality witnesses
 # ---------------------------------------------------------------------------
 
+def _gap(tag, speed, kappa, eta_hat):
+    """quad + pos − neg of a SCAN_KERNELS entry at eigenframe inputs; f = speed.f."""
+    terms = V.SCAN_KERNELS[tag](speed.f, speed, np.asarray(kappa, dtype=float))
+    quad, pos, neg = terms(np.asarray(eta_hat, dtype=float))
+    return quad + pos - neg
+
+
+def _harnack_form_gap(speed, g, h, eta):
+    """The harnack-form gap at a (g, h) pair and a coordinate η, as the scan rotates it."""
+    kappa, T = weingarten_eigensystem(g, h)
+    return _gap("harnack-form", speed, kappa, _to_eigenframe(T, np.asarray(eta, dtype=float)))
+
+
+MEAN_ONE = SpeedFunction(mean(), 1.0)
+
+
 def test_gap_examples_by_hand():
     kappa = np.array([1.0, 2.0])
     eta = np.diag([1.0, -1.0])
     # trace f: sum eta^2/kappa - (tr eta)^2/f = (1 + 1/2) - 0 = 3/2
-    npt.assert_allclose(V.f_lemma_gap(mean(), kappa, eta), 1.5, rtol=1e-14)
-    npt.assert_allclose(V.urbas_gap(mean(), kappa, eta), 3.0, rtol=1e-14)
+    npt.assert_allclose(_gap("f-lemma", MEAN_ONE, kappa, eta), 1.5, rtol=1e-14)
+    npt.assert_allclose(_gap("urbas", MEAN_ONE, kappa, eta), 3.0, rtol=1e-14)
     # norm at (3, 4): f = 5, df = (3/5, 4/5), f - kappa . df with the
     # smaller curvature direction weighted: 5 - 3*3/5 - ... = 9/20 * 2
-    npt.assert_allclose(V.fb_dominance(norm(), np.array([3.0, 4.0])),
-                        0.45, rtol=1e-14)
+    npt.assert_allclose(_gap("fb-dominance", SpeedFunction(norm(), 1.0),
+                             np.array([3.0, 4.0]), None).min(), 0.45, rtol=1e-14)
 
 
 def test_gap_witnesses_are_exact_zeros():
     kappa = np.array([1.3, 2.1])
     eta_hat = np.diag(kappa)
-    assert float(V.f_lemma_gap(mean(), kappa, eta_hat)) == 0.0
-    assert float(V.urbas_gap(mean(), kappa, eta_hat)) == 0.0
+    assert float(_gap("f-lemma", MEAN_ONE, kappa, eta_hat)) == 0.0
+    assert float(_gap("urbas", MEAN_ONE, kappa, eta_hat)) == 0.0
     g, h = np.eye(2), np.diag(kappa)
-    assert float(V.harnack_form_gap(MEAN_HALF, g, h, h)) == 0.0
+    assert float(_harnack_form_gap(MEAN_HALF, g, h, h)) == 0.0
 
 
 def test_urbas_gap_requires_inverse_concavity():
     with pytest.raises(WrongSpeed):
-        V.urbas_gap(norm(), np.array([1.0, 2.0]), np.diag([1.0, -1.0]))
+        _gap("urbas", SpeedFunction(norm(), 1.0), np.array([1.0, 2.0]), np.diag([1.0, -1.0]))
 
 
 def test_harnack_form_decomposes_into_quadratic_and_lemma_gap():
@@ -351,9 +367,9 @@ def test_harnack_form_decomposes_into_quadratic_and_lemma_gap():
         for _ in range(5):
             a = rng.normal(size=(3, 3))
             eta = 0.5 * (a + a.T)
-            left = V.harnack_form_gap(F, g, h, eta)
+            left = _harnack_form_gap(F, g, h, eta)
             q = np.einsum("ijkl,ij,kl->", d2f, eta, eta)
-            lem = V.f_lemma_gap(f, kappa, eta)
+            lem = _gap("f-lemma", MEAN_ONE, kappa, eta)
             fval = f.value(kappa)
             npt.assert_allclose(left, p * fval**(p - 1.0) * (q + 2.0 * lem),
                                 rtol=1e-10)
@@ -363,27 +379,27 @@ def test_harnack_form_gap_is_frame_invariant():
     rng = np.random.default_rng(4)
     g = np.eye(2)
     h = np.diag([1.0, 2.0])
-    npt.assert_allclose(V.harnack_form_gap(MEAN_HALF, g, h, np.diag([1.0, -1.0])),
+    npt.assert_allclose(_harnack_form_gap(MEAN_HALF, g, h, np.diag([1.0, -1.0])),
                         np.sqrt(3.0) / 2.0, rtol=1e-13)
     eta = np.array([[0.7, -0.2], [-0.2, 0.3]])
-    base = V.harnack_form_gap(MEAN_HALF, g, h, eta)
+    base = _harnack_form_gap(MEAN_HALF, g, h, eta)
     for _ in range(4):
         P = rng.normal(scale=0.2, size=(2, 2)) + 2.0 * np.eye(2)
-        moved = V.harnack_form_gap(MEAN_HALF, P.T @ g @ P, P.T @ h @ P,
-                                   P.T @ eta @ P)
+        moved = _harnack_form_gap(MEAN_HALF, P.T @ g @ P, P.T @ h @ P,
+                                  P.T @ eta @ P)
         npt.assert_allclose(moved, base, rtol=1e-9)
 
 
 def test_harmonic_mean_sits_on_urbas_equality():
     # the inverse of the harmonic mean is linear, so its concavity gap --
     # and hence the Urbas gap -- vanishes identically, not just at eta = h
-    hm = harmonic_mean()
+    hm = SpeedFunction(harmonic_mean(), 1.0)
     kappa = np.array([1.3, 2.1])
     rng = np.random.default_rng(2)
     for _ in range(6):
         a = rng.normal(size=(2, 2))
         eta = 0.5 * (a + a.T)
-        gap = float(V.urbas_gap(hm, kappa, eta))
+        gap = float(_gap("urbas", hm, kappa, eta))
         assert abs(gap) < 1e-12
 
 
@@ -392,13 +408,12 @@ def test_mean_speed_form_is_twice_lemma_gap():
     # gap survives (doubled) in the speed form
     kappa = np.array([0.8, 1.4])
     g, h = np.eye(2), np.diag(kappa)
-    F1 = SpeedFunction(mean(), 1.0)
     rng = np.random.default_rng(9)
     for _ in range(5):
         a = rng.normal(size=(2, 2))
         eta = 0.5 * (a + a.T)
-        npt.assert_allclose(V.harnack_form_gap(F1, g, h, eta),
-                            2.0 * V.f_lemma_gap(mean(), kappa, eta),
+        npt.assert_allclose(_harnack_form_gap(MEAN_ONE, g, h, eta),
+                            2.0 * _gap("f-lemma", MEAN_ONE, kappa, eta),
                             rtol=1e-12, atol=1e-15)
 
 
