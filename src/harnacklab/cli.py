@@ -14,10 +14,11 @@ writes a manifest.json next to its data files; nothing is overwritten
 unless --force is passed.  Outputs carry no timestamps, so a rerun of the
 same configuration is byte-identical.
 
-Exit codes: 0 success, 1 configuration or usage error (and any other package
-error), 2 loss of convexity, 3 numerical instability (a run whose marker grid
-degenerates writes its outputs first), 4 a certified quantity failed its
-positivity or threshold requirement.
+Exit codes: 0 success, 1 a refused request (a configuration or usage error,
+or an ambient, speed, variant or time outside its domain), 2 loss of
+convexity, 3 numerical instability (a run whose marker grid degenerates
+writes its outputs first), 4 a certified quantity failed its positivity or
+threshold requirement.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ _COMMON = {
     **_SPEED,
 }
 
-_STEPPING_CASTS = {"dt": _cast_opt_float, "store_every": _cast_int, "safety": _cast_float,
+_STEPPING_CASTS = {"dt": _cast_opt_float, "store_every": _cast_int,
                    "max_kappa": _cast_float, "min_radius": _cast_float}
 
 _FLOW = {
@@ -292,7 +293,7 @@ def _initial_data(cfg, ambient):
 
 def _run_flow(cfg, ambient, speed):
     config = FlowConfig(ambient=ambient, speed=speed, initial=_initial_data(cfg, ambient),
-                        t_end=cfg["t_end"], dt=cfg["dt"], safety=cfg["safety"],
+                        t_end=cfg["t_end"], dt=cfg["dt"],
                         store_every=cfg["store_every"], max_kappa=cfg["max_kappa"],
                         min_radius=cfg["min_radius"])
     return _flow.run(config)
@@ -361,6 +362,7 @@ def cmd_monitor(args, cfg) -> int:
     speed = _build_speed(cfg)
     variant = cfg["variant"] or _default_variant(ambient, speed)
     hcfg = _ha.HarnackConfig(variant, cfg["delta"])
+    _ha.monitor_delta(hcfg, ambient, speed)     # refuse before the flow runs
     use_traj = cfg["dtf_source"] == "trajectory"
     if use_traj and (cfg["dt"] is None or cfg["store_every"] != 1):
         raise ConfigError("dtf_source = trajectory needs an explicit dt and "

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Every failure mode that callers are expected to handle gets its own class so
-that tests and the command-line driver can dispatch on type rather than on
-message text.
+There is one class per way the program reacts to a failure: the command-line
+driver maps each to an exit code, flow.run ends a run on ConvexityLost or
+DegenerateGrid, and the monitor skips a row on OutOfRange.  Every other
+refused request is a ConfigError, told apart by its message.
 """
 
 
@@ -11,7 +12,8 @@ class HarnackLabError(Exception):
 
 
 class ConfigError(HarnackLabError):
-    """A configuration file or option set is malformed or inconsistent."""
+    """A request the program refuses: a malformed or inconsistent config, or an
+    operation outside its domain (ambient, speed, variant or time)."""
 
 
 class ConvexityLost(HarnackLabError):
@@ -26,29 +28,9 @@ class DegenerateGrid(HarnackLabError):
     """Marker spacing collapsed or spread beyond the trusted ratio."""
 
 
-class UnsupportedAmbient(HarnackLabError):
-    """Requested ambient curvature is outside {0 (Euclidean), 1 (sphere)}."""
-
-
 class StabilityViolation(HarnackLabError):
     """Time stepping produced non-finite fields (blow-up / CFL violation)."""
 
 
-class DomainExceeded(HarnackLabError):
-    """A closed-form solution was queried outside its interval of existence."""
-
-
 class OutOfRange(HarnackLabError):
     """A requested time is not covered by the stored trajectory."""
-
-
-class LabelMismatch(HarnackLabError):
-    """Two states do not share the same Lagrangian grid labeling."""
-
-
-class WrongSpeed(HarnackLabError):
-    """The operation needs a specific curvature function (e.g. the mean)."""
-
-
-class WrongAmbient(HarnackLabError):
-    """The operation is only defined for the other ambient curvature."""

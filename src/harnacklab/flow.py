@@ -14,10 +14,10 @@ integrator drift and keeps the scheme fourth-order.  geometry._profile_geometry
 is the one check of each stage's κ, so a stage and a step read f(κ) without
 eval_f's second cone check, and a step evaluates f once for both F and Φ'.
 
-An adaptive run (dt=None) takes Δt = safety · RK4_LIMIT · ds_min² / max Φ'.
+An adaptive run (dt=None) takes Δt = SAFETY · RK4_LIMIT · ds_min² / max Φ'.
 RK4_LIMIT · ds_min² / max Φ' is the largest step for which RK4 stays stable
 on the frozen-coefficient linearization ∂ₜψ = Φ'ᵢ ∂²ψ/∂sᵢ² discretized by
-periodic_d2, and safety ∈ (0, 1] is the fraction of it taken.  The bound is
+periodic_d2, and SAFETY is the fraction of it taken.  The bound is
 invariant under parabolic rescaling, so a rescaled problem takes the same
 number of steps.  An adaptive step that leaves the convex cone is retried
 once at half its size; a fixed step that does so raises StabilityViolation,
@@ -44,8 +44,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import geometry
-from .errors import (ConfigError, ConvexityLost, DegenerateGrid, DomainExceeded,
-                     LabelMismatch, OutOfRange, StabilityViolation, UnsupportedAmbient)
+from .errors import (ConfigError, ConvexityLost, DegenerateGrid, OutOfRange,
+                     StabilityViolation)
 from .geometry import AmbientSpace, GeodesicSphere, SurfaceState
 from .symfunc import SpeedFunction, eval_f
 
@@ -61,6 +61,13 @@ MAX_STEPS = 2_000_000
 # (2·2 + 27·2 + 270·2 + 490)/180 = 1088/180 ≈ 6.044.
 RK4_LIMIT = 2.785 / (1088.0 / 180.0)
 
+# Fraction of RK4_LIMIT an adaptive step takes.
+SAFETY = 0.8
+
+# Largest curvature cap: the round sphere of curvature κ has metric a² ≈ κ⁻²
+# and inverse metric κ², both normal floats up to κ = 1/√tiny ≈ 6.7e153.
+MAX_KAPPA_LIMIT = 1.0 / math.sqrt(np.finfo(float).tiny)
+
 SERIES_TERMS = 60     # terms of each power series in _tan_power_integral
 
 # Newton budget of one radius query; the worst seen (1e-15 of the lifespan
@@ -73,20 +80,21 @@ class FlowConfig:
     """Everything run() needs: ambient, speed, initial data and stepping knobs.
 
     dt=None selects the adaptive parabolic step
-    Δt = safety · RK4_LIMIT · ds_min² / max Φ', where ds_min is the shortest
+    Δt = SAFETY · RK4_LIMIT · ds_min² / max Φ', where ds_min is the shortest
     marker spacing, max Φ' = max ∂F/∂κᵢ over the nodes and the principal
-    directions, and safety ∈ (0, 1] is the fraction of RK4's stability limit
+    directions, and SAFETY (0.8) is the fraction of RK4's stability limit
     that is used.  An adaptive step that leaves the convex cone is retried
     once at Δt/2 (counted in Trajectory.rejected_steps); if that fails too
     the run ends as "convexity-lost".  An explicit dt is kept fixed (except
     for a final partial step onto t_end), which is what the convergence
     ladders use; a fixed step that leaves the cone raises StabilityViolation.
     On both tiers the run stops at the first time t ≥ 0, t = 0 included,
-    at which the curvature cap max_kappa (positive and finite) or the radius
-    floor min_radius (finite, 0 for none) holds; the floor is measured from
-    the symmetry center: e₀ on the sphere, the origin in the plane
-    (geometry.center_distance).  Expanding speeds raise UnsupportedAmbient
-    on the sphere.
+    at which the curvature cap max_kappa (positive, at most MAX_KAPPA_LIMIT,
+    so the sphere at the cap assembles to finite fields) or the radius floor
+    min_radius (finite, 0 for none) holds; the floor is measured from the
+    symmetry center: e₀ on the sphere, the origin in the plane
+    (geometry.center_distance).  Expanding speeds raise ConfigError on the
+    sphere.
     """
 
     ambient: AmbientSpace
@@ -94,7 +102,6 @@ class FlowConfig:
     initial: Union[GeodesicSphere, np.ndarray]  # grid-free sphere or (N, d) markers
     t_end: float
     dt: Optional[float] = None
-    safety: float = 0.8
     store_every: int = 1
     max_kappa: float = 1e4
     min_radius: float = 0.0
@@ -102,17 +109,16 @@ class FlowConfig:
 
     def __post_init__(self):
         if self.ambient.c == 1 and not self.speed.contracting:
-            raise UnsupportedAmbient("expanding speeds are Euclidean-only")
+            raise ConfigError("expanding speeds are Euclidean-only")
         if not np.isfinite(self.t_end) or self.t_end <= 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end!r}")
         if self.dt is not None and (not np.isfinite(self.dt) or self.dt <= 0):
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
-        if not 0 < self.safety <= 1:
-            raise ConfigError(f"safety factor must lie in (0, 1], got {self.safety!r}")
         if self.store_every < 1:
             raise ConfigError("store_every must be >= 1")
-        if not np.isfinite(self.max_kappa) or self.max_kappa <= 0:
-            raise ConfigError(f"max_kappa must be positive, got {self.max_kappa!r}")
+        if not 0 < self.max_kappa <= MAX_KAPPA_LIMIT:
+            raise ConfigError(f"max_kappa must lie in (0, {MAX_KAPPA_LIMIT:.6g}], so that the "
+                              f"sphere at the cap has finite fields, got {self.max_kappa!r}")
         if not np.isfinite(self.min_radius) or self.min_radius < 0:
             raise ConfigError(f"min_radius must be non-negative, got {self.min_radius!r}")
         if self.dtype not in ("float64", "longdouble"):
@@ -171,7 +177,7 @@ def _project(ambient, markers):
 
 def _velocity(ambient, speed, markers):
     """−F ν at a stage's markers; κ goes to f unchecked: _profile_geometry has just checked it."""
-    _, _, _, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, markers)
+    _, normal, _, kappa = geometry._profile_geometry(ambient, markers)
     return -speed._from_f(speed.f.value(kappa))[:, None] * normal
 
 
@@ -188,7 +194,7 @@ def _rk4(ambient, speed, markers, dt, k1):
 def _advance(ambient, speed, markers, dt, k1):
     """One RK4 step and the geometry of its result: (markers, E, normal, kappa)."""
     stepped = _rk4(ambient, speed, markers, dt, k1)
-    _, _, E, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, stepped)
+    E, normal, _, kappa = geometry._profile_geometry(ambient, stepped)
     return stepped, E, normal, kappa
 
 
@@ -219,7 +225,7 @@ def run(config: FlowConfig) -> Trajectory:
         # otherwise amplify by 1/Δt.
         markers = initial = markers.astype(config.dtype)
     # non-convex or degenerate initial data raises here, before any step
-    _, _, E, normal, _, kappa, _, _ = geometry._profile_geometry(ambient, markers)
+    E, normal, _, kappa = geometry._profile_geometry(ambient, markers)
     times, steps = [0.0], [initial]
     termination = "completed"
     t, steps_done, rejected = 0.0, 0, 0
@@ -244,7 +250,7 @@ def run(config: FlowConfig) -> Trajectory:
         else:
             ds_min = math.sqrt(float(E.min())) * (2.0 * np.pi / markers.shape[0])
             phi_max = float(speed._dvalue_from_f(kappa, fv).max())
-            dt = config.safety * RK4_LIMIT * ds_min ** 2 / max(phi_max, 1e-300)
+            dt = SAFETY * RK4_LIMIT * ds_min ** 2 / max(phi_max, 1e-300)
             dt = min(dt, remaining)
 
         k1 = -F[:, None] * normal
@@ -345,12 +351,12 @@ class SphereSolution:
     _time_fn: Callable
 
     def radius(self, t):
-        """Geodesic radius r(t); raises DomainExceeded outside the lifespan."""
+        """Geodesic radius r(t); raises ConfigError outside the lifespan."""
         t_arr = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
-            raise DomainExceeded("negative or non-finite times are outside the domain")
+            raise ConfigError("negative or non-finite times are outside the domain")
         if self.t_extinction is not None and np.any(t_arr >= self.t_extinction):
-            raise DomainExceeded(
+            raise ConfigError(
                 f"requested time beyond the extinction time {self.t_extinction:g}")
         out = self._radius_fn(t_arr)
         return float(out) if np.isscalar(t) else out
@@ -388,7 +394,7 @@ def sphere_ode_solution(ambient: AmbientSpace, speed: SpeedFunction,
         return SphereSolution(ambient, speed, r0, t_ext, radius_fn, time_of)
 
     if a < 0:
-        raise UnsupportedAmbient("expanding speeds are Euclidean-only")
+        raise ConfigError("expanding speeds are Euclidean-only")
 
     if a == 1.0:
         # d/dt cos r = f1 cos r
@@ -462,14 +468,11 @@ def time_derivative(trajectory: Trajectory, extractor, t: float, dt: float):
     """Centered difference (X(t+Δt) − X(t−Δt)) / 2Δt of a per-node field.
 
     extractor is a SurfaceState attribute name or a callable on states.
-    Both sampled states must live on the same Lagrangian grid.
+    The states of one trajectory share one Lagrangian grid, so the two
+    sampled fields line up node by node.
     """
     before = trajectory.state_at(t - dt)
     after = trajectory.state_at(t + dt)
-    if before.kind != after.kind or before.n_nodes != after.n_nodes:
-        raise LabelMismatch("states do not share a Lagrangian grid labeling")
     pull = (lambda s: getattr(s, extractor)) if isinstance(extractor, str) else extractor
     xa, xb = np.asarray(pull(after)), np.asarray(pull(before))
-    if xa.shape != xb.shape:
-        raise LabelMismatch("extracted fields differ in shape between the two times")
     return (xa - xb) / (after.t - before.t)

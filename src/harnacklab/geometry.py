@@ -51,8 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import symfunc
-from .errors import (ConfigError, ConvexityLost, DegenerateGrid,
-                     UnsupportedAmbient)
+from .errors import ConfigError, ConvexityLost, DegenerateGrid
 from .symfunc import SpeedFunction, as_float, dF_from_eig
 
 # Grids whose marker spacing varies by more than this ratio are rejected.
@@ -68,7 +67,7 @@ class AmbientSpace:
 
     def __post_init__(self):
         if self.c not in (0, 1):
-            raise UnsupportedAmbient(
+            raise ConfigError(
                 f"ambient curvature must be 0 (Euclidean) or 1 (sphere), got {self.c}")
         if self.dim < 1:
             raise ConfigError(f"hypersurface dimension must be >= 1, got {self.dim}")
@@ -190,7 +189,6 @@ class SurfaceState:
     ambient: AmbientSpace
     speed: SpeedFunction
     t: float
-    kind: str                       # geodesic-sphere | axisymmetric-profile | closed-curve
     markers: Optional[np.ndarray]   # (N, d) marker coordinates, None for grid-free
     du: float                       # label spacing (0 for grid-free states)
     radius: Optional[float]         # geodesic-sphere radius
@@ -249,12 +247,13 @@ def _row_dot(x, y):
 
 
 def _profile_geometry(ambient, markers):
-    """First/second label derivatives, E, normal and curvature components.
+    """Metric component, normal and curvature components of a marker profile.
 
-    Returns (cp, cpp, E, normal, h_uu, kappa, rho, n_rot); rho and n_rot (the
-    rotation components of position and normal) are None for curves.  This is
-    the only validation of each RK4 stage's and each assembly's E, spacing and
-    κ: DegenerateGrid if E = |c′|² is not positive and finite or the spacing √E
+    Returns (E, normal, h_uu, kappa), E = |c′|² and h_uu = −c″·normal from the
+    label derivatives c′ and c″; for n = 2 the rotation components of position
+    and normal are markers[:, -1] and normal[:, -1].  This is the only
+    validation of each RK4 stage's and each assembly's E, spacing and κ:
+    DegenerateGrid if E is not positive and finite or the spacing √E
     varies by a ratio above MAX_SPACING_RATIO (10), ConvexityLost if any
     principal curvature is not finite or is <= 0.
     """
@@ -286,17 +285,15 @@ def _profile_geometry(ambient, markers):
     h_uu = -_row_dot(cpp, normal)
     kappa = np.empty((n_nodes, ambient.dim), dtype=E.dtype)
     np.divide(h_uu, E, out=kappa[:, 0])
-    rho = n_rot = None
     if ambient.dim == 2:
         # the rotation components are the last coordinates for both ambients
-        rho, n_rot = markers[:, -1], normal[:, -1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(n_rot, rho, out=kappa[:, 1])
+            np.divide(normal[:, -1], markers[:, -1], out=kappa[:, 1])
 
     if not np.isfinite(kappa).all() or (kappa <= 0).any():
         raise ConvexityLost(
             f"surface stopped being strictly convex (min kappa = {np.nanmin(kappa):.6g})")
-    return cp, cpp, E, normal, h_uu, kappa, rho, n_rot
+    return E, normal, h_uu, kappa
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +354,7 @@ def _assemble_umbilic(ambient, speed, r, t):
     eye = np.eye(n)[None]
     kappa = np.full((1, n), kap)
     state = SurfaceState(
-        ambient=ambient, speed=speed, t=t, kind="geodesic-sphere",
-        markers=None, du=0.0, radius=float(r),
+        ambient=ambient, speed=speed, t=t, markers=None, du=0.0, radius=float(r),
         g=a * a * eye.copy(), g_inv=eye / (a * a), h=kap * a * a * eye.copy(),
         b=eye / (kap * a * a), h_sq=kap * kap * a * a * eye.copy(),
         kappa=kappa, eigT=eye / a, christoffel=np.zeros((1, n, n, n)),
@@ -371,7 +367,7 @@ def _assemble_umbilic(ambient, speed, r, t):
 def _assemble_grid(ambient, speed, markers, t):
     n_nodes = markers.shape[0]
     du = 2.0 * np.pi / n_nodes
-    cp, cpp, E, _, h_uu, kappa, rho, n_rot = _profile_geometry(ambient, markers)
+    E, normal, h_uu, kappa = _profile_geometry(ambient, markers)
 
     n = ambient.dim
     g = np.zeros((n_nodes, n, n), dtype=markers.dtype)
@@ -381,9 +377,10 @@ def _assemble_grid(ambient, speed, markers, t):
     h[:, 0, 0] = h_uu
     eigT[:, 0, 0] = 1.0 / np.sqrt(E)
     if n == 2:
+        rho = markers[:, -1]
         G = rho * rho
         g[:, 1, 1] = G
-        h[:, 1, 1] = rho * n_rot
+        h[:, 1, 1] = rho * normal[:, -1]
         eigT[:, 1, 1] = 1.0 / np.sqrt(G)
 
     g_inv = np.zeros_like(g)
@@ -402,9 +399,7 @@ def _assemble_grid(ambient, speed, markers, t):
                          - np.einsum("nkl,nlij->nkij", g_inv, dg))
 
     state = SurfaceState(
-        ambient=ambient, speed=speed, t=t,
-        kind="axisymmetric-profile" if n == 2 else "closed-curve",
-        markers=markers, du=du, radius=None,
+        ambient=ambient, speed=speed, t=t, markers=markers, du=du, radius=None,
         g=g, g_inv=g_inv, h=h, b=b, h_sq=h_sq, kappa=kappa, eigT=eigT,
         christoffel=christoffel,
     )

@@ -35,9 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, WrongAmbient, WrongSpeed
-from .geometry import SurfaceState
-from .symfunc import as_float
+from .errors import ConfigError
+from .geometry import AmbientSpace, SurfaceState
+from .symfunc import SpeedFunction, as_float
 
 VARIANTS = ("chi1", "chi2", "chi3", "strong-Hp",
             "euclidean-contracting", "euclidean-expanding")
@@ -99,16 +99,16 @@ def chi2(state: SurfaceState) -> np.ndarray:
     return state.t * (state.beta - state.theta) + state.speed.delta_default * state.F
 
 
-def require_mean(state, what):
-    """Raise WrongSpeed unless the speed is a power of the mean curvature."""
-    if state.speed.f.name != "mean":
-        raise WrongSpeed(f"{what} is specific to powers of the mean curvature, "
-                         f"got f = {state.speed.f.name}")
+def require_mean(speed: SpeedFunction, what):
+    """Raise ConfigError unless the speed is a power of the mean curvature."""
+    if speed.f.name != "mean":
+        raise ConfigError(f"{what} is specific to powers of the mean curvature, "
+                          f"got f = {speed.f.name}")
 
 
 def chi3(state: SurfaceState) -> np.ndarray:
     """χ₃ = χ₂ + c·t·ζ(F) for F = H^p (case-split ζ)."""
-    require_mean(state, "chi3")
+    require_mean(state.speed, "chi3")
     z = zeta_monitor(state.speed.exponent, state.dim, state.F)
     return chi2(state) + state.ambient.c * state.t * z
 
@@ -151,51 +151,63 @@ class HarnackReport:
         return int(self.Q.argmin())
 
 
-def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
-                     dtF: Optional[np.ndarray] = None) -> HarnackReport:
-    """Evaluate the configured Harnack quantity Q = χ/t on one state.
+def monitor_delta(config: HarnackConfig, ambient: AmbientSpace,
+                  speed: SpeedFunction) -> float:
+    """The δ of the configured monitor for this ambient and speed.
 
-    dtF replaces the analytic ∂ₜF = β + cF tr(Ḟ), for instance with a
-    centered difference of stored states (flow.time_derivative); None keeps
-    the closed-form value.  A δ so large that δF/t overflows raises
-    ConfigError.
+    Raises ConfigError if the variant does not apply to them or δ is out of
+    its range.  Nothing here depends on a state, so a caller can check a
+    monitor before any flow runs.
     """
-    t = state.t
-    if t <= 0:
-        raise ConfigError("monitors need a state at t > 0")
-    c = state.ambient.c
     variant = config.variant
-
     if variant.startswith("euclidean"):
-        if c != 0:
-            raise WrongAmbient("euclidean variants need ambient curvature c = 0")
-        if variant == "euclidean-contracting" and not state.speed.contracting:
+        if ambient.c != 0:
+            raise ConfigError("euclidean variants need ambient curvature c = 0")
+        if variant == "euclidean-contracting" and not speed.contracting:
             raise ConfigError("euclidean-contracting monitor got an expanding speed")
-        if variant == "euclidean-expanding" and state.speed.contracting:
+        if variant == "euclidean-expanding" and speed.contracting:
             raise ConfigError("euclidean-expanding monitor got a contracting speed")
     if variant in ("chi3", "strong-Hp"):
-        require_mean(state, variant)
+        require_mean(speed, variant)
 
     if variant == "strong-Hp":
-        p = state.speed.exponent
+        p = speed.exponent
         if not 0 < p <= 1:
             raise ConfigError(f"strong-Hp needs 0 < p <= 1, got {p:g}")
-        delta = state.speed.delta_default
+        delta = speed.delta_default
         if config.delta is not None and abs(config.delta - delta) > 1e-12:
             raise ConfigError("strong-Hp pins delta = p/(p+1); leave it unset")
     else:
-        delta = (state.speed.delta_default if config.delta is None
+        delta = (speed.delta_default if config.delta is None
                  else float(config.delta))
-        bound = state.speed.delta_default
+        bound = speed.delta_default
         if variant == "euclidean-contracting" and delta < bound - 1e-12:
             raise ConfigError(
                 f"contracting variant needs delta >= {bound:g}, got {delta:g}")
         if variant == "euclidean-expanding" and delta > bound + 1e-12:
             raise ConfigError(
                 f"expanding variant needs delta <= {bound:g}, got {delta:g}")
-        if variant in ("chi1", "chi2", "chi3") and state.speed.contracting and delta <= 0:
+        if variant in ("chi1", "chi2", "chi3") and speed.contracting and delta <= 0:
             raise ConfigError(
                 f"contracting monitors need delta > 0, got {delta:g}")
+    return delta
+
+
+def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
+                     dtF: Optional[np.ndarray] = None) -> HarnackReport:
+    """Evaluate the configured Harnack quantity Q = χ/t on one state.
+
+    dtF replaces the analytic ∂ₜF = β + cF tr(Ḟ), for instance with a
+    centered difference of stored states (flow.time_derivative); None keeps
+    the closed-form value.  Besides monitor_delta's refusals, a state at
+    t <= 0 and a δ so large that δF/t overflows raise ConfigError.
+    """
+    t = state.t
+    if t <= 0:
+        raise ConfigError("monitors need a state at t > 0")
+    c = state.ambient.c
+    variant = config.variant
+    delta = monitor_delta(config, state.ambient, state.speed)
 
     with np.errstate(over="ignore"):
         delta_F_over_t = delta * state.F / t
@@ -207,7 +219,7 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
     zero = np.zeros_like(state.F)
     correction = zero
     zterm = zero
-    if variant in ("chi2", "chi3", "strong-Hp") or variant.startswith("euclidean"):
+    if variant in ("chi2", "chi3", "strong-Hp"):
         correction = -c * state.F * state.tr_dF if c else zero
     if variant in ("chi3", "strong-Hp"):
         zterm = c * zeta_monitor(state.speed.exponent, state.dim, state.F)

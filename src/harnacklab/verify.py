@@ -53,7 +53,7 @@ import numpy as np
 from . import flow as _flow
 from . import harnack as _ha
 from . import symfunc as _sf
-from .errors import ConfigError, WrongSpeed
+from .errors import ConfigError
 from .flow import FlowConfig, Trajectory, time_derivative
 from .geometry import (AmbientSpace, SurfaceState, box_op, covariant_derivative,
                        covariant_hessian, grad_scalar, cos_mode_radial,
@@ -427,7 +427,7 @@ def evolution_residual(trajectory: Trajectory, tag: str, t: float,
     ident = IDENTITIES[tag]
     state = trajectory.state_at(t)
     if ident.mean_only:
-        _ha.require_mean(state, f"identity {tag!r}")
+        _ha.require_mean(state.speed, f"identity {tag!r}")
     lhs = time_derivative(trajectory, ident.subject, t, dt)
     rhs = ident.rhs(state)
     scale = float(np.max(np.abs(rhs)))
@@ -567,8 +567,8 @@ def _f_lemma_kernel(f, speed, kappa):
 
 def _require_inverse_concave(f):
     if not f.inverse_concave:
-        raise WrongSpeed(f"the Urbas inequality needs an inverse-concave f, "
-                         f"got {f.name}")
+        raise ConfigError(f"the Urbas inequality needs an inverse-concave f, "
+                          f"got {f.name}")
 
 
 def _urbas_kernel(f, speed, kappa):
@@ -689,9 +689,8 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
     """Randomized certification scans of the pointwise matrix inequalities.
 
     Scans f = speed.f (speed defaults to the mean curvature H).  Unknown
-    tags, samples < 1 and empty or non-positive dimensions raise ConfigError,
-    and urbas for an f that is not inverse-concave raises WrongSpeed, before
-    any sample is drawn.  One SeedSequence child per (inequality, n)
+    tags, samples < 1, empty or non-positive dimensions and urbas for an f
+    that is not inverse-concave raise ConfigError before any sample is drawn.  One SeedSequence child per (inequality, n)
     task keeps results reproducible and independent of task order.  Returns
     ScanReports with the worst normalized gap over all samples and the
     equality-witness check at η̂ = diag(κ).
@@ -760,7 +759,7 @@ def zeta_conditions(p: float, n: int, H_values) -> dict:
     z = _ha.zeta_general(p, n, F, 0)
     z1 = _ha.zeta_general(p, n, F, 1)
     z2 = _ha.zeta_general(p, n, F, 2)
-    p_star = (n + 1.0) / (2.0 * n)
+    p_star = _ha.zeta_branch_threshold(n)
 
     grad_term = _zeta_gradient_coefficient(n, F, F1, F2, F3) \
         + F / (F1 * H ** 2) - 1.0 / H

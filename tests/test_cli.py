@@ -19,7 +19,7 @@ import pytest
 import harnacklab
 from harnacklab import cli
 from harnacklab.errors import (ConfigError, ConvexityLost, DegenerateGrid,
-                               HarnackLabError, StabilityViolation)
+                               HarnackLabError, OutOfRange, StabilityViolation)
 
 
 def write_cfg(tmp_path, name="run.cfg", **keys):
@@ -108,6 +108,36 @@ def test_each_error_class_has_one_exit_code(tmp_path, monkeypatch, capsys, error
     assert "raised by the handler" in capsys.readouterr().err
 
 
+def test_there_is_one_error_class_per_way_the_program_reacts():
+    assert set(HarnackLabError.__subclasses__()) == {
+        ConfigError, ConvexityLost, DegenerateGrid, StabilityViolation, OutOfRange}
+
+
+@pytest.mark.parametrize("sub, keys, message", [
+    ("simulate", {"exponent": -0.5}, "expanding speeds are Euclidean-only"),
+    ("monitor", {"exponent": 1.0, "speed": "norm", "variant": "chi3"},
+     "chi3 is specific to powers of the mean curvature, got f = norm"),
+    ("monitor", {"exponent": 1.0, "variant": "euclidean-contracting"},
+     "euclidean variants need ambient curvature c = 0"),
+    ("scan-inequalities", {"exponent": 1.0, "speed": "norm", "inequalities": "urbas"},
+     "the Urbas inequality needs an inverse-concave f, got norm"),
+    ("sphere-exact", {"exponent": 1.0, "t_end": 0.5},
+     "requested time beyond the extinction time 0.180695"),
+], ids=["expanding-on-sphere", "chi3-for-norm", "euclidean-on-sphere", "urbas-for-norm",
+        "past-extinction"])
+def test_a_request_outside_the_domain_is_refused_before_any_flow(tmp_path, monkeypatch,
+                                                                 capsys, sub, keys, message):
+    """A monitor variant that cannot apply used to be refused only after the whole flow ran."""
+    def no_flow(config):
+        raise AssertionError("a flow ran before the request was refused")
+
+    monkeypatch.setattr(cli._flow, "run", no_flow)
+    out = tmp_path / "out"
+    assert run_cli(sub, write_cfg(tmp_path, **keys), out) == cli.EXIT_CONFIG
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sphere-exact
 # ---------------------------------------------------------------------------
@@ -177,6 +207,27 @@ def test_json_table_format(tmp_path):
 # ---------------------------------------------------------------------------
 # simulate / monitor
 # ---------------------------------------------------------------------------
+
+def test_simulate_refuses_a_cap_whose_sphere_cannot_be_represented(tmp_path, capsys):
+    """max_kappa = 1e200 used to exit 0 with a NaN Harnack floor in the stop row and
+    four RuntimeWarnings: the cap sphere's metric a² underflowed in the assembly."""
+    cfg = write_cfg(tmp_path, exponent=1.0, amplitude=0, t_end=0.4, max_kappa=1e200)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("simulate", cfg, out) == cli.EXIT_CONFIG
+    assert "max_kappa must lie in (0, 6.7039e+153]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_the_safety_key(tmp_path, capsys):
+    """The step safety factor is a fixed fraction of RK4's stability limit, not a key."""
+    cfg = write_cfg(tmp_path, exponent=1.0, amplitude=0.05, safety=0.5)
+    out = tmp_path / "out"
+    assert run_cli("simulate", cfg, out) == cli.EXIT_CONFIG
+    assert "unknown config key(s) 'safety'" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_simulate_round_sphere(tmp_path):
     cfg = write_cfg(tmp_path, exponent=1.0, t_end=0.02, dt=2e-3)

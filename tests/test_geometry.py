@@ -33,7 +33,7 @@ def _perturbed(ambient, n_nodes, r0=None, amplitude=0.05, mode=2, speed=MEAN1):
 def test_umbilic_sphere_in_sphere():
     r = 0.8
     st = geo.assemble(geo.GeodesicSphere(r), SPHERE, MEAN1, t=0.0)
-    assert st.kind == "geodesic-sphere" and st.n_nodes == 1
+    assert st.markers is None and st.n_nodes == 1
     npt.assert_allclose(st.kappa, 1.0 / np.tan(r), rtol=1e-14)
     npt.assert_allclose(st.g, np.sin(r) ** 2 * np.eye(2)[None], atol=1e-15)
     npt.assert_allclose(st.h, np.sin(r) ** 2 / np.tan(r) * np.eye(2)[None], rtol=1e-14)
@@ -251,9 +251,10 @@ def test_marker_shape_validation():
 def test_marker_dimension_picks_the_kind():
     """The same marker array is a profile for n = 2 and a curve for n = 1."""
     mk = geo.markers_from_radial(FLAT, 2.0, 32)
-    assert geo.assemble(mk, FLAT, MEAN1).kind == "axisymmetric-profile"
+    profile = geo.assemble(mk, FLAT, MEAN1)
+    assert profile.dim == 2 and profile.kappa.shape == (32, 2)
     curve = geo.assemble(mk, geo.AmbientSpace(0, 1), MEAN1)
-    assert curve.kind == "closed-curve"
+    assert curve.dim == 1 and curve.kappa.shape == (32, 1)
     npt.assert_allclose(curve.kappa, 0.5, rtol=1e-6)
     with pytest.raises(ConfigError, match="grid-free"):
         geo.assemble(mk, geo.AmbientSpace(0, 3), MEAN1)
@@ -324,7 +325,8 @@ def test_stencils_match_roll_reference_exactly(dtype, tail, n_nodes):
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_spherical_normal_matches_np_cross_exactly(dtype):
     mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 64).astype(dtype)
-    cp, _, E, normal, *_ = geo._profile_geometry(SPHERE, mk)
+    E, normal, _, _ = geo._profile_geometry(SPHERE, mk)
+    cp = geo.periodic_d1(mk, 2.0 * np.pi / 64)
     want = np.cross(cp, mk) / np.sqrt(E)[:, None]
     assert normal.dtype == want.dtype == dtype
     assert np.array_equal(normal, want)
@@ -337,7 +339,9 @@ def test_profile_geometry_matches_the_row_sum_reference_exactly(c, n, dtype):
     ambient = geo.AmbientSpace(c, n)
     mk = geo.markers_from_radial(
         ambient, geo.cos_mode_radial(geo.default_radius(ambient), 0.05, 2), 64).astype(dtype)
-    cp, cpp, E, normal, h_uu, kappa, *_ = geo._profile_geometry(ambient, mk)
+    E, normal, h_uu, kappa = geo._profile_geometry(ambient, mk)
+    du = 2.0 * np.pi / 64
+    cp, cpp = geo.periodic_d1(mk, du), geo.periodic_d2(mk, du)
     want_E = np.sum(cp * cp, axis=1)
     raw_normal = np.cross(cp, mk) if c == 1 else np.stack([cp[:, 1], -cp[:, 0]], axis=1)
     want_normal = raw_normal / np.sqrt(want_E)[:, None]

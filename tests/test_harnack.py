@@ -7,7 +7,7 @@ import pytest
 
 from harnacklab import flow, geometry as geo, harnack as ha
 from harnacklab import symfunc as sf
-from harnacklab.errors import ConfigError, WrongAmbient, WrongSpeed
+from harnacklab.errors import ConfigError
 
 from oracles import strong_correction_coefficient
 
@@ -162,7 +162,7 @@ def test_strong_Hp_correction_term_matches_branch():
 def test_variant_and_ambient_guards():
     sol1 = flow.sphere_ode_solution(SPHERE, MEAN(1.0), 0.8)
     st1 = sol1.state(0.1)
-    with pytest.raises(WrongAmbient):
+    with pytest.raises(ConfigError, match="euclidean variants need ambient curvature c = 0"):
         ha.evaluate_monitor(st1, ha.HarnackConfig("euclidean-contracting"))
     sol0 = flow.sphere_ode_solution(FLAT, MEAN(1.0), 1.0)
     st0 = sol0.state(0.1)
@@ -182,7 +182,8 @@ def test_mean_only_variants_reject_other_speeds():
     sol = flow.sphere_ode_solution(SPHERE, NORM(1.0), 0.8)
     st = sol.state(0.1)
     for variant in ("chi3", "strong-Hp"):
-        with pytest.raises(WrongSpeed):
+        with pytest.raises(ConfigError,
+                           match=f"{variant} is specific to powers of the mean curvature"):
             ha.evaluate_monitor(st, ha.HarnackConfig(variant))
 
 

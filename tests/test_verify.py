@@ -13,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from harnacklab import verify as V
-from harnacklab.errors import ConfigError, UnsupportedAmbient, WrongSpeed
+from harnacklab.errors import ConfigError
 from harnacklab.flow import FlowConfig, GeodesicSphere, run
 from harnacklab.geometry import AmbientSpace, assemble, markers_from_radial
 from harnacklab.symfunc import (SpeedFunction, _to_eigenframe, d2F_from_eig, harmonic_mean,
@@ -157,7 +157,7 @@ def test_evolution_residual_rejects_unknown_tag(umbilic_traj):
 
 def test_chi3_residual_needs_mean_speed():
     traj = V.standard_test_flow(SPHERE, NORM_HALF, 16, 1e-3, t_end=5e-3)
-    with pytest.raises(WrongSpeed):
+    with pytest.raises(ConfigError, match="identity 'chi3' is specific to powers of the mean"):
         V.evolution_residual(traj, "chi3", 3e-3, 1e-3)
 
 
@@ -266,7 +266,7 @@ def test_ladder_refuses_expanding_speed_on_the_sphere_before_running_a_flow(monk
         raise AssertionError("a flow ran before the speed was checked")
 
     monkeypatch.setattr(V._flow, "run", no_flow)
-    with pytest.raises(UnsupportedAmbient, match="Euclidean-only"):
+    with pytest.raises(ConfigError, match="expanding speeds are Euclidean-only"):
         V.residual_ladder(SPHERE, SpeedFunction(mean(), -0.5), tags=("beta",),
                           levels=(24, 48), dt0=8e-4, t_check=4e-3)
 
@@ -351,7 +351,7 @@ def test_gap_witnesses_are_exact_zeros():
 
 
 def test_urbas_gap_requires_inverse_concavity():
-    with pytest.raises(WrongSpeed):
+    with pytest.raises(ConfigError, match="Urbas inequality needs an inverse-concave f, got norm"):
         _gap("urbas", SpeedFunction(norm(), 1.0), np.array([1.0, 2.0]), np.diag([1.0, -1.0]))
 
 
@@ -539,7 +539,7 @@ def test_scan_rejects_an_unknown_inequality_before_drawing_a_sample(monkeypatch)
 def test_scan_refuses_urbas_for_non_inverse_concave_f_before_scanning(monkeypatch):
     calls = []
     monkeypatch.setattr(V, "_scan_once", lambda *args: calls.append(args[0]))
-    with pytest.raises(WrongSpeed, match="inverse-concave"):
+    with pytest.raises(ConfigError, match="Urbas inequality needs an inverse-concave f"):
         V.scan_inequalities(("f-lemma", "urbas"), speed=NORM_HALF)
     assert calls == []
 
@@ -566,7 +566,7 @@ def test_scan_reports_the_curvature_function_of_the_speed():
 
 
 def test_scan_default_roster_rejects_non_inverse_concave_f():
-    with pytest.raises(WrongSpeed):
+    with pytest.raises(ConfigError, match="Urbas inequality needs an inverse-concave f"):
         V.scan_inequalities(n_values=(2,), samples=200, seed=1, speed=NORM_HALF)
 
 
