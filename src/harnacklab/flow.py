@@ -10,7 +10,9 @@ The stepper is classical RK4 on the marker coordinates.  For c = 1 the
 velocity −F m is tangent to the unit sphere containing the profile (m ⊥ c by
 construction), so |c| is a first integral of the extended system; markers are
 renormalized once per completed step, which only removes the O(Δt⁵)
-integrator drift and keeps the scheme fourth-order.  geometry._profile_geometry
+integrator drift and keeps the scheme fourth-order.  An n = 2 profile is a
+double cover of its meridian, so the stepper advances only its upper half
+and unfolds each stored step to the full grid (run).  geometry._profile_geometry
 is the one check of each stage's κ, so a stage and a step read f(κ) without
 eval_f's second cone check, and a step evaluates f once for both F and Φ'.
 
@@ -131,7 +133,9 @@ class Trajectory:
     """Stored steps of one run, all on the same Lagrangian grid.
 
     steps[i], the step at times[i], is what geometry.assemble reads: an
-    (N, d) marker array, or a GeodesicSphere on the grid-free tier.  states
+    (N, d) marker array, or a GeodesicSphere on the grid-free tier.  For
+    n = 2 every stored step after steps[0] (the array passed in) is the
+    unfolded upper half, exactly mirror-symmetric.  states
     and state_at assemble a step the first time it is read and keep it.
     rejected_steps counts adaptive steps retried at half size.
     """
@@ -176,8 +180,10 @@ def _project(ambient, markers):
 
 
 def _velocity(ambient, speed, markers):
-    """−F ν at a stage's markers; κ goes to f unchecked: _profile_geometry has just checked it."""
-    _, normal, _, kappa = geometry._profile_geometry(ambient, markers)
+    """−F ν at a stage's markers; κ goes to f unchecked: _profile_geometry has just checked it.
+
+    The stepper's markers are the upper half of an n = 2 profile (run)."""
+    _, normal, _, kappa = geometry._profile_geometry(ambient, markers, ambient.dim == 2)
     return -speed._from_f(speed.f.value(kappa))[:, None] * normal
 
 
@@ -194,7 +200,7 @@ def _rk4(ambient, speed, markers, dt, k1):
 def _advance(ambient, speed, markers, dt, k1):
     """One RK4 step and the geometry of its result: (markers, E, normal, kappa)."""
     stepped = _rk4(ambient, speed, markers, dt, k1)
-    E, normal, _, kappa = geometry._profile_geometry(ambient, stepped)
+    E, normal, _, kappa = geometry._profile_geometry(ambient, stepped, ambient.dim == 2)
     return stepped, E, normal, kappa
 
 
@@ -212,6 +218,15 @@ def run(config: FlowConfig) -> Trajectory:
     degenerate initial data raises ConvexityLost or DegenerateGrid before
     any step, and a fixed-dt step that leaves the cone raises
     StabilityViolation.
+
+    An n = 2 profile on N nodes is a double cover: node N−1−k is node k with
+    the rotation coordinate negated.  Initial n = 2 markers farther from
+    that than geometry.MIRROR_RTOL raise ConfigError (after the checks
+    above), and the stepper advances only the upper half, N/2 nodes on
+    (0, π), with reflection-padded stencils; the first step reads the upper
+    half of the initial geometry.  Each stored step is unfolded to N nodes
+    (geometry.unfold), so it is exactly mirror-symmetric; step 0 is the
+    array passed in.
     """
     if isinstance(config.initial, GeodesicSphere):
         return _run_umbilic(config)
@@ -226,29 +241,43 @@ def run(config: FlowConfig) -> Trajectory:
         markers = initial = markers.astype(config.dtype)
     # non-convex or degenerate initial data raises here, before any step
     E, normal, _, kappa = geometry._profile_geometry(ambient, markers)
+    n_nodes = markers.shape[0]
+    half = ambient.dim == 2
+    if half:
+        defect = geometry.mirror_defect(markers)
+        if defect > geometry.MIRROR_RTOL:
+            raise ConfigError(
+                f"n = 2 markers must be mirror-symmetric (node N-1-k is node k with the "
+                f"last coordinate negated) to be a surface of revolution; they are off by "
+                f"{defect:.3g} of their largest coordinate, above {geometry.MIRROR_RTOL:g}")
+    # the stop rule at t = 0 reads step 0, the whole array passed in
+    termination = _stop(config, float(kappa.max()),
+                        lambda: geometry.center_distance(ambient, markers).min())
+    if half:
+        m = n_nodes // 2
+        markers, E, normal, kappa = markers[:m], E[:m], normal[:m], kappa[:m]
     times, steps = [0.0], [initial]
-    termination = "completed"
     t, steps_done, rejected = 0.0, 0, 0
 
-    while True:
+    while termination is None:
         remaining = config.t_end - t
         if remaining <= 1e-12 * config.t_end:
+            termination = "completed"
             break
         if steps_done >= MAX_STEPS:
             raise StabilityViolation(f"step budget of {MAX_STEPS} exhausted")
         fv = speed.f.value(kappa)       # F and Φ' share one f(κ)
         F = speed._from_f(fv)
 
-        stop = _stop(config, float(kappa.max()),
-                     lambda: geometry.center_distance(ambient, markers).min())
-        if stop:
-            termination = stop
+        termination = _stop(config, float(kappa.max()),
+                            lambda: geometry.center_distance(ambient, markers).min())
+        if termination:
             break
 
         if config.dt is not None:
             dt = min(config.dt, remaining)
         else:
-            ds_min = math.sqrt(float(E.min())) * (2.0 * np.pi / markers.shape[0])
+            ds_min = math.sqrt(float(E.min())) * (2.0 * np.pi / n_nodes)
             phi_max = float(speed._dvalue_from_f(kappa, fv).max())
             dt = SAFETY * RK4_LIMIT * ds_min ** 2 / max(phi_max, 1e-300)
             dt = min(dt, remaining)
@@ -275,10 +304,10 @@ def run(config: FlowConfig) -> Trajectory:
         steps_done += 1
         if steps_done % config.store_every == 0:
             times.append(t)
-            steps.append(markers)
+            steps.append(geometry.unfold(markers) if half else markers)
     if steps_done % config.store_every:
         times.append(t)
-        steps.append(markers)
+        steps.append(geometry.unfold(markers) if half else markers)
 
     return Trajectory(config=config, times=np.array(times), steps=steps,
                       termination=termination, rejected_steps=rejected)

@@ -23,7 +23,10 @@ axisymmetric-profile (n = 2)
     (x(w), ρ(w)) in the half-plane with x = (x, ρ cos v, ρ sin v).
     Running w over the full circle traverses the meridian twice; the sheets
     are identified by (w, v) ↦ (2π − w, v + π), and all assembled fields are
-    automatically consistent across the identification.
+    automatically consistent across the identification.  Node N−1−k is node
+    k with the rotation coordinate negated (unfold, mirror_defect), so the
+    flow stepper advances only the upper half, w ∈ (0, π), with stencils
+    padded by that reflection (periodic_d1/periodic_d2 with half=True).
 
 closed-curve (n = 1)
     A convex curve in the plane (c = 0) or in the unit 2-sphere (c = 1),
@@ -56,6 +59,10 @@ from .symfunc import SpeedFunction, as_float, dF_from_eig
 
 # Grids whose marker spacing varies by more than this ratio are rejected.
 MAX_SPACING_RATIO = 10.0
+
+# An n = 2 marker array whose mirror_defect exceeds this is no surface of
+# revolution; markers_from_radial leaves at most about 7e-16.
+MIRROR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,30 @@ def markers_from_radial(ambient: AmbientSpace, radial, n_nodes: int) -> np.ndarr
     return np.stack([r * np.cos(w), r * np.sin(w)], axis=1)
 
 
+def unfold(half: np.ndarray) -> np.ndarray:
+    """The (N, d) markers of an n = 2 profile from its upper half, the first N/2 nodes.
+
+    Node N−1−k is node k mirrored: the same point with the rotation
+    coordinate (the last column) negated, so the result is exactly
+    mirror-symmetric.
+    """
+    m = half.shape[0]
+    full = np.concatenate((half, half[::-1]), axis=0)
+    np.negative(full[m:, -1], out=full[m:, -1])
+    return full
+
+
+def mirror_defect(markers: np.ndarray) -> float:
+    """How far (N, d) n = 2 markers are from a double cover.
+
+    The largest |node N−1−k mirrored − node k| over the largest |coordinate|:
+    0 on an exactly mirror-symmetric array, and about 1e-16 on the float64
+    samples of markers_from_radial.
+    """
+    return float(np.abs(unfold(markers[:markers.shape[0] // 2]) - markers).max()
+                 / np.abs(markers).max())
+
+
 def center_distance(ambient: AmbientSpace, markers: np.ndarray) -> np.ndarray:
     """Distance of each marker from e₀ (geodesic) on the sphere, from the origin in the plane."""
     if ambient.c == 1:
@@ -140,36 +171,50 @@ def cos_mode_radial(r0: float, amplitude: float = 0.0, mode: int = 2) -> Callabl
 # periodic finite differences (label direction)
 # ---------------------------------------------------------------------------
 
-def _shifted(arr):
-    """Views (p1, p2, p3, m1, m2, m3) of arr[k ± 1..3] along axis 0, periodic.
+def _shifted(arr, half=False):
+    """Views (p1, p2, p3, m1, m2, m3) of arr[k ± 1..3] along axis 0.
 
-    One wrap-padded copy serves all six shifts as slices.
+    One padded copy serves all six shifts as slices.  The pad wraps around
+    (arr is periodic), or with half=True it reflects: arr is then the
+    upper half, w ∈ (0, π), of an n = 2 profile's (N, d) markers, and the
+    three nodes beyond each end are the three edge nodes mirrored with the
+    rotation coordinate (the last column) negated, since node N−1−k of the
+    double cover is node k reflected.
     """
     n = arr.shape[0]
-    pad = np.concatenate((arr[n - 3:], arr, arr[:3]), axis=0)
+    if half:
+        pad = np.concatenate((arr[2::-1], arr, arr[:-4:-1]), axis=0)
+        np.negative(pad[:3, -1], out=pad[:3, -1])
+        np.negative(pad[-3:, -1], out=pad[-3:, -1])
+    else:
+        pad = np.concatenate((arr[n - 3:], arr, arr[:3]), axis=0)
     return (pad[4:n + 4], pad[5:n + 5], pad[6:n + 6],
             pad[2:n + 2], pad[1:n + 1], pad[0:n])
 
 
-def periodic_d1(arr: np.ndarray, spacing: float) -> np.ndarray:
+def periodic_d1(arr: np.ndarray, spacing: float, half: bool = False) -> np.ndarray:
     """Sixth-order first derivative along axis 0 of a periodic array.
 
     Residual checks contract label-derivative errors against inverse-metric
     factors that grow like N² at the rotation axis of axisymmetric grids, so
     the stencil needs two orders of headroom beyond the fourth-order target
     for the checks themselves.  The shifted operands are slices of one
-    wrap-padded copy of arr, so axis 0 needs N >= 3 nodes.
+    padded copy of arr (_shifted), so axis 0 needs N >= 3 nodes.  half=True
+    reads arr as the upper half of n = 2 markers and pads by reflection; on
+    exactly mirror-symmetric markers it gives, bit for bit, the upper half
+    of the wrap-padded derivative of the whole array.
     """
-    p1, p2, p3, m1, m2, m3 = _shifted(arr)
+    p1, p2, p3, m1, m2, m3 = _shifted(arr, half)
     return (p3 - m3 + 9.0 * (m2 - p2) + 45.0 * (p1 - m1)) / (60.0 * spacing)
 
 
-def periodic_d2(arr: np.ndarray, spacing: float) -> np.ndarray:
+def periodic_d2(arr: np.ndarray, spacing: float, half: bool = False) -> np.ndarray:
     """Sixth-order second derivative along axis 0 of a periodic array.
 
-    Like periodic_d1 it slices one wrap-padded copy, so N >= 3.
+    Like periodic_d1 it slices one padded copy, so N >= 3, and half=True
+    pads the upper half of n = 2 markers by reflection.
     """
-    p1, p2, p3, m1, m2, m3 = _shifted(arr)
+    p1, p2, p3, m1, m2, m3 = _shifted(arr, half)
     return (2.0 * (p3 + m3) - 27.0 * (p2 + m2) + 270.0 * (p1 + m1)
             - 490.0 * arr) / (180.0 * spacing ** 2)
 
@@ -246,28 +291,32 @@ def _row_dot(x, y):
     return out
 
 
-def _profile_geometry(ambient, markers):
+def _profile_geometry(ambient, markers, half=False):
     """Metric component, normal and curvature components of a marker profile.
 
     Returns (E, normal, h_uu, kappa), E = |c′|² and h_uu = −c″·normal from the
     label derivatives c′ and c″; for n = 2 the rotation components of position
-    and normal are markers[:, -1] and normal[:, -1].  This is the only
+    and normal are markers[:, -1] and normal[:, -1].  half=True reads markers
+    as the upper half of an n = 2 profile on 2·len(markers) nodes, which the
+    stencils pad by reflection.  This is the only
     validation of each RK4 stage's and each assembly's E, spacing and κ:
     DegenerateGrid if E is not positive and finite or the spacing √E
     varies by a ratio above MAX_SPACING_RATIO (10), ConvexityLost if any
     principal curvature is not finite or is <= 0.
     """
     n_nodes = markers.shape[0]
-    du = 2.0 * np.pi / n_nodes
-    cp = periodic_d1(markers, du)
-    cpp = periodic_d2(markers, du)
+    du = 2.0 * np.pi / (2 * n_nodes if half else n_nodes)
+    cp = periodic_d1(markers, du, half)
+    cpp = periodic_d2(markers, du, half)
     E = _row_dot(cp, cp)
-    if not np.isfinite(E).all() or (E <= 0).any():
+    # two reductions check every node: a NaN fails both comparisons
+    lo, hi = E.min(), E.max()
+    if not (lo > 0 and hi < np.inf):
         raise DegenerateGrid("profile tangent degenerated")
     # diagnose bad parameterizations before curvature: a bunched-up grid
     # produces garbage kappa and would misreport as a convexity failure
     spacing = np.sqrt(E)
-    ratio = spacing.max() / spacing.min()
+    ratio = np.sqrt(hi) / np.sqrt(lo)       # √ is monotone: max √E / min √E
     if ratio > MAX_SPACING_RATIO:
         raise DegenerateGrid(
             f"marker spacing ratio {ratio:.3g} exceeds {MAX_SPACING_RATIO:g}")
@@ -290,7 +339,7 @@ def _profile_geometry(ambient, markers):
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(normal[:, -1], markers[:, -1], out=kappa[:, 1])
 
-    if not np.isfinite(kappa).all() or (kappa <= 0).any():
+    if not (kappa.min() > 0 and kappa.max() < np.inf):
         raise ConvexityLost(
             f"surface stopped being strictly convex (min kappa = {np.nanmin(kappa):.6g})")
     return E, normal, h_uu, kappa

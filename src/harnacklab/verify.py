@@ -14,7 +14,7 @@ residual is
 
 The label stencils are sixth-order and Δt ∝ N⁻², so the O(Δt²) centered
 time difference sets a fourth-order target in N.  Fitted orders fall below
-it for some identities: the lowest on the acceptance ladders is 3.20 (beta
+it for some identities: the lowest on the acceptance ladders is 3.54 (beta
 under F = |κ|^0.5), and a ladder passes at order 1.8.
 
 Supported tags: metric, inverse-metric, sff, weingarten, sff-box,
@@ -177,15 +177,24 @@ def _rhs_weingarten_box(s):
     return rhs
 
 
+# Pairwise contraction orders (np.einsum_path, "optimal") of _box_inverse_sff's
+# two 6-operand terms.  Without one, einsum contracts all six at once: in
+# longdouble that is 1.2 ms per term at N = 256 against 0.2-0.3 ms, and it
+# is slower at N = 64 and 128 too.
+_BOX_B_PATHS = (["einsum_path", (0, 3), (1, 3), (2, 3), (0, 2), (0, 1)],
+                ["einsum_path", (0, 4), (2, 3), (2, 3), (0, 2), (0, 1)])
+
+
 def _box_inverse_sff(s):
     """□b^{ij} expanded through ∇b = −b·b·∇h, so label stencils only ever act
     on the smooth fields h and ∇h (the raw b components are pole-singular on
     axisymmetric grids and cannot be differenced directly)."""
     nabla2_h = covariant_derivative(s, s.nabla_h, ("lo", "lo", "lo"))
     term = np.einsum("nkl,nia,nrc,nlac,njs,nkrs->nij",
-                     s.dF, s.b, s.b, s.nabla_h, s.b, s.nabla_h)
+                     s.dF, s.b, s.b, s.nabla_h, s.b, s.nabla_h, optimize=_BOX_B_PATHS[0])
     term = term + np.einsum("nkl,nir,nja,nsc,nlac,nkrs->nij",
-                            s.dF, s.b, s.b, s.b, s.nabla_h, s.nabla_h)
+                            s.dF, s.b, s.b, s.b, s.nabla_h, s.nabla_h,
+                            optimize=_BOX_B_PATHS[1])
     term = term - np.einsum("nkl,nir,njs,nlkrs->nij", s.dF, s.b, s.b, nabla2_h)
     return term
 

@@ -5,10 +5,14 @@ form along a route the package itself never takes, so a test that compares
 the two checks the package rather than restating it.
 """
 
+import math
+
 import numpy as np
 
 from harnacklab.errors import ConfigError
-from harnacklab.geometry import SurfaceState, periodic_d1, periodic_d2
+from harnacklab.flow import RK4_LIMIT, SAFETY
+from harnacklab.geometry import (SurfaceState, _profile_geometry, _validated_markers,
+                                 periodic_d1, periodic_d2)
 from harnacklab.harnack import zeta_branch_threshold
 
 
@@ -44,3 +48,51 @@ def strong_correction_coefficient(p: float, n: int) -> float:
     if zeta_branch_threshold(n) < p < 1.0:
         return p / (2.0 * p - 1.0)
     return n * p
+
+
+def full_grid_rk4(ambient, speed, markers, t_end, dt=None, store_every=1):
+    """(times, markers) stored by classical RK4 stepping all N nodes of a profile.
+
+    The reference flow.run's half-grid stepper must reproduce on exactly
+    mirror-symmetric n = 2 markers: every stage runs _profile_geometry on the
+    whole wrap-padded array, and dt, the stage sums, the projection onto the
+    unit sphere and the storing follow flow.run's arithmetic.  markers must
+    have the run's dtype.  It knows no stop but t_end and no rejected step,
+    so use it only on runs that complete.
+    """
+    def geometry_and_speed(x):
+        E, normal, _, kappa = _profile_geometry(ambient, x)
+        return E, normal, kappa, speed.f.value(kappa)
+
+    def velocity(x):
+        _, normal, _, fv = geometry_and_speed(x)
+        return -speed._from_f(fv)[:, None] * normal
+
+    n_nodes = markers.shape[0]
+    times, stored = [0.0], [markers]
+    markers = _validated_markers(ambient, markers)      # flow.run steps these
+    E, normal, kappa, fv = geometry_and_speed(markers)
+    t, steps = 0.0, 0
+    while t_end - t > 1e-12 * t_end:
+        if dt is None:
+            ds_min = math.sqrt(float(E.min())) * (2.0 * np.pi / n_nodes)
+            phi_max = float(speed._dvalue_from_f(kappa, fv).max())
+            h = min(SAFETY * RK4_LIMIT * ds_min ** 2 / max(phi_max, 1e-300), t_end - t)
+        else:
+            h = min(dt, t_end - t)
+        k1 = -speed._from_f(fv)[:, None] * normal
+        k2 = velocity(markers + 0.5 * h * k1)
+        k3 = velocity(markers + 0.5 * h * k2)
+        k4 = velocity(markers + h * k3)
+        markers = markers + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if ambient.c == 1:
+            markers = markers / np.sqrt(np.sum(markers * markers, axis=1))[:, None]
+        E, normal, kappa, fv = geometry_and_speed(markers)
+        t, steps = t + h, steps + 1
+        if steps % store_every == 0:
+            times.append(t)
+            stored.append(markers)
+    if steps % store_every:
+        times.append(t)
+        stored.append(markers)
+    return np.array(times), stored

@@ -363,12 +363,12 @@ PINNED_TABLES = {
         "monitor", "monitor",
         dict(exponent=0.5, variant="chi1", dtf_source="trajectory", amplitude=0.05,
              n_nodes=16, t_end=0.004, dt=5e-4, store_every=1),
-        "32e6b1d29f9a3726"),
+        "2e88a2a0f67b7399"),
     "monitor-chi3": (
         "monitor", "monitor",
         dict(exponent=0.8, variant="chi3", amplitude=0.05, n_nodes=16, t_end=0.004,
              dt=5e-4, store_every=2),
-        "09a3a318416ce01f"),
+        "0826683b1d09eb51"),
     "monitor-strong-Hp-sphere": (
         "monitor", "monitor",
         dict(exponent=0.6, variant="strong-Hp", t_end=0.02, dt=2e-3, store_every=2),
@@ -383,12 +383,12 @@ PINNED_TABLES = {
     "simulate": (
         "simulate", "simulate",
         dict(exponent=0.5, amplitude=0.05, n_nodes=16, t_end=0.01, store_every=5),
-        "6ea67ae54eb6d277"),
+        "6b343931613c2147"),
     "simulate-euclidean": (
         "simulate", "simulate",
         dict(ambient="euclidean", speed="power-mean(3)", exponent=1.0, radius="auto",
              amplitude=0.05, n_nodes=16, t_end=0.01, store_every=5),
-        "e1b6a8215f351d8e"),
+        "92381ee96d58e034"),
 }
 
 

@@ -11,6 +11,7 @@ from harnacklab import flow, geometry as geo
 from harnacklab import symfunc as sf
 from harnacklab.errors import (ConfigError, ConvexityLost, DegenerateGrid, OutOfRange,
                                StabilityViolation)
+from oracles import full_grid_rk4
 
 SPHERE = geo.AmbientSpace(1, 2)
 FLAT = geo.AmbientSpace(0, 2)
@@ -384,11 +385,12 @@ def _exact_digest(*arrays):
 # longdouble) with numpy 2.4: float64 with the adaptive step to t = 0.1, and
 # longdouble with dt = 1e-3 to t = 5e-3, from a mode-2, 5% perturbation of the
 # default radius on 32 nodes.  Any change to the RK4 stage's arithmetic shows.
+# The n = 2 runs step the upper half of the profile (flow.run).
 PINNED_RUNS = {
-    ((1, 2), "float64"): "2f12f0a267f05ee5",
-    ((1, 2), "longdouble"): "23702b65f2f2697b",
-    ((0, 2), "float64"): "134f8dd6265f13a1",
-    ((0, 2), "longdouble"): "c33cc24850609afd",
+    ((1, 2), "float64"): "757443de8598884a",
+    ((1, 2), "longdouble"): "01462747b500658b",
+    ((0, 2), "float64"): "f67bc27fa06c61b0",
+    ((0, 2), "longdouble"): "e5c5400310ff3f69",
     ((0, 1), "float64"): "238b2e3974cd09b6",
     ((0, 1), "longdouble"): "7d01476cd686a09a",
     ((1, 1), "float64"): "cf87a39fe7668e4a",
@@ -410,6 +412,60 @@ def test_stepper_output_is_pinned_bit_for_bit(case):
     traj = flow.run(flow.FlowConfig(ambient, speed, mk, dtype=dtype, **stepping))
     assert traj.termination == "completed" and traj.steps[-1].dtype == np.dtype(dtype)
     assert _exact_digest(traj.times, traj.steps[-1]) == PINNED_RUNS[case]
+
+
+def _symmetric_start(ambient, n_nodes=32, dtype="float64"):
+    """Mode-2, 5% perturbed markers made exactly mirror-symmetric from their upper half."""
+    mk = geo.markers_from_radial(
+        ambient, geo.cos_mode_radial(geo.default_radius(ambient), 0.05, 2), n_nodes)
+    return geo.unfold(mk[:n_nodes // 2]).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "longdouble"])
+@pytest.mark.parametrize("dt", [None, 1e-3], ids=["adaptive", "fixed"])
+@pytest.mark.parametrize("c", [0, 1])
+def test_half_grid_stepper_reproduces_the_full_grid_bit_for_bit(c, dt, dtype):
+    """On an exactly mirror-symmetric start, stepping the upper half with
+    reflection-padded stencils is the full wrap-padded stepper, to the bit."""
+    ambient = geo.AmbientSpace(c, 2)
+    speed = _speed(0.5, "norm" if c else "mean")
+    mk = _symmetric_start(ambient, dtype=dtype)
+    t_end, store_every = (0.02, 3) if dt else (0.3, 2)
+    traj = flow.run(flow.FlowConfig(ambient, speed, mk, t_end=t_end, dt=dt,
+                                    store_every=store_every, dtype=dtype))
+    times, stored = full_grid_rk4(ambient, speed, mk, t_end, dt=dt, store_every=store_every)
+    assert traj.termination == "completed" and len(traj.steps) == len(stored) > 3
+    assert np.array_equal(traj.times, times)
+    for got, want in zip(traj.steps, stored):
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_every_stored_profile_step_is_exactly_mirror_symmetric(c):
+    ambient = geo.AmbientSpace(c, 2)
+    mk = geo.markers_from_radial(ambient, geo.cos_mode_radial(geo.default_radius(ambient),
+                                                                0.05, 2), 32)
+    assert 0 < geo.mirror_defect(mk) < 1e-15      # the float64 samples are not exact
+    traj = flow.run(flow.FlowConfig(ambient, _speed(0.5), mk, t_end=0.02, dt=2e-3,
+                                    store_every=3))
+    assert traj.steps[0] is mk and len(traj.steps) > 2
+    for step in traj.steps[1:]:
+        assert step.shape == mk.shape
+        assert np.array_equal(step, geo.unfold(step[:16])) and geo.mirror_defect(step) == 0
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_profile_markers_that_are_not_mirror_symmetric_are_refused(c):
+    ambient = geo.AmbientSpace(c, 2)
+    mk = geo.markers_from_radial(ambient, 0.8, 32)
+    mk[5, -1] += 1e-9
+    with pytest.raises(ConfigError, match=r"n = 2 markers must be mirror-symmetric \(node "
+                                          r"N-1-k is node k with the last coordinate negated\) "
+                                          r"to be a surface of revolution; they are off by "
+                                          r"\d\.\d*e-(09|10) of their largest coordinate, "
+                                          r"above 1e-12"):
+        flow.run(flow.FlowConfig(ambient, _speed(0.5), mk, t_end=0.01))
 
 
 def _record_steps(monkeypatch, failures=0):

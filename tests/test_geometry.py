@@ -323,6 +323,32 @@ def test_stencils_match_roll_reference_exactly(dtype, tail, n_nodes):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("c", [0, 1])
+def test_reflection_pad_is_the_wrap_pad_of_the_unfolded_markers(c, dtype):
+    """On exactly mirror-symmetric markers the half grid's stencils and
+    geometry equal the upper half of the full grid's, bit for bit."""
+    ambient = geo.AmbientSpace(c, 2)
+    rng = np.random.default_rng(c)
+    mk = geo.markers_from_radial(
+        ambient, lambda w: 0.8 * (1.0 + 0.05 * np.cos(2 * w) + 0.01 * np.cos(4 * w)), 32)
+    # dividing in the target dtype fills the extended mantissa of longdouble
+    upper = mk[:16].astype(dtype) * (dtype(1) + rng.uniform(0, 1e-12, (16, 1)).astype(dtype) / 3)
+    full = geo.unfold(upper)
+    assert geo.mirror_defect(full) == 0
+    du = 2.0 * np.pi / 32
+    for stencil in (geo.periodic_d1, geo.periodic_d2):
+        got, want = stencil(upper, du, half=True), stencil(full, du)[:16]
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+    if c == 1:
+        full = full / np.sqrt(np.sum(full * full, axis=1))[:, None]
+        upper = full[:16]
+    for got, want in zip(geo._profile_geometry(ambient, upper, half=True),
+                         geo._profile_geometry(ambient, full)):
+        assert np.array_equal(got, want[:16])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_spherical_normal_matches_np_cross_exactly(dtype):
     mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 64).astype(dtype)
     E, normal, _, _ = geo._profile_geometry(SPHERE, mk)

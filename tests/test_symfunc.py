@@ -86,6 +86,27 @@ def test_power_mean_derivatives():
     npt.assert_allclose(f.hessian(kappa), _fd_hess(f, kappa), rtol=1e-5)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("r, make", [(1.0, sf.mean), (2.0, sf.norm)], ids=["mean", "norm"])
+def test_closed_form_mean_and_norm_keep_the_general_power_mean_bits(r, make, n, dtype):
+    """The column-sum value and gradient of f = mean and norm against the
+    general-r formulas, bit for bit, on (N, n) stacks and on a strided
+    (…, n) batch like the scans' samples."""
+    rng = np.random.default_rng(n)
+    # dividing in the target dtype fills the extended mantissa of longdouble
+    stacks = (rng.uniform(0.01, 50.0, (64, n)).astype(dtype) / dtype(3),
+              (rng.uniform(0.01, 50.0, (5, 40, n)).astype(dtype) / dtype(3)).swapaxes(0, 1))
+    f = make()
+    for kappa in stacks:
+        s = np.sum(kappa ** r, axis=-1)
+        for got, want in ((f.value(kappa), s ** (1.0 / r)),
+                          (f.gradient(kappa), s[..., None] ** (1.0 / r - 1.0)
+                           * kappa ** (r - 1.0))):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
+
 def test_mean_hessian_vanishes():
     npt.assert_array_equal(sf.mean().hessian(np.array([1.0, 2.0, 3.0])),
                            np.zeros((3, 3)))
