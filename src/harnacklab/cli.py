@@ -291,11 +291,18 @@ def _initial_data(cfg, ambient):
         ambient, cos_mode_radial(r0, cfg["amplitude"], cfg["mode"]), cfg["n_nodes"])
 
 
-def _run_flow(cfg, ambient, speed):
+def _run_flow(cfg, ambient, speed, hcfg):
+    """Run the configured flow once hcfg is finite on the sphere at the curvature cap."""
     config = FlowConfig(ambient=ambient, speed=speed, initial=_initial_data(cfg, ambient),
                         t_end=cfg["t_end"], dt=cfg["dt"],
                         store_every=cfg["store_every"], max_kappa=cfg["max_kappa"],
                         min_radius=cfg["min_radius"])
+    cap = _geo.assemble(GeodesicSphere(_flow.cap_radius(ambient, config.max_kappa)),
+                        ambient, speed, config.t_end)
+    with np.errstate(all="ignore"):
+        if not np.isfinite(_ha.evaluate_monitor(cap, hcfg).Q).all():
+            raise ConfigError(f"max_kappa = {config.max_kappa:g} makes the {hcfg.variant} "
+                              f"monitor overflow on the sphere at the cap")
     return _flow.run(config)
 
 
@@ -333,8 +340,9 @@ def _termination_exit(trajectory) -> int:
 def cmd_simulate(args, cfg) -> int:
     ambient = _build_ambient(cfg)
     speed = _build_speed(cfg)
-    traj = _run_flow(cfg, ambient, speed)
     variant = _default_variant(ambient, speed)
+    hcfg = _ha.HarnackConfig(variant)
+    traj = _run_flow(cfg, ambient, speed, hcfg)
 
     header = ["t", "min_kappa", "max_kappa", "min_Q", "argmin_Q",
               "extent_min", "extent_max", "speed_max"]
@@ -342,7 +350,7 @@ def cmd_simulate(args, cfg) -> int:
     for state in traj.states:
         lo, hi = _extents(state)
         if state.t > 0:
-            rep = _ha.evaluate_monitor(state, _ha.HarnackConfig(variant))
+            rep = _ha.evaluate_monitor(state, hcfg)
             min_q, arg_q = rep.min_Q, rep.argmin
         else:
             min_q, arg_q = float("nan"), -1
@@ -368,7 +376,7 @@ def cmd_monitor(args, cfg) -> int:
         raise ConfigError("dtf_source = trajectory needs an explicit dt and "
                           "store_every = 1 so centered differences line up")
 
-    traj = _run_flow(cfg, ambient, speed)
+    traj = _run_flow(cfg, ambient, speed, hcfg)
     header = ["t", "min_Q", "argmin", "term_dtF", "term_minus_theta",
               "term_correction", "term_delta_F_over_t", "term_zeta"]
     rows, reports = [], []

@@ -326,6 +326,11 @@ def _stop(config: FlowConfig, kappa_max: float, distance: Callable) -> Optional[
     return None
 
 
+def cap_radius(ambient: AmbientSpace, max_kappa: float) -> float:
+    """Geodesic radius of the round sphere whose curvature is max_kappa."""
+    return math.atan(1.0 / max_kappa) if ambient.c == 1 else 1.0 / max_kappa
+
+
 def _run_umbilic(config: FlowConfig) -> Trajectory:
     """Grid-free tier: spheres stay round, so each step is the radius ODE's sphere.
 
@@ -346,9 +351,8 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
     if termination is None:
         t_stop, r_stop, termination = config.t_end, None, "completed"
         if config.speed.contracting:
-            r_cap = 1.0 / config.max_kappa
             # κ(r0) < max_kappa, but the cap radius can round onto or past r0
-            r_cap = min(math.atan(r_cap) if ambient.c == 1 else r_cap, r0)
+            r_cap = min(cap_radius(ambient, config.max_kappa), r0)
             for r_hit, cause in ((config.min_radius, "radius-floor"), (r_cap, "curvature-cap")):
                 t_hit = sol.time_of_radius(r_hit)       # None for no floor (0)
                 if t_hit is not None and t_hit <= t_stop:

@@ -36,11 +36,12 @@ Working in the g-orthonormal Weingarten eigenframe, κ ∈ Γ₊ and a symmetric
 
 with equality at η̂ ∝ diag(κ) for the first three, and δ = speed.delta_default.
 Each inequality has one kernel in SCAN_KERNELS, under its scan tag: it
-evaluates the derivatives of f (or F) at a κ batch once and returns
+evaluates the derivatives of f (or F) at a block of κ once and returns
 terms(η̂) → (quad, pos, neg), whose sum quad + pos − neg is the gap, for the
 sample and its equality witness alike.  Samples draw κ log-uniformly and
 η̂ from symmetrized Gaussians, seeded through a splittable 64-bit
-SeedSequence so scans are reproducible per task.
+SeedSequence so scans are reproducible per task.  Batches fix the draws;
+blocks of a batch's rows, evaluated one at a time, fix the memory.
 """
 
 from __future__ import annotations
@@ -636,6 +637,7 @@ def scan_roster(f: CurvatureFunction) -> tuple:
 # Samples drawn per _scan_once call, and the log-uniform range of each κᵢ;
 # changing either changes every scan result.
 SCAN_BATCH = 20_000
+SCAN_BLOCK = 1024       # rows evaluated at once: bounds the memory, changes no result
 KAPPA_RANGE = (1e-2, 1e2)
 
 
@@ -650,46 +652,50 @@ class ScanReport:
     witness_max_abs_gap: float
 
 
-def sample_kappa_eta(rng, samples: int, n: int):
-    """Log-uniform κ in Γ₊ (over KAPPA_RANGE) and symmetric Gaussian η̂, batched."""
+def draw_samples(rng, samples: int, n: int, general: bool) -> list:
+    """A batch's draws, in order: log-uniform κ in Γ₊ (over KAPPA_RANGE), the
+    Gaussian behind η̂ and, if general, the two that metric_pair takes."""
     lo, hi = np.log(KAPPA_RANGE[0]), np.log(KAPPA_RANGE[1])
     kappa = np.exp(rng.uniform(lo, hi, size=(samples, n)))
-    A = rng.standard_normal((samples, n, n))
-    eta_hat = 0.5 * (A + np.swapaxes(A, 1, 2))
-    return kappa, eta_hat
+    return [kappa] + [rng.standard_normal((samples, n, n)) for _ in range(3 if general else 1)]
 
 
-def sample_metric_pair(rng, samples: int, n: int, kappa):
-    """Random (g, h) stacks whose Weingarten eigenvalues are exactly κ."""
-    A = rng.standard_normal((samples, n, n))
+def metric_pair(kappa, A, Z):
+    """(g, h) stacks with Weingarten eigenvalues exactly κ, from Gaussians A and Z."""
+    n = kappa.shape[-1]
     g = A @ np.swapaxes(A, 1, 2) + n * np.eye(n)[None]
     L = np.linalg.cholesky(g)
-    Q, _ = np.linalg.qr(rng.standard_normal((samples, n, n)))
+    Q, _ = np.linalg.qr(Z)
     core = (Q * kappa[:, None, :]) @ np.swapaxes(Q, 1, 2)
     h = L @ core @ np.swapaxes(L, 1, 2)
     return g, h
 
 
 def _scan_once(inequality, f, speed, rng, samples, n):
-    """Worst normalized gap of one batch, then the gap at its equality witness."""
-    kappa, eta_hat = sample_kappa_eta(rng, samples, n)
+    """Worst normalized gap of one batch, then the gap at its equality witness,
+    evaluated SCAN_BLOCK rows of the batch's draws at a time."""
     general = inequality == "harnack-form"
-    if general:
-        # Exercised through general-position (g, h) pairs rather than the
-        # eigenframe: the sampled η is a coordinate matrix here.  One
-        # eigensolve serves both η and the equality witness η = h.
-        g, h = sample_metric_pair(rng, samples, n, kappa)
-        kappa, T = _sf.weingarten_eigensystem(g, h)
-        eta_hat = _sf._to_eigenframe(T, eta_hat)
-    terms = SCAN_KERNELS[inequality](f, speed, kappa)
-    quad, pos, neg = terms(eta_hat)
-    worst = float(((quad + pos - neg)
-                   / np.maximum(np.abs(quad) + pos + neg, 1e-300)).min())
-    if inequality == "fb-dominance":
-        return worst, 0.0
-    witness = _sf._to_eigenframe(T, h) if general else _sf._diag_embed(kappa)
-    quad, pos, neg = terms(witness)
-    return worst, float(np.max(np.abs(quad + pos - neg)))
+    draws = draw_samples(rng, samples, n, general)
+    worst, witness_gap = np.inf, 0.0
+    for start in range(0, samples, SCAN_BLOCK):
+        kappa, A, *gaussians = (d[start:start + SCAN_BLOCK] for d in draws)
+        eta_hat = 0.5 * (A + np.swapaxes(A, 1, 2))
+        if general:
+            # Exercised through general-position (g, h) pairs rather than the
+            # eigenframe: the sampled η is a coordinate matrix here.  One
+            # eigensolve serves both η and the equality witness η = h.
+            g, h = metric_pair(kappa, *gaussians)
+            kappa, T = _sf.weingarten_eigensystem(g, h)
+            eta_hat = _sf._to_eigenframe(T, eta_hat)
+        terms = SCAN_KERNELS[inequality](f, speed, kappa)
+        quad, pos, neg = terms(eta_hat)
+        worst = min(worst, float(((quad + pos - neg)
+                                  / np.maximum(np.abs(quad) + pos + neg, 1e-300)).min()))
+        if inequality != "fb-dominance":
+            quad, pos, neg = terms(_sf._to_eigenframe(T, h) if general
+                                   else _sf._diag_embed(kappa))
+            witness_gap = max(witness_gap, float(np.max(np.abs(quad + pos - neg))))
+    return worst, witness_gap
 
 
 def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
@@ -699,10 +705,11 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
 
     Scans f = speed.f (speed defaults to the mean curvature H).  Unknown
     tags, samples < 1, empty or non-positive dimensions and urbas for an f
-    that is not inverse-concave raise ConfigError before any sample is drawn.  One SeedSequence child per (inequality, n)
-    task keeps results reproducible and independent of task order.  Returns
-    ScanReports with the worst normalized gap over all samples and the
-    equality-witness check at η̂ = diag(κ).
+    that is not inverse-concave raise ConfigError before any sample is
+    drawn.  One SeedSequence child per (inequality, n) task keeps results
+    reproducible and independent of task order.  Returns ScanReports with
+    the worst normalized gap over all samples and the largest |gap| at the
+    equality witness: η̂ = diag(κ), or η̂ = Tᵀ h T for harnack-form.
     """
     bad = [iq for iq in inequalities if iq not in SCAN_KERNELS]
     if bad:
@@ -722,17 +729,13 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
     reports = []
     for (ineq, n), child in zip(tasks, children):
         rng = np.random.default_rng(child)
-        worst, wit = np.inf, 0.0
-        done = 0
-        while done < samples:
-            take = min(SCAN_BATCH, samples - done)
-            w, ww = _scan_once(ineq, f, speed, rng, take, n)
-            worst, wit = min(worst, w), max(wit, ww)
-            done += take
+        gaps, witness_gaps = zip(*(
+            _scan_once(ineq, f, speed, rng, min(SCAN_BATCH, samples - done), n)
+            for done in range(0, samples, SCAN_BATCH)))
         reports.append(ScanReport(inequality=ineq, f_name=f.name, n=n,
                                   samples=samples, seed=seed,
-                                  min_normalized_gap=worst,
-                                  witness_max_abs_gap=wit))
+                                  min_normalized_gap=min(gaps),
+                                  witness_max_abs_gap=max(witness_gaps)))
     return reports
 
 

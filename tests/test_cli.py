@@ -20,6 +20,7 @@ import harnacklab
 from harnacklab import cli
 from harnacklab.errors import (ConfigError, ConvexityLost, DegenerateGrid,
                                HarnackLabError, OutOfRange, StabilityViolation)
+from harnacklab.flow import MAX_KAPPA_LIMIT
 
 
 def write_cfg(tmp_path, name="run.cfg", **keys):
@@ -220,6 +221,27 @@ def test_simulate_refuses_a_cap_whose_sphere_cannot_be_represented(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub, exponent, max_kappa", [
+    ("simulate", 3.0, 1e100), ("simulate", 1.0, MAX_KAPPA_LIMIT), ("monitor", 3.0, 1e100)],
+    ids=["simulate-p3", "simulate-p1-at-the-limit", "monitor-p3"])
+def test_a_cap_at_which_the_monitor_overflows_is_refused(tmp_path, monkeypatch, capsys, sub,
+                                                          exponent, max_kappa):
+    """F = H^3 capped at 1e100 used to exit 0 with min_Q = nan in the stop row and three
+    RuntimeWarnings (F·tr Ḟ overflows); F = H capped at the limit wrote min_Q = inf."""
+    def no_flow(config):
+        raise AssertionError("a flow ran before the cap was refused")
+
+    monkeypatch.setattr(cli._flow, "run", no_flow)
+    cfg = write_cfg(tmp_path, exponent=exponent, amplitude=0, t_end=0.4, max_kappa=max_kappa)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(sub, cfg, out) == cli.EXIT_CONFIG
+    assert (f"max_kappa = {max_kappa:g} makes the chi2 monitor overflow on the sphere "
+            f"at the cap") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_refuses_the_safety_key(tmp_path, capsys):
     """The step safety factor is a fixed fraction of RK4's stability limit, not a key."""
     cfg = write_cfg(tmp_path, exponent=1.0, amplitude=0.05, safety=0.5)
@@ -389,6 +411,11 @@ PINNED_TABLES = {
         dict(ambient="euclidean", speed="power-mean(3)", exponent=1.0, radius="auto",
              amplitude=0.05, n_nodes=16, t_end=0.01, store_every=5),
         "92381ee96d58e034"),
+    # the benchmark's scan: its rows must not depend on how a batch is evaluated
+    "scan-inequalities": (
+        "scan-inequalities", "scans",
+        dict(speed="mean", exponent=1, dimensions="2,3,5", samples=10000),
+        "0660babcbe86cf76"),
 }
 
 

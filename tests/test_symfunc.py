@@ -218,7 +218,8 @@ def test_weingarten_eigensystem_reconstructs(n):
     rng = np.random.default_rng(5 + n)
     lo, hi = np.log(V.KAPPA_RANGE)
     kappa_in = np.exp(rng.uniform(lo, hi, size=(500, n)))
-    g, h = V.sample_metric_pair(rng, 500, n, kappa_in)
+    g, h = V.metric_pair(kappa_in, rng.standard_normal((500, n, n)),
+                         rng.standard_normal((500, n, n)))
     kappa, T = sf.weingarten_eigensystem(g, h)
     scale = kappa_in.max(axis=1)[:, None]
     # columns are g-orthonormal and diagonalize h to the prescribed spectrum

@@ -8,6 +8,9 @@ time difference.  The algebraic gap functions are pinned against small
 hand-evaluated examples and their exact equality witnesses.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,7 +20,8 @@ from harnacklab.errors import ConfigError
 from harnacklab.flow import FlowConfig, GeodesicSphere, run
 from harnacklab.geometry import AmbientSpace, assemble, markers_from_radial
 from harnacklab.symfunc import (SpeedFunction, _to_eigenframe, d2F_from_eig, harmonic_mean,
-                                mean, norm, weingarten_eigensystem)
+                                mean, norm, power_mean, weingarten_eigensystem)
+from oracles import unblocked_scan
 
 SPHERE = AmbientSpace(c=1, dim=2)
 MEAN_HALF = SpeedFunction(mean(), 0.5)
@@ -532,7 +536,7 @@ def test_scan_rejects_an_unknown_inequality_before_drawing_a_sample(monkeypatch)
     def no_sample(*args, **kwargs):
         raise AssertionError("a sample was drawn before the roster was checked")
 
-    monkeypatch.setattr(V, "sample_kappa_eta", no_sample)
+    monkeypatch.setattr(V, "draw_samples", no_sample)
     with pytest.raises(ConfigError, match="bogus"):
         V.scan_inequalities(("f-lemma", "bogus"))
 
@@ -545,7 +549,7 @@ def test_scan_refuses_urbas_for_non_inverse_concave_f_before_scanning(monkeypatc
     assert calls == []
 
 
-def test_scan_evaluates_the_speed_derivatives_once_per_batch(monkeypatch):
+def test_scan_evaluates_the_speed_derivatives_once_per_block(monkeypatch):
     calls = {"dvalue": 0, "d2value": 0}
     for name in calls:
         method = getattr(SpeedFunction, name)
@@ -555,8 +559,48 @@ def test_scan_evaluates_the_speed_derivatives_once_per_batch(monkeypatch):
             return _method(self, kappa)
         monkeypatch.setattr(SpeedFunction, name, counting)
     V.scan_inequalities(n_values=(2, 3, 5), samples=2000, seed=1)
-    # urbas and harnack-form each build one spectrum per batch, three batches each
-    assert calls == {"dvalue": 6, "d2value": 6}
+    # urbas and harnack-form each build one spectrum per block of each of
+    # their three batches
+    blocks = 2 * 3 * math.ceil(2000 / V.SCAN_BLOCK)
+    assert calls == {"dvalue": blocks, "d2value": blocks}
+
+
+SCAN_SPEEDS = {"mean^1": MEAN_ONE, "norm^0.5": NORM_HALF,
+               "power_mean(3)^0.3": SpeedFunction(power_mean(3.0), 0.3),
+               "harmonic_mean^1": SpeedFunction(harmonic_mean(), 1.0),
+               "mean^-0.5": SpeedFunction(mean(), -0.5)}
+
+
+@pytest.mark.parametrize("speed", SCAN_SPEEDS.values(), ids=SCAN_SPEEDS)
+def test_blocked_scan_is_bit_identical_to_the_unblocked_batches(speed):
+    """23,000 samples are a full batch and a partial one, whose last block is
+    partial too; every reported float must equal the unblocked reference's."""
+    roster, n_values = V.scan_roster(speed.f), (1, 2, 3, 5, 7)
+    reports = V.scan_inequalities(roster, n_values, samples=23_000, seed=1, speed=speed)
+    assert [(r.min_normalized_gap, r.witness_max_abs_gap) for r in reports] \
+        == unblocked_scan(roster, n_values, 23_000, 1, speed)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_scan_results_do_not_depend_on_the_block_size(monkeypatch, block):
+    monkeypatch.setattr(V, "SCAN_BLOCK", block)
+    n_values = (1, 2, 3, 5, 7)
+    reports = V.scan_inequalities(n_values=n_values, samples=300, seed=7, speed=MEAN_ONE)
+    assert [(r.min_normalized_gap, r.witness_max_abs_gap) for r in reports] \
+        == unblocked_scan(V.SCAN_INEQUALITIES, n_values, 300, 7, MEAN_ONE)
+
+
+@pytest.mark.parametrize("inequality, limit_mib", [("harnack-form", 20), ("urbas", 10)])
+def test_a_scan_batch_holds_only_a_block_of_temporaries(inequality, limit_mib):
+    """The traced heap peak of one n = 5 batch was 41.0 MiB (harnack-form) and
+    30.5 MiB (urbas) when the whole batch went through every step at once."""
+    tracemalloc.start()
+    try:
+        V._scan_once(inequality, mean(), MEAN_ONE, np.random.default_rng(1), V.SCAN_BATCH, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2 ** 20, peak / 2 ** 20
 
 
 def test_scan_reports_the_curvature_function_of_the_speed():
@@ -585,7 +629,8 @@ def test_scan_explicit_roster_runs_for_norm():
 def test_sample_metric_pair_realizes_prescribed_curvatures():
     rng = np.random.default_rng(3)
     kappa = np.abs(rng.normal(size=(6, 3))) + 0.1
-    g, h = V.sample_metric_pair(rng, 6, 3, kappa)
+    g, h = V.metric_pair(kappa, rng.standard_normal((6, 3, 3)),
+                         rng.standard_normal((6, 3, 3)))
     assert g.shape == h.shape == (6, 3, 3)
     for i in range(6):
         assert np.all(np.linalg.eigvalsh(g[i]) > 0.0)
