@@ -224,12 +224,13 @@ def _render_table(header, rows, fmt):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def emit_outputs(args, cfg, tables, summary=None) -> None:
+def emit_outputs(args, cfg, tables, summary=None, seed=None) -> None:
     """Guard, then write manifest + tables (+ summary) under the out dir.
 
     tables is a list of (name, header, rows); the data format comes from the
-    config.  All target paths are checked against --force before anything is
-    written, so a refused run leaves no partial output.
+    config.  The manifest records seed, the seed the run used (None for a
+    run that draws nothing).  All target paths are checked against --force
+    before anything is written, so a refused run leaves no partial output.
     """
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
@@ -249,7 +250,7 @@ def emit_outputs(args, cfg, tables, summary=None) -> None:
         "subcommand": args.subcommand,
         "config": args.config,
         "out": args.out,
-        "seed": args.seed if args.seed is not None else DEFAULT_SEED,
+        "seed": seed,
         "cadence": cfg.get("store_every"),
         "format": fmt,
         "package": f"harnacklab {__version__}",
@@ -318,9 +319,8 @@ def _extinction_window(ambient, speed, state0):
     """Comparison-sphere bracket [t_ext(inner), t_ext(outer)] for contracting flows."""
     if not speed.contracting:
         return None
-    lo_r, hi_r = _extents(state0)
     window = []
-    for r in (lo_r, hi_r):
+    for r in _extents(state0):
         try:
             window.append(_flow.sphere_ode_solution(ambient, speed, r).t_extinction)
         except HarnackLabError:
@@ -370,7 +370,7 @@ def cmd_monitor(args, cfg) -> int:
     speed = _build_speed(cfg)
     variant = cfg["variant"] or _default_variant(ambient, speed)
     hcfg = _ha.HarnackConfig(variant, cfg["delta"])
-    _ha.monitor_delta(hcfg, ambient, speed)     # refuse before the flow runs
+    delta = _ha.monitor_delta(hcfg, ambient, speed)     # refuse before the flow runs
     use_traj = cfg["dtf_source"] == "trajectory"
     if use_traj and (cfg["dt"] is None or cfg["store_every"] != 1):
         raise ConfigError("dtf_source = trajectory needs an explicit dt and "
@@ -379,7 +379,7 @@ def cmd_monitor(args, cfg) -> int:
     traj = _run_flow(cfg, ambient, speed, hcfg)
     header = ["t", "min_Q", "argmin", "term_dtF", "term_minus_theta",
               "term_correction", "term_delta_F_over_t", "term_zeta"]
-    rows, reports = [], []
+    rows = []
     for state in traj.states:
         if state.t <= 0:
             continue
@@ -393,13 +393,12 @@ def cmd_monitor(args, cfg) -> int:
                      float(rep.terms["dtF"][k]), float(rep.terms["minus_theta"][k]),
                      float(rep.terms["correction"][k]),
                      float(rep.terms["delta_F_over_t"][k]), float(rep.terms["zeta"][k])])
-        reports.append(rep)
 
-    if not reports:
+    if not rows:
         raise ConfigError("monitor produced no rows; lengthen t_end or adjust dt")
-    floor = min(rep.min_Q for rep in reports)
+    floor = min(row[1] for row in rows)
     first_bad = next((row[0] for row in rows if row[1] <= 0), None)
-    summary = {"variant": variant, "delta": reports[0].delta,
+    summary = {"variant": variant, "delta": delta,
                "min_Q": floor, "positive": floor > 0.0,
                "first_nonpositive_t": first_bad,
                "termination": traj.termination}
@@ -414,8 +413,7 @@ def cmd_verify_evolution(args, cfg) -> int:
     ambient = _build_ambient(cfg)
     speed = _build_speed(cfg)
     tags = None if cfg["identities"] == ("all",) else cfg["identities"]
-    levels = cfg["levels"]
-    reports = _ve.residual_ladder(ambient, speed, tags=tags, levels=levels,
+    reports = _ve.residual_ladder(ambient, speed, tags=tags, levels=cfg["levels"],
                                   dt0=cfg["dt0"], t_check=cfg["t_check"],
                                   r0=cfg["radius"], amplitude=cfg["amplitude"],
                                   mode=cfg["mode"])
@@ -424,15 +422,14 @@ def cmd_verify_evolution(args, cfg) -> int:
     res_rows = [[tag, rec.n_nodes, rec.dt, rec.t, rec.residual, rec.rhs_scale]
                 for tag, rep in reports.items() for rec in rep.records]
     ord_header = ["identity", "order", "finest_residual", "passed"]
-    ord_rows, all_ok = [], True
-    for tag, rep in reports.items():
-        ok = rep.order >= cfg["min_order"] and rep.finest_residual <= cfg["max_residual"]
-        all_ok &= ok
-        ord_rows.append([tag, rep.order, rep.finest_residual, int(ok)])
+    ord_rows = [[tag, rep.order, rep.finest_residual,
+                 int(rep.order >= cfg["min_order"] and rep.finest_residual <= cfg["max_residual"])]
+                for tag, rep in reports.items()]
+    all_ok = all(row[-1] for row in ord_rows)
 
-    summary = {"levels": list(levels), "t_check": cfg["t_check"], "dt0": cfg["dt0"],
+    summary = {"levels": list(cfg["levels"]), "t_check": cfg["t_check"], "dt0": cfg["dt0"],
                "min_order": cfg["min_order"], "max_residual": cfg["max_residual"],
-               "all_passed": bool(all_ok)}
+               "all_passed": all_ok}
     emit_outputs(args, cfg,
                  [("residuals", res_header, res_rows), ("orders", ord_header, ord_rows)],
                  summary)
@@ -444,47 +441,39 @@ def cmd_scan_inequalities(args, cfg) -> int:
     inequalities = cfg["inequalities"]
     if inequalities == ("all",):
         inequalities = _ve.scan_roster(speed.f)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
     reports = _ve.scan_inequalities(inequalities=inequalities,
                                     n_values=cfg["dimensions"],
-                                    samples=cfg["samples"], seed=seed, speed=speed)
+                                    samples=cfg["samples"], seed=args.seed, speed=speed)
     header = ["inequality", "f", "n", "samples", "seed",
               "min_normalized_gap", "witness_max_abs_gap", "passed"]
-    rows, all_ok = [], True
-    for rep in reports:
-        ok = (rep.min_normalized_gap >= cfg["gap_floor"]
-              and rep.witness_max_abs_gap <= cfg["witness_tol"])
-        all_ok &= ok
-        rows.append([rep.inequality, rep.f_name, rep.n, rep.samples, rep.seed,
-                     rep.min_normalized_gap, rep.witness_max_abs_gap, int(ok)])
+    rows = [[rep.inequality, rep.f_name, rep.n, rep.samples, rep.seed,
+             rep.min_normalized_gap, rep.witness_max_abs_gap,
+             int(rep.min_normalized_gap >= cfg["gap_floor"]
+                 and rep.witness_max_abs_gap <= cfg["witness_tol"])] for rep in reports]
+    all_ok = all(row[-1] for row in rows)
     summary = {"gap_floor": cfg["gap_floor"], "witness_tol": cfg["witness_tol"],
-               "all_passed": bool(all_ok)}
-    emit_outputs(args, cfg, [("scans", header, rows)], summary)
+               "all_passed": all_ok}
+    emit_outputs(args, cfg, [("scans", header, rows)], summary, seed=args.seed)
     return EXIT_OK if all_ok else EXIT_THRESHOLD
 
 
 def cmd_sphere_exact(args, cfg) -> int:
     ambient = _build_ambient(cfg)
     speed = _build_speed(cfg)
-    r0 = cfg["radius"] if cfg["radius"] is not None else default_radius(ambient)
-    sol = _flow.sphere_ode_solution(ambient, speed, r0)
-
-    if ambient.c == 1 and speed.f.name == "mean" and 0 < speed.exponent <= 1:
-        variant = "strong-Hp"
-    else:
-        variant = _default_variant(ambient, speed)
-
     if cfg["n_times"] < 1:
         raise ConfigError(f"n_times must be at least 1, got {cfg['n_times']}")
+    r0 = cfg["radius"] if cfg["radius"] is not None else default_radius(ambient)
+    sol = _flow.sphere_ode_solution(ambient, speed, r0)
+    strong = ambient.c == 1 and speed.f.name == "mean" and 0 < speed.exponent <= 1
+    variant = "strong-Hp" if strong else _default_variant(ambient, speed)
+    hcfg = _ha.HarnackConfig(variant)
+
     times = np.linspace(0.0, cfg["t_end"], cfg["n_times"])
     header = ["t", "radius", "kappa", "speed", "Q"]
     rows = []
     for t, r in zip(times, sol.radius(times)):
         state = _geo.assemble(GeodesicSphere(float(r)), ambient, speed, t=float(t))
-        if t > 0:
-            q = _ha.evaluate_monitor(state, _ha.HarnackConfig(variant)).min_Q
-        else:
-            q = float("nan")
+        q = _ha.evaluate_monitor(state, hcfg).min_Q if t > 0 else float("nan")
         rows.append([float(t), float(state.radius), float(state.kappa[0, 0]),
                      float(state.F[0]), q])
 
@@ -519,7 +508,8 @@ def _parse_args(argv):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed for scans")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="RNG seed of scan-inequalities (the other subcommands draw nothing)")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
     return parser.parse_args(argv)

@@ -101,6 +101,11 @@ def profile_parameter(n_nodes: int) -> np.ndarray:
     return (np.arange(n_nodes) + 0.5) * (2.0 * np.pi / n_nodes)
 
 
+def _node_count_ok(n_nodes: int) -> bool:
+    """Every marker grid's node-count rule: even (no node on the pole w = π) and >= 8."""
+    return n_nodes >= 8 and n_nodes % 2 == 0
+
+
 def markers_from_radial(ambient: AmbientSpace, radial, n_nodes: int) -> np.ndarray:
     """Sample a radial graph r(w) into marker coordinates.
 
@@ -108,7 +113,7 @@ def markers_from_radial(ambient: AmbientSpace, radial, n_nodes: int) -> np.ndarr
     label.  For c = 1 the markers are points of S²,
     (cos r, sin r cos w, sin r sin w); for c = 0 they are r·(cos w, sin w).
     """
-    if n_nodes < 8 or n_nodes % 2:
+    if not _node_count_ok(n_nodes):
         raise ConfigError(f"profile grids need an even node count >= 8, got {n_nodes}")
     w = profile_parameter(n_nodes)
     r = radial(w) if callable(radial) else np.broadcast_to(np.asarray(radial, float), w.shape)
@@ -384,8 +389,8 @@ def _validated_markers(ambient, markers):
     want = 3 if ambient.c == 1 else 2
     if markers.ndim != 2 or markers.shape[1] != want:
         raise ConfigError(f"markers must have shape (N, {want}) for c = {ambient.c}")
-    if markers.shape[0] < 8 or markers.shape[0] % 2:
-        raise ConfigError("marker count must be even and >= 8")
+    if not _node_count_ok(markers.shape[0]):
+        raise ConfigError(f"marker count must be even and >= 8, got {markers.shape[0]}")
     if not np.all(np.isfinite(markers)):
         raise ConfigError("markers contain non-finite entries")
     if ambient.c == 1:

@@ -107,8 +107,8 @@ def require_mean(speed: SpeedFunction, what):
 
 
 def chi3(state: SurfaceState) -> np.ndarray:
-    """χ₃ = χ₂ + c·t·ζ(F) for F = H^p (case-split ζ)."""
-    require_mean(state.speed, "chi3")
+    """χ₃ = χ₂ + c·t·ζ(F) for F = H^p (case-split ζ); the chi3 monitor and
+    identity refuse any other f before they run."""
     z = zeta_monitor(state.speed.exponent, state.dim, state.F)
     return chi2(state) + state.ambient.c * state.t * z
 

@@ -56,9 +56,9 @@ from . import harnack as _ha
 from . import symfunc as _sf
 from .errors import ConfigError
 from .flow import FlowConfig, Trajectory, time_derivative
-from .geometry import (AmbientSpace, SurfaceState, box_op, covariant_derivative,
-                       covariant_hessian, grad_scalar, cos_mode_radial,
-                       default_radius, markers_from_radial)
+from .geometry import (AmbientSpace, SurfaceState, _node_count_ok, box_op,
+                       covariant_derivative, covariant_hessian, grad_scalar,
+                       cos_mode_radial, default_radius, markers_from_radial)
 from .symfunc import CurvatureFunction, SpeedFunction, eval_f, grad_f
 
 
@@ -79,11 +79,6 @@ def _quad_dF(state, X):
 def _pair_quad(state, A, C):
     """b^{il} F^{jk} A_{ij} C_{kl} (order of A and C matters)."""
     return np.einsum("nil,njk,nij,nkl->n", state.b, state.dF, A, C)
-
-
-def _grad_quadratic(state):
-    """F^{ij} ∇_i F ∇_j F."""
-    return np.einsum("nij,ni,nj->n", state.dF, state.grad_F, state.grad_F)
 
 
 def _bb_gradF(state):
@@ -256,12 +251,6 @@ def _remainder_theta(s):
         + 2.0 * s.F * s.d2F_bilinear(s.g, s.gamma)
 
 
-def _remainder_R(s):
-    """R = R_β − R_θ of the χ₂ evolution (c = 1 weight), for every admissible
-    speed; the χ₃ identity specializes it independently to F = F(H)."""
-    return _remainder_beta(s) - _remainder_theta(s)
-
-
 def _rhs_beta(s):
     c = s.ambient.c
     rhs = box_op(s, s.beta) \
@@ -307,7 +296,8 @@ def _rhs_chi2(s):
     rhs = box_op(s, chi) + _chi_factor(s) * chi \
         + s.t * _chi_quadratic(s, s.speed.delta_default)
     if s.ambient.c:
-        rhs = rhs + s.t * _remainder_R(s)
+        # R = R_β − R_θ for every admissible speed; χ₃ specializes it to F = F(H)
+        rhs = rhs + s.t * (_remainder_beta(s) - _remainder_theta(s))
     return rhs
 
 
@@ -331,12 +321,13 @@ def _rhs_chi3(s):
         H = np.sum(s.kappa, axis=-1)
         F, F1, F2, F3 = s.speed.scalar_derivs(H)
         boxF = _quad_dF(s, s.hess_F)
+        quad_grad = np.einsum("nij,ni,nj->n", s.dF, s.grad_F, s.grad_F)  # F^{ij}∇_iF∇_jF
         FijH2 = _quad_dF(s, s.h_sq)
         brace = 2.0 * n * (F2 * F / F1) * (boxF + F * FijH2 - s.theta) \
             + (zeta1 - n * F2 * F / F1) * FijH2 * F \
             + c * zeta1 * s.tr_dF * F \
             + 2.0 * F ** 2 * F1 * H \
-            + (_zeta_gradient_coefficient(n, F, F1, F2, F3) - zeta2) * _grad_quadratic(s) \
+            + (_zeta_gradient_coefficient(n, F, F1, F2, F3) - zeta2) * quad_grad \
             + (F1 * H + F) * _bb_gradF(s) \
             - 2.0 * F1 * s.theta
         rhs = rhs + c * zeta + c * t * brace
@@ -411,6 +402,16 @@ def applicable_tags(speed: SpeedFunction) -> tuple:
                  if not ident.mean_only or speed.f.name == "mean")
 
 
+def _identity(tag: str, speed: SpeedFunction) -> Identity:
+    """The identity under tag; ConfigError if there is none, or if it holds only
+    for powers of the mean curvature and speed is not one."""
+    if tag not in IDENTITIES:
+        raise ConfigError(f"unknown identity tag {tag!r}; known: {IDENTITY_TAGS}")
+    if IDENTITIES[tag].mean_only:
+        _ha.require_mean(speed, f"identity {tag!r}")
+    return IDENTITIES[tag]
+
+
 # ---------------------------------------------------------------------------
 # residual evaluation
 # ---------------------------------------------------------------------------
@@ -425,6 +426,14 @@ class ResidualRecord:
     rhs_scale: float
 
 
+def _residual_record(tag, t, dt, n_nodes, lhs, rhs) -> ResidualRecord:
+    """The record of max|LHS − RHS| / (1 + max|RHS|), with max|RHS| as rhs_scale."""
+    scale = float(np.max(np.abs(rhs)))
+    residual = float(np.max(np.abs(lhs - rhs))) / (1.0 + scale)
+    return ResidualRecord(tag=tag, t=t, dt=dt, n_nodes=n_nodes,
+                          residual=residual, rhs_scale=scale)
+
+
 def evolution_residual(trajectory: Trajectory, tag: str, t: float,
                        dt: float) -> ResidualRecord:
     """Residual of one evolution identity at time t with step Δt.
@@ -432,18 +441,10 @@ def evolution_residual(trajectory: Trajectory, tag: str, t: float,
     The subject field is differenced between the stored states at t ± Δt and
     compared against the closed-form right side on the state at t.
     """
-    if tag not in IDENTITIES:
-        raise ConfigError(f"unknown identity tag {tag!r}; known: {IDENTITY_TAGS}")
-    ident = IDENTITIES[tag]
+    ident = _identity(tag, trajectory.config.speed)
     state = trajectory.state_at(t)
-    if ident.mean_only:
-        _ha.require_mean(state.speed, f"identity {tag!r}")
     lhs = time_derivative(trajectory, ident.subject, t, dt)
-    rhs = ident.rhs(state)
-    scale = float(np.max(np.abs(rhs)))
-    residual = float(np.max(np.abs(lhs - rhs))) / (1.0 + scale)
-    return ResidualRecord(tag=tag, t=t, dt=dt, n_nodes=state.n_nodes,
-                          residual=residual, rhs_scale=scale)
+    return _residual_record(tag, t, dt, state.n_nodes, lhs, ident.rhs(state))
 
 
 def commutator_residual(state: SurfaceState) -> ResidualRecord:
@@ -457,10 +458,7 @@ def commutator_residual(state: SurfaceState) -> ResidualRecord:
     gphi = grad_scalar(state, phi)
     lhs = grad_scalar(state, box_op(state, phi)) - box_op(state, gphi, ("lo",))
     rhs = _commutator_rhs(state, gphi, covariant_hessian(state, phi))
-    scale = float(np.max(np.abs(rhs)))
-    residual = float(np.max(np.abs(lhs - rhs))) / (1.0 + scale)
-    return ResidualRecord(tag="grad-commutator", t=state.t, dt=0.0,
-                          n_nodes=state.n_nodes, residual=residual, rhs_scale=scale)
+    return _residual_record("grad-commutator", state.t, 0.0, state.n_nodes, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -512,21 +510,25 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     Besides the evolution identities, tags may include 'grad-commutator',
     which needs no time differencing and is checked on the state at t_check;
     tags=None runs every identity valid for the speed, then 'grad-commutator'.
-    Unknown or repeated tags, fewer than two levels, a repeated, odd or
-    below-8 one, a dt0 that is not positive and finite, a non-finite t_check
-    and a t_check that is not a whole number of steps at some level, or is
-    less than one step (the centered time difference needs the state at
-    t_check − Δt), raise ConfigError before any flow runs.
+    Repeated or unknown tags, an identity that holds only for powers of the
+    mean curvature (chi3) under another f, fewer than two levels, a
+    repeated one or one that is not an even node count >= 8, a dt0 that is
+    not positive and finite, a non-finite t_check and a t_check that is not
+    a whole number of steps at some level, or is less than one step (the
+    centered time difference needs the state at t_check − Δt), raise
+    ConfigError before any flow runs.
     Returns {tag: LadderReport}.
     """
     if tags is None:
         tags = applicable_tags(speed) + ("grad-commutator",)
-    known = set(IDENTITY_TAGS) | {"grad-commutator"}
-    bad = [t for t in tags if t not in known] + sorted({t for t in tags if tags.count(t) > 1})
-    if bad:
-        raise ConfigError(f"unknown or repeated identity tag(s) {bad}; known: {sorted(known)}")
+    repeated = sorted({t for t in tags if tags.count(t) > 1})
+    if repeated:
+        raise ConfigError(f"repeated identity tag(s) {repeated}")
+    for tag in tags:
+        if tag != "grad-commutator":
+            _identity(tag, speed)
     if (len(levels) < 2 or len(set(levels)) < len(levels)
-            or any(n < 8 or n % 2 for n in levels)):
+            or not all(map(_node_count_ok, levels))):
         raise ConfigError(f"need at least two grid levels, none repeated, each an even "
                           f"node count >= 8, to fit an order, got {tuple(levels)}")
     if not (np.isfinite(dt0) and dt0 > 0 and np.isfinite(t_check)):
@@ -549,13 +551,10 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
                 ladders[tag].append(commutator_residual(traj.state_at(t_check)))
             else:
                 ladders[tag].append(evolution_residual(traj, tag, t_check, dt))
-    out = {}
-    for tag, records in ladders.items():
-        order = estimate_order([r.n_nodes for r in records],
-                               [r.residual for r in records])
-        out[tag] = LadderReport(tag=tag, records=records, order=order,
-                                finest_residual=records[-1].residual)
-    return out
+    return {tag: LadderReport(tag=tag, records=records,
+                              order=estimate_order(levels, [r.residual for r in records]),
+                              finest_residual=records[-1].residual)
+            for tag, records in ladders.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -124,11 +124,14 @@ def test_there_is_one_error_class_per_way_the_program_reacts():
      "the Urbas inequality needs an inverse-concave f, got norm"),
     ("sphere-exact", {"exponent": 1.0, "t_end": 0.5},
      "requested time beyond the extinction time 0.180695"),
+    ("verify-evolution", {"exponent": 0.5, "speed": "norm", "identities": "chi3"},
+     "identity 'chi3' is specific to powers of the mean curvature, got f = norm"),
 ], ids=["expanding-on-sphere", "chi3-for-norm", "euclidean-on-sphere", "urbas-for-norm",
-        "past-extinction"])
+        "past-extinction", "chi3-identity-for-norm"])
 def test_a_request_outside_the_domain_is_refused_before_any_flow(tmp_path, monkeypatch,
                                                                  capsys, sub, keys, message):
-    """A monitor variant that cannot apply used to be refused only after the whole flow ran."""
+    """A monitor variant or an identity that cannot apply used to be refused only after a
+    flow ran."""
     def no_flow(config):
         raise AssertionError("a flow ran before the request was refused")
 
@@ -150,7 +153,7 @@ def test_sphere_exact_happy_path(tmp_path):
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "sphere-exact"
-    assert manifest["seed"] == cli.DEFAULT_SEED
+    assert manifest["seed"] is None
 
     lines = (out / "sphere.csv").read_text().splitlines()
     assert lines[0] == "t,radius,kappa,speed,Q"
@@ -163,6 +166,17 @@ def test_sphere_exact_happy_path(tmp_path):
     assert summary["variant"] == "strong-Hp"
     assert 0.05 < summary["t_extinction"] < 0.25
     assert summary["final_radius"] < 0.8
+
+
+@pytest.mark.parametrize("sub, keys", [
+    ("sphere-exact", {"exponent": 1.0, "t_end": 0.05, "n_times": 3}),
+    ("simulate", {"exponent": 1.0, "t_end": 0.01}),
+])
+def test_a_run_that_draws_nothing_records_no_seed(tmp_path, sub, keys):
+    """These runs used to record the --seed they were given, though they draw nothing."""
+    out = tmp_path / "out"
+    assert run_cli(sub, write_cfg(tmp_path, **keys), out, "--seed", "5") == cli.EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["seed"] is None
 
 
 def test_sphere_exact_past_extinction_is_config_error(tmp_path, capsys):

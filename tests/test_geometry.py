@@ -248,6 +248,22 @@ def test_marker_shape_validation():
         geo.assemble(bad, FLAT, MEAN1)
 
 
+@pytest.mark.parametrize("n_nodes", [6, 9, 18])
+def test_one_node_count_rule_for_every_grid(n_nodes):
+    ok = n_nodes >= 8 and n_nodes % 2 == 0
+    assert geo._node_count_ok(n_nodes) is ok
+    circle = np.stack([np.cos(geo.profile_parameter(n_nodes)),
+                       np.sin(geo.profile_parameter(n_nodes))], axis=1)
+    if ok:
+        geo.markers_from_radial(FLAT, 1.0, n_nodes)
+        geo.assemble(circle, FLAT, MEAN1)
+        return
+    with pytest.raises(ConfigError, match=f"even node count >= 8, got {n_nodes}"):
+        geo.markers_from_radial(FLAT, 1.0, n_nodes)
+    with pytest.raises(ConfigError, match=f"must be even and >= 8, got {n_nodes}"):
+        geo.assemble(circle, FLAT, MEAN1)
+
+
 def test_marker_dimension_picks_the_kind():
     """The same marker array is a profile for n = 2 and a curve for n = 1."""
     mk = geo.markers_from_radial(FLAT, 2.0, 32)
