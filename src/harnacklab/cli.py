@@ -204,15 +204,15 @@ def load_config(path: str, subcommand: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _fmt_cell(x):
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _json_cell(x):
-    if isinstance(x, float) and not np.isfinite(x):
-        return None
-    return x
+    return None if isinstance(x, float) and not np.isfinite(x) else x
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _render_table(header, rows, fmt):
@@ -220,27 +220,22 @@ def _render_table(header, rows, fmt):
         lines = [",".join(header)]
         lines += [",".join(_fmt_cell(c) for c in row) for row in rows]
         return "\n".join(lines) + "\n"
-    doc = {"columns": list(header), "rows": [[_json_cell(c) for c in row] for row in rows]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text({"columns": list(header),
+                       "rows": [[_json_cell(c) for c in row] for row in rows]})
 
 
-def emit_outputs(args, cfg, tables, summary=None, seed=None) -> None:
-    """Guard, then write manifest + tables (+ summary) under the out dir.
+def emit_outputs(args, cfg, tables, summary, seed=None) -> None:
+    """Guard, then write manifest, tables and summary under the out dir.
 
     tables is a list of (name, header, rows); the data format comes from the
     config.  The manifest records seed, the seed the run used (None for a
     run that draws nothing).  All target paths are checked against --force
     before anything is written, so a refused run leaves no partial output.
     """
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     fmt = cfg.get("format", "csv")
-    ext = "csv" if fmt == "csv" else "json"
-
-    targets = [os.path.join(out_dir, "manifest.json")]
-    targets += [os.path.join(out_dir, f"{name}.{ext}") for name, _, _ in tables]
-    if summary is not None:
-        targets.append(os.path.join(out_dir, "summary.json"))
+    names = ["manifest.json"] + [f"{name}.{fmt}" for name, _, _ in tables] + ["summary.json"]
+    targets = [os.path.join(args.out, name) for name in names]
     if not args.force:
         for path in targets:
             if os.path.exists(path):
@@ -255,14 +250,12 @@ def emit_outputs(args, cfg, tables, summary=None, seed=None) -> None:
         "format": fmt,
         "package": f"harnacklab {__version__}",
     }
-    with open(targets[0], "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    for (name, header, rows), path in zip(tables, targets[1:]):
+    texts = [_json_text(manifest)]
+    texts += [_render_table(header, rows, fmt) for _, header, rows in tables]
+    texts.append(_json_text(summary))
+    for path, text in zip(targets, texts):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_render_table(header, rows, fmt))
-    if summary is not None:
-        with open(targets[-1], "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +263,11 @@ def emit_outputs(args, cfg, tables, summary=None, seed=None) -> None:
 # ---------------------------------------------------------------------------
 
 def _build_ambient(cfg) -> AmbientSpace:
-    c = 1 if cfg["ambient"] == "sphere" else 0
-    return AmbientSpace(c, cfg["dimension"])
+    return AmbientSpace(1 if cfg["ambient"] == "sphere" else 0, cfg["dimension"])
 
 
 def _build_speed(cfg) -> SpeedFunction:
     return SpeedFunction(_sf.builtin(cfg["speed"]), cfg["exponent"])
-
-
-def _default_variant(ambient, speed) -> str:
-    if ambient.c == 1:
-        return "chi2"
-    return "euclidean-contracting" if speed.contracting else "euclidean-expanding"
 
 
 def _initial_data(cfg, ambient):
@@ -340,8 +326,7 @@ def _termination_exit(trajectory) -> int:
 def cmd_simulate(args, cfg) -> int:
     ambient = _build_ambient(cfg)
     speed = _build_speed(cfg)
-    variant = _default_variant(ambient, speed)
-    hcfg = _ha.HarnackConfig(variant)
+    hcfg = _ha.HarnackConfig(_ha.default_variant(ambient, speed))
     traj = _run_flow(cfg, ambient, speed, hcfg)
 
     header = ["t", "min_kappa", "max_kappa", "min_Q", "argmin_Q",
@@ -359,7 +344,7 @@ def cmd_simulate(args, cfg) -> int:
 
     summary = {"termination": traj.termination,
                "t_final": float(traj.states[-1].t),
-               "variant": variant,
+               "variant": hcfg.variant,
                "extinction_window": _extinction_window(ambient, speed, traj.states[0])}
     emit_outputs(args, cfg, [("simulate", header, rows)], summary)
     return _termination_exit(traj)
@@ -368,8 +353,7 @@ def cmd_simulate(args, cfg) -> int:
 def cmd_monitor(args, cfg) -> int:
     ambient = _build_ambient(cfg)
     speed = _build_speed(cfg)
-    variant = cfg["variant"] or _default_variant(ambient, speed)
-    hcfg = _ha.HarnackConfig(variant, cfg["delta"])
+    hcfg = _ha.HarnackConfig(cfg["variant"] or _ha.default_variant(ambient, speed), cfg["delta"])
     delta = _ha.monitor_delta(hcfg, ambient, speed)     # refuse before the flow runs
     use_traj = cfg["dtf_source"] == "trajectory"
     if use_traj and (cfg["dt"] is None or cfg["store_every"] != 1):
@@ -388,17 +372,14 @@ def cmd_monitor(args, cfg) -> int:
         except OutOfRange:
             continue    # no neighbor state to difference against (run edges)
         rep = _ha.evaluate_monitor(state, hcfg, dtF)
-        k = rep.argmin
-        rows.append([float(state.t), rep.min_Q, k,
-                     float(rep.terms["dtF"][k]), float(rep.terms["minus_theta"][k]),
-                     float(rep.terms["correction"][k]),
-                     float(rep.terms["delta_F_over_t"][k]), float(rep.terms["zeta"][k])])
+        k = rep.argmin      # terms in header order: dtF, minus_theta, ..., zeta
+        rows.append([float(state.t), rep.min_Q, k] + [float(v[k]) for v in rep.terms.values()])
 
     if not rows:
         raise ConfigError("monitor produced no rows; lengthen t_end or adjust dt")
     floor = min(row[1] for row in rows)
     first_bad = next((row[0] for row in rows if row[1] <= 0), None)
-    summary = {"variant": variant, "delta": delta,
+    summary = {"variant": hcfg.variant, "delta": delta,
                "min_Q": floor, "positive": floor > 0.0,
                "first_nonpositive_t": first_bad,
                "termination": traj.termination}
@@ -464,8 +445,8 @@ def cmd_sphere_exact(args, cfg) -> int:
         raise ConfigError(f"n_times must be at least 1, got {cfg['n_times']}")
     r0 = cfg["radius"] if cfg["radius"] is not None else default_radius(ambient)
     sol = _flow.sphere_ode_solution(ambient, speed, r0)
-    strong = ambient.c == 1 and speed.f.name == "mean" and 0 < speed.exponent <= 1
-    variant = "strong-Hp" if strong else _default_variant(ambient, speed)
+    variant = ("strong-Hp" if _ha.admits("strong-Hp", ambient, speed)
+               else _ha.default_variant(ambient, speed))
     hcfg = _ha.HarnackConfig(variant)
 
     times = np.linspace(0.0, cfg["t_end"], cfg["n_times"])

@@ -20,7 +20,7 @@ class ConvexityLost(HarnackLabError):
     """A principal-curvature vector left the positive cone Gamma_+.
 
     F = f^p is defined only on Gamma_+, so this is also how a surface state
-    that stopped being strictly convex (some kappa_i <= 0) is reported.
+    that is not strictly convex (some kappa_i <= 0) is reported.
     """
 
 
@@ -29,7 +29,8 @@ class DegenerateGrid(HarnackLabError):
 
 
 class StabilityViolation(HarnackLabError):
-    """Time stepping produced non-finite fields (blow-up / CFL violation)."""
+    """Time stepping failed: non-finite fields (blow-up / CFL violation), a fixed
+    step that left the convex cone, or an adaptive run past the step budget."""
 
 
 class OutOfRange(HarnackLabError):

@@ -55,7 +55,7 @@ from .symfunc import SpeedFunction, eval_f
 # matches a requested one.
 STATE_RTOL = 1e-9
 
-# Step budget of one grid run; exhausting it raises StabilityViolation.
+# Step budget of one grid run (check_step_budget, run).
 MAX_STEPS = 2_000_000
 
 # RK4's stability interval on the negative real axis (2.785…) over the
@@ -81,22 +81,16 @@ NEWTON_STEPS = 100
 class FlowConfig:
     """Everything run() needs: ambient, speed, initial data and stepping knobs.
 
-    dt=None selects the adaptive parabolic step
-    Δt = SAFETY · RK4_LIMIT · ds_min² / max Φ', where ds_min is the shortest
-    marker spacing, max Φ' = max ∂F/∂κᵢ over the nodes and the principal
-    directions, and SAFETY (0.8) is the fraction of RK4's stability limit
-    that is used.  An adaptive step that leaves the convex cone is retried
-    once at Δt/2 (counted in Trajectory.rejected_steps); if that fails too
-    the run ends as "convexity-lost".  An explicit dt is kept fixed (except
-    for a final partial step onto t_end), which is what the convergence
-    ladders use; a fixed step that leaves the cone raises StabilityViolation.
-    On both tiers the run stops at the first time t ≥ 0, t = 0 included,
-    at which the curvature cap max_kappa (positive, at most MAX_KAPPA_LIMIT,
-    so the sphere at the cap assembles to finite fields) or the radius floor
-    min_radius (finite, 0 for none) holds; the floor is measured from the
-    symmetry center: e₀ on the sphere, the origin in the plane
-    (geometry.center_distance).  Expanding speeds raise ConfigError on the
-    sphere.
+    dt=None selects the adaptive step of the module docstring (ds_min is the
+    shortest marker spacing, max Φ' the largest ∂F/∂κᵢ over nodes and
+    directions; Δt/2 retries count in Trajectory.rejected_steps).  An
+    explicit dt is kept fixed, except for a final partial step onto t_end,
+    as the convergence ladders need; a gridded run whose fixed dt needs more
+    than MAX_STEPS steps is refused.  The stop rule's max_kappa is positive
+    and at most MAX_KAPPA_LIMIT, so the sphere at the cap assembles to finite
+    fields; min_radius is finite, 0 for none, and measured from the symmetry
+    center (geometry.center_distance).  Expanding speeds raise ConfigError
+    on the sphere.
     """
 
     ambient: AmbientSpace
@@ -116,6 +110,8 @@ class FlowConfig:
             raise ConfigError(f"t_end must be positive, got {self.t_end!r}")
         if self.dt is not None and (not np.isfinite(self.dt) or self.dt <= 0):
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
+        if self.dt is not None and not isinstance(self.initial, GeodesicSphere):
+            check_step_budget(self.t_end, self.dt)
         if self.store_every < 1:
             raise ConfigError("store_every must be >= 1")
         if not 0 < self.max_kappa <= MAX_KAPPA_LIMIT:
@@ -167,6 +163,13 @@ class Trajectory:
         return self._assembled[i]
 
 
+def check_step_budget(t_end: float, dt: float) -> None:
+    """Refuse a fixed dt whose ceil(t_end/dt) steps exceed MAX_STEPS."""
+    if t_end / dt > MAX_STEPS:
+        raise ConfigError(f"a fixed dt = {dt:g} needs {t_end / dt:.6g} steps to reach "
+                          f"t = {t_end:g}, more than the step budget of {MAX_STEPS}")
+
+
 def whole_steps(span: float, dt: float) -> Optional[int]:
     """round(span / dt) if span is that many steps of dt within STATE_RTOL, else None."""
     n = round(span / dt)
@@ -214,10 +217,10 @@ def run(config: FlowConfig) -> Trajectory:
     floor ("radius-floor").  Every step's markers go through
     _profile_geometry, whose output also drives the next step; the markers
     of every store_every-th step and of the last completed step are stored,
-    and nothing is assembled here.  Non-convex or
-    degenerate initial data raises ConvexityLost or DegenerateGrid before
-    any step, and a fixed-dt step that leaves the cone raises
-    StabilityViolation.
+    and nothing is assembled here.  Non-convex or degenerate initial data
+    raises ConvexityLost or DegenerateGrid before any step; a fixed-dt step
+    that leaves the cone, and an adaptive run that needs more than MAX_STEPS
+    steps, raise StabilityViolation.
 
     An n = 2 profile on N nodes is a double cover: node N−1−k is node k with
     the rotation coordinate negated.  Initial n = 2 markers farther from
@@ -334,15 +337,14 @@ def cap_radius(ambient: AmbientSpace, max_kappa: float) -> float:
 def _run_umbilic(config: FlowConfig) -> Trajectory:
     """Grid-free tier: spheres stay round, so each step is the radius ODE's sphere.
 
-    The run stops where run() stops: at t = 0 if the starting sphere already
-    meets the curvature cap or the radius floor, else at the first crossing
-    of either, else at t_end.  An expanding sphere moves away from both, and
-    a contracting one reaches the cap radius before it goes extinct, so no
-    run queries the solution past extinction; the stop row holds the stop
-    radius itself, since the cap's crossing time can round onto the
-    extinction time.  A fixed-dt run stores what the gridded stepper stores:
-    every store_every-th multiple of dt below the stop, then the stop.  An
-    adaptive run stores 129 evenly spaced times, or t = 0 alone.
+    The run stops by _stop's rule, as run() does.  An expanding sphere moves
+    away from the cap and the floor, and a contracting one reaches the cap
+    radius before it goes extinct, so no run queries the solution past
+    extinction; the stop row holds the stop radius itself, since the cap's
+    crossing time can round onto the extinction time.  A fixed-dt run stores
+    what the gridded stepper stores: every store_every-th multiple of dt
+    below the stop, then the stop.  An adaptive run stores 129 evenly spaced
+    times, or t = 0 alone.
     """
     ambient, r0 = config.ambient, config.initial.radius
     sol = sphere_ode_solution(ambient, config.speed, r0)

@@ -3,34 +3,29 @@
 Ambient spaces are Euclidean space (c = 0) and the unit sphere (c = 1).
 Initial data is either a GeodesicSphere, which stays grid-free, or an
 (N, d) array of marker coordinates, which assemble() reads as a profile
-for n = 2 and as a curve for n = 1.  The assembled state has one of three
-kinds:
+for n = 2 and as a curve for n = 1.
 
-geodesic-sphere
-    A perfectly umbilic sphere of radius r, stored without a grid.  All
-    spatial derivatives vanish; the state is exact and works for any
-    hypersurface dimension n.
+A geodesic sphere of radius r is perfectly umbilic and stored without a
+grid: all spatial derivatives vanish, the state is exact, and it works for
+any hypersurface dimension n.
 
-axisymmetric-profile (n = 2)
-    A surface of revolution.  The profile is stored as a closed curve with
-    periodic Lagrangian label w ∈ [0, 2π) sampled at the N offset nodes
-    w_k = (k + ½)·2π/N (poles are avoided; N must be even so the node set
-    is symmetric under the double-cover identification w ↦ 2π − w).  A
-    gridded round sphere is markers_from_radial(ambient, r, N).
+An n = 2 surface of revolution is stored as a closed profile curve with
+periodic Lagrangian label w ∈ [0, 2π) sampled at the N offset nodes
+w_k = (k + ½)·2π/N (poles are avoided; N must be even so the node set is
+symmetric under the double-cover identification w ↦ 2π − w).  A gridded
+round sphere is markers_from_radial(ambient, r, N).  For c = 1 the profile
+is a curve c(w) on the unit 2-sphere inside x = (c₀, c₁, c₂ cos v,
+c₂ sin v) ∈ S³; for c = 0 it is a curve (x(w), ρ(w)) in the half-plane
+with x = (x, ρ cos v, ρ sin v).  Running w over the full circle traverses
+the meridian twice; the sheets are identified by (w, v) ↦ (2π − w, v + π),
+and all assembled fields are automatically consistent across the
+identification.  Node N−1−k is node k with the rotation coordinate negated
+(unfold, mirror_defect), so the flow stepper advances only the upper half,
+w ∈ (0, π), with stencils padded by that reflection (periodic_d1/periodic_d2
+with half=True).
 
-    For c = 1 the profile is a curve c(w) on the unit 2-sphere inside
-    x = (c₀, c₁, c₂ cos v, c₂ sin v) ∈ S³; for c = 0 it is a curve
-    (x(w), ρ(w)) in the half-plane with x = (x, ρ cos v, ρ sin v).
-    Running w over the full circle traverses the meridian twice; the sheets
-    are identified by (w, v) ↦ (2π − w, v + π), and all assembled fields are
-    automatically consistent across the identification.  Node N−1−k is node
-    k with the rotation coordinate negated (unfold, mirror_defect), so the
-    flow stepper advances only the upper half, w ∈ (0, π), with stencils
-    padded by that reflection (periodic_d1/periodic_d2 with half=True).
-
-closed-curve (n = 1)
-    A convex curve in the plane (c = 0) or in the unit 2-sphere (c = 1),
-    sampled at the same offset nodes.
+An n = 1 state is a convex curve in the plane (c = 0) or in the unit
+2-sphere (c = 1), sampled at the same offset nodes.
 
 The induced metric of a surface of revolution is diagonal,
 g = diag(E, G) with E = |c′|² and G = ρ², and the second fundamental form
@@ -346,7 +341,7 @@ def _profile_geometry(ambient, markers, half=False):
 
     if not (kappa.min() > 0 and kappa.max() < np.inf):
         raise ConvexityLost(
-            f"surface stopped being strictly convex (min kappa = {np.nanmin(kappa):.6g})")
+            f"surface is not strictly convex (min kappa = {np.nanmin(kappa):.6g})")
     return E, normal, h_uu, kappa
 
 

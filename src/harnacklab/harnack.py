@@ -21,8 +21,20 @@ Harnack inequality.  For F = H^p on the sphere the strong quantity is
 with corr = p/(2p−1) on the first branch, corr = n·p on the second; this is
 exactly χ₃/t because −c F tr(Ḟ) + c ζ collapses to the single correction.
 
-Reports carry an exact term breakdown (∂ₜF, −θ, curvature correction,
-δF/t, c·ζ): Q is computed as the literal sum of the stored term arrays.
+VARIANTS holds each monitored variant's domain and terms; nothing else tests
+a variant's name, and a run that names none monitors the first row that
+admits it.  Q is the literal sum of the term arrays a report carries,
+∂ₜF − θ + δF/t plus the terms of its row; p is the speed's exponent, δ
+defaults to p/(p+1), and δ > 0 binds contracting speeds, the only ones the
+sphere has (flow.FlowConfig):
+
+    variant                ambient  f     p and δ                     adds
+    chi2                   c = 1    any   δ > 0                       −cF tr Ḟ
+    chi1                   c = 1    any   δ > 0
+    chi3                   c = 1    mean  δ > 0                       −cF tr Ḟ, cζ
+    strong-Hp              c = 1    mean  0 < p ≤ 1, δ = p/(p+1)      −cF tr Ḟ, cζ
+    euclidean-contracting  c = 0    any   p > 0, δ ≥ p/(p+1)
+    euclidean-expanding    c = 0    any   p < 0, δ ≤ p/(p+1)
 
 This module only evaluates the quantities; their evolution equations and
 the sphere remainders R_β, R_θ and R are the verify module's identities.
@@ -30,6 +42,7 @@ the sphere remainders R_β, R_θ and R are the verify module's identities.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,8 +52,17 @@ from .errors import ConfigError
 from .geometry import AmbientSpace, SurfaceState
 from .symfunc import SpeedFunction, as_float
 
-VARIANTS = ("chi1", "chi2", "chi3", "strong-Hp",
-            "euclidean-contracting", "euclidean-expanding")
+# The rows of the table above: contracting is the speed's sign (None for
+# either), delta is "positive", "pinned", "at-least" or "at-most" p/(p+1).
+Variant = namedtuple("Variant", "c contracting mean_only delta correction zeta")
+VARIANTS = {
+    "chi2": Variant(1, None, False, "positive", True, False),
+    "chi1": Variant(1, None, False, "positive", False, False),
+    "chi3": Variant(1, None, True, "positive", True, True),
+    "strong-Hp": Variant(1, None, True, "pinned", True, True),
+    "euclidean-contracting": Variant(0, True, False, "at-least", False, False),
+    "euclidean-expanding": Variant(0, False, False, "at-most", False, False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +121,6 @@ def chi2(state: SurfaceState) -> np.ndarray:
     return state.t * (state.beta - state.theta) + state.speed.delta_default * state.F
 
 
-def require_mean(speed: SpeedFunction, what):
-    """Raise ConfigError unless the speed is a power of the mean curvature."""
-    if speed.f.name != "mean":
-        raise ConfigError(f"{what} is specific to powers of the mean curvature, "
-                          f"got f = {speed.f.name}")
-
-
 def chi3(state: SurfaceState) -> np.ndarray:
     """χ₃ = χ₂ + c·t·ζ(F) for F = H^p (case-split ζ); the chi3 monitor and
     identity refuse any other f before they run."""
@@ -127,7 +142,7 @@ class HarnackConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(
-                f"unknown Harnack variant {self.variant!r}; choose from {VARIANTS}")
+                f"unknown Harnack variant {self.variant!r}; choose from {tuple(VARIANTS)}")
         if self.delta is not None and not np.isfinite(self.delta):
             raise ConfigError(f"delta must be a finite number, got {self.delta}")
 
@@ -151,46 +166,63 @@ class HarnackReport:
         return int(self.Q.argmin())
 
 
+def f_refusal(name: str, speed: SpeedFunction) -> Optional[str]:
+    """Why the row of VARIANTS under name refuses speed's f, or None (also for a
+    name with no row).  The identities chi1–chi3 take this rule but not the
+    ambient one: their evolution equations hold for c = 0 as well."""
+    if name in VARIANTS and VARIANTS[name].mean_only and speed.f.name != "mean":
+        return f"is specific to powers of the mean curvature, got f = {speed.f.name}"
+    return None
+
+
 def monitor_delta(config: HarnackConfig, ambient: AmbientSpace,
                   speed: SpeedFunction) -> float:
     """The δ of the configured monitor for this ambient and speed.
 
-    Raises ConfigError if the variant does not apply to them or δ is out of
-    its range.  Nothing here depends on a state, so a caller can check a
+    Raises ConfigError if the variant's row does not admit them or δ is out
+    of its range.  Nothing here depends on a state, so a caller can check a
     monitor before any flow runs.
     """
     variant = config.variant
-    if variant.startswith("euclidean"):
-        if ambient.c != 0:
-            raise ConfigError("euclidean variants need ambient curvature c = 0")
-        if variant == "euclidean-contracting" and not speed.contracting:
-            raise ConfigError("euclidean-contracting monitor got an expanding speed")
-        if variant == "euclidean-expanding" and speed.contracting:
-            raise ConfigError("euclidean-expanding monitor got a contracting speed")
-    if variant in ("chi3", "strong-Hp"):
-        require_mean(speed, variant)
+    row = VARIANTS[variant]
+    if ambient.c != row.c:
+        raise ConfigError(f"{'sphere' if row.c else 'euclidean'} variants need "
+                          f"ambient curvature c = {row.c}")
+    if row.contracting is not None and speed.contracting != row.contracting:
+        raise ConfigError(f"{variant} monitor got "
+                          f"{'an expanding' if row.contracting else 'a contracting'} speed")
+    if why := f_refusal(variant, speed):
+        raise ConfigError(f"{variant} {why}")
 
-    if variant == "strong-Hp":
-        p = speed.exponent
-        if not 0 < p <= 1:
-            raise ConfigError(f"strong-Hp needs 0 < p <= 1, got {p:g}")
-        delta = speed.delta_default
-        if config.delta is not None and abs(config.delta - delta) > 1e-12:
-            raise ConfigError("strong-Hp pins delta = p/(p+1); leave it unset")
-    else:
-        delta = (speed.delta_default if config.delta is None
-                 else float(config.delta))
-        bound = speed.delta_default
-        if variant == "euclidean-contracting" and delta < bound - 1e-12:
-            raise ConfigError(
-                f"contracting variant needs delta >= {bound:g}, got {delta:g}")
-        if variant == "euclidean-expanding" and delta > bound + 1e-12:
-            raise ConfigError(
-                f"expanding variant needs delta <= {bound:g}, got {delta:g}")
-        if variant in ("chi1", "chi2", "chi3") and speed.contracting and delta <= 0:
-            raise ConfigError(
-                f"contracting monitors need delta > 0, got {delta:g}")
+    bound = speed.delta_default
+    if row.delta == "pinned":
+        if not 0 < speed.exponent <= 1:
+            raise ConfigError(f"{variant} needs 0 < p <= 1, got {speed.exponent:g}")
+        if config.delta is not None and abs(config.delta - bound) > 1e-12:
+            raise ConfigError(f"{variant} pins delta = p/(p+1); leave it unset")
+        return bound
+    delta = bound if config.delta is None else float(config.delta)
+    if row.delta == "at-least" and delta < bound - 1e-12:
+        raise ConfigError(f"contracting variant needs delta >= {bound:g}, got {delta:g}")
+    if row.delta == "at-most" and delta > bound + 1e-12:
+        raise ConfigError(f"expanding variant needs delta <= {bound:g}, got {delta:g}")
+    if row.delta == "positive" and speed.contracting and delta <= 0:
+        raise ConfigError(f"contracting monitors need delta > 0, got {delta:g}")
     return delta
+
+
+def admits(variant: str, ambient: AmbientSpace, speed: SpeedFunction) -> bool:
+    """Whether the variant's row admits ambient and speed with its default δ."""
+    try:
+        monitor_delta(HarnackConfig(variant), ambient, speed)
+    except ConfigError:
+        return False
+    return True
+
+
+def default_variant(ambient: AmbientSpace, speed: SpeedFunction) -> str:
+    """The variant of a run that names none: the first row that admits it."""
+    return next(name for name in VARIANTS if admits(name, ambient, speed))
 
 
 def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
@@ -206,7 +238,6 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
     if t <= 0:
         raise ConfigError("monitors need a state at t > 0")
     c = state.ambient.c
-    variant = config.variant
     delta = monitor_delta(config, state.ambient, state.speed)
 
     with np.errstate(over="ignore"):
@@ -216,13 +247,10 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
     if dtF is None:
         dtF = analytic_dtF(state)
 
+    row = VARIANTS[config.variant]
     zero = np.zeros_like(state.F)
-    correction = zero
-    zterm = zero
-    if variant in ("chi2", "chi3", "strong-Hp"):
-        correction = -c * state.F * state.tr_dF if c else zero
-    if variant in ("chi3", "strong-Hp"):
-        zterm = c * zeta_monitor(state.speed.exponent, state.dim, state.F)
+    correction = -c * state.F * state.tr_dF if row.correction and c else zero
+    zterm = c * zeta_monitor(state.speed.exponent, state.dim, state.F) if row.zeta else zero
 
     terms = {"dtF": dtF,
              "minus_theta": -state.theta,
@@ -231,4 +259,4 @@ def evaluate_monitor(state: SurfaceState, config: HarnackConfig,
              "zeta": zterm}
     Q = terms["dtF"] + terms["minus_theta"] + terms["correction"] \
         + terms["delta_F_over_t"] + terms["zeta"]
-    return HarnackReport(variant=variant, t=t, delta=delta, Q=Q, terms=terms)
+    return HarnackReport(variant=config.variant, t=t, delta=delta, Q=Q, terms=terms)

@@ -55,15 +55,9 @@ SYMMETRY_RTOL = 1e-12
 class CurvatureFunction:
     """A symmetric, 1-homogeneous curvature function on Γ₊.
 
-    Parameters
-    ----------
-    name : str
-        Identifier used in configs and reports.
-    value, gradient, hessian : callables
-        Vectorized evaluations at κ of shape (..., n); value returns (...,),
-        gradient (..., n) and hessian (..., n, n).
-    inverse_concave : bool
-        Whether f is inverse-concave, which the Urbas inequality scan requires.
+    name identifies it in configs and reports.  value, gradient and hessian
+    evaluate it at κ of shape (..., n), returning (...,), (..., n) and
+    (..., n, n).  The Urbas inequality scan needs inverse_concave.
     """
 
     name: str

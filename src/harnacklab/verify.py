@@ -17,12 +17,11 @@ time difference sets a fourth-order target in N.  Fitted orders fall below
 it for some identities: the lowest on the acceptance ladders is 3.54 (beta
 under F = |κ|^0.5), and a ladder passes at order 1.8.
 
-Supported tags: metric, inverse-metric, sff, weingarten, sff-box,
-weingarten-box, inverse-sff, squared-sff, speed, christoffel, grad-speed,
-beta, theta, chi2, chi3 (mean-curvature speeds only), chi1 and
-box-commutator ([∂ₜ, □]F).  The spatial commutator [∇, □]φ is checked on a
-single state by commutator_residual, with φ fixed to the first marker
-coordinate (the speed F on grid-free states).
+IDENTITIES lists the supported tags, box-commutator ([∂ₜ, □]F) among them;
+chi1, chi2 and chi3 take the f rule of the monitor variant of the same name
+(harnack.f_refusal).  The spatial commutator [∇, □]φ is checked on a single
+state by commutator_residual, with φ fixed to the first marker coordinate
+(the speed F on grid-free states).
 
 Pointwise inequality scans
 --------------------------
@@ -368,7 +367,6 @@ class Identity:
     tag: str
     subject: Callable
     rhs: Callable
-    mean_only: bool = False
 
 
 IDENTITIES = {
@@ -387,7 +385,7 @@ IDENTITIES = {
         Identity("beta", lambda s: s.beta, _rhs_beta),
         Identity("theta", lambda s: s.theta, _rhs_theta),
         Identity("chi2", _ha.chi2, _rhs_chi2),
-        Identity("chi3", _ha.chi3, _rhs_chi3, mean_only=True),
+        Identity("chi3", _ha.chi3, _rhs_chi3),
         Identity("chi1", _ha.chi1, _rhs_chi1),
         Identity("box-commutator", lambda s: box_op(s, s.F), _rhs_box_commutator),
     ]
@@ -398,17 +396,16 @@ IDENTITY_TAGS = tuple(IDENTITIES)
 
 def applicable_tags(speed: SpeedFunction) -> tuple:
     """All identity tags valid for the given speed."""
-    return tuple(t for t, ident in IDENTITIES.items()
-                 if not ident.mean_only or speed.f.name == "mean")
+    return tuple(t for t in IDENTITIES if _ha.f_refusal(t, speed) is None)
 
 
 def _identity(tag: str, speed: SpeedFunction) -> Identity:
-    """The identity under tag; ConfigError if there is none, or if it holds only
-    for powers of the mean curvature and speed is not one."""
+    """The identity under tag; ConfigError if there is none, or if the monitor
+    variant of the same name refuses speed's f (harnack.f_refusal)."""
     if tag not in IDENTITIES:
         raise ConfigError(f"unknown identity tag {tag!r}; known: {IDENTITY_TAGS}")
-    if IDENTITIES[tag].mean_only:
-        _ha.require_mean(speed, f"identity {tag!r}")
+    if why := _ha.f_refusal(tag, speed):
+        raise ConfigError(f"identity {tag!r} {why}")
     return IDENTITIES[tag]
 
 
@@ -515,8 +512,8 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     repeated one or one that is not an even node count >= 8, a dt0 that is
     not positive and finite, a non-finite t_check and a t_check that is not
     a whole number of steps at some level, or is less than one step (the
-    centered time difference needs the state at t_check − Δt), raise
-    ConfigError before any flow runs.
+    centered time difference needs the state at t_check − Δt) or more than
+    flow.MAX_STEPS, raise ConfigError before any flow runs.
     Returns {tag: LadderReport}.
     """
     if tags is None:
@@ -541,6 +538,7 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
                 f"t_check = {t_check:g} is {t_check / dt:.6g} steps of dt = {dt:g} at "
                 f"N = {n_nodes}; it must be a whole number of steps, at least one, "
                 f"at every level")
+        _flow.check_step_budget(t_check + dt, dt)
     ladders = {tag: [] for tag in tags}
     for n_nodes, dt in zip(levels, dts):
         traj = standard_test_flow(ambient, speed, n_nodes, dt,

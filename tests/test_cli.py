@@ -126,12 +126,18 @@ def test_there_is_one_error_class_per_way_the_program_reacts():
      "requested time beyond the extinction time 0.180695"),
     ("verify-evolution", {"exponent": 0.5, "speed": "norm", "identities": "chi3"},
      "identity 'chi3' is specific to powers of the mean curvature, got f = norm"),
+    ("monitor", {"ambient": "euclidean", "exponent": 0.5, "variant": "strong-Hp"},
+     "sphere variants need ambient curvature c = 1"),
+    ("monitor", {"ambient": "euclidean", "exponent": 1.0, "variant": "chi1", "delta": 0.01},
+     "sphere variants need ambient curvature c = 1"),
 ], ids=["expanding-on-sphere", "chi3-for-norm", "euclidean-on-sphere", "urbas-for-norm",
-        "past-extinction", "chi3-identity-for-norm"])
+        "past-extinction", "chi3-identity-for-norm", "strong-Hp-in-the-plane",
+        "chi1-in-the-plane"])
 def test_a_request_outside_the_domain_is_refused_before_any_flow(tmp_path, monkeypatch,
                                                                  capsys, sub, keys, message):
     """A monitor variant or an identity that cannot apply used to be refused only after a
-    flow ran."""
+    flow ran.  A sphere variant in the plane used to run: strong-Hp at p = 0.5 reported
+    "positive": true, and chi1 took a delta below the plane's window."""
     def no_flow(config):
         raise AssertionError("a flow ran before the request was refused")
 
@@ -177,6 +183,19 @@ def test_a_run_that_draws_nothing_records_no_seed(tmp_path, sub, keys):
     out = tmp_path / "out"
     assert run_cli(sub, write_cfg(tmp_path, **keys), out, "--seed", "5") == cli.EXIT_OK
     assert json.loads((out / "manifest.json").read_text())["seed"] is None
+
+
+@pytest.mark.parametrize("ambient, speed, exponent, variant", [
+    ("sphere", "mean", 1.0, "strong-Hp"), ("sphere", "norm", 1.0, "chi2"),
+    ("sphere", "mean", 1.5, "chi2"), ("euclidean", "mean", 1.0, "euclidean-contracting"),
+    ("euclidean", "mean", -0.5, "euclidean-expanding")])
+def test_sphere_exact_reports_strong_Hp_where_the_table_admits_it(tmp_path, ambient, speed,
+                                                                   exponent, variant):
+    cfg = write_cfg(tmp_path, ambient=ambient, speed=speed, exponent=exponent, t_end=0.01,
+                    n_times=3)
+    out = tmp_path / "out"
+    assert run_cli("sphere-exact", cfg, out) == cli.EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["variant"] == variant
 
 
 def test_sphere_exact_past_extinction_is_config_error(tmp_path, capsys):
@@ -313,6 +332,47 @@ def test_simulate_nonconvex_start_exits_convexity(tmp_path, capsys):
                     n_nodes=32, t_end=0.01)
     assert run_cli("simulate", cfg, tmp_path / "out") == cli.EXIT_CONVEXITY
     assert "convex" in capsys.readouterr().err.lower()
+
+
+def test_a_nonconvex_start_is_not_reported_as_a_loss(tmp_path, capsys):
+    """The start never was convex; the message used to say it "stopped being" convex."""
+    cfg = write_cfg(tmp_path, exponent=1.0, amplitude=0.3, mode=4, n_nodes=32, t_end=0.01)
+    assert run_cli("simulate", cfg, tmp_path / "out") == cli.EXIT_CONVEXITY
+    assert capsys.readouterr().err == (
+        "error: surface is not strictly convex (min kappa = -5.08323)\n")
+
+
+@pytest.mark.parametrize("sub, keys, message", [
+    ("simulate", dict(exponent=1.0, amplitude=0.05, n_nodes=32, dt=1e-9, t_end=0.01),
+     "a fixed dt = 1e-09 needs 1e+07 steps to reach t = 0.01, more than the step budget "
+     "of 2000000"),
+    ("verify-evolution", dict(exponent=0.5, identities="beta", levels="16, 32",
+                              t_check=1e300),
+     "a fixed dt = 0.0002 needs 5e+303 steps to reach t = 1e+300, more than the step "
+     "budget of 2000000"),
+], ids=["simulate", "verify-evolution"])
+def test_a_fixed_dt_beyond_the_step_budget_is_refused_before_any_step(tmp_path, monkeypatch,
+                                                                      capsys, sub, keys,
+                                                                      message):
+    """dt = 1e-9 to t = 0.01 used to step for minutes and then exit 3; t_check = 1e300
+    stepped the first level towards extinction and exited 3."""
+    def no_step(*args):
+        raise AssertionError("a step ran before the request was refused")
+
+    monkeypatch.setattr(cli._flow, "_rk4", no_step)
+    out = tmp_path / "out"
+    assert run_cli(sub, write_cfg(tmp_path, **keys), out) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_an_adaptive_run_that_exhausts_the_step_budget_exits_instability(tmp_path,
+                                                                         monkeypatch, capsys):
+    """The adaptive run takes 6 steps to t_end; no test used to reach the budget."""
+    monkeypatch.setattr(cli._flow, "MAX_STEPS", 5)
+    cfg = write_cfg(tmp_path, exponent=1.0, amplitude=0.05, n_nodes=64, t_end=0.01)
+    assert run_cli("simulate", cfg, tmp_path / "out") == cli.EXIT_INSTABILITY
+    assert capsys.readouterr().err == "error: step budget of 5 exhausted\n"
 
 
 def test_simulate_fixed_dt_blow_up_exits_instability(tmp_path, capsys):

@@ -551,6 +551,27 @@ def test_nonconvex_initial_data_raises():
         flow.run(cfg)
 
 
+def test_an_adaptive_run_that_exhausts_the_step_budget_raises(monkeypatch):
+    """The run takes 6 steps to t_end; with a budget of 5 the sixth is refused."""
+    monkeypatch.setattr(flow, "MAX_STEPS", 5)
+    cfg = flow.FlowConfig(SPHERE, _speed(1.0),
+                          geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 64),
+                          t_end=0.01)
+    with pytest.raises(StabilityViolation, match="^step budget of 5 exhausted$"):
+        flow.run(cfg)
+
+
+def test_a_fixed_dt_beyond_the_step_budget_is_refused_on_the_grid_only():
+    """ceil(t_end/dt) steps must fit MAX_STEPS; the grid-free tier takes no steps."""
+    mk = geo.markers_from_radial(SPHERE, 0.8, 16)
+    dt = 0.01 / flow.MAX_STEPS
+    flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=0.01, dt=dt)
+    with pytest.raises(ConfigError, match="needs 2e[+]06 steps to reach t = 0.01, more than "
+                                          "the step budget of 2000000"):
+        flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=0.01, dt=dt * (1 - 1e-15))
+    flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(0.8), t_end=0.01, dt=1e-12)
+
+
 def test_grid_that_degenerates_mid_run_ends_the_run_and_keeps_its_steps():
     """For p < 1 the markers bunch up before extinction: the run ends as
     grid-degenerate at the last good step, whatever the storage cadence."""

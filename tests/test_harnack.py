@@ -1,6 +1,9 @@
 """Harnack monitors against closed-form round-sphere values, the correction
 branch structure, and configuration guards."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -201,6 +204,52 @@ def test_delta_window_validation():
         ha.evaluate_monitor(st1, ha.HarnackConfig("chi1", delta=0.0))
     with pytest.raises(ConfigError):
         ha.evaluate_monitor(st1, ha.HarnackConfig("strong-Hp", delta=0.4))
+
+
+def _proved_for(variant, c, f, p):
+    """The domain each variant is proved on, for contracting speeds F = f^p."""
+    if variant == "euclidean-contracting":
+        return c == 0
+    if variant == "euclidean-expanding":
+        return False
+    return c == 1 and (variant in ("chi1", "chi2")
+                       or f == "mean" and (variant == "chi3" or p <= 1))
+
+
+def test_monitor_delta_accepts_exactly_what_the_table_admits():
+    """Every variant, both ambients, mean and norm, p = 0.5, 1 and 1.5.  The sphere
+    variants used to be accepted in the plane."""
+    wrong = []
+    for variant in ha.VARIANTS:
+        for ambient in (SPHERE, FLAT):
+            for f in ("mean", "norm"):
+                for p in (0.5, 1.0, 1.5):
+                    speed = sf.SpeedFunction(sf.builtin(f), p)
+                    try:
+                        ha.monitor_delta(ha.HarnackConfig(variant), ambient, speed)
+                        accepted = True
+                    except ConfigError:
+                        accepted = False
+                    expected = _proved_for(variant, ambient.c, f, p)
+                    if accepted != expected or ha.admits(variant, ambient, speed) != expected:
+                        wrong.append((variant, ambient.c, f, p, accepted))
+    assert wrong == []
+    assert len(ha.VARIANTS) == 6
+
+
+@pytest.mark.parametrize("ambient, speed, variant", [
+    (SPHERE, MEAN(0.5), "chi2"), (SPHERE, NORM(1.5), "chi2"),
+    (FLAT, MEAN(1.0), "euclidean-contracting"), (FLAT, MEAN(-0.5), "euclidean-expanding")])
+def test_default_variant_is_the_first_row_that_admits_the_run(ambient, speed, variant):
+    assert ha.default_variant(ambient, speed) == variant
+
+
+def test_readme_variant_table_names_every_variant():
+    """README's "Monitor variants" table must list exactly the rows of harnack.VARIANTS."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Monitor variants", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert names == list(ha.VARIANTS)
 
 
 @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
