@@ -55,7 +55,8 @@ from .symfunc import SpeedFunction, eval_f
 # matches a requested one.
 STATE_RTOL = 1e-9
 
-# Step budget of one grid run (check_step_budget, run).
+# Step budget of one run: a fixed dt on either tier (check_step_budget), an
+# adaptive grid run (run).
 MAX_STEPS = 2_000_000
 
 # RK4's stability interval on the negative real axis (2.785…) over the
@@ -85,12 +86,13 @@ class FlowConfig:
     shortest marker spacing, max Φ' the largest ∂F/∂κᵢ over nodes and
     directions; Δt/2 retries count in Trajectory.rejected_steps).  An
     explicit dt is kept fixed, except for a final partial step onto t_end,
-    as the convergence ladders need; a gridded run whose fixed dt needs more
-    than MAX_STEPS steps is refused.  The stop rule's max_kappa is positive
-    and at most MAX_KAPPA_LIMIT, so the sphere at the cap assembles to finite
-    fields; min_radius is finite, 0 for none, and measured from the symmetry
-    center (geometry.center_distance).  Expanding speeds raise ConfigError
-    on the sphere.
+    as the convergence ladders need; a fixed dt that needs more than
+    MAX_STEPS steps is refused, on the grid-free tier too, which stores its
+    multiples.  The stop rule's max_kappa is positive and at most
+    MAX_KAPPA_LIMIT, so the sphere at the cap assembles to finite fields;
+    min_radius is finite, 0 for none, and measured from the symmetry center
+    (geometry.center_distance).  Expanding speeds raise ConfigError on the
+    sphere.
     """
 
     ambient: AmbientSpace
@@ -110,7 +112,7 @@ class FlowConfig:
             raise ConfigError(f"t_end must be positive, got {self.t_end!r}")
         if self.dt is not None and (not np.isfinite(self.dt) or self.dt <= 0):
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
-        if self.dt is not None and not isinstance(self.initial, GeodesicSphere):
+        if self.dt is not None:
             check_step_budget(self.t_end, self.dt)
         if self.store_every < 1:
             raise ConfigError("store_every must be >= 1")

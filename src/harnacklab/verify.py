@@ -40,11 +40,12 @@ terms(η̂) → (quad, pos, neg), whose sum quad + pos − neg is the gap, for t
 sample and its equality witness alike.  Samples draw κ log-uniformly and
 η̂ from symmetrized Gaussians, seeded through a splittable 64-bit
 SeedSequence so scans are reproducible per task.  Batches fix the draws;
-blocks of a batch's rows, evaluated one at a time, fix the memory.
+blocks of a batch's rows, each drawn and evaluated in turn, fix the memory.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -634,7 +635,7 @@ def scan_roster(f: CurvatureFunction) -> tuple:
 # Samples drawn per _scan_once call, and the log-uniform range of each κᵢ;
 # changing either changes every scan result.
 SCAN_BATCH = 20_000
-SCAN_BLOCK = 1024       # rows evaluated at once: bounds the memory, changes no result
+SCAN_BLOCK = 1024       # rows drawn and evaluated at once: bounds the memory, changes no result
 KAPPA_RANGE = (1e-2, 1e2)
 
 
@@ -649,14 +650,6 @@ class ScanReport:
     witness_max_abs_gap: float
 
 
-def draw_samples(rng, samples: int, n: int, general: bool) -> list:
-    """A batch's draws, in order: log-uniform κ in Γ₊ (over KAPPA_RANGE), the
-    Gaussian behind η̂ and, if general, the two that metric_pair takes."""
-    lo, hi = np.log(KAPPA_RANGE[0]), np.log(KAPPA_RANGE[1])
-    kappa = np.exp(rng.uniform(lo, hi, size=(samples, n)))
-    return [kappa] + [rng.standard_normal((samples, n, n)) for _ in range(3 if general else 1)]
-
-
 def metric_pair(kappa, A, Z):
     """(g, h) stacks with Weingarten eigenvalues exactly κ, from Gaussians A and Z."""
     n = kappa.shape[-1]
@@ -668,14 +661,41 @@ def metric_pair(kappa, A, Z):
     return g, h
 
 
+def _draw_streams(rng, blocks, n, gaussians):
+    """rng, then one copy of it per Gaussian array, each where its array starts.
+
+    A batch draws, in order, log-uniform κ in Γ₊ (over KAPPA_RANGE) from rng,
+    the Gaussian behind η̂ and, for harnack-form, the two that metric_pair
+    takes.  Each uniform double takes one PCG64 word, so the first Gaussian
+    array starts samples·n words on.  The ziggurat's word count varies, so
+    each later array's start is found by drawing the array before it, block
+    by block, and discarding it.
+    """
+    streams = [rng, copy.deepcopy(rng)]
+    streams[1].bit_generator.advance(sum(blocks) * n)
+    for _ in range(gaussians - 1):
+        walker = copy.deepcopy(streams[-1])
+        for rows in blocks:
+            walker.standard_normal((rows, n, n))
+        streams.append(walker)
+    return streams
+
+
 def _scan_once(inequality, f, speed, rng, samples, n):
-    """Worst normalized gap of one batch, then the gap at its equality witness,
-    evaluated SCAN_BLOCK rows of the batch's draws at a time."""
+    """Worst normalized gap of one batch, then the gap at its equality witness.
+
+    Each block of SCAN_BLOCK rows is drawn where it is evaluated, one stream
+    per array (_draw_streams), so every sample is what drawing the whole
+    batch in order gives, and rng ends where that would leave it.
+    """
     general = inequality == "harnack-form"
-    draws = draw_samples(rng, samples, n, general)
+    blocks = [min(SCAN_BLOCK, samples - start) for start in range(0, samples, SCAN_BLOCK)]
+    streams = _draw_streams(rng, blocks, n, 3 if general else 1)
+    lo, hi = np.log(KAPPA_RANGE[0]), np.log(KAPPA_RANGE[1])
     worst, witness_gap = np.inf, 0.0
-    for start in range(0, samples, SCAN_BLOCK):
-        kappa, A, *gaussians = (d[start:start + SCAN_BLOCK] for d in draws)
+    for rows in blocks:
+        kappa = np.exp(streams[0].uniform(lo, hi, size=(rows, n)))
+        A, *gaussians = (s.standard_normal((rows, n, n)) for s in streams[1:])
         eta_hat = 0.5 * (A + np.swapaxes(A, 1, 2))
         if general:
             # Exercised through general-position (g, h) pairs rather than the
@@ -692,6 +712,7 @@ def _scan_once(inequality, f, speed, rng, samples, n):
             quad, pos, neg = terms(_sf._to_eigenframe(T, h) if general
                                    else _sf._diag_embed(kappa))
             witness_gap = max(witness_gap, float(np.max(np.abs(quad + pos - neg))))
+    rng.bit_generator.state = streams[-1].bit_generator.state
     return worst, witness_gap
 
 

@@ -366,6 +366,23 @@ def test_a_fixed_dt_beyond_the_step_budget_is_refused_before_any_step(tmp_path, 
     assert not out.exists()
 
 
+def test_a_grid_free_fixed_dt_beyond_the_step_budget_is_refused_before_any_output(
+        tmp_path, monkeypatch, capsys):
+    """amplitude = 0 runs on the grid-free tier, which takes no steps but stores
+    every multiple of dt: dt = 1e-9 to t = 0.01 used to ask for 1e7 rows."""
+    def no_run(*args):
+        raise AssertionError("the grid-free run started before the request was refused")
+
+    monkeypatch.setattr(cli._flow, "_run_umbilic", no_run)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, exponent=1.0, amplitude=0.0, dt=1e-9, t_end=0.01)
+    assert run_cli("simulate", cfg, out) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: a fixed dt = 1e-09 needs 1e+07 steps to reach t = 0.01, more than the "
+        "step budget of 2000000\n")
+    assert not out.exists()
+
+
 def test_an_adaptive_run_that_exhausts_the_step_budget_exits_instability(tmp_path,
                                                                          monkeypatch, capsys):
     """The adaptive run takes 6 steps to t_end; no test used to reach the budget."""

@@ -561,15 +561,18 @@ def test_an_adaptive_run_that_exhausts_the_step_budget_raises(monkeypatch):
         flow.run(cfg)
 
 
-def test_a_fixed_dt_beyond_the_step_budget_is_refused_on_the_grid_only():
-    """ceil(t_end/dt) steps must fit MAX_STEPS; the grid-free tier takes no steps."""
+def test_a_fixed_dt_beyond_the_step_budget_is_refused_on_both_tiers():
+    """ceil(t_end/dt) steps must fit MAX_STEPS.  The grid-free tier takes no
+    steps, but it stores every store_every-th multiple of dt, so it was
+    unbounded: dt = 1e-12 asked np.arange for 1e10 rows."""
     mk = geo.markers_from_radial(SPHERE, 0.8, 16)
     dt = 0.01 / flow.MAX_STEPS
     flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=0.01, dt=dt)
     with pytest.raises(ConfigError, match="needs 2e[+]06 steps to reach t = 0.01, more than "
                                           "the step budget of 2000000"):
         flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=0.01, dt=dt * (1 - 1e-15))
-    flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(0.8), t_end=0.01, dt=1e-12)
+    with pytest.raises(ConfigError, match="needs 1e[+]10 steps"):
+        flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(0.8), t_end=0.01, dt=1e-12)
 
 
 def test_grid_that_degenerates_mid_run_ends_the_run_and_keeps_its_steps():

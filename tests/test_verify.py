@@ -21,7 +21,7 @@ from harnacklab.flow import FlowConfig, GeodesicSphere, run
 from harnacklab.geometry import AmbientSpace, assemble, markers_from_radial
 from harnacklab.symfunc import (SpeedFunction, _to_eigenframe, d2F_from_eig, harmonic_mean,
                                 mean, norm, power_mean, weingarten_eigensystem)
-from oracles import unblocked_scan
+from oracles import _sample_kappa_eta, _sample_metric_pair, unblocked_scan
 
 SPHERE = AmbientSpace(c=1, dim=2)
 MEAN_HALF = SpeedFunction(mean(), 0.5)
@@ -536,7 +536,7 @@ def test_scan_rejects_an_unknown_inequality_before_drawing_a_sample(monkeypatch)
     def no_sample(*args, **kwargs):
         raise AssertionError("a sample was drawn before the roster was checked")
 
-    monkeypatch.setattr(V, "draw_samples", no_sample)
+    monkeypatch.setattr(V, "_scan_once", no_sample)
     with pytest.raises(ConfigError, match="bogus"):
         V.scan_inequalities(("f-lemma", "bogus"))
 
@@ -590,10 +590,12 @@ def test_scan_results_do_not_depend_on_the_block_size(monkeypatch, block):
         == unblocked_scan(V.SCAN_INEQUALITIES, n_values, 300, 7, MEAN_ONE)
 
 
-@pytest.mark.parametrize("inequality, limit_mib", [("harnack-form", 20), ("urbas", 10)])
+@pytest.mark.parametrize("inequality, limit_mib", [("harnack-form", 5), ("urbas", 4),
+                                                    ("f-lemma", 3), ("fb-dominance", 2)])
 def test_a_scan_batch_holds_only_a_block_of_temporaries(inequality, limit_mib):
-    """The traced heap peak of one n = 5 batch was 41.0 MiB (harnack-form) and
-    30.5 MiB (urbas) when the whole batch went through every step at once."""
+    """The traced heap peak of one n = 5 batch was 14.9 MiB (harnack-form),
+    6.7 (urbas), 6.1 (f-lemma) and 5.2 (fb-dominance) when the batch drew all
+    its samples before evaluating them block by block."""
     tracemalloc.start()
     try:
         V._scan_once(inequality, mean(), MEAN_ONE, np.random.default_rng(1), V.SCAN_BATCH, 5)
@@ -601,6 +603,19 @@ def test_a_scan_batch_holds_only_a_block_of_temporaries(inequality, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("inequality", V.SCAN_INEQUALITIES)
+def test_a_scan_batch_leaves_the_generator_where_the_whole_batch_draws_would(inequality):
+    """2,500 samples are two full blocks and a partial one.  The Gaussians are
+    drawn from copies of rng, so its end state pins one PCG64 word per
+    uniform κ and the hand-off to the next batch."""
+    rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+    V._scan_once(inequality, mean(), MEAN_ONE, rng, 2500, 3)
+    kappa, _ = _sample_kappa_eta(reference, 2500, 3)
+    if inequality == "harnack-form":
+        _sample_metric_pair(reference, 2500, 3, kappa)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_scan_reports_the_curvature_function_of_the_speed():
