@@ -30,7 +30,7 @@ for p in (0.6, 0.9):
     floors = {}
     for variant in ("chi1", "strong-Hp"):
         qs = [evaluate_monitor(s, HarnackConfig(variant)).min_Q
-              for s in traj.states if s.t > 0]
+              for s in traj if s.t > 0]
         floors[variant] = min(qs)
     print(f"p = {p}: min chi1 Q = {floors['chi1']:.4f}, "
           f"min strong-Hp Q = {floors['strong-Hp']:.4f}  (both stay positive)")

@@ -39,7 +39,7 @@ for ambient, r0, p in CASES:
                           initial=markers_from_radial(ambient, r0, N_NODES),
                           t_end=t_end, store_every=100))
     worst = 0.0
-    for state in traj.states:
+    for state in traj:
         exact = sol.radius(state.t)
         worst = max(worst, float(np.max(np.abs(node_radii(state) - exact)) / exact))
     name = "sphere" if ambient.c == 1 else "euclidean"

@@ -331,8 +331,12 @@ def cmd_simulate(args, cfg) -> int:
 
     header = ["t", "min_kappa", "max_kappa", "min_Q", "argmin_Q",
               "extent_min", "extent_max", "speed_max"]
+    summary = {"termination": traj.termination,
+               "t_final": float(traj.times[-1]),
+               "variant": hcfg.variant,
+               "extinction_window": _extinction_window(ambient, speed, traj[0])}
     rows = []
-    for state in traj.states:
+    for state in traj:
         lo, hi = _extents(state)
         if state.t > 0:
             rep = _ha.evaluate_monitor(state, hcfg)
@@ -341,11 +345,6 @@ def cmd_simulate(args, cfg) -> int:
             min_q, arg_q = float("nan"), -1
         rows.append([float(state.t), float(state.kappa.min()), float(state.kappa.max()),
                      min_q, arg_q, lo, hi, float(np.abs(state.F).max())])
-
-    summary = {"termination": traj.termination,
-               "t_final": float(traj.states[-1].t),
-               "variant": hcfg.variant,
-               "extinction_window": _extinction_window(ambient, speed, traj.states[0])}
     emit_outputs(args, cfg, [("simulate", header, rows)], summary)
     return _termination_exit(traj)
 
@@ -364,7 +363,7 @@ def cmd_monitor(args, cfg) -> int:
     header = ["t", "min_Q", "argmin", "term_dtF", "term_minus_theta",
               "term_correction", "term_delta_F_over_t", "term_zeta"]
     rows = []
-    for state in traj.states:
+    for state in traj:
         if state.t <= 0:
             continue
         try:

@@ -4,7 +4,8 @@ Markers move with the surface: each grid node follows its own flow line, so
 stored states at different times share the same label grid and Lagrangian
 time derivatives are plain centered differences of per-node fields.  A run
 stores the stepper's output (marker arrays, or geodesic spheres on the
-grid-free tier); a stored step becomes a SurfaceState only when it is read.
+grid-free tier); a stored step becomes a SurfaceState only when it is read,
+and a trajectory keeps only the three states read last (Trajectory).
 
 The stepper is classical RK4 on the marker coordinates.  For c = 1 the
 velocity −F m is tangent to the unit sphere containing the profile (m ⊥ c by
@@ -128,13 +129,16 @@ class FlowConfig:
 
 @dataclass
 class Trajectory:
-    """Stored steps of one run, all on the same Lagrangian grid.
+    """Stored steps of one run, all on the same Lagrangian grid, read as a sequence of states.
 
     steps[i], the step at times[i], is what geometry.assemble reads: an
     (N, d) marker array, or a GeodesicSphere on the grid-free tier.  For
     n = 2 every stored step after steps[0] (the array passed in) is the
-    unfolded upper half, exactly mirror-symmetric.  states
-    and state_at assemble a step the first time it is read and keep it.
+    unfolded upper half, exactly mirror-symmetric.  traj[i] (negative i
+    too), iteration in time order and state_at assemble a step when it is
+    read and keep the three states read last: a state and its two time
+    neighbours, all that a centered difference reads, so no reader
+    assembles a state twice and memory does not grow with the run.
     rejected_steps counts adaptive steps retried at half size.
     """
 
@@ -145,10 +149,22 @@ class Trajectory:
     rejected_steps: int = 0
     _assembled: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def states(self) -> list:
-        """Every stored SurfaceState, in time order."""
-        return [self._state(i) for i in range(len(self.steps))]
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __getitem__(self, i: int) -> SurfaceState:
+        i = range(len(self.steps))[i]
+        state = self._assembled.pop(i, None)
+        if state is None:
+            state = geometry.assemble(self.steps[i], self.config.ambient, self.config.speed,
+                                      t=float(self.times[i]))
+        self._assembled[i] = state          # the last key is the state read last
+        if len(self._assembled) > 3:
+            del self._assembled[next(iter(self._assembled))]
+        return state
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.steps)))
 
     def state_at(self, t: float) -> SurfaceState:
         tol = STATE_RTOL * max(1.0, abs(t))
@@ -156,13 +172,7 @@ class Trajectory:
         if abs(self.times[i] - t) > tol:
             raise OutOfRange(
                 f"no stored state at t = {t:g} (nearest is {self.times[i]:g})")
-        return self._state(i)
-
-    def _state(self, i: int) -> SurfaceState:
-        if i not in self._assembled:
-            self._assembled[i] = geometry.assemble(
-                self.steps[i], self.config.ambient, self.config.speed, t=float(self.times[i]))
-        return self._assembled[i]
+        return self[i]
 
 
 def check_step_budget(t_end: float, dt: float) -> None:

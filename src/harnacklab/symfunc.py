@@ -140,8 +140,8 @@ def norm() -> CurvatureFunction:
 
 def power_mean(r: float) -> CurvatureFunction:
     """f(κ) = (Σ κᵢ^r)^(1/r); convex for r ≥ 1."""
-    if r == 0:
-        raise ConfigError("power-mean exponent r must be nonzero")
+    if not np.isfinite(r) or r == 0:
+        raise ConfigError(f"power-mean exponent r must be finite and nonzero, got r = {r:g}")
     v, g, h = _power_mean_core(float(r))
     return CurvatureFunction(f"power-mean({r:g})", v, g, h, inverse_concave=(r == 1.0))
 

@@ -681,6 +681,11 @@ def _draw_streams(rng, blocks, n, gaussians):
     return streams
 
 
+def _nan_or(pick, *values):
+    """pick(values), min or max, or NaN if a value is NaN: both keep a NaN only in first place."""
+    return np.nan if np.isnan(values).any() else pick(values)
+
+
 def _scan_once(inequality, f, speed, rng, samples, n):
     """Worst normalized gap of one batch, then the gap at its equality witness.
 
@@ -706,12 +711,12 @@ def _scan_once(inequality, f, speed, rng, samples, n):
             eta_hat = _sf._to_eigenframe(T, eta_hat)
         terms = SCAN_KERNELS[inequality](f, speed, kappa)
         quad, pos, neg = terms(eta_hat)
-        worst = min(worst, float(((quad + pos - neg)
-                                  / np.maximum(np.abs(quad) + pos + neg, 1e-300)).min()))
+        worst = _nan_or(min, worst, float(((quad + pos - neg)
+                                           / np.maximum(np.abs(quad) + pos + neg, 1e-300)).min()))
         if inequality != "fb-dominance":
             quad, pos, neg = terms(_sf._to_eigenframe(T, h) if general
                                    else _sf._diag_embed(kappa))
-            witness_gap = max(witness_gap, float(np.max(np.abs(quad + pos - neg))))
+            witness_gap = _nan_or(max, witness_gap, float(np.max(np.abs(quad + pos - neg))))
     rng.bit_generator.state = streams[-1].bit_generator.state
     return worst, witness_gap
 
@@ -752,8 +757,8 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
             for done in range(0, samples, SCAN_BATCH)))
         reports.append(ScanReport(inequality=ineq, f_name=f.name, n=n,
                                   samples=samples, seed=seed,
-                                  min_normalized_gap=min(gaps),
-                                  witness_max_abs_gap=max(witness_gaps)))
+                                  min_normalized_gap=_nan_or(min, *gaps),
+                                  witness_max_abs_gap=_nan_or(max, *witness_gaps)))
     return reports
 
 

@@ -83,7 +83,7 @@ def test_criterion_1_round_sphere_fidelity(certify):
                                  t_end=0.8 * sol.t_extinction, store_every=200)
             traj = fl.run(cfgf)
             assert traj.termination == "completed"
-            for state in traj.states:
+            for state in traj:
                 exact = sol.radius(state.t)
                 rel = np.max(np.abs(_node_radii(state) - exact)) / exact
                 worst = max(worst, float(rel))
@@ -112,7 +112,7 @@ def test_criterion_3_weak_harnack_positivity(certify, weak_harnack_runs):
     """The time-weighted Harnack quantity stays positive on 12 runs."""
     floor, where = np.inf, ""
     for key, traj in weak_harnack_runs.items():
-        for state in traj.states:
+        for state in traj:
             if state.t <= 0:
                 continue
             rep = ha.evaluate_monitor(state, ha.HarnackConfig("chi1"))
@@ -127,7 +127,7 @@ def test_criterion_4_strong_harnack(certify, strong_harnack_runs):
     and equal to 4 cot^3 r + cot r / t on the shrinking round sphere."""
     floor = np.inf
     for p, traj in strong_harnack_runs.items():
-        for state in traj.states:
+        for state in traj:
             if state.t <= 0:
                 continue
             rep = ha.evaluate_monitor(state, ha.HarnackConfig("strong-Hp"))
@@ -217,7 +217,7 @@ def test_criterion_8_convexity_preserved(certify, weak_harnack_runs, strong_harn
     trajs = dict(weak_harnack_runs)
     trajs.update({("mean", p, "strong"): t for p, t in strong_harnack_runs.items()})
     for key, traj in trajs.items():
-        min_kappa = min(float(state.kappa.min()) for state in traj.states)
+        min_kappa = min(float(state.kappa.min()) for state in traj)
         assert min_kappa > 0.0, key
         if min_kappa < floor:
             floor, where = min_kappa, str(key)

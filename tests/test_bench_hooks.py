@@ -7,7 +7,10 @@ the tracer reads the tag and the batch size of verify._scan_once by position,
 so reordering its arguments changes them.  The flow children's steps, RHS
 evaluations and (for simulate) stencil calls are pinned too, so a change to
 the adaptive step bound, or an RK4 stage that bypasses a patch point or adds
-or drops an evaluation, shows here and not only in the benchmark's report."""
+or drops an evaluation, shows here and not only in the benchmark's report.
+The trajectory-sourced monitor's assemblies are pinned, so a trajectory
+that keeps too few states to serve a centered difference, and so assembles a
+state twice, shows here too."""
 
 import json
 import subprocess
@@ -27,6 +30,8 @@ CASES = {
                          "verify.residual.calls"),
     "scan-inequalities": ({"exponent": 1, "dimensions": "2,3", "samples": 200},
                           "symfunc.eigensystem.calls"),
+    "monitor": ({"exponent": 0.5, "n_nodes": 64, "amplitude": 0.05, "dt": 1e-4,
+                 "t_end": 5e-3, "dtf_source": "trajectory"}, "flow.time_derivative.calls"),
 }
 
 # four inequalities x two dimensions x 200 samples; harnack-form's 2 x 200 eigensolves.
@@ -34,12 +39,16 @@ CASES = {
 # one for the initial markers and 25 from assembling every stored step make
 # 122.  Each RHS calls the stencil pair and each assembly 5 more stencils:
 # 2 x 122 + 5 x 25 = 369.  The ladder's two fixed-dt flows take 52 steps:
-# 4 x 52 + 2 initial RHS + 6 assemblies make 216.
+# 4 x 52 + 2 initial RHS + 6 assemblies make 216.  The trajectory-sourced
+# monitor takes 50 fixed steps and assembles each of its 51 stored steps
+# once, though ∂ₜF rereads every state's two neighbours, plus the sphere at
+# the curvature cap: 52.
 EXACT = {"scan-inequalities": {"verify.scan.samples": 1600,
                                "symfunc.eigensystem.matrices": 400},
          "simulate": {"flow.steps": 24, "geometry.rhs.calls": 122,
                       "geometry.stencil.calls": 369},
-         "verify-evolution": {"flow.steps": 52, "geometry.rhs.calls": 216}}
+         "verify-evolution": {"flow.steps": 52, "geometry.rhs.calls": 216},
+         "monitor": {"flow.steps": 50, "geometry.assemble.calls": 52}}
 
 
 @pytest.mark.parametrize("sub", CASES)

@@ -604,6 +604,28 @@ def test_scan_full_roster_with_seed_override(tmp_path):
     assert json.loads((out / "summary.json").read_text())["all_passed"] is True
 
 
+def test_a_scan_whose_gaps_are_nan_fails_every_row(tmp_path):
+    """With κ up to 100, Σκ²⁰⁰ of power-mean(200) overflows and f's gradient
+    is NaN.  The scan used to drop the NaN gaps and pass every row."""
+    cfg = write_cfg(tmp_path, speed="power-mean(200)", exponent=1, samples=2000,
+                    dimensions=2)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # the overflow itself
+        assert run_cli("scan-inequalities", cfg, out) == cli.EXIT_THRESHOLD
+    rows = [r.split(",") for r in (out / "scans.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3 and all(r[5] == "nan" and r[-1] == "0" for r in rows)
+    assert json.loads((out / "summary.json").read_text())["all_passed"] is False
+
+
+@pytest.mark.parametrize("sub", ["simulate", "scan-inequalities"])
+def test_a_non_finite_power_mean_exponent_is_refused(tmp_path, capsys, sub):
+    cfg = write_cfg(tmp_path, speed="power-mean(nan)", exponent=1)
+    assert run_cli(sub, cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert "power-mean exponent r must be finite and nonzero, got r = nan" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sub, keys", [
     ("scan-inequalities", {"samples": 0}),
     ("scan-inequalities", {"samples": -5}),

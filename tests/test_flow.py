@@ -1,7 +1,11 @@
 """Flow integration against closed-form round-sphere solutions, stopping
 rules, and the Lagrangian time-differencing helper."""
 
+import dataclasses
+import gc
 import hashlib
+import itertools
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -156,7 +160,7 @@ def test_umbilic_run_matches_solution():
     traj = flow.run(cfg)
     assert traj.termination == "completed"
     sol = flow.sphere_ode_solution(SPHERE, _speed(1.0), 0.8)
-    for st in traj.states:
+    for st in traj:
         npt.assert_allclose(st.radius, sol.radius(st.t), rtol=1e-12)
 
 
@@ -188,7 +192,7 @@ def test_both_tiers_store_the_dt_grid():
             npt.assert_allclose(umbilic.times[-1], grid.times[-1], rtol=0, atol=1e-15)
         h = every * dt
         for traj in (umbilic, grid):
-            assert flow.time_derivative(traj, "F", 2 * h, h).shape == (traj.states[0].n_nodes,)
+            assert flow.time_derivative(traj, "F", 2 * h, h).shape == (traj[0].n_nodes,)
 
 
 def test_umbilic_run_stopped_early_keeps_the_dt_grid():
@@ -221,7 +225,7 @@ def test_umbilic_run_past_extinction_stops_at_the_cap():
         traj = flow.run(flow.FlowConfig(FLAT, _speed(1.0), initial, t_end=0.5))
         assert traj.termination == "curvature-cap"
         assert traj.times[-1] < 0.25
-        assert traj.states[-1].kappa.max() >= 0.99 * traj.config.max_kappa
+        assert traj[-1].kappa.max() >= 0.99 * traj.config.max_kappa
 
 
 @pytest.mark.parametrize("dt", [None, 1e-3], ids=["adaptive", "fixed"])
@@ -266,7 +270,7 @@ def test_a_cap_crossing_that_rounds_onto_extinction_stores_the_cap_sphere(
     assert traj.termination == "curvature-cap"
     assert traj.times[-1] <= sol.t_extinction
     assert np.isfinite(traj.steps[-1].radius) and traj.steps[-1].radius > 0
-    npt.assert_allclose(traj.states[-1].kappa.max(), max_kappa, rtol=1e-9)
+    npt.assert_allclose(traj[-1].kappa.max(), max_kappa, rtol=1e-9)
 
 
 @pytest.mark.parametrize("dt", [None, 1e-3], ids=["adaptive", "fixed"])
@@ -288,7 +292,7 @@ def test_the_largest_cap_stops_on_a_sphere_with_finite_fields():
     for ambient in (SPHERE, FLAT):
         traj = flow.run(flow.FlowConfig(ambient, _speed(1.0), geo.GeodesicSphere(0.8), t_end=1.0,
                                         max_kappa=flow.MAX_KAPPA_LIMIT))
-        stop = traj.states[-1]
+        stop = traj[-1]
         assert traj.termination == "curvature-cap"
         for name in ("g", "g_inv", "h", "b", "h_sq", "eigT", "kappa"):
             assert np.isfinite(getattr(stop, name)).all() and (getattr(stop, name) != 0).any()
@@ -318,11 +322,11 @@ def test_umbilic_radius_floor_and_curvature_cap():
     floor = flow.run(flow.FlowConfig(FLAT, _speed(1.0), geo.GeodesicSphere(1.0),
                                      t_end=0.24, min_radius=0.5))
     assert floor.termination == "radius-floor"
-    npt.assert_allclose(floor.states[-1].radius, 0.5, rtol=1e-9)
+    npt.assert_allclose(floor[-1].radius, 0.5, rtol=1e-9)
     cap = flow.run(flow.FlowConfig(FLAT, _speed(1.0), geo.GeodesicSphere(1.0),
                                    t_end=0.24, max_kappa=4.0))
     assert cap.termination == "curvature-cap"
-    npt.assert_allclose(cap.states[-1].kappa.max(), 4.0, rtol=1e-9)
+    npt.assert_allclose(cap[-1].kappa.max(), 4.0, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +339,7 @@ def test_grid_flow_tracks_round_solution():
                           t_end=0.05, store_every=10)
     traj = flow.run(cfg)
     sol = flow.sphere_ode_solution(SPHERE, _speed(1.0), 0.8)
-    for st in traj.states[1:]:
+    for st in itertools.islice(traj, 1, None):
         node_r = np.arccos(np.clip(st.markers[:, 0], -1.0, 1.0))
         npt.assert_allclose(node_r, sol.radius(st.t), rtol=1e-7)
 
@@ -346,7 +350,7 @@ def test_grid_flow_terminations():
     assert floor.termination == "radius-floor"
     cap = flow.run(flow.FlowConfig(FLAT, _speed(1.0), mk, t_end=0.5, max_kappa=3.0))
     assert cap.termination == "curvature-cap"
-    assert cap.states[-1].t < 0.5
+    assert cap[-1].t < 0.5
 
 
 @pytest.mark.parametrize("stop", [{"min_radius": 0.6}, {"max_kappa": 3.0}])
@@ -586,7 +590,7 @@ def test_grid_that_degenerates_mid_run_ends_the_run_and_keeps_its_steps():
     assert len(every.times) > 2 and 0.0 < sparse.times[-1] < 0.6
     assert list(sparse.times) == [0.0, every.times[-1]]
     npt.assert_array_equal(sparse.steps[-1], every.steps[-1])
-    assert np.all(sparse.states[-1].kappa > 0.0)
+    assert np.all(sparse[-1].kappa > 0.0)
 
 
 def test_degenerate_initial_grid_raises():
@@ -616,7 +620,7 @@ def test_run_stores_markers_without_assembling(monkeypatch):
     assert calls == []
     assert isinstance(traj.times, np.ndarray) and len(traj.times) == 6
     assert all(step.shape == (16, 3) for step in traj.steps)
-    assert [st.t for st in traj.states] == list(traj.times)
+    assert [st.t for st in traj] == list(traj.times)
     assert len(calls) == 6
 
 
@@ -628,7 +632,30 @@ def test_state_at_assembles_once_and_keeps_the_state(monkeypatch):
     first = traj.state_at(0.003)
     assert traj.state_at(0.003) is first
     assert len(calls) == 1
-    assert traj.states[3] is first
+    assert traj[3] is first and traj[-3] is first
+    assert len(traj) == 6 and len(calls) == 1
+    for outside in (6, -7):
+        with pytest.raises(IndexError):
+            traj[outside]
+
+
+def test_a_trajectory_keeps_at_most_three_states_and_each_is_a_fresh_assembly():
+    markers = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 16)
+    traj = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), markers, t_end=3e-3, dt=1e-5))
+    assert len(traj) == 301
+    alive = []
+    for i, state in enumerate(traj):
+        fresh = geo.assemble(traj.steps[i], SPHERE, traj.config.speed, t=float(traj.times[i]))
+        for name in (f.name for f in dataclasses.fields(state)):
+            a, b = getattr(state, name), getattr(fresh, name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name)
+            else:
+                assert a is b or a == b, (i, name)
+        alive.append(weakref.ref(state))
+    del state, fresh
+    gc.collect()
+    assert sum(ref() is not None for ref in alive) <= 3
 
 
 def test_flow_config_validation():
@@ -656,7 +683,7 @@ def test_extended_precision_trajectory():
     cfg = flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 16),
                           t_end=0.002, dt=1e-3, dtype="longdouble")
     traj = flow.run(cfg)
-    assert traj.states[-1].F.dtype == np.longdouble
+    assert traj[-1].F.dtype == np.longdouble
 
 
 # ---------------------------------------------------------------------------

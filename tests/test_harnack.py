@@ -82,7 +82,7 @@ def test_terms_decompose_Q_exactly():
     mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 32)
     traj = flow.run(flow.FlowConfig(SPHERE, MEAN(0.5), mk,
                                     t_end=0.01, dt=1e-3))
-    st = traj.states[-1]
+    st = traj[-1]
     for variant in ("chi1", "chi2", "chi3", "strong-Hp"):
         rep = ha.evaluate_monitor(st, ha.HarnackConfig(variant))
         total = sum(np.asarray(v) for v in rep.terms.values())

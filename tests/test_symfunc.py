@@ -86,6 +86,12 @@ def test_power_mean_derivatives():
     npt.assert_allclose(f.hessian(kappa), _fd_hess(f, kappa), rtol=1e-5)
 
 
+@pytest.mark.parametrize("r", ["0", "nan", "inf", "-inf"])
+def test_power_mean_refuses_a_zero_or_non_finite_exponent(r):
+    with pytest.raises(ConfigError, match=f"exponent r must be finite and nonzero, got r = {r}$"):
+        sf.builtin(f"power-mean({r})")
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("r, make", [(1.0, sf.mean), (2.0, sf.norm)], ids=["mean", "norm"])

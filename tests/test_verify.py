@@ -121,7 +121,7 @@ def test_residual_record_fields(umbilic_traj):
     assert rec.tag == "beta"
     assert rec.t == pytest.approx(4e-3)
     assert rec.dt == pytest.approx(1e-3)
-    assert rec.n_nodes == umbilic_traj.states[0].n_nodes
+    assert rec.n_nodes == umbilic_traj[0].n_nodes
     assert np.isfinite(rec.residual) and rec.rhs_scale > 0.0
 
 
@@ -530,6 +530,23 @@ def test_harnack_form_scan_solves_one_eigensystem_per_batch(monkeypatch):
                             np.random.default_rng(5), 300, 3)
     assert calls == [(300, 3, 3)]
     assert gap > -1e-10 and wit < 1e-8
+
+
+def test_a_nan_block_reaches_the_batch_result_between_finite_ones(monkeypatch):
+    """Python's min and max drop a NaN that is not their first argument."""
+    real, blocks = V.SCAN_KERNELS["f-lemma"], []
+
+    def nan_second_block(f, speed, kappa):
+        blocks.append(len(kappa))
+        terms, scale = real(f, speed, kappa), np.nan if len(blocks) == 2 else 1.0
+        return lambda eta_hat: tuple(scale * v for v in terms(eta_hat))
+    monkeypatch.setitem(V.SCAN_KERNELS, "f-lemma", nan_second_block)
+    with np.errstate(invalid="ignore"):
+        gap, wit = V._scan_once("f-lemma", mean(), MEAN_ONE, np.random.default_rng(1),
+                                3 * V.SCAN_BLOCK, 2)
+    assert blocks == [V.SCAN_BLOCK] * 3
+    assert np.isnan(gap) and np.isnan(wit)
+    assert math.copysign(1.0, V._nan_or(min, 0.0, -0.0)) == 1.0     # min's tie, kept
 
 
 def test_scan_rejects_an_unknown_inequality_before_drawing_a_sample(monkeypatch):
