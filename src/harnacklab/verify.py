@@ -35,17 +35,17 @@ Working in the g-orthonormal Weingarten eigenframe, κ ∈ Γ₊ and a symmetric
 
 with equality at η̂ ∝ diag(κ) for the first three, and δ = speed.delta_default.
 Each inequality has one kernel in SCAN_KERNELS, under its scan tag: it
-evaluates the derivatives of f (or F) at a block of κ once and returns
+evaluates the derivatives of f (or F) at a batch of κ once and returns
 terms(η̂) → (quad, pos, neg), whose sum quad + pos − neg is the gap, for the
 sample and its equality witness alike.  Samples draw κ log-uniformly and
 η̂ from symmetrized Gaussians, seeded through a splittable 64-bit
-SeedSequence so scans are reproducible per task.  Batches fix the draws;
-blocks of a batch's rows, each drawn and evaluated in turn, fix the memory.
+SeedSequence so scans are reproducible per task.  A scan draws and
+evaluates SCAN_BATCH samples at a time, so that one constant fixes both the
+draws and the memory.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -632,10 +632,10 @@ def scan_roster(f: CurvatureFunction) -> tuple:
     return tuple(iq for iq in SCAN_INEQUALITIES if iq != "urbas" or f.inverse_concave)
 
 
-# Samples drawn per _scan_once call, and the log-uniform range of each κᵢ;
-# changing either changes every scan result.
-SCAN_BATCH = 20_000
-SCAN_BLOCK = 1024       # rows drawn and evaluated at once: bounds the memory, changes no result
+# Samples drawn and evaluated together per _scan_once call, which bounds the
+# memory, and the log-uniform range of each κᵢ; changing either changes
+# every scan result.
+SCAN_BATCH = 1024
 KAPPA_RANGE = (1e-2, 1e2)
 
 
@@ -661,26 +661,6 @@ def metric_pair(kappa, A, Z):
     return g, h
 
 
-def _draw_streams(rng, blocks, n, gaussians):
-    """rng, then one copy of it per Gaussian array, each where its array starts.
-
-    A batch draws, in order, log-uniform κ in Γ₊ (over KAPPA_RANGE) from rng,
-    the Gaussian behind η̂ and, for harnack-form, the two that metric_pair
-    takes.  Each uniform double takes one PCG64 word, so the first Gaussian
-    array starts samples·n words on.  The ziggurat's word count varies, so
-    each later array's start is found by drawing the array before it, block
-    by block, and discarding it.
-    """
-    streams = [rng, copy.deepcopy(rng)]
-    streams[1].bit_generator.advance(sum(blocks) * n)
-    for _ in range(gaussians - 1):
-        walker = copy.deepcopy(streams[-1])
-        for rows in blocks:
-            walker.standard_normal((rows, n, n))
-        streams.append(walker)
-    return streams
-
-
 def _nan_or(pick, *values):
     """pick(values), min or max, or NaN if a value is NaN: both keep a NaN only in first place."""
     return np.nan if np.isnan(values).any() else pick(values)
@@ -689,36 +669,30 @@ def _nan_or(pick, *values):
 def _scan_once(inequality, f, speed, rng, samples, n):
     """Worst normalized gap of one batch, then the gap at its equality witness.
 
-    Each block of SCAN_BLOCK rows is drawn where it is evaluated, one stream
-    per array (_draw_streams), so every sample is what drawing the whole
-    batch in order gives, and rng ends where that would leave it.
+    The batch draws from rng, in order, log-uniform κ in Γ₊ (over
+    KAPPA_RANGE), the Gaussian behind η̂ and, for harnack-form, the two
+    Gaussians that metric_pair takes.
     """
-    general = inequality == "harnack-form"
-    blocks = [min(SCAN_BLOCK, samples - start) for start in range(0, samples, SCAN_BLOCK)]
-    streams = _draw_streams(rng, blocks, n, 3 if general else 1)
     lo, hi = np.log(KAPPA_RANGE[0]), np.log(KAPPA_RANGE[1])
-    worst, witness_gap = np.inf, 0.0
-    for rows in blocks:
-        kappa = np.exp(streams[0].uniform(lo, hi, size=(rows, n)))
-        A, *gaussians = (s.standard_normal((rows, n, n)) for s in streams[1:])
-        eta_hat = 0.5 * (A + np.swapaxes(A, 1, 2))
-        if general:
-            # Exercised through general-position (g, h) pairs rather than the
-            # eigenframe: the sampled η is a coordinate matrix here.  One
-            # eigensolve serves both η and the equality witness η = h.
-            g, h = metric_pair(kappa, *gaussians)
-            kappa, T = _sf.weingarten_eigensystem(g, h)
-            eta_hat = _sf._to_eigenframe(T, eta_hat)
-        terms = SCAN_KERNELS[inequality](f, speed, kappa)
-        quad, pos, neg = terms(eta_hat)
-        worst = _nan_or(min, worst, float(((quad + pos - neg)
-                                           / np.maximum(np.abs(quad) + pos + neg, 1e-300)).min()))
-        if inequality != "fb-dominance":
-            quad, pos, neg = terms(_sf._to_eigenframe(T, h) if general
-                                   else _sf._diag_embed(kappa))
-            witness_gap = _nan_or(max, witness_gap, float(np.max(np.abs(quad + pos - neg))))
-    rng.bit_generator.state = streams[-1].bit_generator.state
-    return worst, witness_gap
+    kappa = np.exp(rng.uniform(lo, hi, size=(samples, n)))
+    A = rng.standard_normal((samples, n, n))
+    eta_hat = 0.5 * (A + np.swapaxes(A, 1, 2))
+    general = inequality == "harnack-form"
+    if general:
+        # Exercised through general-position (g, h) pairs rather than the
+        # eigenframe: the sampled η is a coordinate matrix here.  One
+        # eigensolve serves both η and the equality witness η = h.
+        g, h = metric_pair(kappa, rng.standard_normal((samples, n, n)),
+                           rng.standard_normal((samples, n, n)))
+        kappa, T = _sf.weingarten_eigensystem(g, h)
+        eta_hat = _sf._to_eigenframe(T, eta_hat)
+    terms = SCAN_KERNELS[inequality](f, speed, kappa)
+    quad, pos, neg = terms(eta_hat)
+    worst = float(((quad + pos - neg) / np.maximum(np.abs(quad) + pos + neg, 1e-300)).min())
+    if inequality == "fb-dominance":
+        return worst, 0.0
+    quad, pos, neg = terms(_sf._to_eigenframe(T, h) if general else _sf._diag_embed(kappa))
+    return worst, float(np.max(np.abs(quad + pos - neg)))
 
 
 def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
@@ -726,13 +700,15 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
                       speed: Optional[SpeedFunction] = None) -> list:
     """Randomized certification scans of the pointwise matrix inequalities.
 
-    Scans f = speed.f (speed defaults to the mean curvature H).  Unknown
-    tags, samples < 1, empty or non-positive dimensions and urbas for an f
-    that is not inverse-concave raise ConfigError before any sample is
-    drawn.  One SeedSequence child per (inequality, n) task keeps results
-    reproducible and independent of task order.  Returns ScanReports with
-    the worst normalized gap over all samples and the largest |gap| at the
-    equality witness: η̂ = diag(κ), or η̂ = Tᵀ h T for harnack-form.
+    Scans f = speed.f (speed defaults to the mean curvature H).  Unknown or
+    repeated tags, samples < 1, empty, repeated or non-positive dimensions,
+    urbas for an f that is not inverse-concave and a task whose gap is not
+    finite at the corners of the sampled κ box (η̂ all ones; f overflows
+    there) raise ConfigError before any sample is drawn.  One SeedSequence
+    child per (inequality, n) task keeps results reproducible and
+    independent of task order.  Returns ScanReports with the worst
+    normalized gap over all samples and the largest |gap| at the equality
+    witness: η̂ = diag(κ), or η̂ = Tᵀ h T for harnack-form.
     """
     bad = [iq for iq in inequalities if iq not in SCAN_KERNELS]
     if bad:
@@ -742,12 +718,24 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
         raise ConfigError(
             f"a scan needs samples >= 1, an inequality and dimensions >= 1, got "
             f"samples = {samples}, {tuple(inequalities)} and {tuple(n_values)}")
+    repeated = [sorted({v for v in vs if vs.count(v) > 1}) for vs in (inequalities, n_values)]
+    if any(repeated):
+        raise ConfigError(f"repeated inequality tag(s) {repeated[0]} or dimension(s) {repeated[1]}")
     if speed is None:
         speed = SpeedFunction(_sf.mean(), 1.0)
     f = speed.f
     if "urbas" in inequalities:
         _require_inverse_concave(f)
     tasks = [(ineq, n) for ineq in inequalities for n in n_values]
+    for ineq, n in tasks:
+        # row k: k coordinates at the top of the box; f is symmetric, so the
+        # n + 1 rows stand for all 2ⁿ corners
+        corners = np.where(np.arange(n) < np.arange(n + 1)[:, None], KAPPA_RANGE[1], KAPPA_RANGE[0])
+        with np.errstate(all="ignore"):
+            quad, pos, neg = SCAN_KERNELS[ineq](f, speed, corners)(np.ones((n + 1, n, n)))
+        if not np.isfinite(quad + pos - neg).all():
+            raise ConfigError(f"the {ineq} gap at n = {n} for f = {f.name} is not finite "
+                              f"at the corners of the sampled box {KAPPA_RANGE}^n")
     children = np.random.SeedSequence(seed).spawn(len(tasks))
     reports = []
     for (ineq, n), child in zip(tasks, children):

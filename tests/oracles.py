@@ -9,13 +9,12 @@ import math
 
 import numpy as np
 
-from harnacklab import symfunc as _sf
 from harnacklab.errors import ConfigError
 from harnacklab.flow import RK4_LIMIT, SAFETY
 from harnacklab.geometry import (SurfaceState, _profile_geometry, _validated_markers,
                                  periodic_d1, periodic_d2)
 from harnacklab.harnack import zeta_branch_threshold
-from harnacklab.verify import KAPPA_RANGE, SCAN_BATCH, SCAN_KERNELS
+from harnacklab.verify import KAPPA_RANGE
 
 
 def gauss_codazzi_residual(state: SurfaceState):
@@ -118,45 +117,3 @@ def _sample_metric_pair(rng, samples: int, n: int, kappa):
     core = (Q * kappa[:, None, :]) @ np.swapaxes(Q, 1, 2)
     h = L @ core @ np.swapaxes(L, 1, 2)
     return g, h
-
-
-def unblocked_scan_once(inequality, f, speed, rng, samples, n):
-    """What verify._scan_once returns, with the whole batch evaluated at once.
-
-    The reference for the blocked scan: it draws the same samples in the
-    same order and pushes all of them through each step in one array.
-    """
-    kappa, eta_hat = _sample_kappa_eta(rng, samples, n)
-    general = inequality == "harnack-form"
-    if general:
-        g, h = _sample_metric_pair(rng, samples, n, kappa)
-        kappa, T = _sf.weingarten_eigensystem(g, h)
-        eta_hat = _sf._to_eigenframe(T, eta_hat)
-    terms = SCAN_KERNELS[inequality](f, speed, kappa)
-    quad, pos, neg = terms(eta_hat)
-    worst = float(((quad + pos - neg)
-                   / np.maximum(np.abs(quad) + pos + neg, 1e-300)).min())
-    if inequality == "fb-dominance":
-        return worst, 0.0
-    witness = _sf._to_eigenframe(T, h) if general else _sf._diag_embed(kappa)
-    quad, pos, neg = terms(witness)
-    return worst, float(np.max(np.abs(quad + pos - neg)))
-
-
-def unblocked_scan(inequalities, n_values, samples, seed, speed):
-    """(worst normalized gap, witness gap) per (inequality, n) task, seeded and
-    batched as verify.scan_inequalities does, each batch by unblocked_scan_once."""
-    tasks = [(ineq, n) for ineq in inequalities for n in n_values]
-    children = np.random.SeedSequence(seed).spawn(len(tasks))
-    out = []
-    for (ineq, n), child in zip(tasks, children):
-        rng = np.random.default_rng(child)
-        worst, wit = np.inf, 0.0
-        done = 0
-        while done < samples:
-            take = min(SCAN_BATCH, samples - done)
-            w, ww = unblocked_scan_once(ineq, speed.f, speed, rng, take, n)
-            worst, wit = min(worst, w), max(wit, ww)
-            done += take
-        out.append((worst, wit))
-    return out

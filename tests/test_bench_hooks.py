@@ -28,13 +28,15 @@ CASES = {
     "verify-evolution": ({"speed": "norm", "exponent": 0.5, "levels": "32,64",
                           "t_check": 2e-3, "identities": "sff-box,beta,grad-commutator"},
                          "verify.residual.calls"),
-    "scan-inequalities": ({"exponent": 1, "dimensions": "2,3", "samples": 200},
+    "scan-inequalities": ({"exponent": 1, "dimensions": "2,3", "samples": 2500},
                           "symfunc.eigensystem.calls"),
     "monitor": ({"exponent": 0.5, "n_nodes": 64, "amplitude": 0.05, "dt": 1e-4,
                  "t_end": 5e-3, "dtf_source": "trajectory"}, "flow.time_derivative.calls"),
 }
 
-# four inequalities x two dimensions x 200 samples; harnack-form's 2 x 200 eigensolves.
+# Four inequalities x two dimensions x 2,500 samples, each task in batches of
+# 1,024, 1,024 and 452, so the tracer sums the batch size it reads by position
+# over several _scan_once calls; harnack-form's 2 x 2,500 eigensolves.
 # The adaptive simulate run takes 24 RK4 steps to t = 0.1: 4 x 24 stage RHS,
 # one for the initial markers and 25 from assembling every stored step make
 # 122.  Each RHS calls the stencil pair and each assembly 5 more stencils:
@@ -43,8 +45,8 @@ CASES = {
 # monitor takes 50 fixed steps and assembles each of its 51 stored steps
 # once, though ∂ₜF rereads every state's two neighbours, plus the sphere at
 # the curvature cap: 52.
-EXACT = {"scan-inequalities": {"verify.scan.samples": 1600,
-                               "symfunc.eigensystem.matrices": 400},
+EXACT = {"scan-inequalities": {"verify.scan.samples": 20_000,
+                               "symfunc.eigensystem.matrices": 5000},
          "simulate": {"flow.steps": 24, "geometry.rhs.calls": 122,
                       "geometry.stencil.calls": 369},
          "verify-evolution": {"flow.steps": 52, "geometry.rhs.calls": 216},

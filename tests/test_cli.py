@@ -14,10 +14,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import harnacklab
 from harnacklab import cli
+from harnacklab import verify as _ve
 from harnacklab.errors import (ConfigError, ConvexityLost, DegenerateGrid,
                                HarnackLabError, OutOfRange, StabilityViolation)
 from harnacklab.flow import MAX_KAPPA_LIMIT
@@ -502,11 +504,11 @@ PINNED_TABLES = {
         dict(ambient="euclidean", speed="power-mean(3)", exponent=1.0, radius="auto",
              amplitude=0.05, n_nodes=16, t_end=0.01, store_every=5),
         "92381ee96d58e034"),
-    # the benchmark's scan: its rows must not depend on how a batch is evaluated
+    # the benchmark's scan, ten batches per task
     "scan-inequalities": (
         "scan-inequalities", "scans",
         dict(speed="mean", exponent=1, dimensions="2,3,5", samples=10000),
-        "0660babcbe86cf76"),
+        "6a8faf77fe18f963"),
 }
 
 
@@ -604,18 +606,43 @@ def test_scan_full_roster_with_seed_override(tmp_path):
     assert json.loads((out / "summary.json").read_text())["all_passed"] is True
 
 
-def test_a_scan_whose_gaps_are_nan_fails_every_row(tmp_path):
-    """With κ up to 100, Σκ²⁰⁰ of power-mean(200) overflows and f's gradient
-    is NaN.  The scan used to drop the NaN gaps and pass every row."""
-    cfg = write_cfg(tmp_path, speed="power-mean(200)", exponent=1, samples=2000,
+def test_a_scan_whose_gaps_are_nan_fails_every_row(tmp_path, monkeypatch):
+    """Gaps that are NaN on the samples, though finite at the κ box's corners,
+    fail their rows.  The scan used to drop the NaN gaps and pass every row."""
+    real = _ve.SCAN_KERNELS["f-lemma"]
+
+    def nan_on_samples(f, speed, kappa):
+        # n = 2: the corner check passes 3 rows, the two batches 1,024 and 976
+        terms, scale = real(f, speed, kappa), 1.0 if len(kappa) == 3 else np.nan
+        return lambda eta_hat: tuple(scale * v for v in terms(eta_hat))
+    monkeypatch.setitem(_ve.SCAN_KERNELS, "f-lemma", nan_on_samples)
+    cfg = write_cfg(tmp_path, exponent=1, inequalities="f-lemma", samples=2000,
                     dimensions=2)
     out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)     # the overflow itself
-        assert run_cli("scan-inequalities", cfg, out) == cli.EXIT_THRESHOLD
+    assert run_cli("scan-inequalities", cfg, out) == cli.EXIT_THRESHOLD
     rows = [r.split(",") for r in (out / "scans.csv").read_text().splitlines()[1:]]
-    assert len(rows) == 3 and all(r[5] == "nan" and r[-1] == "0" for r in rows)
+    assert len(rows) == 1 and all(r[5] == "nan" and r[-1] == "0" for r in rows)
     assert json.loads((out / "summary.json").read_text())["all_passed"] is False
+
+
+@pytest.mark.parametrize("keys, message", [
+    ({"speed": "power-mean(200)", "exponent": 1},
+     "error: the f-lemma gap at n = 2 for f = power-mean(200) is not finite at the "
+     "corners of the sampled box (0.01, 100.0)^n"),
+    ({"inequalities": "f-lemma, f-lemma", "dimensions": "2, 2", "exponent": 1},
+     "error: repeated inequality tag(s) ['f-lemma'] or dimension(s) [2]"),
+], ids=["overflow", "repeats"])
+def test_a_scan_that_cannot_certify_is_refused_before_any_draw(tmp_path, capsys,
+                                                                keys, message):
+    """power-mean(200) used to write nan rows after 18 RuntimeWarnings, and a
+    repeated tag at repeated dimensions four rows with four different gaps."""
+    cfg = write_cfg(tmp_path, **{"samples": 2000, "dimensions": 2, **keys})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("scan-inequalities", cfg, out) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("sub", ["simulate", "scan-inequalities"])

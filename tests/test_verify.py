@@ -9,6 +9,7 @@ hand-evaluated examples and their exact equality witnesses.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from harnacklab.flow import FlowConfig, GeodesicSphere, run
 from harnacklab.geometry import AmbientSpace, assemble, markers_from_radial
 from harnacklab.symfunc import (SpeedFunction, _to_eigenframe, d2F_from_eig, harmonic_mean,
                                 mean, norm, power_mean, weingarten_eigensystem)
-from oracles import _sample_kappa_eta, _sample_metric_pair, unblocked_scan
+from oracles import _sample_kappa_eta, _sample_metric_pair
 
 SPHERE = AmbientSpace(c=1, dim=2)
 MEAN_HALF = SpeedFunction(mean(), 0.5)
@@ -490,21 +491,22 @@ def test_scan_is_deterministic_for_fixed_seed():
 
 
 # (min_normalized_gap, witness_max_abs_gap) of scan_inequalities(samples=2000,
-# seed=7), recorded with the einsum forms of the eigenframe products.  A
-# rewrite that only reorders roundings may move a gap by rounding, no more.
+# seed=7), two batches per task, recorded with the einsum forms of the
+# eigenframe products.  A rewrite that only reorders roundings may move a gap
+# by rounding, no more.
 FROZEN_SCAN_GAPS = {
-    ("f-lemma", 2): (0.000809307644816533, 2.842170943040401e-14),
-    ("f-lemma", 3): (0.16674838761669672, 2.842170943040401e-14),
-    ("f-lemma", 5): (0.4191116650934092, 5.684341886080802e-14),
-    ("urbas", 2): (0.0006086395946332899, 5.684341886080802e-14),
-    ("urbas", 3): (0.1353339405098816, 1.1368683772161603e-13),
-    ("urbas", 5): (0.5328398875346204, 5.684341886080802e-14),
-    ("harnack-form", 2): (0.0014925001125720163, 5.684341886080802e-14),
-    ("harnack-form", 3): (0.13831387993160565, 1.1368683772161603e-13),
-    ("harnack-form", 5): (0.5723531368897112, 1.7053025658242404e-13),
-    ("fb-dominance", 2): (6.525181876501294e-05, 0.0),
-    ("fb-dominance", 3): (0.0001641825439906629, 0.0),
-    ("fb-dominance", 5): (0.0005101206808141284, 0.0),
+    ("f-lemma", 2): (0.00523082879634818, 2.842170943040401e-14),
+    ("f-lemma", 3): (0.09664195791150261, 2.842170943040401e-14),
+    ("f-lemma", 5): (0.46549239427333033, 5.684341886080802e-14),
+    ("urbas", 2): (0.00536232921704925, 5.684341886080802e-14),
+    ("urbas", 3): (0.028671356721651553, 8.526512829121202e-14),
+    ("urbas", 5): (0.6312776809656575, 8.526512829121202e-14),
+    ("harnack-form", 2): (0.002408162619132763, 5.684341886080802e-14),
+    ("harnack-form", 3): (0.1768167983972407, 1.1368683772161603e-13),
+    ("harnack-form", 5): (0.6736437722952034, 2.2737367544323206e-13),
+    ("fb-dominance", 2): (5.260294163665044e-05, 0.0),
+    ("fb-dominance", 3): (0.00023273502270745362, 0.0),
+    ("fb-dominance", 5): (0.0008545572152480234, 0.0),
 }
 
 
@@ -513,6 +515,63 @@ def test_scan_gaps_are_frozen_to_rounding():
     assert [(r.inequality, r.n) for r in reports] == list(FROZEN_SCAN_GAPS)
     for rep in reports:
         gap, witness = FROZEN_SCAN_GAPS[rep.inequality, rep.n]
+        assert abs(rep.min_normalized_gap - gap) <= 1e-15, rep
+        assert abs(rep.witness_max_abs_gap - witness) <= 1e-15, rep
+
+
+# The same for scan_inequalities(samples=1024, seed=7) of the whole roster at
+# n = 1, 2, 3, 5, 7, recorded when a batch was 20,000 samples drawn in order
+# and evaluated in blocks of 1,024 rows.  A scan of at most one batch draws
+# and evaluates the same samples in either design, so these gaps pin that
+# setting SCAN_BATCH = 1024 moved no arithmetic.
+FROZEN_ONE_BATCH_GAPS = {"mean^1": {
+    ("f-lemma", 1): (-1.1051323676081255e-16, 1.4210854715202004e-14),
+    ("f-lemma", 2): (0.004819848426625163, 2.842170943040401e-14),
+    ("f-lemma", 3): (0.1780080268927602, 5.684341886080802e-14),
+    ("f-lemma", 5): (0.5384817933714995, 4.263256414560601e-14),
+    ("f-lemma", 7): (0.8790303958359744, 5.684341886080802e-14),
+    ("urbas", 1): (-1.1049302204609883e-16, 2.842170943040401e-14),
+    ("urbas", 2): (0.004190337309430693, 5.684341886080802e-14),
+    ("urbas", 3): (0.14832627178321517, 5.684341886080802e-14),
+    ("urbas", 5): (0.8192045653775971, 1.1368683772161603e-13),
+    ("urbas", 7): (0.85012292810346, 1.1368683772161603e-13),
+    ("harnack-form", 1): (-1.1046269074806872e-16, 2.842170943040401e-14),
+    ("harnack-form", 2): (0.0025807373217388518, 5.684341886080802e-14),
+    ("harnack-form", 3): (0.13201534917034474, 1.1368683772161603e-13),
+    ("harnack-form", 5): (0.6519322670347341, 1.7053025658242404e-13),
+    ("harnack-form", 7): (0.8797948600993085, 2.2737367544323206e-13),
+    ("fb-dominance", 1): (0.0, 0.0),
+    ("fb-dominance", 2): (6.629173858691562e-05, 0.0),
+    ("fb-dominance", 3): (0.00019630011523765972, 0.0),
+    ("fb-dominance", 5): (0.0010445432274145418, 0.0),
+    ("fb-dominance", 7): (0.0033439127060706504, 0.0),
+}, "norm^0.5": {
+    ("f-lemma", 1): (-3.170648527391698e-16, 4.263256414560601e-14),
+    ("f-lemma", 2): (0.0029886246008755768, 4.263256414560601e-14),
+    ("f-lemma", 3): (0.04545182287603463, 4.263256414560601e-14),
+    ("f-lemma", 5): (0.5030594741407513, 8.526512829121202e-14),
+    ("f-lemma", 7): (0.868131216405559, 5.684341886080802e-14),
+    ("harnack-form", 1): (-2.6197921536101397e-16, 2.6645352591003757e-15),
+    ("harnack-form", 2): (0.00027959667152987393, 5.329070518200751e-15),
+    ("harnack-form", 3): (0.16553221719221303, 6.217248937900877e-15),
+    ("harnack-form", 5): (0.6165376742569723, 5.329070518200751e-15),
+    ("harnack-form", 7): (0.9010652299762667, 6.217248937900877e-15),
+    ("fb-dominance", 1): (-1.1102230246251565e-16, 0.0),
+    ("fb-dominance", 2): (6.589540635371094e-09, 0.0),
+    ("fb-dominance", 3): (3.432700124150754e-08, 0.0),
+    ("fb-dominance", 5): (6.879391554746631e-07, 0.0),
+    ("fb-dominance", 7): (1.0852839270574576e-05, 0.0),
+}}
+
+
+@pytest.mark.parametrize("name", FROZEN_ONE_BATCH_GAPS)
+def test_a_one_batch_scan_is_frozen_to_rounding(name):
+    speed = {"mean^1": MEAN_ONE, "norm^0.5": NORM_HALF}[name]
+    reports = V.scan_inequalities(V.scan_roster(speed.f), (1, 2, 3, 5, 7), samples=1024,
+                                  seed=7, speed=speed)
+    assert [(r.inequality, r.n) for r in reports] == list(FROZEN_ONE_BATCH_GAPS[name])
+    for rep in reports:
+        gap, witness = FROZEN_ONE_BATCH_GAPS[name][rep.inequality, rep.n]
         assert abs(rep.min_normalized_gap - gap) <= 1e-15, rep
         assert abs(rep.witness_max_abs_gap - witness) <= 1e-15, rep
 
@@ -532,20 +591,20 @@ def test_harnack_form_scan_solves_one_eigensystem_per_batch(monkeypatch):
     assert gap > -1e-10 and wit < 1e-8
 
 
-def test_a_nan_block_reaches_the_batch_result_between_finite_ones(monkeypatch):
+def test_a_nan_batch_reaches_the_scan_result_between_finite_ones(monkeypatch):
     """Python's min and max drop a NaN that is not their first argument."""
-    real, blocks = V.SCAN_KERNELS["f-lemma"], []
+    real, sizes = V.SCAN_KERNELS["f-lemma"], []
 
-    def nan_second_block(f, speed, kappa):
-        blocks.append(len(kappa))
-        terms, scale = real(f, speed, kappa), np.nan if len(blocks) == 2 else 1.0
+    def nan_second_batch(f, speed, kappa):
+        sizes.append(len(kappa))
+        terms, scale = real(f, speed, kappa), np.nan if len(sizes) == 3 else 1.0
         return lambda eta_hat: tuple(scale * v for v in terms(eta_hat))
-    monkeypatch.setitem(V.SCAN_KERNELS, "f-lemma", nan_second_block)
+    monkeypatch.setitem(V.SCAN_KERNELS, "f-lemma", nan_second_batch)
     with np.errstate(invalid="ignore"):
-        gap, wit = V._scan_once("f-lemma", mean(), MEAN_ONE, np.random.default_rng(1),
-                                3 * V.SCAN_BLOCK, 2)
-    assert blocks == [V.SCAN_BLOCK] * 3
-    assert np.isnan(gap) and np.isnan(wit)
+        [rep] = V.scan_inequalities(("f-lemma",), (2,), samples=3 * V.SCAN_BATCH, seed=1,
+                                    speed=MEAN_ONE)
+    assert sizes == [3] + [V.SCAN_BATCH] * 3     # the κ box's corners, then three batches
+    assert np.isnan(rep.min_normalized_gap) and np.isnan(rep.witness_max_abs_gap)
     assert math.copysign(1.0, V._nan_or(min, 0.0, -0.0)) == 1.0     # min's tie, kept
 
 
@@ -566,7 +625,48 @@ def test_scan_refuses_urbas_for_non_inverse_concave_f_before_scanning(monkeypatc
     assert calls == []
 
 
-def test_scan_evaluates_the_speed_derivatives_once_per_block(monkeypatch):
+@pytest.mark.parametrize("inequalities, n_values, match", [
+    (("f-lemma", "f-lemma"), (2, 2), r"tag\(s\) \['f-lemma'\] or dimension\(s\) \[2\]"),
+    (("f-lemma", "urbas"), (3, 2, 3), r"tag\(s\) \[\] or dimension\(s\) \[3\]"),
+], ids=["tags-and-dimensions", "dimensions"])
+def test_scan_refuses_repeated_tags_or_dimensions_before_scanning(monkeypatch, inequalities,
+                                                                  n_values, match):
+    """f-lemma twice at n = 2, 2 used to write four f-lemma rows with four different gaps."""
+    calls = []
+    monkeypatch.setattr(V, "_scan_once", lambda *args: calls.append(args[0]))
+    with pytest.raises(ConfigError, match="repeated inequality " + match):
+        V.scan_inequalities(inequalities, n_values)
+    assert calls == []
+
+
+# Σκʳ overflows at the top of the κ box for |r| = 200, and harnack-form's Φ''
+# evaluates s^(1/r − 2), which overflows at its bottom for |r| = 100 and 150.
+OVERFLOWING_TASKS = [(r, iq) for r in (200.0, -200.0)
+                     for iq in ("f-lemma", "harnack-form", "fb-dominance")] + \
+                    [(r, "harnack-form") for r in (100.0, -100.0, 150.0, -150.0)]
+
+
+@pytest.mark.parametrize("r, inequality", OVERFLOWING_TASKS)
+def test_scan_refuses_a_task_whose_gap_overflows_at_the_box_corners(monkeypatch, r, inequality):
+    """Such a scan used to write nan rows and raise RuntimeWarnings."""
+    calls = []
+    monkeypatch.setattr(V, "_scan_once", lambda *args: calls.append(args[0]))
+    f = power_mean(r)
+    with pytest.raises(ConfigError, match=rf"the {inequality} gap at n = 3 for f = "
+                                          rf"{re.escape(f.name)} is not finite"):
+        V.scan_inequalities((inequality,), (3,), speed=SpeedFunction(f, 1.0))
+    assert calls == []
+
+
+def test_a_power_mean_whose_gaps_stay_finite_on_the_box_is_scanned():
+    """power-mean(100) overflows only harnack-form's Φ'' at the box corners."""
+    reps = V.scan_inequalities(("f-lemma", "fb-dominance"), (2, 5), samples=2000, seed=1,
+                               speed=SpeedFunction(power_mean(100.0), 1.0))
+    assert all(rep.min_normalized_gap > -1e-10 for rep in reps)
+    assert all(rep.witness_max_abs_gap < 1e-8 for rep in reps)
+
+
+def test_scan_evaluates_the_speed_derivatives_once_per_batch(monkeypatch):
     calls = {"dvalue": 0, "d2value": 0}
     for name in calls:
         method = getattr(SpeedFunction, name)
@@ -576,43 +676,18 @@ def test_scan_evaluates_the_speed_derivatives_once_per_block(monkeypatch):
             return _method(self, kappa)
         monkeypatch.setattr(SpeedFunction, name, counting)
     V.scan_inequalities(n_values=(2, 3, 5), samples=2000, seed=1)
-    # urbas and harnack-form each build one spectrum per block of each of
-    # their three batches
-    blocks = 2 * 3 * math.ceil(2000 / V.SCAN_BLOCK)
-    assert calls == {"dvalue": blocks, "d2value": blocks}
-
-
-SCAN_SPEEDS = {"mean^1": MEAN_ONE, "norm^0.5": NORM_HALF,
-               "power_mean(3)^0.3": SpeedFunction(power_mean(3.0), 0.3),
-               "harmonic_mean^1": SpeedFunction(harmonic_mean(), 1.0),
-               "mean^-0.5": SpeedFunction(mean(), -0.5)}
-
-
-@pytest.mark.parametrize("speed", SCAN_SPEEDS.values(), ids=SCAN_SPEEDS)
-def test_blocked_scan_is_bit_identical_to_the_unblocked_batches(speed):
-    """23,000 samples are a full batch and a partial one, whose last block is
-    partial too; every reported float must equal the unblocked reference's."""
-    roster, n_values = V.scan_roster(speed.f), (1, 2, 3, 5, 7)
-    reports = V.scan_inequalities(roster, n_values, samples=23_000, seed=1, speed=speed)
-    assert [(r.min_normalized_gap, r.witness_max_abs_gap) for r in reports] \
-        == unblocked_scan(roster, n_values, 23_000, 1, speed)
-
-
-@pytest.mark.parametrize("block", [1, 7])
-def test_scan_results_do_not_depend_on_the_block_size(monkeypatch, block):
-    monkeypatch.setattr(V, "SCAN_BLOCK", block)
-    n_values = (1, 2, 3, 5, 7)
-    reports = V.scan_inequalities(n_values=n_values, samples=300, seed=7, speed=MEAN_ONE)
-    assert [(r.min_normalized_gap, r.witness_max_abs_gap) for r in reports] \
-        == unblocked_scan(V.SCAN_INEQUALITIES, n_values, 300, 7, MEAN_ONE)
+    # urbas and harnack-form each build one spectrum per batch of each of
+    # their three tasks, and one at the κ box's corners before any draw
+    spectra = 2 * 3 * (math.ceil(2000 / V.SCAN_BATCH) + 1)
+    assert calls == {"dvalue": spectra, "d2value": spectra}
 
 
 @pytest.mark.parametrize("inequality, limit_mib", [("harnack-form", 5), ("urbas", 4),
                                                     ("f-lemma", 3), ("fb-dominance", 2)])
 def test_a_scan_batch_holds_only_a_block_of_temporaries(inequality, limit_mib):
     """The traced heap peak of one n = 5 batch was 14.9 MiB (harnack-form),
-    6.7 (urbas), 6.1 (f-lemma) and 5.2 (fb-dominance) when the batch drew all
-    its samples before evaluating them block by block."""
+    6.7 (urbas), 6.1 (f-lemma) and 5.2 (fb-dominance) when a batch was 20,000
+    samples, drawn before they were evaluated block by block."""
     tracemalloc.start()
     try:
         V._scan_once(inequality, mean(), MEAN_ONE, np.random.default_rng(1), V.SCAN_BATCH, 5)
@@ -624,9 +699,9 @@ def test_a_scan_batch_holds_only_a_block_of_temporaries(inequality, limit_mib):
 
 @pytest.mark.parametrize("inequality", V.SCAN_INEQUALITIES)
 def test_a_scan_batch_leaves_the_generator_where_the_whole_batch_draws_would(inequality):
-    """2,500 samples are two full blocks and a partial one.  The Gaussians are
-    drawn from copies of rng, so its end state pins one PCG64 word per
-    uniform κ and the hand-off to the next batch."""
+    """A batch draws κ, η̂'s Gaussian and, for harnack-form, metric_pair's two
+    Gaussians from rng, and nothing more, so the next batch starts where
+    drawing those whole arrays in turn leaves rng."""
     rng, reference = np.random.default_rng(11), np.random.default_rng(11)
     V._scan_once(inequality, mean(), MEAN_ONE, rng, 2500, 3)
     kappa, _ = _sample_kappa_eta(reference, 2500, 3)
