@@ -10,9 +10,9 @@ sphere-exact       closed-form round-sphere solution tables
 
 Config files are plain text, one `key = value` per line, `#` starts a
 comment.  Unknown keys fail loudly with the offending name.  Every run
-writes a manifest.json next to its data files; nothing is overwritten
-unless --force is passed.  Outputs carry no timestamps, so a rerun of the
-same configuration is byte-identical.
+writes a manifest.json, which records the resolved request, next to its
+data files; nothing is overwritten unless --force is passed.  Outputs carry
+no timestamps, so a rerun of the same configuration is byte-identical.
 
 Exit codes: 0 success, 1 a refused request (a configuration or usage error,
 or an ambient, speed, variant or time outside its domain), 2 loss of
@@ -228,8 +228,9 @@ def emit_outputs(args, cfg, tables, summary, seed=None) -> None:
     """Guard, then write manifest, tables and summary under the out dir.
 
     tables is a list of (name, header, rows); the data format comes from the
-    config.  The manifest records seed, the seed the run used (None for a
-    run that draws nothing).  All target paths are checked against --force
+    config.  The manifest records the config path, cfg (the resolved request,
+    every default filled in), seed (None for a run that draws nothing) and
+    the package and numpy versions.  All target paths are checked against --force
     before anything is written, so a refused run leaves no partial output.
     """
     os.makedirs(args.out, exist_ok=True)
@@ -244,11 +245,12 @@ def emit_outputs(args, cfg, tables, summary, seed=None) -> None:
     manifest = {
         "subcommand": args.subcommand,
         "config": args.config,
+        "resolved_config": cfg,
         "out": args.out,
         "seed": seed,
-        "cadence": cfg.get("store_every"),
         "format": fmt,
         "package": f"harnacklab {__version__}",
+        "numpy": np.__version__,
     }
     texts = [_json_text(manifest)]
     texts += [_render_table(header, rows, fmt) for _, header, rows in tables]

@@ -41,6 +41,7 @@ before it goes extinct, so no grid-free run asks for a time past extinction.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -93,7 +94,9 @@ class FlowConfig:
     MAX_KAPPA_LIMIT, so the sphere at the cap assembles to finite fields;
     min_radius is finite, 0 for none, and measured from the symmetry center
     (geometry.center_distance).  Expanding speeds raise ConfigError on the
-    sphere.
+    sphere.  keep_last=k keeps only the last k of the steps store_every
+    selects, on both tiers, so a run's storage does not grow with its
+    length; None keeps them all.  It changes no step.
     """
 
     ambient: AmbientSpace
@@ -105,6 +108,7 @@ class FlowConfig:
     max_kappa: float = 1e4
     min_radius: float = 0.0
     dtype: str = "float64"
+    keep_last: Optional[int] = None
 
     def __post_init__(self):
         if self.ambient.c == 1 and not self.speed.contracting:
@@ -117,6 +121,9 @@ class FlowConfig:
             check_step_budget(self.t_end, self.dt)
         if self.store_every < 1:
             raise ConfigError("store_every must be >= 1")
+        if self.keep_last is not None and not (isinstance(self.keep_last, int)
+                                               and self.keep_last >= 1):
+            raise ConfigError(f"keep_last must be None or an int >= 1, got {self.keep_last!r}")
         if not 0 < self.max_kappa <= MAX_KAPPA_LIMIT:
             raise ConfigError(f"max_kappa must lie in (0, {MAX_KAPPA_LIMIT:.6g}], so that the "
                               f"sphere at the cap has finite fields, got {self.max_kappa!r}")
@@ -132,9 +139,10 @@ class Trajectory:
     """Stored steps of one run, all on the same Lagrangian grid, read as a sequence of states.
 
     steps[i], the step at times[i], is what geometry.assemble reads: an
-    (N, d) marker array, or a GeodesicSphere on the grid-free tier.  For
-    n = 2 every stored step after steps[0] (the array passed in) is the
-    unfolded upper half, exactly mirror-symmetric.  traj[i] (negative i
+    (N, d) marker array, or a GeodesicSphere on the grid-free tier.
+    steps[0] is the array passed in (in the configured dtype) only when
+    config.keep_last drops nothing; for n = 2 every other stored step is
+    the unfolded upper half, exactly mirror-symmetric.  traj[i] (negative i
     too), iteration in time order and state_at assemble a step when it is
     read and keep the three states read last: a state and its two time
     neighbours, all that a centered difference reads, so no reader
@@ -229,7 +237,8 @@ def run(config: FlowConfig) -> Trajectory:
     floor ("radius-floor").  Every step's markers go through
     _profile_geometry, whose output also drives the next step; the markers
     of every store_every-th step and of the last completed step are stored,
-    and nothing is assembled here.  Non-convex or degenerate initial data
+    of which only the last config.keep_last are kept (all for None), and
+    nothing is assembled here.  Non-convex or degenerate initial data
     raises ConvexityLost or DegenerateGrid before any step; a fixed-dt step
     that leaves the cone, and an adaptive run that needs more than MAX_STEPS
     steps, raise StabilityViolation.
@@ -240,8 +249,8 @@ def run(config: FlowConfig) -> Trajectory:
     above), and the stepper advances only the upper half, N/2 nodes on
     (0, π), with reflection-padded stencils; the first step reads the upper
     half of the initial geometry.  Each stored step is unfolded to N nodes
-    (geometry.unfold), so it is exactly mirror-symmetric; step 0 is the
-    array passed in.
+    (geometry.unfold), so it is exactly mirror-symmetric; step 0, if kept,
+    is the array passed in.
     """
     if isinstance(config.initial, GeodesicSphere):
         return _run_umbilic(config)
@@ -271,7 +280,8 @@ def run(config: FlowConfig) -> Trajectory:
     if half:
         m = n_nodes // 2
         markers, E, normal, kappa = markers[:m], E[:m], normal[:m], kappa[:m]
-    times, steps = [0.0], [initial]
+    times = deque([0.0], maxlen=config.keep_last)
+    steps = deque([initial], maxlen=config.keep_last)
     t, steps_done, rejected = 0.0, 0, 0
 
     while termination is None:
@@ -324,7 +334,7 @@ def run(config: FlowConfig) -> Trajectory:
         times.append(t)
         steps.append(geometry.unfold(markers) if half else markers)
 
-    return Trajectory(config=config, times=np.array(times), steps=steps,
+    return Trajectory(config=config, times=np.array(times), steps=list(steps),
                       termination=termination, rejected_steps=rejected)
 
 
@@ -356,7 +366,7 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
     crossing time can round onto the extinction time.  A fixed-dt run stores
     what the gridded stepper stores: every store_every-th multiple of dt
     below the stop, then the stop.  An adaptive run stores 129 evenly spaced
-    times, or t = 0 alone.
+    times, or t = 0 alone.  Either keeps only the last config.keep_last.
     """
     ambient, r0 = config.ambient, config.initial.radius
     sol = sphere_ode_solution(ambient, config.speed, r0)
@@ -377,6 +387,8 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
     else:
         n_steps = whole_steps(t_stop, config.dt) or math.ceil(t_stop / config.dt)
         times = np.append(config.dt * np.arange(0, n_steps, config.store_every), t_stop)
+    if config.keep_last:
+        times = times[-config.keep_last:]
     radii = sol.radius(times) if r_stop is None else np.append(sol.radius(times[:-1]), r_stop)
     steps = [GeodesicSphere(float(r)) for r in radii]
     return Trajectory(config=config, times=times, steps=steps, termination=termination)

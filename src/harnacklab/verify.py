@@ -479,6 +479,13 @@ def estimate_order(n_values, residuals) -> float:
     return float(-slope)
 
 
+# Steps a ladder flow keeps.  A level reads the states at t_check and
+# t_check ± Δt, and its run ends at t_check + Δt, but possibly with a sliver
+# step onto t_end: t_check need be whole steps only within flow.STATE_RTOL,
+# and summed steps can fall short of t_end.  So keep four, not three.
+LADDER_KEEP = 4
+
+
 def standard_test_flow(ambient: AmbientSpace, speed: SpeedFunction, n_nodes: int,
                        dt: float, t_end: float, r0: Optional[float] = None,
                        amplitude: float = 0.05, mode: int = 2) -> Trajectory:
@@ -487,13 +494,16 @@ def standard_test_flow(ambient: AmbientSpace, speed: SpeedFunction, n_nodes: int
     Runs in extended precision: the deepest residual subjects sit four label
     derivatives above the marker positions, and their double precision
     evaluation noise (ε ≈ 10⁻¹⁶/Δu⁴), divided by the 2Δt of the centered
-    time difference, would dominate the finest-level residuals.
+    time difference, would dominate the finest-level residuals.  It steps
+    at the fixed dt and keeps only its last LADDER_KEEP steps, so a level's
+    storage does not grow with t_check.
     """
     if r0 is None:
         r0 = default_radius(ambient)
     markers = markers_from_radial(ambient, cos_mode_radial(r0, amplitude, mode), n_nodes)
     config = FlowConfig(ambient=ambient, speed=speed, initial=markers,
-                        t_end=t_end, dt=dt, store_every=1, dtype="longdouble")
+                        t_end=t_end, dt=dt, store_every=1, dtype="longdouble",
+                        keep_last=LADDER_KEEP)
     return _flow.run(config)
 
 

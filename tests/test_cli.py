@@ -187,6 +187,38 @@ def test_a_run_that_draws_nothing_records_no_seed(tmp_path, sub, keys):
     assert json.loads((out / "manifest.json").read_text())["seed"] is None
 
 
+@pytest.mark.parametrize("sub, keys, extra", [
+    ("simulate", {"exponent": 0.5, "amplitude": 0.05, "n_nodes": 16, "t_end": 0.01,
+                  "store_every": 5}, []),
+    ("monitor", {"exponent": 0.5, "variant": "chi1", "dtf_source": "trajectory",
+                 "amplitude": 0.05, "n_nodes": 16, "t_end": 0.004, "dt": 5e-4}, []),
+    ("verify-evolution", {"exponent": 0.5, "identities": "beta, grad-commutator",
+                          "levels": "24, 48", "dt0": 8e-4, "t_check": 4e-3}, []),
+    ("scan-inequalities", {"exponent": 1, "dimensions": "2,3", "samples": 300},
+     ["--seed", "7"]),
+    ("sphere-exact", {"ambient": "euclidean", "exponent": -0.5, "t_end": 0.05,
+                      "format": "json"}, []),
+])
+def test_the_manifest_config_reruns_the_same_request(tmp_path, sub, keys, extra):
+    """The manifest used to hold only the config path and a copy of store_every."""
+    first = tmp_path / "first"
+    assert run_cli(sub, write_cfg(tmp_path, **keys), first, *extra) == cli.EXIT_OK
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert "cadence" not in manifest and manifest["numpy"] == np.__version__
+    recorded = manifest["resolved_config"]
+    assert recorded.keys() == cli.SCHEMAS[sub].keys()
+    lines = {k: ",".join(map(str, v)) if isinstance(v, list) else v
+             for k, v in recorded.items() if v is not None}
+    again = tmp_path / "again"
+    seed = [] if manifest["seed"] is None else ["--seed", str(manifest["seed"])]
+    assert run_cli(sub, write_cfg(tmp_path, "again.cfg", **lines), again, *seed) == cli.EXIT_OK
+    data = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+    assert len(data) >= 2 and data == sorted(p.name for p in again.iterdir()
+                                             if p.name != "manifest.json")
+    for name in data:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("ambient, speed, exponent, variant", [
     ("sphere", "mean", 1.0, "strong-Hp"), ("sphere", "norm", 1.0, "chi2"),
     ("sphere", "mean", 1.5, "chi2"), ("euclidean", "mean", 1.0, "euclidean-contracting"),
@@ -473,52 +505,55 @@ def test_monitor_trajectory_source_needs_dense_storage(tmp_path, capsys):
 
 # sha256 prefixes of the data tables that ∂ₜF and δ = p/(p+1) feed, recorded
 # on x86-64 with numpy 2.4: any change to their arithmetic moves a digest.
-PINNED_TABLES = {
+PINNED_TABLES = {   # case: (subcommand, config keys, {table: sha256 prefix})
     "monitor-chi1-trajectory": (
-        "monitor", "monitor",
+        "monitor",
         dict(exponent=0.5, variant="chi1", dtf_source="trajectory", amplitude=0.05,
              n_nodes=16, t_end=0.004, dt=5e-4, store_every=1),
-        "2e88a2a0f67b7399"),
+        {"monitor": "2e88a2a0f67b7399"}),
     "monitor-chi3": (
-        "monitor", "monitor",
+        "monitor",
         dict(exponent=0.8, variant="chi3", amplitude=0.05, n_nodes=16, t_end=0.004,
              dt=5e-4, store_every=2),
-        "0826683b1d09eb51"),
+        {"monitor": "0826683b1d09eb51"}),
     "monitor-strong-Hp-sphere": (
-        "monitor", "monitor",
-        dict(exponent=0.6, variant="strong-Hp", t_end=0.02, dt=2e-3, store_every=2),
-        "58083f650bfae5c5"),
+        "monitor", dict(exponent=0.6, variant="strong-Hp", t_end=0.02, dt=2e-3, store_every=2),
+        {"monitor": "58083f650bfae5c5"}),
     "sphere-exact-spherical": (
-        "sphere-exact", "sphere", dict(exponent=0.6, t_end=0.05, n_times=9),
-        "597bc4ada655a041"),
+        "sphere-exact", dict(exponent=0.6, t_end=0.05, n_times=9),
+        {"sphere": "597bc4ada655a041"}),
     "sphere-exact-euclidean": (
-        "sphere-exact", "sphere",
-        dict(ambient="euclidean", exponent=-0.5, t_end=0.05, n_times=9),
-        "014ec2b3486fcd34"),
+        "sphere-exact", dict(ambient="euclidean", exponent=-0.5, t_end=0.05, n_times=9),
+        {"sphere": "014ec2b3486fcd34"}),
     "simulate": (
-        "simulate", "simulate",
-        dict(exponent=0.5, amplitude=0.05, n_nodes=16, t_end=0.01, store_every=5),
-        "6b343931613c2147"),
+        "simulate", dict(exponent=0.5, amplitude=0.05, n_nodes=16, t_end=0.01, store_every=5),
+        {"simulate": "6b343931613c2147"}),
     "simulate-euclidean": (
-        "simulate", "simulate",
+        "simulate",
         dict(ambient="euclidean", speed="power-mean(3)", exponent=1.0, radius="auto",
              amplitude=0.05, n_nodes=16, t_end=0.01, store_every=5),
-        "92381ee96d58e034"),
+        {"simulate": "92381ee96d58e034"}),
+    # the benchmark's ladder at the centre of its amplitude band
+    "verify-evolution": (
+        "verify-evolution",
+        dict(ambient="sphere", dimension=2, speed="norm", exponent=0.5, amplitude=0.05,
+             t_check=2e-3, levels="64,128,256"),
+        {"residuals": "13b4ff613161043c", "orders": "8e5bf195575f6166"}),
     # the benchmark's scan, ten batches per task
     "scan-inequalities": (
-        "scan-inequalities", "scans",
-        dict(speed="mean", exponent=1, dimensions="2,3,5", samples=10000),
-        "6a8faf77fe18f963"),
+        "scan-inequalities", dict(speed="mean", exponent=1, dimensions="2,3,5", samples=10000),
+        {"scans": "6a8faf77fe18f963"}),
 }
 
 
 @pytest.mark.parametrize("case", PINNED_TABLES)
 def test_data_table_is_pinned_byte_for_byte(tmp_path, case):
-    sub, table, keys, digest = PINNED_TABLES[case]
+    sub, keys, digests = PINNED_TABLES[case]
     out = tmp_path / "out"
     assert run_cli(sub, write_cfg(tmp_path, **keys), out) == cli.EXIT_OK
-    data = (out / f"{table}.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest()[:16] == digest
+    for table, digest in digests.items():
+        data = (out / f"{table}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest, table
 
 
 # ---------------------------------------------------------------------------

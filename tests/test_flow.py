@@ -402,6 +402,52 @@ PINNED_RUNS = {
 }
 
 
+@pytest.mark.parametrize("dtype", ["float64", "longdouble"])
+@pytest.mark.parametrize("dt, every", [(None, 1), (None, 3), (1e-3, 1), (1e-3, 4)],
+                         ids=["adaptive", "adaptive-every3", "fixed", "fixed-every4"])
+def test_grid_run_keeps_the_last_of_its_stored_steps_bit_for_bit(dt, every, dtype):
+    mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 32)
+    t_end = 0.02 if dt else 0.3
+    whole, window = (flow.run(flow.FlowConfig(SPHERE, _speed(0.5), mk, t_end=t_end, dt=dt,
+                                              store_every=every, dtype=dtype, keep_last=k))
+                     for k in (None, 3))
+    assert len(whole.steps) > 3 and len(window.steps) == len(window.times) == 3
+    assert window.termination == whole.termination
+    assert window.rejected_steps == whole.rejected_steps
+    assert np.array_equal(window.times, whole.times[-3:])
+    for got, want in zip(window.steps, whole.steps[-3:]):
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dt, every", [(None, 1), (1e-3, 1), (1e-3, 4)],
+                         ids=["adaptive", "fixed", "fixed-every4"])
+def test_grid_free_run_keeps_the_last_of_its_stored_steps(dt, every):
+    whole, window = (flow.run(flow.FlowConfig(SPHERE, _speed(0.5), geo.GeodesicSphere(0.8),
+                                              t_end=0.02, dt=dt, store_every=every,
+                                              keep_last=k))
+                     for k in (None, 2))
+    assert len(whole.steps) > 2 and len(window.steps) == 2
+    assert window.termination == whole.termination
+    assert np.array_equal(window.times, whole.times[-2:])
+    assert [s.radius for s in window.steps] == [s.radius for s in whole.steps[-2:]]
+
+
+def test_a_window_longer_than_the_run_keeps_every_step():
+    mk = geo.markers_from_radial(SPHERE, 0.8, 16)
+    traj = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=3e-3, dt=1e-3,
+                                    keep_last=10))
+    assert np.array_equal(traj.times, [0.0, 1e-3, 2e-3, 3e-3]) and traj.steps[0] is mk
+
+
+@pytest.mark.parametrize("keep_last", [0, -1, 2.5])
+def test_keep_last_must_be_a_positive_int(keep_last):
+    with pytest.raises(ConfigError, match=f"keep_last must be None or an int >= 1, "
+                                          f"got {keep_last!r}"):
+        flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(0.8), t_end=0.01,
+                        keep_last=keep_last)
+
+
 @pytest.mark.parametrize("case", PINNED_RUNS,
                          ids=lambda case: f"c{case[0][0]}n{case[0][1]}-{case[1]}")
 def test_stepper_output_is_pinned_bit_for_bit(case):

@@ -295,6 +295,42 @@ def test_ladder_rejects_t_check_off_the_step_grid_before_running_a_flow(
                           dt0=8e-4, t_check=t_check)
 
 
+def test_a_ladder_flow_keeps_only_its_last_steps():
+    traj = V.standard_test_flow(SPHERE, NORM_HALF, 16, 1e-3, t_end=5e-3)
+    assert len(traj.steps) == V.LADDER_KEEP == 4
+    npt.assert_allclose(traj.times, [2e-3, 3e-3, 4e-3, 5e-3], rtol=1e-12)
+
+
+@pytest.mark.parametrize("t_check", [4e-3, 4e-3 + 5e-10], ids=["on-grid", "sliver"])
+def test_ladder_residuals_do_not_depend_on_the_window(monkeypatch, t_check):
+    """t_check = 4e-3 + 5e-10 is a whole number of steps within flow.STATE_RTOL, so each
+    level's run ends on a sliver step onto t_check + dt: a three-step window would
+    drop the state at t_check - dt that the ladder reads."""
+    def ladder():
+        return V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta", "grad-commutator"),
+                                 levels=(24, 48), dt0=8e-4, t_check=t_check)
+    window = ladder()
+    monkeypatch.setattr(V, "LADDER_KEEP", None)
+    whole = ladder()
+    for tag in whole:
+        assert window[tag].records == whole[tag].records
+
+
+def test_ladder_memory_does_not_grow_with_t_check():
+    """Each level used to store every step, so the traced peak grew from 391 to 574 KiB
+    when t_check went from 4e-3 to 16e-3."""
+    def peak(t_check):
+        tracemalloc.start()
+        try:
+            V.residual_ladder(SPHERE, NORM_HALF, tags=("beta", "grad-commutator"),
+                              levels=(32, 64), dt0=8e-4, t_check=t_check)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    short = peak(4e-3)
+    assert peak(16e-3) <= 1.05 * short
+
+
 @pytest.mark.parametrize("keys, match", [
     # these used to escape flow.whole_steps as ZeroDivisionError, ValueError
     # and OverflowError
