@@ -24,7 +24,8 @@ periodic_d2, and SAFETY is the fraction of it taken.  The bound is
 invariant under parabolic rescaling, so a rescaled problem takes the same
 number of steps.  An adaptive step that leaves the convex cone is retried
 once at half its size; a fixed step that does so raises StabilityViolation,
-since the flow itself keeps convex surfaces convex.
+since the flow itself keeps convex surfaces convex.  A fixed dt takes
+fixed_steps(t_end, dt) steps on either tier, so neither steps a sliver.
 
 Round spheres stay round: their radius obeys ṙ = −F(cot r) (c = 1) or
 ṙ = −F(1/r) (c = 0), which is solved in closed form: for spherical p ≠ 1
@@ -57,8 +58,8 @@ from .symfunc import SpeedFunction, eval_f
 # matches a requested one.
 STATE_RTOL = 1e-9
 
-# Step budget of one run: a fixed dt on either tier (check_step_budget), an
-# adaptive grid run (run).
+# Step budget of one run: a fixed dt on either tier is refused beforehand
+# (check_step_budget); an adaptive grid run raises when it exhausts it (run).
 MAX_STEPS = 2_000_000
 
 # RK4's stability interval on the negative real axis (2.785…) over the
@@ -87,10 +88,10 @@ class FlowConfig:
     dt=None selects the adaptive step of the module docstring (ds_min is the
     shortest marker spacing, max Φ' the largest ∂F/∂κᵢ over nodes and
     directions; Δt/2 retries count in Trajectory.rejected_steps).  An
-    explicit dt is kept fixed, except for a final partial step onto t_end,
+    explicit dt takes fixed_steps(t_end, dt) steps, the last maybe partial,
     as the convergence ladders need; a fixed dt that needs more than
-    MAX_STEPS steps is refused, on the grid-free tier too, which stores its
-    multiples.  The stop rule's max_kappa is positive and at most
+    MAX_STEPS steps is refused here, on the grid-free tier too, which stores
+    its multiples.  The stop rule's max_kappa is positive and at most
     MAX_KAPPA_LIMIT, so the sphere at the cap assembles to finite fields;
     min_radius is finite, 0 for none, and measured from the symmetry center
     (geometry.center_distance).  Expanding speeds raise ConfigError on the
@@ -196,6 +197,11 @@ def whole_steps(span: float, dt: float) -> Optional[int]:
     return n if abs(n * dt - span) <= STATE_RTOL * max(1.0, abs(span)) else None
 
 
+def fixed_steps(span: float, dt: float) -> int:
+    """Steps of a fixed dt onto span, on either tier: whole_steps, else ceil(span / dt)."""
+    return whole_steps(span, dt) or math.ceil(span / dt)
+
+
 def _project(ambient, markers):
     if ambient.c == 1:
         return markers / np.sqrt(geometry._row_dot(markers, markers))[:, None]
@@ -230,14 +236,15 @@ def _advance(ambient, speed, markers, dt, k1):
 def run(config: FlowConfig) -> Trajectory:
     """Integrate the flow from the configured initial data.
 
-    Stops at t_end ("completed") or earlier when an adaptive step and its
-    half-size retry both leave the convex cone ("convexity-lost"), a step's
-    marker grid degenerates ("grid-degenerate"), or a step, the initial
-    data included, meets the curvature cap ("curvature-cap") or the radius
-    floor ("radius-floor").  Every step's markers go through
-    _profile_geometry, whose output also drives the next step; the markers
-    of every store_every-th step and of the last completed step are stored,
-    of which only the last config.keep_last are kept (all for None), and
+    Stops at t_end ("completed": after fixed_steps(t_end, dt) steps of
+    min(dt, t_end − t), or adaptively within 1e-12·t_end of it) or earlier
+    when an adaptive step and its half-size retry both leave the convex cone
+    ("convexity-lost"), a step's marker grid degenerates ("grid-degenerate"),
+    or a step, the initial data included, meets the curvature cap
+    ("curvature-cap") or the radius floor ("radius-floor").  Every step's
+    markers go through _profile_geometry, whose output also drives the next
+    step; the markers of every store_every-th step and of the last completed
+    step are stored, of which the last config.keep_last are kept, and
     nothing is assembled here.  Non-convex or degenerate initial data
     raises ConvexityLost or DegenerateGrid before any step; a fixed-dt step
     that leaves the cone, and an adaptive run that needs more than MAX_STEPS
@@ -283,31 +290,30 @@ def run(config: FlowConfig) -> Trajectory:
     times = deque([0.0], maxlen=config.keep_last)
     steps = deque([initial], maxlen=config.keep_last)
     t, steps_done, rejected = 0.0, 0, 0
+    n_fixed = None if config.dt is None else fixed_steps(config.t_end, config.dt)
 
     while termination is None:
-        remaining = config.t_end - t
-        if remaining <= 1e-12 * config.t_end:
+        if (config.t_end - t <= 1e-12 * config.t_end if n_fixed is None
+                else steps_done == n_fixed):
             termination = "completed"
             break
         if steps_done >= MAX_STEPS:
             raise StabilityViolation(f"step budget of {MAX_STEPS} exhausted")
         fv = speed.f.value(kappa)       # F and Φ' share one f(κ)
-        F = speed._from_f(fv)
 
         termination = _stop(config, float(kappa.max()),
                             lambda: geometry.center_distance(ambient, markers).min())
         if termination:
             break
 
-        if config.dt is not None:
-            dt = min(config.dt, remaining)
-        else:
+        dt = config.dt
+        if dt is None:
             ds_min = math.sqrt(float(E.min())) * (2.0 * np.pi / n_nodes)
             phi_max = float(speed._dvalue_from_f(kappa, fv).max())
             dt = SAFETY * RK4_LIMIT * ds_min ** 2 / max(phi_max, 1e-300)
-            dt = min(dt, remaining)
+        dt = min(dt, config.t_end - t)
 
-        k1 = -F[:, None] * normal
+        k1 = -speed._from_f(fv)[:, None] * normal
         try:
             try:
                 stepped, E, normal, kappa = _advance(ambient, speed, markers, dt, k1)
@@ -364,9 +370,9 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
     radius before it goes extinct, so no run queries the solution past
     extinction; the stop row holds the stop radius itself, since the cap's
     crossing time can round onto the extinction time.  A fixed-dt run stores
-    what the gridded stepper stores: every store_every-th multiple of dt
-    below the stop, then the stop.  An adaptive run stores 129 evenly spaced
-    times, or t = 0 alone.  Either keeps only the last config.keep_last.
+    what the gridded stepper stores: k·dt for every store_every-th k below
+    fixed_steps(t_stop, dt), then the stop; an adaptive run stores 129 evenly
+    spaced times, or t = 0 alone.  Either keeps only the last config.keep_last.
     """
     ambient, r0 = config.ambient, config.initial.radius
     sol = sphere_ode_solution(ambient, config.speed, r0)
@@ -385,7 +391,7 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
     if not config.dt:
         times = np.linspace(0.0, t_stop, 129 if t_stop else 1)
     else:
-        n_steps = whole_steps(t_stop, config.dt) or math.ceil(t_stop / config.dt)
+        n_steps = fixed_steps(t_stop, config.dt)
         times = np.append(config.dt * np.arange(0, n_steps, config.store_every), t_stop)
     if config.keep_last:
         times = times[-config.keep_last:]

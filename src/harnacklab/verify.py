@@ -400,11 +400,11 @@ def applicable_tags(speed: SpeedFunction) -> tuple:
     return tuple(t for t in IDENTITIES if _ha.f_refusal(t, speed) is None)
 
 
-def _identity(tag: str, speed: SpeedFunction) -> Identity:
-    """The identity under tag; ConfigError if there is none, or if the monitor
-    variant of the same name refuses speed's f (harnack.f_refusal)."""
+def _identity(tag: str, speed: SpeedFunction, also: tuple = ()) -> Identity:
+    """The identity under tag; ConfigError if there is none (naming the known tags and
+    also), or if the monitor variant of that name refuses f (harnack.f_refusal)."""
     if tag not in IDENTITIES:
-        raise ConfigError(f"unknown identity tag {tag!r}; known: {IDENTITY_TAGS}")
+        raise ConfigError(f"unknown identity tag {tag!r}; known: {IDENTITY_TAGS + also}")
     if why := _ha.f_refusal(tag, speed):
         raise ConfigError(f"identity {tag!r} {why}")
     return IDENTITIES[tag]
@@ -479,11 +479,9 @@ def estimate_order(n_values, residuals) -> float:
     return float(-slope)
 
 
-# Steps a ladder flow keeps.  A level reads the states at t_check and
-# t_check ± Δt, and its run ends at t_check + Δt, but possibly with a sliver
-# step onto t_end: t_check need be whole steps only within flow.STATE_RTOL,
-# and summed steps can fall short of t_end.  So keep four, not three.
-LADDER_KEEP = 4
+# Steps a ladder flow keeps: a level reads the states at t_check and
+# t_check ± Δt, and its run ends at t_check + Δt.
+LADDER_KEEP = 3
 
 
 def standard_test_flow(ambient: AmbientSpace, speed: SpeedFunction, n_nodes: int,
@@ -534,7 +532,7 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
         raise ConfigError(f"repeated identity tag(s) {repeated}")
     for tag in tags:
         if tag != "grad-commutator":
-            _identity(tag, speed)
+            _identity(tag, speed, also=("grad-commutator",))
     if (len(levels) < 2 or len(set(levels)) < len(levels)
             or not all(map(_node_count_ok, levels))):
         raise ConfigError(f"need at least two grid levels, none repeated, each an even "

@@ -59,7 +59,10 @@ def full_grid_rk4(ambient, speed, markers, t_end, dt=None, store_every=1):
     whole wrap-padded array, and dt, the stage sums, the projection onto the
     unit sphere and the storing follow flow.run's arithmetic.  markers must
     have the run's dtype.  It knows no stop but t_end and no rejected step,
-    so use it only on runs that complete.
+    so use it only on runs that complete.  A fixed dt steps until t_end is
+    within 1e-12·t_end, while flow.run takes flow.fixed_steps steps: the two
+    differ when t_end lies a sliver (within flow.STATE_RTOL, but more than
+    1e-12·t_end) above whole steps, so use it only on a t_end without one.
     """
     def geometry_and_speed(x):
         E, normal, _, kappa = _profile_geometry(ambient, x)

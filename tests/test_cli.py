@@ -533,6 +533,15 @@ PINNED_TABLES = {   # case: (subcommand, config keys, {table: sha256 prefix})
         dict(ambient="euclidean", speed="power-mean(3)", exponent=1.0, radius="auto",
              amplitude=0.05, n_nodes=16, t_end=0.01, store_every=5),
         {"simulate": "92381ee96d58e034"}),
+    # a fixed dt whose last step is partial: 10 steps of dt, then 5e-4 onto t_end
+    "simulate-fixed-dt-partial-last-step": (
+        "simulate", dict(exponent=0.5, amplitude=0.05, n_nodes=16, dt=1e-3, t_end=0.0105),
+        {"simulate": "1f606dc6883e4364"}),
+    # a fixed dt of whole steps, stored every third step and at the last
+    "simulate-fixed-dt-store-every-3": (
+        "simulate",
+        dict(exponent=0.5, amplitude=0.05, n_nodes=16, dt=1e-3, t_end=0.01, store_every=3),
+        {"simulate": "3a447fd25eb28ce5"}),
     # the benchmark's ladder at the centre of its amplitude band
     "verify-evolution": (
         "verify-evolution",

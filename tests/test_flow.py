@@ -195,6 +195,22 @@ def test_both_tiers_store_the_dt_grid():
             assert flow.time_derivative(traj, "F", 2 * h, h).shape == (traj[0].n_nodes,)
 
 
+@pytest.mark.parametrize("offset, n_stored", [(5e-10, 50), (-5e-10, 50), (0.0, 50),
+                                              (0.5e-4, 51)],
+                         ids=["sliver-above", "sliver-below", "whole", "partial"])
+def test_both_tiers_take_the_same_number_of_fixed_steps(offset, n_stored):
+    """t_end = 49·dt + offset: within flow.STATE_RTOL of 49 steps both tiers take 49,
+    with no 5e-10 sliver step on the gridded tier; half a step over, both take 50."""
+    t_end = 49e-4 + offset
+    umbilic, grid = (flow.run(flow.FlowConfig(SPHERE, _speed(1.0), initial, t_end=t_end,
+                                              dt=1e-4))
+                     for initial in (geo.GeodesicSphere(0.8),
+                                     geo.markers_from_radial(SPHERE, 0.8, 16)))
+    assert umbilic.termination == grid.termination == "completed"
+    assert len(umbilic.times) == len(grid.times) == n_stored
+    assert abs(umbilic.times[-1] - grid.times[-1]) <= flow.STATE_RTOL
+
+
 def test_umbilic_run_stopped_early_keeps_the_dt_grid():
     """The radius floor r = 0.5 is reached at t = 0.1875, between grid points."""
     traj = flow.run(flow.FlowConfig(FLAT, _speed(1.0), geo.GeodesicSphere(1.0),

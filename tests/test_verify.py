@@ -267,6 +267,17 @@ def test_ladder_rejects_bad_input_before_running_a_flow(monkeypatch):
         V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta", "beta"), levels=(24, 48))
 
 
+def test_an_unknown_tag_refusal_names_every_tag_the_ladder_accepts(monkeypatch):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran before the tags were checked")
+
+    monkeypatch.setattr(V, "standard_test_flow", no_flow)
+    with pytest.raises(ConfigError, match="unknown identity tag 'grad-comutator'") as err:
+        V.residual_ladder(SPHERE, MEAN_HALF, tags=("grad-comutator",), levels=(24, 48))
+    assert "'grad-commutator'" in str(err.value)
+    assert all(repr(tag) in str(err.value) for tag in V.IDENTITY_TAGS)
+
+
 def test_ladder_refuses_expanding_speed_on_the_sphere_before_running_a_flow(monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran before the speed was checked")
@@ -297,15 +308,15 @@ def test_ladder_rejects_t_check_off_the_step_grid_before_running_a_flow(
 
 def test_a_ladder_flow_keeps_only_its_last_steps():
     traj = V.standard_test_flow(SPHERE, NORM_HALF, 16, 1e-3, t_end=5e-3)
-    assert len(traj.steps) == V.LADDER_KEEP == 4
-    npt.assert_allclose(traj.times, [2e-3, 3e-3, 4e-3, 5e-3], rtol=1e-12)
+    assert len(traj.steps) == V.LADDER_KEEP == 3
+    npt.assert_allclose(traj.times, [3e-3, 4e-3, 5e-3], rtol=1e-12)
 
 
 @pytest.mark.parametrize("t_check", [4e-3, 4e-3 + 5e-10], ids=["on-grid", "sliver"])
 def test_ladder_residuals_do_not_depend_on_the_window(monkeypatch, t_check):
-    """t_check = 4e-3 + 5e-10 is a whole number of steps within flow.STATE_RTOL, so each
-    level's run ends on a sliver step onto t_check + dt: a three-step window would
-    drop the state at t_check - dt that the ladder reads."""
+    """t_check = 4e-3 + 5e-10 is a whole number of steps within flow.STATE_RTOL, so it
+    adds no sliver step onto t_check + dt: the three kept steps are still the states at
+    t_check and t_check ± dt that the ladder reads."""
     def ladder():
         return V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta", "grad-commutator"),
                                  levels=(24, 48), dt0=8e-4, t_check=t_check)
