@@ -57,7 +57,8 @@ class CurvatureFunction:
 
     name identifies it in configs and reports.  value, gradient and hessian
     evaluate it at κ of shape (..., n), returning (...,), (..., n) and
-    (..., n, n).  The Urbas inequality scan needs inverse_concave.
+    (..., n, n); hessian returns a new array, which SpeedFunction.d2value
+    scales in place.  The Urbas inequality scan needs inverse_concave.
     """
 
     name: str
@@ -103,9 +104,13 @@ def _power_mean_core(r: float):
     def hessian(kappa):
         s = power_sum(kappa)[..., None, None]
         kr1 = kappa ** (r - 1.0)
-        diag = s ** (1.0 / r - 1.0) * _diag_embed(kappa ** (r - 2.0))
-        outer = s ** (1.0 / r - 2.0) * (kr1[..., :, None] * kr1[..., None, :])
-        return (r - 1.0) * (diag - outer)
+        outer = kr1[..., :, None] * kr1[..., None, :]
+        outer *= s ** (1.0 / r - 2.0)
+        hess = _diag_embed(kappa ** (r - 2.0))
+        hess *= s ** (1.0 / r - 1.0)
+        hess -= outer
+        hess *= r - 1.0
+        return hess
 
     return value, gradient, hessian
 
@@ -165,8 +170,13 @@ def harmonic_mean() -> CurvatureFunction:
         n = kappa.shape[-1]
         s = np.sum(1.0 / kappa, axis=-1)[..., None, None]
         k2 = kappa ** -2.0
-        outer = k2[..., :, None] * k2[..., None, :]
-        return n * n * (2.0 / s ** 3 * outer - 2.0 / s ** 2 * _diag_embed(kappa ** -3.0))
+        hess = k2[..., :, None] * k2[..., None, :]
+        hess *= 2.0 / s ** 3
+        diag = _diag_embed(kappa ** -3.0)
+        diag *= 2.0 / s ** 2
+        hess -= diag
+        hess *= n * n
+        return hess
 
     return CurvatureFunction("harmonic-mean", value, gradient, hessian,
                              inverse_concave=True)
@@ -278,9 +288,12 @@ class SpeedFunction:
         a = self.exponent
         fv = self.f.value(kappa)[..., None, None]
         gr = self.f.gradient(kappa)
+        hess = self.f.hessian(kappa)
+        hess *= abs(a) * fv ** (a - 1.0)
         outer = gr[..., :, None] * gr[..., None, :]
-        return abs(a) * fv ** (a - 1.0) * self.f.hessian(kappa) \
-            + abs(a) * (a - 1.0) * fv ** (a - 2.0) * outer
+        outer *= abs(a) * (a - 1.0) * fv ** (a - 2.0)
+        hess += outer
+        return hess
 
     def scalar_derivs(self, fval):
         """(F, F', F'', F''') as functions of the scalar f-value.
@@ -314,18 +327,21 @@ def weingarten_eigensystem(g, h):
     for name, X in (("metric g", g), ("second form h", h)):
         if not np.all(np.isfinite(X)):
             raise ConfigError(f"the {name} has non-finite entries")
-        asym = np.abs(X - np.swapaxes(X, -1, -2)).max(axis=(-2, -1))
-        if np.any(asym > SYMMETRY_RTOL * np.abs(X).max(axis=(-2, -1))):
+        work = X - np.swapaxes(X, -1, -2)
+        asym = np.abs(work, out=work).max(axis=(-2, -1))
+        if np.any(asym > SYMMETRY_RTOL * np.abs(X, out=work).max(axis=(-2, -1))):
             raise ConfigError(f"the {name} is not symmetric")
+    del work
     try:
-        L = np.linalg.cholesky(g)
+        Li = np.linalg.inv(np.linalg.cholesky(g))
     except np.linalg.LinAlgError:
         raise ConfigError("the metric g is not positive definite") from None
-    Li = np.linalg.inv(L)
     LiT = np.swapaxes(Li, -1, -2)
     A = Li @ h @ LiT
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    A += np.swapaxes(A, -1, -2)
+    A *= 0.5
     kappa, U = np.linalg.eigh(A)
+    del A
     return kappa, LiT @ U
 
 
@@ -339,19 +355,24 @@ def d2F_spectrum(speed, kappa):
 
     D_ab = (Φ'_a − Φ'_b)/(κ_a − κ_b) off the diagonal, with the analytic
     limit ½(Φ''_aa + Φ''_bb) − Φ''_ab where κ_a and κ_b coincide, and zero
-    on the diagonal, whose η̂_aa entries the Φ'' part carries.
+    on the diagonal, whose η̂_aa entries the Φ'' part carries.  D is one
+    array, divided in place by κ_a − κ_b, whose coincident entries are then
+    set from the limit; the differences are freed before that.
     """
     phi = speed.dvalue(kappa)
     hess = speed.d2value(kappa)
     dk = kappa[..., :, None] - kappa[..., None, :]
-    dphi = phi[..., :, None] - phi[..., None, :]
     scale = np.max(np.abs(kappa), axis=-1)[..., None, None]
     near = np.abs(dk) <= EIG_COINCIDENCE_RTOL * scale
-    hd = np.einsum("...aa->...a", hess)
-    limit = 0.5 * (hd[..., :, None] + hd[..., None, :]) - hess
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dd = np.where(near, limit, dphi / np.where(near, 1.0, dk))
     idx = np.arange(kappa.shape[-1])
+    near[..., idx, idx] = False
+    dd = phi[..., :, None] - phi[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dd /= dk
+    del dk
+    at = near.nonzero()
+    hd = np.diagonal(hess, axis1=-2, axis2=-1)
+    dd[at] = 0.5 * (hd[at[:-1]] + hd[at[:-2] + at[-1:]]) - hess[at]
     dd[..., idx, idx] = 0.0
     return phi, hess, dd
 
@@ -361,7 +382,9 @@ def d2F_quadratic_eigenframe(spectrum, eta_hat):
     _, hess, dd = spectrum
     ed = np.einsum("...aa->...a", eta_hat)
     quad = ((hess @ ed[..., None])[..., 0] * ed).sum(axis=-1)
-    return quad + (dd * eta_hat ** 2).sum(axis=(-2, -1))
+    off = eta_hat ** 2
+    off *= dd
+    return quad + off.sum(axis=(-2, -1))
 
 
 def _to_eigenframe(T, X):

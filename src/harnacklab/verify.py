@@ -41,7 +41,10 @@ sample and its equality witness alike.  Samples draw κ log-uniformly and
 η̂ from symmetrized Gaussians, seeded through a splittable 64-bit
 SeedSequence so scans are reproducible per task.  A scan draws and
 evaluates SCAN_BATCH samples at a time, so that one constant fixes both the
-draws and the memory.
+draws and the memory.  Within a batch each (SCAN_BATCH, n, n) array lives
+only while it is read: η̂'s Gaussian is symmetrized in place, metric_pair
+frees each of its Gaussians once read, harnack-form frees g, h and T before
+its kernel runs, and symfunc's spectral calculus works in place.
 """
 
 from __future__ import annotations
@@ -658,14 +661,23 @@ class ScanReport:
     witness_max_abs_gap: float
 
 
-def metric_pair(kappa, A, Z):
-    """(g, h) stacks with Weingarten eigenvalues exactly κ, from Gaussians A and Z."""
-    n = kappa.shape[-1]
-    g = A @ np.swapaxes(A, 1, 2) + n * np.eye(n)[None]
+def metric_pair(kappa, rng):
+    """(g, h) stacks with Weingarten eigenvalues exactly κ, from two Gaussians of rng.
+
+    g = G Gᵀ + n·1 and h = L Q diag(κ) Qᵀ Lᵀ, with g = L Lᵀ and Q the QR
+    factor of the second Gaussian Z.  Each Gaussian is freed once read: G
+    before Z is drawn, Z before h is formed.
+    """
+    samples, n = kappa.shape
+    g = rng.standard_normal((samples, n, n))
+    g = g @ np.swapaxes(g, 1, 2)
+    g += n * np.eye(n)
+    Q = np.linalg.qr(rng.standard_normal((samples, n, n)))[0]
+    h = (Q * kappa[:, None, :]) @ np.swapaxes(Q, 1, 2)
+    del Q
     L = np.linalg.cholesky(g)
-    Q, _ = np.linalg.qr(Z)
-    core = (Q * kappa[:, None, :]) @ np.swapaxes(Q, 1, 2)
-    h = L @ core @ np.swapaxes(L, 1, 2)
+    h = L @ h
+    h = h @ np.swapaxes(L, 1, 2)
     return g, h
 
 
@@ -678,28 +690,34 @@ def _scan_once(inequality, f, speed, rng, samples, n):
     """Worst normalized gap of one batch, then the gap at its equality witness.
 
     The batch draws from rng, in order, log-uniform κ in Γ₊ (over
-    KAPPA_RANGE), the Gaussian behind η̂ and, for harnack-form, the two
-    Gaussians that metric_pair takes.
+    KAPPA_RANGE), the Gaussian behind η̂ (symmetrized in place) and, for
+    harnack-form, the two Gaussians that metric_pair draws.  harnack-form
+    turns η and its witness h into the eigenframe right after the
+    eigensolve, so g, h and T are freed before the kernel runs; η̂ is freed
+    once its gap is read.
     """
     lo, hi = np.log(KAPPA_RANGE[0]), np.log(KAPPA_RANGE[1])
     kappa = np.exp(rng.uniform(lo, hi, size=(samples, n)))
-    A = rng.standard_normal((samples, n, n))
-    eta_hat = 0.5 * (A + np.swapaxes(A, 1, 2))
+    eta_hat = rng.standard_normal((samples, n, n))
+    eta_hat += np.swapaxes(eta_hat, 1, 2)
+    eta_hat *= 0.5
     general = inequality == "harnack-form"
     if general:
         # Exercised through general-position (g, h) pairs rather than the
         # eigenframe: the sampled η is a coordinate matrix here.  One
         # eigensolve serves both η and the equality witness η = h.
-        g, h = metric_pair(kappa, rng.standard_normal((samples, n, n)),
-                           rng.standard_normal((samples, n, n)))
+        g, h = metric_pair(kappa, rng)
         kappa, T = _sf.weingarten_eigensystem(g, h)
         eta_hat = _sf._to_eigenframe(T, eta_hat)
+        witness = _sf._to_eigenframe(T, h)
+        del g, h, T
     terms = SCAN_KERNELS[inequality](f, speed, kappa)
     quad, pos, neg = terms(eta_hat)
+    del eta_hat
     worst = float(((quad + pos - neg) / np.maximum(np.abs(quad) + pos + neg, 1e-300)).min())
     if inequality == "fb-dominance":
         return worst, 0.0
-    quad, pos, neg = terms(_sf._to_eigenframe(T, h) if general else _sf._diag_embed(kappa))
+    quad, pos, neg = terms(witness if general else _sf._diag_embed(kappa))
     return worst, float(np.max(np.abs(quad + pos - neg)))
 
 
@@ -710,11 +728,11 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
 
     Scans f = speed.f (speed defaults to the mean curvature H).  Unknown or
     repeated tags, samples < 1, empty, repeated or non-positive dimensions,
-    urbas for an f that is not inverse-concave and a task whose gap is not
-    finite at the corners of the sampled κ box (η̂ all ones; f overflows
-    there) raise ConfigError before any sample is drawn.  One SeedSequence
-    child per (inequality, n) task keeps results reproducible and
-    independent of task order.  Returns ScanReports with the worst
+    a seed that is not a non-negative integer, urbas for an f that is not
+    inverse-concave and a task whose gap is not finite at the corners of the
+    sampled κ box (η̂ all ones; f overflows there) raise ConfigError before
+    any sample is drawn.  One SeedSequence child per (inequality, n) task
+    keeps results reproducible and independent of task order.  Returns ScanReports with the worst
     normalized gap over all samples and the largest |gap| at the equality
     witness: η̂ = diag(κ), or η̂ = Tᵀ h T for harnack-form.
     """
@@ -729,6 +747,8 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
     repeated = [sorted({v for v in vs if vs.count(v) > 1}) for vs in (inequalities, n_values)]
     if any(repeated):
         raise ConfigError(f"repeated inequality tag(s) {repeated[0]} or dimension(s) {repeated[1]}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"the scan seed must be a non-negative integer, got {seed!r}")
     if speed is None:
         speed = SpeedFunction(_sf.mean(), 1.0)
     f = speed.f

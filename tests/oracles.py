@@ -14,6 +14,7 @@ from harnacklab.flow import RK4_LIMIT, SAFETY
 from harnacklab.geometry import (SurfaceState, _profile_geometry, _validated_markers,
                                  periodic_d1, periodic_d2)
 from harnacklab.harnack import zeta_branch_threshold
+from harnacklab.symfunc import EIG_COINCIDENCE_RTOL, _column_sum, _diag_embed
 from harnacklab.verify import KAPPA_RANGE
 
 
@@ -120,3 +121,53 @@ def _sample_metric_pair(rng, samples: int, n: int, kappa):
     core = (Q * kappa[:, None, :]) @ np.swapaxes(Q, 1, 2)
     h = L @ core @ np.swapaxes(L, 1, 2)
     return g, h
+
+
+def _out_of_place_hessian(f, kappa):
+    """f's Hessian as whole-array expressions: a new array per operation."""
+    n = kappa.shape[-1]
+    if f.name == "harmonic-mean":
+        s = np.sum(1.0 / kappa, axis=-1)[..., None, None]
+        k2 = kappa ** -2.0
+        outer = k2[..., :, None] * k2[..., None, :]
+        return n * n * (2.0 / s ** 3 * outer - 2.0 / s ** 2 * _diag_embed(kappa ** -3.0))
+    r = {"mean": 1.0, "norm": 2.0}.get(f.name) or float(f.name[len("power-mean("):-1])
+    if r == 1.0:
+        s = _column_sum(kappa)
+    elif r == 2.0:
+        s = _column_sum(kappa * kappa)
+    else:
+        s = np.sum(kappa ** r, axis=-1)
+    s = s[..., None, None]
+    kr1 = kappa ** (r - 1.0)
+    diag = s ** (1.0 / r - 1.0) * _diag_embed(kappa ** (r - 2.0))
+    outer = s ** (1.0 / r - 2.0) * (kr1[..., :, None] * kr1[..., None, :])
+    return (r - 1.0) * (diag - outer)
+
+
+def d2F_spectrum_by_where(speed, kappa):
+    """(Φ', Φ'', D) of symfunc.d2F_spectrum, written out of place.
+
+    Φ'' = |α| f^(α−1) f_ij + |α|(α−1) f^(α−2) f_i f_j, and D picks the
+    coincidence limit ½(Φ''_aa + Φ''_bb) − Φ''_ab or the divided difference
+    with np.where over whole arrays; the same elementwise operations as the
+    package's in-place form, so the two must agree bit for bit.
+    """
+    phi = speed.dvalue(kappa)
+    a, f = speed.exponent, speed.f
+    fv = f.value(kappa)[..., None, None]
+    gr = f.gradient(kappa)
+    outer = gr[..., :, None] * gr[..., None, :]
+    hess = abs(a) * fv ** (a - 1.0) * _out_of_place_hessian(f, kappa) \
+        + abs(a) * (a - 1.0) * fv ** (a - 2.0) * outer
+    dk = kappa[..., :, None] - kappa[..., None, :]
+    dphi = phi[..., :, None] - phi[..., None, :]
+    scale = np.max(np.abs(kappa), axis=-1)[..., None, None]
+    near = np.abs(dk) <= EIG_COINCIDENCE_RTOL * scale
+    hd = np.einsum("...aa->...a", hess)
+    limit = 0.5 * (hd[..., :, None] + hd[..., None, :]) - hess
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dd = np.where(near, limit, dphi / np.where(near, 1.0, dk))
+    idx = np.arange(kappa.shape[-1])
+    dd[..., idx, idx] = 0.0
+    return phi, hess, dd

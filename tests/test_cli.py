@@ -552,6 +552,20 @@ PINNED_TABLES = {   # case: (subcommand, config keys, {table: sha256 prefix})
     "scan-inequalities": (
         "scan-inequalities", dict(speed="mean", exponent=1, dimensions="2,3,5", samples=10000),
         {"scans": "6a8faf77fe18f963"}),
+    # two full batches per task, through every curvature Hessian and speed Φ''
+    # branch the spectrum evaluates: the norm (r = 2), a general power mean and
+    # the harmonic mean (the mean's r = 1 is the benchmark's scan above)
+    "scan-inequalities-norm": (
+        "scan-inequalities", dict(speed="norm", exponent=0.5, dimensions="2,3,5", samples=2048),
+        {"scans": "b9d36a28cbd83d0e"}),
+    "scan-inequalities-power-mean": (
+        "scan-inequalities",
+        dict(speed="power-mean(3)", exponent=0.3, dimensions="2,3,5", samples=2048),
+        {"scans": "737ceedc0fbb9dea"}),
+    "scan-inequalities-harmonic-mean": (
+        "scan-inequalities",
+        dict(speed="harmonic-mean", exponent=1, dimensions="2,3,5", samples=2048),
+        {"scans": "eb086d46a349249c"}),
 }
 
 
@@ -687,6 +701,16 @@ def test_a_scan_that_cannot_certify_is_refused_before_any_draw(tmp_path, capsys,
         assert run_cli("scan-inequalities", cfg, out) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.strip() == message
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_negative_scan_seed_is_refused_before_any_output(tmp_path, capsys):
+    """--seed -1 used to end in a ValueError traceback from np.random.SeedSequence."""
+    cfg = write_cfg(tmp_path, exponent=1, samples=100, dimensions=2)
+    out = tmp_path / "out"
+    assert run_cli("scan-inequalities", cfg, out, "--seed", "-1") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "error: the scan seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sub", ["simulate", "scan-inequalities"])

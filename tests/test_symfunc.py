@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from harnacklab import symfunc as sf
 from harnacklab import verify as V
 from harnacklab.errors import ConfigError, ConvexityLost
+from oracles import d2F_spectrum_by_where
 
 
 def _fd_grad(f, kappa, step=1e-6):
@@ -224,8 +225,7 @@ def test_weingarten_eigensystem_reconstructs(n):
     rng = np.random.default_rng(5 + n)
     lo, hi = np.log(V.KAPPA_RANGE)
     kappa_in = np.exp(rng.uniform(lo, hi, size=(500, n)))
-    g, h = V.metric_pair(kappa_in, rng.standard_normal((500, n, n)),
-                         rng.standard_normal((500, n, n)))
+    g, h = V.metric_pair(kappa_in, rng)
     kappa, T = sf.weingarten_eigensystem(g, h)
     scale = kappa_in.max(axis=1)[:, None]
     # columns are g-orthonormal and diagonalize h to the prescribed spectrum
@@ -300,6 +300,28 @@ def test_d2F_quadratic_eigenframe_matches_the_einsum_form():
         + np.einsum("...ab,...ab->...", dd, eta_hat ** 2)
     npt.assert_allclose(sf.d2F_quadratic_eigenframe(spectrum, eta_hat), oracle,
                         rtol=1e-13, atol=1e-13 * np.abs(oracle).max())
+
+
+SPECTRUM_SPEEDS = [(sf.mean(), 1.0), (sf.mean(), -0.5), (sf.norm(), 0.5),
+                   (sf.power_mean(3.0), 0.3), (sf.power_mean(-2.0), 1.5),
+                   (sf.harmonic_mean(), 1.0)]
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.float64])
+@pytest.mark.parametrize("f, exponent", SPECTRUM_SPEEDS,
+                         ids=[f"{f.name}^{a:g}" for f, a in SPECTRUM_SPEEDS])
+def test_d2F_spectrum_keeps_the_bits_of_the_where_form(f, exponent, dtype):
+    """Exactly and nearly coincident pairs take the limit, the rest divide."""
+    rng = np.random.default_rng(37)
+    kappa = np.exp(rng.uniform(-4.0, 4.0, size=(400, 4))).astype(dtype)
+    kappa[:100, 1] = kappa[:100, 0]
+    kappa[100:200, 3] = kappa[100:200, 2] * (1 + dtype(1e-10))
+    kappa[200:250] = kappa[200:250, :1]
+    speed = sf.SpeedFunction(f, exponent)
+    for got, want in zip(sf.d2F_spectrum(speed, kappa), d2F_spectrum_by_where(speed, kappa)):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_dF_matrix_power_composition():

@@ -672,6 +672,25 @@ def test_scan_refuses_urbas_for_non_inverse_concave_f_before_scanning(monkeypatc
     assert calls == []
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None, True],
+                         ids=["negative", "float", "str", "none", "bool"])
+def test_scan_refuses_a_seed_that_is_not_a_non_negative_integer(monkeypatch, seed):
+    """seed = -1 used to die inside np.random.SeedSequence with a ValueError,
+    1.5 with a TypeError, and None drew an unrecorded seed from the OS."""
+    calls = []
+    monkeypatch.setattr(V, "_scan_once", lambda *args: calls.append(args[0]))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"the scan seed must be a non-negative integer, got {seed!r}")):
+        V.scan_inequalities(("f-lemma",), (2,), samples=10, seed=seed)
+    assert calls == []
+
+
+def test_a_numpy_integer_seed_scans_as_its_int():
+    reps = [V.scan_inequalities(("f-lemma",), (2,), samples=10, seed=seed)[0]
+            for seed in (np.int64(7), 7)]
+    assert reps[0] == reps[1]
+
+
 @pytest.mark.parametrize("inequalities, n_values, match", [
     (("f-lemma", "f-lemma"), (2, 2), r"tag\(s\) \['f-lemma'\] or dimension\(s\) \[2\]"),
     (("f-lemma", "urbas"), (3, 2, 3), r"tag\(s\) \[\] or dimension\(s\) \[3\]"),
@@ -729,19 +748,26 @@ def test_scan_evaluates_the_speed_derivatives_once_per_batch(monkeypatch):
     assert calls == {"dvalue": spectra, "d2value": spectra}
 
 
-@pytest.mark.parametrize("inequality, limit_mib", [("harnack-form", 5), ("urbas", 4),
-                                                    ("f-lemma", 3), ("fb-dominance", 2)])
-def test_a_scan_batch_holds_only_a_block_of_temporaries(inequality, limit_mib):
+# Traced heap bound of one n = 5 batch, MiB: the measured peak plus about 10%.
+BATCH_PEAK_MIB = {"harnack-form": 1.4, "urbas": 1.2, "f-lemma": 0.75, "fb-dominance": 0.55}
+
+
+@pytest.mark.parametrize("inequality", BATCH_PEAK_MIB)
+def test_a_scan_batch_holds_only_a_block_of_temporaries(inequality):
     """The traced heap peak of one n = 5 batch was 14.9 MiB (harnack-form),
     6.7 (urbas), 6.1 (f-lemma) and 5.2 (fb-dominance) when a batch was 20,000
-    samples, drawn before they were evaluated block by block."""
+    samples, drawn before they were evaluated block by block, and 2.26, 1.76,
+    1.06 and 0.63 MiB for 1,024 samples before each (1024, 5, 5) array was
+    freed once read and the spectral calculus worked in place.  A small batch
+    first takes the one-time costs of first use out of the measured peak."""
+    V._scan_once(inequality, mean(), MEAN_ONE, np.random.default_rng(1), 8, 5)
     tracemalloc.start()
     try:
         V._scan_once(inequality, mean(), MEAN_ONE, np.random.default_rng(1), V.SCAN_BATCH, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= limit_mib * 2 ** 20, peak / 2 ** 20
+    assert peak <= BATCH_PEAK_MIB[inequality] * 2 ** 20, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("inequality", V.SCAN_INEQUALITIES)
@@ -783,8 +809,7 @@ def test_scan_explicit_roster_runs_for_norm():
 def test_sample_metric_pair_realizes_prescribed_curvatures():
     rng = np.random.default_rng(3)
     kappa = np.abs(rng.normal(size=(6, 3))) + 0.1
-    g, h = V.metric_pair(kappa, rng.standard_normal((6, 3, 3)),
-                         rng.standard_normal((6, 3, 3)))
+    g, h = V.metric_pair(kappa, rng)
     assert g.shape == h.shape == (6, 3, 3)
     for i in range(6):
         assert np.all(np.linalg.eigvalsh(g[i]) > 0.0)
