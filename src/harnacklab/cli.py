@@ -403,8 +403,8 @@ def cmd_verify_evolution(args, cfg) -> int:
     res_header = ["identity", "n_nodes", "dt", "t", "residual", "rhs_scale"]
     res_rows = [[tag, rec.n_nodes, rec.dt, rec.t, rec.residual, rec.rhs_scale]
                 for tag, rep in reports.items() for rec in rep.records]
-    ord_header = ["identity", "order", "finest_residual", "passed"]
-    ord_rows = [[tag, rep.order, rep.finest_residual,
+    ord_header = ["identity", "order", "finest_pair_order", "finest_residual", "passed"]
+    ord_rows = [[tag, rep.order, rep.finest_pair_order, rep.finest_residual,
                  int(rep.order >= cfg["min_order"] and rep.finest_residual <= cfg["max_residual"])]
                 for tag, rep in reports.items()]
     all_ok = all(row[-1] for row in ord_rows)

@@ -89,7 +89,8 @@ class FlowConfig:
     shortest marker spacing, max Φ' the largest ∂F/∂κᵢ over nodes and
     directions; Δt/2 retries count in Trajectory.rejected_steps).  An
     explicit dt takes fixed_steps(t_end, dt) steps, the last maybe partial,
-    as the convergence ladders need; a fixed dt that needs more than
+    as the two steps of Δt that end each convergence ladder level need (the
+    level reaches them at the adaptive step); a fixed dt that needs more than
     MAX_STEPS steps is refused here, on the grid-free tier too, which stores
     its multiples.  The stop rule's max_kappa is positive and at most
     MAX_KAPPA_LIMIT, so the sphere at the cap assembles to finite fields;

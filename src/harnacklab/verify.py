@@ -14,7 +14,7 @@ residual is
 
 The label stencils are sixth-order and Δt ∝ N⁻², so the O(Δt²) centered
 time difference sets a fourth-order target in N.  Fitted orders fall below
-it for some identities: the lowest on the acceptance ladders is 3.54 (beta
+it for some identities: the lowest on the acceptance ladders is 3.44 (beta
 under F = |κ|^0.5), and a ladder passes at order 1.8.
 
 IDENTITIES lists the supported tags, box-commutator ([∂ₜ, □]F) among them;
@@ -49,7 +49,7 @@ its kernel runs, and symfunc's spectral calculus works in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,7 +57,7 @@ import numpy as np
 from . import flow as _flow
 from . import harnack as _ha
 from . import symfunc as _sf
-from .errors import ConfigError
+from .errors import ConfigError, OutOfRange
 from .flow import FlowConfig, Trajectory, time_derivative
 from .geometry import (AmbientSpace, SurfaceState, _node_count_ok, box_op,
                        covariant_derivative, covariant_hessian, grad_scalar,
@@ -468,9 +468,14 @@ def commutator_residual(state: SurfaceState) -> ResidualRecord:
 
 @dataclass
 class LadderReport:
+    """One identity's ladder: its records per level, the order fitted to all of
+    them, the order of the finest pair of levels alone and the finest residual.
+    A finest-pair order far below the fitted one marks a finest level at the
+    roundoff floor (standard_test_flow)."""
     tag: str
     records: list
     order: float
+    finest_pair_order: float
     finest_residual: float
 
 
@@ -482,30 +487,45 @@ def estimate_order(n_values, residuals) -> float:
     return float(-slope)
 
 
-# Steps a ladder flow keeps: a level reads the states at t_check and
-# t_check ± Δt, and its run ends at t_check + Δt.
-LADDER_KEEP = 3
-
-
 def standard_test_flow(ambient: AmbientSpace, speed: SpeedFunction, n_nodes: int,
-                       dt: float, t_end: float, r0: Optional[float] = None,
+                       dt: float, t_check: float, r0: Optional[float] = None,
                        amplitude: float = 0.05, mode: int = 2) -> Trajectory:
-    """Perturbed-sphere reference flow used by the residual ladders.
+    """Perturbed-sphere flow of one ladder level, stored at t_check and t_check ± dt.
 
-    Runs in extended precision: the deepest residual subjects sit four label
+    A prefix run reaches t_check − dt at flow.run's adaptive step (about 20
+    times dt at N = 256 of the default ladder) and keeps its last state; a
+    tail run takes the two steps of dt that the centered difference reads
+    from there.  If t_check is one step of dt there is no prefix.  Both run
+    in extended precision: the deepest residual subjects sit four label
     derivatives above the marker positions, and their double precision
     evaluation noise (ε ≈ 10⁻¹⁶/Δu⁴), divided by the 2Δt of the centered
-    time difference, would dominate the finest-level residuals.  It steps
-    at the fixed dt and keeps only its last LADDER_KEEP steps, so a level's
-    storage does not grow with t_check.
+    time difference, would dominate the finest-level residuals, in a
+    float64 prefix state as in the tail.  A run that ends other than
+    "completed" raises OutOfRange, naming its termination and time, before
+    the next run starts.  The trajectory returned is the tail's, with its
+    config (t_end = 2·dt) and its times moved onto t_check.
     """
     if r0 is None:
         r0 = default_radius(ambient)
     markers = markers_from_radial(ambient, cos_mode_radial(r0, amplitude, mode), n_nodes)
-    config = FlowConfig(ambient=ambient, speed=speed, initial=markers,
-                        t_end=t_end, dt=dt, store_every=1, dtype="longdouble",
-                        keep_last=LADDER_KEEP)
-    return _flow.run(config)
+    t_start = t_check - dt
+    if _flow.whole_steps(t_check, dt) != 1:
+        prefix = _flow.run(FlowConfig(ambient=ambient, speed=speed, initial=markers,
+                                      t_end=t_start, dtype="longdouble", keep_last=1))
+        markers = _completed(prefix, n_nodes, 0.0).steps[-1]
+    tail = _flow.run(FlowConfig(ambient=ambient, speed=speed, initial=markers,
+                                t_end=2.0 * dt, dt=dt, dtype="longdouble"))
+    _completed(tail, n_nodes, t_start)
+    return replace(tail, times=np.array([t_start, t_check, t_check + dt]))
+
+
+def _completed(traj: Trajectory, n_nodes: int, t0: float) -> Trajectory:
+    """traj, a ladder run that started at time t0, if it completed; else OutOfRange."""
+    if traj.termination != "completed":
+        raise OutOfRange(
+            f"the N = {n_nodes} ladder flow stopped with {traj.termination!r} at "
+            f"t = {t0 + traj.times[-1]:g}, short of t = {t0 + traj.config.t_end:g}")
+    return traj
 
 
 def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
@@ -516,6 +536,9 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
 
     Level N uses Δt = dt0·(levels[0]/N)², so the centered-difference error
     O(Δt²) shrinks at fourth order in N alongside the label-stencil error.
+    Δt is the step of the centered difference only: each level's flow
+    (standard_test_flow) reaches t_check − Δt at the stable RK4 step and
+    then takes two steps of Δt, and raises OutOfRange if it stops short.
     Besides the evolution identities, tags may include 'grad-commutator',
     which needs no time differencing and is checked on the state at t_check;
     tags=None runs every identity valid for the speed, then 'grad-commutator'.
@@ -524,9 +547,9 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     repeated one or one that is not an even node count >= 8, a dt0 that is
     not positive and finite, a non-finite t_check and a t_check that is not
     a whole number of steps at some level, or is less than one step (the
-    centered time difference needs the state at t_check − Δt) or more than
-    flow.MAX_STEPS, raise ConfigError before any flow runs.
-    Returns {tag: LadderReport}.
+    centered time difference needs the state at t_check − Δt), raise
+    ConfigError before any flow runs.  Returns {tag: LadderReport}, whose
+    finest_pair_order is the order of the last two levels alone.
     """
     if tags is None:
         tags = applicable_tags(speed) + ("grad-commutator",)
@@ -550,21 +573,23 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
                 f"t_check = {t_check:g} is {t_check / dt:.6g} steps of dt = {dt:g} at "
                 f"N = {n_nodes}; it must be a whole number of steps, at least one, "
                 f"at every level")
-        _flow.check_step_budget(t_check + dt, dt)
     ladders = {tag: [] for tag in tags}
     for n_nodes, dt in zip(levels, dts):
-        traj = standard_test_flow(ambient, speed, n_nodes, dt,
-                                  t_end=t_check + dt, r0=r0,
+        traj = standard_test_flow(ambient, speed, n_nodes, dt, t_check, r0=r0,
                                   amplitude=amplitude, mode=mode)
         for tag in tags:
             if tag == "grad-commutator":
                 ladders[tag].append(commutator_residual(traj.state_at(t_check)))
             else:
                 ladders[tag].append(evolution_residual(traj, tag, t_check, dt))
-    return {tag: LadderReport(tag=tag, records=records,
-                              order=estimate_order(levels, [r.residual for r in records]),
-                              finest_residual=records[-1].residual)
-            for tag, records in ladders.items()}
+    reports = {}
+    for tag, records in ladders.items():
+        residuals = [r.residual for r in records]
+        reports[tag] = LadderReport(tag=tag, records=records,
+                                    order=estimate_order(levels, residuals),
+                                    finest_pair_order=estimate_order(levels[-2:], residuals[-2:]),
+                                    finest_residual=residuals[-1])
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +597,15 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
 # ---------------------------------------------------------------------------
 
 def _f_lemma_kernel(f, speed, kappa):
-    """terms(η̂) → (quad, pos, neg) of the f-lemma gap, which has no quadratic part."""
+    """terms(η̂) → (quad, pos, neg) of the f-lemma gap, which has no quadratic part;
+    terms(η̂, η̂²) reads the elementwise square from a caller that has formed it."""
     fi = grad_f(f, kappa)
     fv = eval_f(f, kappa)
     inv = 1.0 / kappa
 
-    def terms(eta_hat):
-        pos = np.einsum("...i,...j,...ij->...", fi, inv, eta_hat ** 2)
+    def terms(eta_hat, eta_sq=None):
+        pos = np.einsum("...i,...j,...ij->...", fi, inv,
+                        eta_hat ** 2 if eta_sq is None else eta_sq)
         neg = np.einsum("...i,...ii->...", fi, eta_hat) ** 2 / fv
         return 0.0, pos, neg
     return terms
@@ -592,27 +619,31 @@ def _require_inverse_concave(f):
 
 def _urbas_kernel(f, speed, kappa):
     """terms(η̂) → (quad, pos, neg) of the Urbas gap: f^{ij,kl} η̂ η̂ and twice the
-    f-lemma's terms.  f must be inverse-concave."""
+    f-lemma's terms, which share one η̂².  f must be inverse-concave."""
     _require_inverse_concave(f)
     lemma = _f_lemma_kernel(f, speed, kappa)
     spectrum = _sf.d2F_spectrum(SpeedFunction(f, 1.0), kappa)
 
     def terms(eta_hat):
-        _, pos, neg = lemma(eta_hat)
-        return _sf.d2F_quadratic_eigenframe(spectrum, eta_hat), 2.0 * pos, 2.0 * neg
+        eta_sq = eta_hat ** 2
+        _, pos, neg = lemma(eta_hat, eta_sq)
+        quad = _sf.d2F_quadratic_eigenframe(spectrum, eta_hat, eta_sq)    # overwrites eta_sq
+        return quad, 2.0 * pos, 2.0 * neg
     return terms
 
 
 def _harnack_form_kernel(f, speed, kappa):
-    """terms(η̂) → (quad, pos, neg) of the Harnack-form gap in the eigenframe."""
+    """terms(η̂) → (quad, pos, neg) of the Harnack-form gap in the eigenframe;
+    quad and pos share one η̂²."""
     spectrum = _sf.d2F_spectrum(speed, kappa)
     phi = spectrum[0]
     inv = 1.0 / kappa
     dFv = speed.delta_default * speed.value(kappa)
 
     def terms(eta_hat):
-        quad = _sf.d2F_quadratic_eigenframe(spectrum, eta_hat)
-        pos = 2.0 * np.einsum("...i,...j,...ij->...", inv, phi, eta_hat ** 2)
+        eta_sq = eta_hat ** 2
+        pos = 2.0 * np.einsum("...i,...j,...ij->...", inv, phi, eta_sq)
+        quad = _sf.d2F_quadratic_eigenframe(spectrum, eta_hat, eta_sq)    # overwrites eta_sq
         neg = np.einsum("...i,...ii->...", phi, eta_hat) ** 2 / dFv
         return quad, pos, neg
     return terms

@@ -10,8 +10,9 @@ import math
 import numpy as np
 
 from harnacklab.errors import ConfigError
-from harnacklab.flow import RK4_LIMIT, SAFETY
+from harnacklab.flow import RK4_LIMIT, SAFETY, FlowConfig, run
 from harnacklab.geometry import (SurfaceState, _profile_geometry, _validated_markers,
+                                 cos_mode_radial, default_radius, markers_from_radial,
                                  periodic_d1, periodic_d2)
 from harnacklab.harnack import zeta_branch_threshold
 from harnacklab.symfunc import EIG_COINCIDENCE_RTOL, _column_sum, _diag_embed
@@ -101,6 +102,22 @@ def full_grid_rk4(ambient, speed, markers, t_end, dt=None, store_every=1):
         times.append(t)
         stored.append(markers)
     return np.array(times), stored
+
+
+def fixed_dt_ladder_flow(ambient, speed, n_nodes, dt, t_check, r0=None, amplitude=0.05,
+                         mode=2):
+    """A ladder level stepped from t = 0 at the fixed dt, keeping its last three steps.
+
+    verify.standard_test_flow's signature and stored times, with the route
+    the ladder used to take: t_check/dt + 1 steps of dt in extended
+    precision, where the ladder takes the stable adaptive step up to
+    t_check − dt.  Both are fourth-order RK4 from the same initial markers,
+    so the residuals they give agree to the step error of the prefix.
+    """
+    radial = cos_mode_radial(default_radius(ambient) if r0 is None else r0, amplitude, mode)
+    return run(FlowConfig(ambient=ambient, speed=speed,
+                          initial=markers_from_radial(ambient, radial, n_nodes),
+                          t_end=t_check + dt, dt=dt, dtype="longdouble", keep_last=3))
 
 
 def _sample_kappa_eta(rng, samples: int, n: int):

@@ -40,16 +40,17 @@ CASES = {
 # The adaptive simulate run takes 24 RK4 steps to t = 0.1: 4 x 24 stage RHS,
 # one for the initial markers and 25 from assembling every stored step make
 # 122.  Each RHS calls the stencil pair and each assembly 5 more stencils:
-# 2 x 122 + 5 x 25 = 369.  The ladder's two fixed-dt flows take 52 steps:
-# 4 x 52 + 2 initial RHS + 6 assemblies make 216.  The trajectory-sourced
-# monitor takes 50 fixed steps and assembles each of its 51 stored steps
-# once, though ∂ₜF rereads every state's two neighbours, plus the sphere at
-# the curvature cap: 52.
+# 2 x 122 + 5 x 25 = 369.  Each ladder level takes one adaptive step to
+# t_check − dt and two of dt, 6 steps in all (52 from t = 0 at dt): 4 x 6
+# stage RHS, one for each of the 4 runs' initial markers and 6 assemblies
+# make 34 (216 from t = 0).  The trajectory-sourced monitor takes 50 fixed
+# steps and assembles each of its 51 stored steps once, though ∂ₜF rereads
+# every state's two neighbours, plus the sphere at the curvature cap: 52.
 EXACT = {"scan-inequalities": {"verify.scan.samples": 20_000,
                                "symfunc.eigensystem.matrices": 5000},
          "simulate": {"flow.steps": 24, "geometry.rhs.calls": 122,
                       "geometry.stencil.calls": 369},
-         "verify-evolution": {"flow.steps": 52, "geometry.rhs.calls": 216},
+         "verify-evolution": {"flow.steps": 6, "geometry.rhs.calls": 34},
          "monitor": {"flow.steps": 50, "geometry.assemble.calls": 52}}
 
 

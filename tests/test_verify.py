@@ -11,18 +11,19 @@ hand-evaluated examples and their exact equality witnesses.
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from harnacklab import verify as V
-from harnacklab.errors import ConfigError
+from harnacklab.errors import ConfigError, OutOfRange
 from harnacklab.flow import FlowConfig, GeodesicSphere, run
-from harnacklab.geometry import AmbientSpace, assemble, markers_from_radial
+from harnacklab.geometry import AmbientSpace, assemble, cos_mode_radial, markers_from_radial
 from harnacklab.symfunc import (SpeedFunction, _to_eigenframe, d2F_from_eig, harmonic_mean,
                                 mean, norm, power_mean, weingarten_eigensystem)
-from oracles import _sample_kappa_eta, _sample_metric_pair
+from oracles import _sample_kappa_eta, _sample_metric_pair, fixed_dt_ladder_flow
 
 SPHERE = AmbientSpace(c=1, dim=2)
 MEAN_HALF = SpeedFunction(mean(), 0.5)
@@ -104,7 +105,7 @@ def test_commutator_keeps_extended_precision_phi(monkeypatch):
 
 
 def test_residuals_of_one_state_build_its_second_derivative_once(monkeypatch):
-    traj = V.standard_test_flow(SPHERE, NORM_HALF, 24, 1e-3, t_end=3e-3)
+    traj = V.standard_test_flow(SPHERE, NORM_HALF, 24, 1e-3, t_check=2e-3)
     calls = []
     real = SpeedFunction.d2value
 
@@ -161,9 +162,9 @@ def test_evolution_residual_rejects_unknown_tag(umbilic_traj):
 
 
 def test_chi3_residual_needs_mean_speed():
-    traj = V.standard_test_flow(SPHERE, NORM_HALF, 16, 1e-3, t_end=5e-3)
+    traj = V.standard_test_flow(SPHERE, NORM_HALF, 16, 1e-3, t_check=4e-3)
     with pytest.raises(ConfigError, match="identity 'chi3' is specific to powers of the mean"):
-        V.evolution_residual(traj, "chi3", 3e-3, 1e-3)
+        V.evolution_residual(traj, "chi3", 4e-3, 1e-3)
 
 
 def test_default_ladder_runs_every_applicable_check():
@@ -173,68 +174,68 @@ def test_default_ladder_runs_every_applicable_check():
 
 # Every residual of residual_ladder(levels=(24, 48), dt0=8e-4, t_check=4e-3) at
 # N = 24 and 48, recorded with the n = 2 stepper on the upper half of the
-# profile.  The ladders only bound orders and sizes, which a small dropped
-# term can pass; pinning the values themselves catches any change to an identity's
-# right-hand side beyond rounding.
+# profile and each level's prefix at the adaptive step.  The ladders only bound
+# orders and sizes, which a small dropped term can pass; pinning the values
+# themselves catches any change to an identity's right-hand side beyond rounding.
 FROZEN_LADDERS = {
     "sphere-mean^0.8": {
-        "metric": (0.0004508094941335027, 9.284950841441512e-06),
-        "inverse-metric": (1.5451335677536397e-05, 9.701322478690764e-07),
-        "sff": (0.0005118150926099041, 9.695608571815703e-06),
-        "weingarten": (0.0005261473650095456, 1.3369668915180062e-05),
-        "sff-box": (0.005914937945486285, 0.00030612751530518064),
-        "weingarten-box": (0.0037505527799921844, 0.00022137838711604608),
-        "inverse-sff": (0.009540346941438538, 0.0026954279493139263),
-        "squared-sff": (0.0001597158098901085, 4.37431528178943e-06),
-        "speed": (0.00015643646149257555, 4.508067722781113e-06),
-        "christoffel": (0.053283928593314316, 0.0024902365813667597),
-        "grad-speed": (0.023806895937810935, 0.000864490640728161),
-        "beta": (0.0006353615546634838, 1.9964778900530558e-05),
-        "theta": (0.041016304606341196, 0.0027477684098907045),
-        "chi2": (0.00012847469663656604, 5.353093676282045e-06),
-        "chi3": (0.00012161260735975557, 5.0871085062325115e-06),
-        "chi1": (9.687090051418752e-05, 4.0697494219019535e-06),
-        "box-commutator": (0.0015785282319784215, 4.4081931224134405e-05),
-        "grad-commutator": (0.0011749968720291112, 4.84420284192864e-05),
+        "metric": (0.0004508092660327382, 9.2849720396838e-06),
+        "inverse-metric": (1.545133539610135e-05, 9.701323030149288e-07),
+        "sff": (0.0005118147567293626, 9.695616674646018e-06),
+        "weingarten": (0.0005261468253832817, 1.3369694139345e-05),
+        "sff-box": (0.005914933777980694, 0.0003061278617112036),
+        "weingarten-box": (0.0037505503983717107, 0.00022137883580890472),
+        "inverse-sff": (0.009540348004750378, 0.002695428870460657),
+        "squared-sff": (0.00015971456377931691, 4.374606511352135e-06),
+        "speed": (0.00015643623448196916, 4.508083998458356e-06),
+        "christoffel": (0.0532839142805852, 0.002490239681161417),
+        "grad-speed": (0.023806956131740678, 0.0008645017902674311),
+        "beta": (0.0006353777770774408, 1.9930257051518235e-05),
+        "theta": (0.0410164899187206, 0.002749724383091352),
+        "chi2": (0.0001284749320872814, 5.360865570254851e-06),
+        "chi3": (0.0001216128290494723, 5.094472732062723e-06),
+        "chi1": (9.68710763332294e-05, 4.075593089412659e-06),
+        "box-commutator": (0.0015785678420449556, 4.419035554519971e-05),
+        "grad-commutator": (0.0011749971367658368, 4.8442036926829394e-05),
     },
     "euclidean-mean^0.8": {
-        "metric": (0.00042960603691069094, 8.17974221359845e-06),
-        "inverse-metric": (1.2294601514941803e-05, 5.650341895028045e-07),
-        "sff": (0.00042015017609062406, 7.787359997020997e-06),
-        "weingarten": (0.0003551982947529121, 8.160537251109823e-06),
-        "sff-box": (0.006892900740704026, 0.00045233023055488066),
-        "weingarten-box": (0.00756114195758067, 0.0005377261920014948),
-        "inverse-sff": (0.004147005979108039, 7.735062767578554e-05),
-        "squared-sff": (0.00035414659024524315, 7.500306350244193e-06),
-        "speed": (0.00020600779469353425, 4.711471153386499e-06),
-        "christoffel": (0.03557962878652797, 0.0015914089246213776),
-        "grad-speed": (0.02445183590866986, 0.0009971419289599743),
-        "beta": (0.0005383007934314354, 1.4627300319664071e-05),
-        "theta": (0.017176617486434027, 0.0010332441754882194),
-        "chi2": (5.619416248859121e-05, 1.829885591641713e-06),
-        "chi3": (5.619416248859121e-05, 1.829885591641713e-06),
-        "chi1": (5.619416248859121e-05, 1.8298855916416717e-06),
-        "box-commutator": (0.0012675938186261341, 4.45582105311718e-05),
-        "grad-commutator": (0.006038069356464122, 0.0002558216823564988),
+        "metric": (0.00042960602832389013, 8.17974237177832e-06),
+        "inverse-metric": (1.2294603583590992e-05, 5.650341895248225e-07),
+        "sff": (0.00042015016681225595, 7.787360156267557e-06),
+        "weingarten": (0.0003551983244122762, 8.160601378248067e-06),
+        "sff-box": (0.006892900657317261, 0.0004523302349703531),
+        "weingarten-box": (0.007561141881310623, 0.0005377261956979522),
+        "inverse-sff": (0.004147005907563098, 7.735063674428598e-05),
+        "squared-sff": (0.0003541465773984307, 7.500368603924763e-06),
+        "speed": (0.00020600781308945123, 4.711508168586761e-06),
+        "christoffel": (0.03557962826138503, 0.0015914089437013069),
+        "grad-speed": (0.024451837497546345, 0.000997141938272466),
+        "beta": (0.0005383013103488274, 1.4626428853474957e-05),
+        "theta": (0.01717662098180935, 0.0010332701822278623),
+        "chi2": (5.6194162781531375e-05, 1.8299242133876147e-06),
+        "chi3": (5.6194162781531375e-05, 1.8299242133876147e-06),
+        "chi1": (5.6194162781531375e-05, 1.8299242133876562e-06),
+        "box-commutator": (0.0012675953529347637, 4.456165795406796e-05),
+        "grad-commutator": (0.006038069323509764, 0.00025582168244967657),
     },
     "sphere-norm^0.5": {
-        "metric": (0.00032729425375735833, 6.5789568944643195e-06),
-        "inverse-metric": (1.0177122402162808e-05, 3.731560036991084e-07),
-        "sff": (0.0004130297767892812, 7.79373430623078e-06),
-        "weingarten": (0.0004337269757240522, 1.0841081452213392e-05),
-        "sff-box": (0.004043002632774939, 0.00021189618786719136),
-        "weingarten-box": (0.0026680733664461186, 0.000162007900668604),
-        "inverse-sff": (0.0071461119173179075, 0.0021832530241354346),
-        "squared-sff": (0.00015160157812689118, 2.7553206548784044e-06),
-        "speed": (9.783401597603874e-05, 2.6513632043537037e-06),
-        "christoffel": (0.03422062275287293, 0.001596182105952371),
-        "grad-speed": (0.013140486959258707, 0.0005173594100958494),
-        "beta": (0.0002476712812243813, 6.765749661760204e-06),
-        "theta": (0.007874476218638913, 0.0004630518731129522),
-        "chi2": (3.411498826640846e-05, 9.992070892086093e-07),
-        "chi1": (2.6280967511936364e-05, 7.698281440387216e-07),
-        "box-commutator": (0.000782132218991924, 2.8956356080768565e-05),
-        "grad-commutator": (0.0008347229251029012, 3.519274601829322e-05),
+        "metric": (0.0003272942519116881, 6.578957071595451e-06),
+        "inverse-metric": (1.017712243717181e-05, 3.731560034612455e-07),
+        "sff": (0.0004130297741298637, 7.79373460173267e-06),
+        "weingarten": (0.0004337269702510752, 1.0841081915946088e-05),
+        "sff-box": (0.0040430026428103704, 0.00021189619541953553),
+        "weingarten-box": (0.002668073378692873, 0.00016200790616610104),
+        "inverse-sff": (0.00714611222936714, 0.00218325304980686),
+        "squared-sff": (0.00015160157677015858, 2.7553078160081634e-06),
+        "speed": (9.783401413735357e-05, 2.651363362275397e-06),
+        "christoffel": (0.03422062263861316, 0.001596182131378546),
+        "grad-speed": (0.013140486707240124, 0.0005173593975400172),
+        "beta": (0.0002476712779870722, 6.765750409763834e-06),
+        "theta": (0.00787447622865806, 0.0004630485525888405),
+        "chi2": (3.411498805241265e-05, 9.991968917363388e-07),
+        "chi1": (2.628096734588824e-05, 7.698202916878887e-07),
+        "box-commutator": (0.0007821321792819228, 2.8956358107226742e-05),
+        "grad-commutator": (0.0008347229192351264, 3.5192746105900225e-05),
     },
 }
 FROZEN_CASES = {"sphere-mean^0.8": (SPHERE, SpeedFunction(mean(), 0.8)),
@@ -250,6 +251,62 @@ def test_ladder_residuals_are_frozen(case):
     assert got.keys() == FROZEN_LADDERS[case].keys()
     for tag, expected in FROZEN_LADDERS[case].items():
         npt.assert_allclose(got[tag], expected, rtol=1e-9, err_msg=tag)
+
+
+@pytest.mark.parametrize("case", FROZEN_CASES)
+def test_ladder_residuals_match_the_flow_stepped_from_zero_at_the_fixed_dt(monkeypatch, case):
+    """A level used to step from t = 0 at dt; its residuals reproduce FROZEN_LADDERS as
+    they stood then.  The prefix at the stable step moves them by at most 2.5e-3."""
+    def ladder():
+        return V.residual_ladder(*FROZEN_CASES[case], levels=(24, 48), dt0=8e-4,
+                                 t_check=4e-3)
+    got = ladder()
+    monkeypatch.setattr(V, "standard_test_flow", fixed_dt_ladder_flow)
+    for tag, rep in ladder().items():
+        npt.assert_allclose([r.residual for r in got[tag].records],
+                            [r.residual for r in rep.records], rtol=5e-3, err_msg=tag)
+
+
+@pytest.fixture
+def flow_configs(monkeypatch):
+    """The FlowConfig of every flow.run call the test makes, in order."""
+    configs = []
+    real = V._flow.run
+
+    def logged(config):
+        configs.append(config)
+        return real(config)
+    monkeypatch.setattr(V._flow, "run", logged)
+    return configs
+
+
+def test_a_level_whose_prefix_stops_early_raises_before_its_tail_runs(flow_configs):
+    """F = H^0.5 from r0 = 0.8 loses convexity at the N = 16 level near t = 0.344,
+    before t_check − dt = 0.3998."""
+    with pytest.raises(OutOfRange, match=r"^the N = 16 ladder flow stopped with "
+                                         r"'convexity-lost' at t = 0\.34\d+, short of "
+                                         r"t = 0\.3998$"):
+        V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta",), levels=(16, 32), dt0=2e-4,
+                          t_check=0.4)
+    assert [c.dt for c in flow_configs] == [None]
+
+
+def test_a_single_step_t_check_has_no_prefix(flow_configs):
+    traj = V.standard_test_flow(SPHERE, NORM_HALF, 16, 1e-3, t_check=1e-3)
+    assert [(c.t_end, c.dt) for c in flow_configs] == [(2e-3, 1e-3)]
+    assert traj.times.tolist() == [0.0, 1e-3, 2e-3]
+
+
+def test_the_floor_ladder_keeps_the_metric_above_fifth_order():
+    """The five-level ladder that shows beta and box-commutator at the roundoff floor
+    past N = 256; the metric converges at 5.77, 5.86, 5.70 and 5.23 over its pairs."""
+    rep = V.residual_ladder(SPHERE, NORM_HALF, tags=("metric",),
+                            levels=(32, 64, 128, 256, 512), dt0=8e-4, t_check=8e-3)["metric"]
+    levels = [r.n_nodes for r in rep.records]
+    residuals = [r.residual for r in rep.records]
+    pairs = [V.estimate_order(levels[i:i + 2], residuals[i:i + 2]) for i in range(4)]
+    assert min(pairs) >= 5.0, pairs
+    assert rep.finest_pair_order == pairs[-1]
 
 
 def test_ladder_rejects_bad_input_before_running_a_flow(monkeypatch):
@@ -307,24 +364,46 @@ def test_ladder_rejects_t_check_off_the_step_grid_before_running_a_flow(
 
 
 def test_a_ladder_flow_keeps_only_its_last_steps():
-    traj = V.standard_test_flow(SPHERE, NORM_HALF, 16, 1e-3, t_end=5e-3)
-    assert len(traj.steps) == V.LADDER_KEEP == 3
-    npt.assert_allclose(traj.times, [3e-3, 4e-3, 5e-3], rtol=1e-12)
+    traj = V.standard_test_flow(SPHERE, NORM_HALF, 16, 1e-3, t_check=4e-3)
+    assert len(traj.steps) == 3
+    assert traj.times.tolist() == [3e-3, 4e-3, 4e-3 + 1e-3]
+
+
+def test_a_ladder_level_steps_adaptively_to_t_check_minus_dt_then_twice_by_dt(monkeypatch):
+    """The benchmark ladder's N = 256 level (dt = 1.25e-5, t_check = 2e-3) used to take
+    t_check/dt + 1 = 161 steps of dt from t = 0; the stable step is about 20 dt."""
+    steps = []
+    real = V._flow._rk4
+
+    def counted(ambient, speed, markers, dt, k1):
+        steps.append(dt)
+        return real(ambient, speed, markers, dt, k1)
+    monkeypatch.setattr(V._flow, "_rk4", counted)
+    V.standard_test_flow(SPHERE, NORM_HALF, 256, 1.25e-5, t_check=2e-3)
+    level = list(steps)
+    steps.clear()
+    markers = markers_from_radial(SPHERE, cos_mode_radial(0.8, 0.05, 2), 256)
+    run(FlowConfig(ambient=SPHERE, speed=NORM_HALF, initial=markers, t_end=2e-3 - 1.25e-5,
+                   dtype="longdouble"))
+    assert len(level) == len(steps) + 2 == 7 + 2
+    assert level[:-2] == steps and level[-2:] == [1.25e-5, 1.25e-5]
 
 
 @pytest.mark.parametrize("t_check", [4e-3, 4e-3 + 5e-10], ids=["on-grid", "sliver"])
 def test_ladder_residuals_do_not_depend_on_the_window(monkeypatch, t_check):
-    """t_check = 4e-3 + 5e-10 is a whole number of steps within flow.STATE_RTOL, so it
-    adds no sliver step onto t_check + dt: the three kept steps are still the states at
-    t_check and t_check ± dt that the ladder reads."""
+    """t_check = 4e-3 + 5e-10 is a whole number of steps within flow.STATE_RTOL, so the
+    tail takes exactly two steps of dt from t_check − dt.  Keeping every step of both
+    runs changes no residual: the tail starts from the prefix's last step."""
     def ladder():
         return V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta", "grad-commutator"),
                                  levels=(24, 48), dt0=8e-4, t_check=t_check)
     window = ladder()
-    monkeypatch.setattr(V, "LADDER_KEEP", None)
+    real = V._flow.run
+    monkeypatch.setattr(V._flow, "run", lambda config: real(replace(config, keep_last=None)))
     whole = ladder()
     for tag in whole:
         assert window[tag].records == whole[tag].records
+        assert {r.t for r in whole[tag].records} == {t_check}
 
 
 def test_ladder_memory_does_not_grow_with_t_check():
