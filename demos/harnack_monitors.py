@@ -13,12 +13,19 @@
 import numpy as np
 
 from harnacklab.flow import FlowConfig, run, sphere_ode_solution
-from harnacklab.geometry import AmbientSpace, cos_mode_radial, markers_from_radial
+from harnacklab.geometry import (AmbientSpace, GeodesicSphere, assemble, cos_mode_radial,
+                                 markers_from_radial)
 from harnacklab.harnack import HarnackConfig, evaluate_monitor
 from harnacklab.symfunc import SpeedFunction, mean
 
 SPHERE = AmbientSpace(c=1, dim=2)
 FLAT = AmbientSpace(c=0, dim=2)
+
+
+def sphere_state(sol, t):
+    """The closed-form round sphere of sol at time t, assembled for the monitor."""
+    return assemble(GeodesicSphere(sol.radius(t)), sol.ambient, sol.speed, t=t)
+
 
 # --- 1. perturbed spherical flow, weak (chi1) and sharpened (strong-Hp) ----
 markers = markers_from_radial(SPHERE, cos_mode_radial(0.8, 0.05, 2), 48)
@@ -40,7 +47,7 @@ sol = sphere_ode_solution(SPHERE, SpeedFunction(mean(), 1.0), 0.8)
 print("\nround sphere, p = 1: Q = 4 cot^3 r + cot r / t")
 print(f"{'t':>6} {'monitor Q':>14} {'closed form':>14}")
 for t in (0.05, 0.10, 0.15):
-    got = evaluate_monitor(sol.state(t), HarnackConfig("strong-Hp")).min_Q
+    got = evaluate_monitor(sphere_state(sol, t), HarnackConfig("strong-Hp")).min_Q
     cot = 1.0 / np.tan(sol.radius(t))
     print(f"{t:>6.2f} {got:>14.8f} {4 * cot**3 + cot / t:>14.8f}")
 
@@ -49,12 +56,13 @@ sol0 = sphere_ode_solution(FLAT, SpeedFunction(mean(), 1.0), 1.0)
 cfg = HarnackConfig("euclidean-contracting", delta=0.5)
 t = 0.1
 r = sol0.radius(t)
-print(f"\nflat contracting, t = {t}: Q = {evaluate_monitor(sol0.state(t), cfg).min_Q:.4f}"
+q = evaluate_monitor(sphere_state(sol0, t), cfg).min_Q
+print(f"\nflat contracting, t = {t}: Q = {q:.4f}"
       f"  vs 4/r^3 + 1/(rt) = {4 / r**3 + 1 / (r * t):.4f}")
 
 exp = sphere_ode_solution(FLAT, SpeedFunction(mean(), -0.5), 1.0)
 ecfg = HarnackConfig("euclidean-expanding", delta=-1.0)
-q1 = evaluate_monitor(exp.state(1.0), ecfg).min_Q
-q100 = evaluate_monitor(exp.state(100.0), ecfg).min_Q
+q1 = evaluate_monitor(sphere_state(exp, 1.0), ecfg).min_Q
+q100 = evaluate_monitor(sphere_state(exp, 100.0), ecfg).min_Q
 print(f"flat expanding (beta = 1/2): Q(1) = {q1:.6f}, Q(100) = {q100:.6f}"
       f"  (decays like 1/t: ratio {q100 / q1:.4f})")

@@ -41,7 +41,7 @@ from .errors import (ConfigError, ConvexityLost, DegenerateGrid,
                      HarnackLabError, OutOfRange, StabilityViolation)
 from .flow import FlowConfig
 from .geometry import (AmbientSpace, GeodesicSphere, cos_mode_radial,
-                       default_radius, markers_from_radial)
+                       initial_radius, markers_from_radial)
 from .symfunc import SpeedFunction
 from .verify import DEFAULT_SEED
 
@@ -273,7 +273,7 @@ def _build_speed(cfg) -> SpeedFunction:
 
 
 def _initial_data(cfg, ambient):
-    r0 = cfg["radius"] if cfg["radius"] is not None else default_radius(ambient)
+    r0 = initial_radius(ambient, cfg["radius"])
     if cfg["amplitude"] == 0.0:
         return GeodesicSphere(r0)
     return markers_from_radial(
@@ -444,7 +444,7 @@ def cmd_sphere_exact(args, cfg) -> int:
     speed = _build_speed(cfg)
     if cfg["n_times"] < 1:
         raise ConfigError(f"n_times must be at least 1, got {cfg['n_times']}")
-    r0 = cfg["radius"] if cfg["radius"] is not None else default_radius(ambient)
+    r0 = initial_radius(ambient, cfg["radius"])
     sol = _flow.sphere_ode_solution(ambient, speed, r0)
     variant = ("strong-Hp" if _ha.admits("strong-Hp", ambient, speed)
                else _ha.default_variant(ambient, speed))

@@ -42,7 +42,6 @@ before it goes extinct, so no grid-free run asks for a time past extinction.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -96,9 +95,7 @@ class FlowConfig:
     MAX_KAPPA_LIMIT, so the sphere at the cap assembles to finite fields;
     min_radius is finite, 0 for none, and measured from the symmetry center
     (geometry.center_distance).  Expanding speeds raise ConfigError on the
-    sphere.  keep_last=k keeps only the last k of the steps store_every
-    selects, on both tiers, so a run's storage does not grow with its
-    length; None keeps them all.  It changes no step.
+    sphere.
     """
 
     ambient: AmbientSpace
@@ -110,7 +107,6 @@ class FlowConfig:
     max_kappa: float = 1e4
     min_radius: float = 0.0
     dtype: str = "float64"
-    keep_last: Optional[int] = None
 
     def __post_init__(self):
         if self.ambient.c == 1 and not self.speed.contracting:
@@ -123,9 +119,6 @@ class FlowConfig:
             check_step_budget(self.t_end, self.dt)
         if self.store_every < 1:
             raise ConfigError("store_every must be >= 1")
-        if self.keep_last is not None and not (isinstance(self.keep_last, int)
-                                               and self.keep_last >= 1):
-            raise ConfigError(f"keep_last must be None or an int >= 1, got {self.keep_last!r}")
         if not 0 < self.max_kappa <= MAX_KAPPA_LIMIT:
             raise ConfigError(f"max_kappa must lie in (0, {MAX_KAPPA_LIMIT:.6g}], so that the "
                               f"sphere at the cap has finite fields, got {self.max_kappa!r}")
@@ -142,13 +135,13 @@ class Trajectory:
 
     steps[i], the step at times[i], is what geometry.assemble reads: an
     (N, d) marker array, or a GeodesicSphere on the grid-free tier.
-    steps[0] is the array passed in (in the configured dtype) only when
-    config.keep_last drops nothing; for n = 2 every other stored step is
-    the unfolded upper half, exactly mirror-symmetric.  traj[i] (negative i
-    too), iteration in time order and state_at assemble a step when it is
-    read and keep the three states read last: a state and its two time
-    neighbours, all that a centered difference reads, so no reader
-    assembles a state twice and memory does not grow with the run.
+    steps[0] is the array passed in (in the configured dtype); for n = 2
+    every other stored step is the unfolded upper half, exactly
+    mirror-symmetric.  traj[i] (negative i too), iteration in time order
+    and state_at assemble a step when it is read and keep the three states
+    read last: a state and its two time neighbours, all that a centered
+    difference reads, so no reader assembles a state twice and memory does
+    not grow with the run.
     rejected_steps counts adaptive steps retried at half size.
     """
 
@@ -244,12 +237,12 @@ def run(config: FlowConfig) -> Trajectory:
     or a step, the initial data included, meets the curvature cap
     ("curvature-cap") or the radius floor ("radius-floor").  Every step's
     markers go through _profile_geometry, whose output also drives the next
-    step; the markers of every store_every-th step and of the last completed
-    step are stored, of which the last config.keep_last are kept, and
-    nothing is assembled here.  Non-convex or degenerate initial data
-    raises ConvexityLost or DegenerateGrid before any step; a fixed-dt step
-    that leaves the cone, and an adaptive run that needs more than MAX_STEPS
-    steps, raise StabilityViolation.
+    step; the markers of step 0, of every store_every-th step and of the
+    last completed step are stored (store_every = MAX_STEPS stores only the
+    first and the last), and nothing is assembled here.  Non-convex or
+    degenerate initial data raises ConvexityLost or DegenerateGrid before
+    any step; a fixed-dt step that leaves the cone, and an adaptive run that
+    needs more than MAX_STEPS steps, raise StabilityViolation.
 
     An n = 2 profile on N nodes is a double cover: node N−1−k is node k with
     the rotation coordinate negated.  Initial n = 2 markers farther from
@@ -257,8 +250,8 @@ def run(config: FlowConfig) -> Trajectory:
     above), and the stepper advances only the upper half, N/2 nodes on
     (0, π), with reflection-padded stencils; the first step reads the upper
     half of the initial geometry.  Each stored step is unfolded to N nodes
-    (geometry.unfold), so it is exactly mirror-symmetric; step 0, if kept,
-    is the array passed in.
+    (geometry.unfold), so it is exactly mirror-symmetric; step 0 is the
+    array passed in.
     """
     if isinstance(config.initial, GeodesicSphere):
         return _run_umbilic(config)
@@ -288,8 +281,7 @@ def run(config: FlowConfig) -> Trajectory:
     if half:
         m = n_nodes // 2
         markers, E, normal, kappa = markers[:m], E[:m], normal[:m], kappa[:m]
-    times = deque([0.0], maxlen=config.keep_last)
-    steps = deque([initial], maxlen=config.keep_last)
+    times, steps = [0.0], [initial]
     t, steps_done, rejected = 0.0, 0, 0
     n_fixed = None if config.dt is None else fixed_steps(config.t_end, config.dt)
 
@@ -341,7 +333,7 @@ def run(config: FlowConfig) -> Trajectory:
         times.append(t)
         steps.append(geometry.unfold(markers) if half else markers)
 
-    return Trajectory(config=config, times=np.array(times), steps=list(steps),
+    return Trajectory(config=config, times=np.array(times), steps=steps,
                       termination=termination, rejected_steps=rejected)
 
 
@@ -373,7 +365,7 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
     crossing time can round onto the extinction time.  A fixed-dt run stores
     what the gridded stepper stores: k·dt for every store_every-th k below
     fixed_steps(t_stop, dt), then the stop; an adaptive run stores 129 evenly
-    spaced times, or t = 0 alone.  Either keeps only the last config.keep_last.
+    spaced times, or t = 0 alone.
     """
     ambient, r0 = config.ambient, config.initial.radius
     sol = sphere_ode_solution(ambient, config.speed, r0)
@@ -394,8 +386,6 @@ def _run_umbilic(config: FlowConfig) -> Trajectory:
     else:
         n_steps = fixed_steps(t_stop, config.dt)
         times = np.append(config.dt * np.arange(0, n_steps, config.store_every), t_stop)
-    if config.keep_last:
-        times = times[-config.keep_last:]
     radii = sol.radius(times) if r_stop is None else np.append(sol.radius(times[:-1]), r_stop)
     steps = [GeodesicSphere(float(r)) for r in radii]
     return Trajectory(config=config, times=times, steps=steps, termination=termination)
@@ -432,11 +422,6 @@ class SphereSolution:
         if not (0 < r <= self.r0) if self.speed.contracting else not (r >= self.r0):
             return None
         return self._time_fn(r)
-
-    def state(self, t) -> SurfaceState:
-        """Assembled grid-free umbilic state at time t."""
-        return geometry.assemble(GeodesicSphere(float(self.radius(t))), self.ambient,
-                                 self.speed, t=float(t))
 
 
 def sphere_ode_solution(ambient: AmbientSpace, speed: SpeedFunction,

@@ -86,9 +86,9 @@ class GeodesicSphere:
     radius: float
 
 
-def default_radius(ambient: AmbientSpace) -> float:
-    """Initial radius when a config gives none: 0.8 on the sphere, 1 in flat space."""
-    return 0.8 if ambient.c == 1 else 1.0
+def initial_radius(ambient: AmbientSpace, r0: Optional[float] = None) -> float:
+    """r0 if a config gives it, else 0.8 on the sphere and 1 in flat space."""
+    return r0 if r0 is not None else (0.8 if ambient.c == 1 else 1.0)
 
 
 def profile_parameter(n_nodes: int) -> np.ndarray:

@@ -377,18 +377,16 @@ def d2F_spectrum(speed, kappa):
     return phi, hess, dd
 
 
-def d2F_quadratic_eigenframe(spectrum, eta_hat, eta_sq=None):
+def d2F_quadratic_eigenframe(spectrum, eta_hat, eta_sq):
     """F^{ij,kl} η̂ η̂ for η̂ in the eigenframe, from a given d2F_spectrum at κ.
 
-    eta_sq, the elementwise η̂² of a caller that has formed it, is
-    overwritten; without it η̂² is formed here.
+    eta_sq, the elementwise η̂² that the caller has formed, is overwritten.
     """
     _, hess, dd = spectrum
     ed = np.einsum("...aa->...a", eta_hat)
     quad = ((hess @ ed[..., None])[..., 0] * ed).sum(axis=-1)
-    off = eta_hat ** 2 if eta_sq is None else eta_sq
-    off *= dd
-    return quad + off.sum(axis=(-2, -1))
+    eta_sq *= dd
+    return quad + eta_sq.sum(axis=(-2, -1))
 
 
 def _to_eigenframe(T, X):

@@ -61,7 +61,7 @@ from .errors import ConfigError, OutOfRange
 from .flow import FlowConfig, Trajectory, time_derivative
 from .geometry import (AmbientSpace, SurfaceState, _node_count_ok, box_op,
                        covariant_derivative, covariant_hessian, grad_scalar,
-                       cos_mode_radial, default_radius, markers_from_radial)
+                       cos_mode_radial, initial_radius, markers_from_radial)
 from .symfunc import CurvatureFunction, SpeedFunction, eval_f, grad_f
 
 
@@ -493,9 +493,10 @@ def standard_test_flow(ambient: AmbientSpace, speed: SpeedFunction, n_nodes: int
     """Perturbed-sphere flow of one ladder level, stored at t_check and t_check ± dt.
 
     A prefix run reaches t_check − dt at flow.run's adaptive step (about 20
-    times dt at N = 256 of the default ladder) and keeps its last state; a
-    tail run takes the two steps of dt that the centered difference reads
-    from there.  If t_check is one step of dt there is no prefix.  Both run
+    times dt at N = 256 of the default ladder) and stores only its first and
+    last steps; a tail run takes the two steps of dt that the centered
+    difference reads from there.  t_check need not be whole steps of dt; if
+    it is one step (within flow.STATE_RTOL) there is no prefix.  Both run
     in extended precision: the deepest residual subjects sit four label
     derivatives above the marker positions, and their double precision
     evaluation noise (ε ≈ 10⁻¹⁶/Δu⁴), divided by the 2Δt of the centered
@@ -505,13 +506,13 @@ def standard_test_flow(ambient: AmbientSpace, speed: SpeedFunction, n_nodes: int
     the next run starts.  The trajectory returned is the tail's, with its
     config (t_end = 2·dt) and its times moved onto t_check.
     """
-    if r0 is None:
-        r0 = default_radius(ambient)
-    markers = markers_from_radial(ambient, cos_mode_radial(r0, amplitude, mode), n_nodes)
+    markers = markers_from_radial(
+        ambient, cos_mode_radial(initial_radius(ambient, r0), amplitude, mode), n_nodes)
     t_start = t_check - dt
     if _flow.whole_steps(t_check, dt) != 1:
         prefix = _flow.run(FlowConfig(ambient=ambient, speed=speed, initial=markers,
-                                      t_end=t_start, dtype="longdouble", keep_last=1))
+                                      t_end=t_start, dtype="longdouble",
+                                      store_every=_flow.MAX_STEPS))
         markers = _completed(prefix, n_nodes, 0.0).steps[-1]
     tail = _flow.run(FlowConfig(ambient=ambient, speed=speed, initial=markers,
                                 t_end=2.0 * dt, dt=dt, dtype="longdouble"))
@@ -543,11 +544,11 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     which needs no time differencing and is checked on the state at t_check;
     tags=None runs every identity valid for the speed, then 'grad-commutator'.
     Repeated or unknown tags, an identity that holds only for powers of the
-    mean curvature (chi3) under another f, fewer than two levels, a
-    repeated one or one that is not an even node count >= 8, a dt0 that is
-    not positive and finite, a non-finite t_check and a t_check that is not
-    a whole number of steps at some level, or is less than one step (the
-    centered time difference needs the state at t_check − Δt), raise
+    mean curvature (chi3) under another f, fewer than two levels, levels
+    that do not strictly increase (the last two are the finest pair) or one
+    that is not an even node count >= 8, a dt0 that is not positive and
+    finite, a non-finite t_check and a t_check of less than one step of dt0
+    (the centered time difference needs the state at t_check − Δt) raise
     ConfigError before any flow runs.  Returns {tag: LadderReport}, whose
     finest_pair_order is the order of the last two levels alone.
     """
@@ -559,22 +560,19 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     for tag in tags:
         if tag != "grad-commutator":
             _identity(tag, speed, also=("grad-commutator",))
-    if (len(levels) < 2 or len(set(levels)) < len(levels)
+    if (len(levels) < 2 or any(a >= b for a, b in zip(levels, levels[1:]))
             or not all(map(_node_count_ok, levels))):
-        raise ConfigError(f"need at least two grid levels, none repeated, each an even "
-                          f"node count >= 8, to fit an order, got {tuple(levels)}")
+        raise ConfigError(f"need at least two grid levels, strictly increasing, each an "
+                          f"even node count >= 8, to fit an order, got {tuple(levels)}")
     if not (np.isfinite(dt0) and dt0 > 0 and np.isfinite(t_check)):
         raise ConfigError(f"dt0 = {dt0:g} and t_check = {t_check:g} must be finite, dt0 > 0")
-    dts = [dt0 * (levels[0] / n_nodes) ** 2 for n_nodes in levels]
-    for n_nodes, dt in zip(levels, dts):
-        steps = _flow.whole_steps(t_check, dt)
-        if steps is None or steps < 1:
-            raise ConfigError(
-                f"t_check = {t_check:g} is {t_check / dt:.6g} steps of dt = {dt:g} at "
-                f"N = {n_nodes}; it must be a whole number of steps, at least one, "
-                f"at every level")
+    if t_check < dt0 and _flow.whole_steps(t_check, dt0) != 1:
+        raise ConfigError(
+            f"t_check = {t_check:g} is {t_check / dt0:.6g} steps of dt = {dt0:g} at "
+            f"N = {levels[0]}; it must be at least one step of the coarsest level")
     ladders = {tag: [] for tag in tags}
-    for n_nodes, dt in zip(levels, dts):
+    for n_nodes in levels:
+        dt = dt0 * (levels[0] / n_nodes) ** 2
         traj = standard_test_flow(ambient, speed, n_nodes, dt, t_check, r0=r0,
                                   amplitude=amplitude, mode=mode)
         for tag in tags:

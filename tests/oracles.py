@@ -2,18 +2,21 @@
 
 Each recomputes a quantity from the assembled state or the paper's closed
 form along a route the package itself never takes, so a test that compares
-the two checks the package rather than restating it.
+the two checks the package rather than restating it.  sphere_state, which
+assembles a closed-form round sphere at a given time, is a plain helper
+that only the tests need.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from harnacklab.errors import ConfigError
 from harnacklab.flow import RK4_LIMIT, SAFETY, FlowConfig, run
-from harnacklab.geometry import (SurfaceState, _profile_geometry, _validated_markers,
-                                 cos_mode_radial, default_radius, markers_from_radial,
-                                 periodic_d1, periodic_d2)
+from harnacklab.geometry import (GeodesicSphere, SurfaceState, _profile_geometry,
+                                 _validated_markers, assemble, cos_mode_radial, initial_radius,
+                                 markers_from_radial, periodic_d1, periodic_d2)
 from harnacklab.harnack import zeta_branch_threshold
 from harnacklab.symfunc import EIG_COINCIDENCE_RTOL, _column_sum, _diag_embed
 from harnacklab.verify import KAPPA_RANGE
@@ -114,10 +117,16 @@ def fixed_dt_ladder_flow(ambient, speed, n_nodes, dt, t_check, r0=None, amplitud
     t_check − dt.  Both are fourth-order RK4 from the same initial markers,
     so the residuals they give agree to the step error of the prefix.
     """
-    radial = cos_mode_radial(default_radius(ambient) if r0 is None else r0, amplitude, mode)
-    return run(FlowConfig(ambient=ambient, speed=speed,
+    radial = cos_mode_radial(initial_radius(ambient, r0), amplitude, mode)
+    traj = run(FlowConfig(ambient=ambient, speed=speed,
                           initial=markers_from_radial(ambient, radial, n_nodes),
-                          t_end=t_check + dt, dt=dt, dtype="longdouble", keep_last=3))
+                          t_end=t_check + dt, dt=dt, dtype="longdouble"))
+    return replace(traj, times=traj.times[-3:], steps=traj.steps[-3:])
+
+
+def sphere_state(sol, t) -> SurfaceState:
+    """The assembled grid-free state of a flow.SphereSolution at time t."""
+    return assemble(GeodesicSphere(float(sol.radius(t))), sol.ambient, sol.speed, t=float(t))
 
 
 def _sample_kappa_eta(rng, samples: int, n: int):

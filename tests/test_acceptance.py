@@ -20,6 +20,7 @@ from harnacklab import harnack as ha
 from harnacklab import verify as V
 from harnacklab.geometry import AmbientSpace, cos_mode_radial, markers_from_radial
 from harnacklab.symfunc import SpeedFunction, harmonic_mean, mean, norm
+from oracles import sphere_state
 
 SPHERE = AmbientSpace(c=1, dim=2)
 FLAT = AmbientSpace(c=0, dim=2)
@@ -143,7 +144,7 @@ def test_criterion_4_strong_harnack(certify, strong_harnack_runs):
     for t in np.linspace(0.01, 0.8 * sol.t_extinction, 33):
         cot = 1.0 / np.tan(sol.radius(t))
         exact = 4.0 * cot ** 3 + cot / t
-        got = ha.evaluate_monitor(sol.state(t), ha.HarnackConfig("strong-Hp")).min_Q
+        got = ha.evaluate_monitor(sphere_state(sol, t), ha.HarnackConfig("strong-Hp")).min_Q
         rel = max(rel, abs(got - exact) / exact)
     ok = floor > 0.0 and rel <= 1e-6
     certify("strong Harnack", ok,
@@ -159,14 +160,14 @@ def test_criterion_5_euclidean_monitors(certify):
     for t in np.linspace(0.01, 0.8 * sol.t_extinction, 33):
         r = sol.radius(t)
         exact = 4.0 / r ** 3 + 1.0 / (r * t)
-        got = ha.evaluate_monitor(sol.state(t), cfg).min_Q
+        got = ha.evaluate_monitor(sphere_state(sol, t), cfg).min_Q
         rel = max(rel, abs(got - exact) / exact)
-    spot = ha.evaluate_monitor(sol.state(0.1), cfg).min_Q
+    spot = ha.evaluate_monitor(sphere_state(sol, 0.1), cfg).min_Q
 
     exp = fl.sphere_ode_solution(FLAT, MEAN(-0.5), 1.0)
     ecfg = ha.HarnackConfig("euclidean-expanding", delta=-1.0)
-    q1 = ha.evaluate_monitor(exp.state(1.0), ecfg).min_Q
-    q100 = ha.evaluate_monitor(exp.state(100.0), ecfg).min_Q
+    q1 = ha.evaluate_monitor(sphere_state(exp, 1.0), ecfg).min_Q
+    q100 = ha.evaluate_monitor(sphere_state(exp, 100.0), ecfg).min_Q
 
     ok = (rel <= 1e-6 and abs(spot - 21.5166) <= 5e-5
           and q100 > 0.0 and q100 <= 0.1 * q1)

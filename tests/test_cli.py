@@ -607,6 +607,20 @@ def test_verify_evolution_small_ladder_passes(tmp_path):
     assert json.loads((out / "summary.json").read_text())["all_passed"] is True
 
 
+def test_verify_evolution_runs_a_t_check_off_the_step_grid(tmp_path):
+    """t_check = 4e-3 is 35.56 steps of dt = 1.125e-4 at N = 64, which used to be refused;
+    each level now reaches t_check − dt at the adaptive step."""
+    cfg = write_cfg(tmp_path, exponent=0.5, identities="beta",
+                    levels="24, 48, 64", dt0=8e-4, t_check=4e-3)
+    out = tmp_path / "out"
+    assert run_cli("verify-evolution", cfg, out) == cli.EXIT_OK
+    rows = [row.split(",") for row in (out / "residuals.csv").read_text().splitlines()[1:]]
+    assert [(row[1], float(row[3])) for row in rows] == [("24", 4e-3), ("48", 4e-3),
+                                                          ("64", 4e-3)]
+    np.testing.assert_allclose([float(row[4]) for row in rows], [5.592e-4, 1.686e-5, 3.712e-6],
+                               rtol=5e-3)
+
+
 def test_verify_evolution_threshold_failure_exits_4(tmp_path):
     cfg = write_cfg(tmp_path, exponent=0.5, identities="beta",
                     levels="24, 48", dt0=8e-4, t_check=4e-3, min_order=10.0)
@@ -625,7 +639,9 @@ def test_verify_evolution_needs_two_levels(tmp_path, capsys):
     ({"dt0": 0}, "dt0 = 0 and"),
     ({"t_check": "inf"}, "t_check = inf"),
     ({"levels": "18, 9"}, "even node count >= 8, to fit an order, got (18, 9)"),
-], ids=["dt0-zero", "t_check-inf", "odd-level"])
+    ({"levels": "48, 24"}, "strictly increasing, each an even node count >= 8, to fit an "
+                           "order, got (48, 24)"),
+], ids=["dt0-zero", "t_check-inf", "odd-level", "descending"])
 def test_verify_evolution_bad_step_inputs_are_config_errors(tmp_path, capsys, keys, match):
     cfg = write_cfg(tmp_path, **{"exponent": 0.5, "identities": "beta",
                                  "levels": "24, 48", **keys})

@@ -15,7 +15,7 @@ from harnacklab import flow, geometry as geo
 from harnacklab import symfunc as sf
 from harnacklab.errors import (ConfigError, ConvexityLost, DegenerateGrid, OutOfRange,
                                StabilityViolation)
-from oracles import full_grid_rk4
+from oracles import full_grid_rk4, sphere_state
 
 SPHERE = geo.AmbientSpace(1, 2)
 FLAT = geo.AmbientSpace(0, 2)
@@ -128,7 +128,7 @@ def test_radius_queries_past_extinction_raise():
     with pytest.raises(ConfigError, match="requested time beyond the extinction time 0.25"):
         sol.radius(0.3)
     with pytest.raises(ConfigError, match="requested time beyond the extinction time 0.25"):
-        sol.state(0.25)
+        sphere_state(sol, 0.25)
 
 
 @pytest.mark.parametrize("ambient, exponent", [(SPHERE, 0.6), (FLAT, -0.5)],
@@ -143,7 +143,7 @@ def test_radius_queries_at_non_finite_times_raise(ambient, exponent, t):
 
 def test_solution_state_fields():
     sol = flow.sphere_ode_solution(SPHERE, _speed(1.0), 0.8)
-    st = sol.state(0.1)
+    st = sphere_state(sol, 0.1)
     assert st.t == 0.1 and st.markers is None and st.n_nodes == 1
     r = sol.radius(0.1)
     npt.assert_allclose(st.kappa, 1.0 / np.tan(r), rtol=1e-12)
@@ -422,16 +422,18 @@ PINNED_RUNS = {
 @pytest.mark.parametrize("dt, every", [(None, 1), (None, 3), (1e-3, 1), (1e-3, 4)],
                          ids=["adaptive", "adaptive-every3", "fixed", "fixed-every4"])
 def test_grid_run_keeps_the_last_of_its_stored_steps_bit_for_bit(dt, every, dtype):
+    """store_every = MAX_STEPS, as a ladder level's prefix runs, stores step 0 and the
+    last completed step alone, since no run takes more steps; it changes no step."""
     mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 32)
     t_end = 0.02 if dt else 0.3
-    whole, window = (flow.run(flow.FlowConfig(SPHERE, _speed(0.5), mk, t_end=t_end, dt=dt,
-                                              store_every=every, dtype=dtype, keep_last=k))
-                     for k in (None, 3))
-    assert len(whole.steps) > 3 and len(window.steps) == len(window.times) == 3
-    assert window.termination == whole.termination
-    assert window.rejected_steps == whole.rejected_steps
-    assert np.array_equal(window.times, whole.times[-3:])
-    for got, want in zip(window.steps, whole.steps[-3:]):
+    whole, sparse = (flow.run(flow.FlowConfig(SPHERE, _speed(0.5), mk, t_end=t_end, dt=dt,
+                                              store_every=n, dtype=dtype))
+                     for n in (every, flow.MAX_STEPS))
+    assert len(whole.steps) > 3 and len(sparse.steps) == len(sparse.times) == 2
+    assert sparse.termination == whole.termination
+    assert sparse.rejected_steps == whole.rejected_steps
+    assert np.array_equal(sparse.times, whole.times[[0, -1]])
+    for got, want in zip(sparse.steps, (whole.steps[0], whole.steps[-1])):
         assert got.dtype == want.dtype == np.dtype(dtype)
         assert np.array_equal(got, want)
 
@@ -439,29 +441,16 @@ def test_grid_run_keeps_the_last_of_its_stored_steps_bit_for_bit(dt, every, dtyp
 @pytest.mark.parametrize("dt, every", [(None, 1), (1e-3, 1), (1e-3, 4)],
                          ids=["adaptive", "fixed", "fixed-every4"])
 def test_grid_free_run_keeps_the_last_of_its_stored_steps(dt, every):
-    whole, window = (flow.run(flow.FlowConfig(SPHERE, _speed(0.5), geo.GeodesicSphere(0.8),
-                                              t_end=0.02, dt=dt, store_every=every,
-                                              keep_last=k))
-                     for k in (None, 2))
-    assert len(whole.steps) > 2 and len(window.steps) == 2
-    assert window.termination == whole.termination
-    assert np.array_equal(window.times, whole.times[-2:])
-    assert [s.radius for s in window.steps] == [s.radius for s in whole.steps[-2:]]
-
-
-def test_a_window_longer_than_the_run_keeps_every_step():
-    mk = geo.markers_from_radial(SPHERE, 0.8, 16)
-    traj = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=3e-3, dt=1e-3,
-                                    keep_last=10))
-    assert np.array_equal(traj.times, [0.0, 1e-3, 2e-3, 3e-3]) and traj.steps[0] is mk
-
-
-@pytest.mark.parametrize("keep_last", [0, -1, 2.5])
-def test_keep_last_must_be_a_positive_int(keep_last):
-    with pytest.raises(ConfigError, match=f"keep_last must be None or an int >= 1, "
-                                          f"got {keep_last!r}"):
-        flow.FlowConfig(SPHERE, _speed(1.0), geo.GeodesicSphere(0.8), t_end=0.01,
-                        keep_last=keep_last)
+    """store_every = MAX_STEPS leaves a fixed-dt grid-free run t = 0 and its last step, as
+    on the gridded tier; an adaptive one stores its 129 evenly spaced times either way."""
+    whole, sparse = (flow.run(flow.FlowConfig(SPHERE, _speed(0.5), geo.GeodesicSphere(0.8),
+                                              t_end=0.02, dt=dt, store_every=n))
+                     for n in (every, flow.MAX_STEPS))
+    kept = [0, len(whole) - 1] if dt else list(range(len(whole)))
+    assert len(whole.steps) > 2 and len(sparse.steps) == len(kept)
+    assert sparse.termination == whole.termination
+    assert np.array_equal(sparse.times, whole.times[kept])
+    assert [s.radius for s in sparse.steps] == [whole.steps[i].radius for i in kept]
 
 
 @pytest.mark.parametrize("case", PINNED_RUNS,
@@ -473,7 +462,7 @@ def test_stepper_output_is_pinned_bit_for_bit(case):
     ambient = geo.AmbientSpace(c, n)
     speed = _speed(0.5, "mean" if (c + n) % 2 else "norm")
     mk = geo.markers_from_radial(
-        ambient, geo.cos_mode_radial(geo.default_radius(ambient), 0.05, 2), 32)
+        ambient, geo.cos_mode_radial(geo.initial_radius(ambient), 0.05, 2), 32)
     stepping = {"t_end": 0.1} if dtype == "float64" else {"t_end": 5e-3, "dt": 1e-3}
     traj = flow.run(flow.FlowConfig(ambient, speed, mk, dtype=dtype, **stepping))
     assert traj.termination == "completed" and traj.steps[-1].dtype == np.dtype(dtype)
@@ -483,7 +472,7 @@ def test_stepper_output_is_pinned_bit_for_bit(case):
 def _symmetric_start(ambient, n_nodes=32, dtype="float64"):
     """Mode-2, 5% perturbed markers made exactly mirror-symmetric from their upper half."""
     mk = geo.markers_from_radial(
-        ambient, geo.cos_mode_radial(geo.default_radius(ambient), 0.05, 2), n_nodes)
+        ambient, geo.cos_mode_radial(geo.initial_radius(ambient), 0.05, 2), n_nodes)
     return geo.unfold(mk[:n_nodes // 2]).astype(dtype)
 
 
@@ -510,7 +499,7 @@ def test_half_grid_stepper_reproduces_the_full_grid_bit_for_bit(c, dt, dtype):
 @pytest.mark.parametrize("c", [0, 1])
 def test_every_stored_profile_step_is_exactly_mirror_symmetric(c):
     ambient = geo.AmbientSpace(c, 2)
-    mk = geo.markers_from_radial(ambient, geo.cos_mode_radial(geo.default_radius(ambient),
+    mk = geo.markers_from_radial(ambient, geo.cos_mode_radial(geo.initial_radius(ambient),
                                                                 0.05, 2), 32)
     assert 0 < geo.mirror_defect(mk) < 1e-15      # the float64 samples are not exact
     traj = flow.run(flow.FlowConfig(ambient, _speed(0.5), mk, t_end=0.02, dt=2e-3,

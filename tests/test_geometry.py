@@ -21,7 +21,7 @@ FLAT = geo.AmbientSpace(0, 2)
 
 def _perturbed(ambient, n_nodes, r0=None, amplitude=0.05, mode=2, speed=MEAN1):
     if r0 is None:
-        r0 = geo.default_radius(ambient)
+        r0 = geo.initial_radius(ambient)
     mk = geo.markers_from_radial(ambient, geo.cos_mode_radial(r0, amplitude, mode), n_nodes)
     return geo.assemble(mk, ambient, speed)
 
@@ -154,7 +154,8 @@ def test_second_derivative_tensor_matches_the_polarized_eigenframe_form(speed, a
 
     def q(X):
         eta_hat = np.einsum("nia,nij,njb->nab", st.eigT, X, st.eigT)
-        return sf.d2F_quadratic_eigenframe(sf.d2F_spectrum(speed, st.kappa), eta_hat)
+        return sf.d2F_quadratic_eigenframe(sf.d2F_spectrum(speed, st.kappa), eta_hat,
+                                           eta_hat ** 2)
 
     npt.assert_allclose(st.d2F_bilinear(A, C), 0.25 * (q(A + C) - q(A - C)), rtol=1e-10)
     d2F = st.d2F
@@ -380,7 +381,7 @@ def test_profile_geometry_matches_the_row_sum_reference_exactly(c, n, dtype):
     """E, the normal, h_uu and κ bit for bit against np.sum over rows and np.stack."""
     ambient = geo.AmbientSpace(c, n)
     mk = geo.markers_from_radial(
-        ambient, geo.cos_mode_radial(geo.default_radius(ambient), 0.05, 2), 64).astype(dtype)
+        ambient, geo.cos_mode_radial(geo.initial_radius(ambient), 0.05, 2), 64).astype(dtype)
     E, normal, h_uu, kappa = geo._profile_geometry(ambient, mk)
     du = 2.0 * np.pi / 64
     cp, cpp = geo.periodic_d1(mk, du), geo.periodic_d2(mk, du)

@@ -12,7 +12,7 @@ from harnacklab import flow, geometry as geo, harnack as ha
 from harnacklab import symfunc as sf
 from harnacklab.errors import ConfigError
 
-from oracles import strong_correction_coefficient
+from oracles import sphere_state, strong_correction_coefficient
 
 SPHERE = geo.AmbientSpace(1, 2)
 FLAT = geo.AmbientSpace(0, 2)
@@ -28,12 +28,12 @@ def test_flat_contracting_sphere_oracle():
     """n = 2, F = H, delta = 1/2: Q = 4/r^3 + 1/(r t) on r(t) = sqrt(1 - 4t)."""
     sol = flow.sphere_ode_solution(FLAT, MEAN(1.0), 1.0)
     for t in (0.05, 0.1, 0.2):
-        st = sol.state(t)
+        st = sphere_state(sol, t)
         rep = ha.evaluate_monitor(st, ha.HarnackConfig("euclidean-contracting", delta=0.5))
         r = np.sqrt(1.0 - 4.0 * t)
         npt.assert_allclose(rep.min_Q, 4.0 / r ** 3 + 1.0 / (r * t), rtol=1e-12)
     # the spot value quoted for t = 0.1
-    rep = ha.evaluate_monitor(sol.state(0.1),
+    rep = ha.evaluate_monitor(sphere_state(sol, 0.1),
                               ha.HarnackConfig("euclidean-contracting", delta=0.5))
     npt.assert_allclose(rep.min_Q, 21.5166, atol=5e-5)
 
@@ -47,7 +47,7 @@ def test_flat_expanding_sphere_oracle():
     sol = flow.sphere_ode_solution(FLAT, MEAN(-0.5), 1.0)
     qs = {}
     for t in (1.0, 10.0, 100.0):
-        rep = ha.evaluate_monitor(sol.state(t),
+        rep = ha.evaluate_monitor(sphere_state(sol, t),
                                   ha.HarnackConfig("euclidean-expanding", delta=-1.0))
         npt.assert_allclose(rep.min_Q, 1.0 / (np.sqrt(2.0) * t), rtol=1e-10)
         qs[t] = rep.min_Q
@@ -59,7 +59,7 @@ def test_strong_Hp_umbilic_closed_form():
     """p = 1 in the sphere: Q = 4 cot^3 r + cot r / t."""
     sol = flow.sphere_ode_solution(SPHERE, MEAN(1.0), 0.8)
     for t in (0.05, 0.1, 0.15):    # extinction is at ~0.1807
-        st = sol.state(t)
+        st = sphere_state(sol, t)
         rep = ha.evaluate_monitor(st, ha.HarnackConfig("strong-Hp"))
         cot = 1.0 / np.tan(sol.radius(t))
         npt.assert_allclose(rep.min_Q, 4.0 * cot ** 3 + cot / t, rtol=1e-12)
@@ -69,7 +69,7 @@ def test_strong_Hp_umbilic_closed_form():
 def test_chi_variant_offsets_on_umbilic_sphere():
     """Q1 - Q2 = c F tr(F') pointwise, and chi3 = chi2 + the zeta term."""
     sol = flow.sphere_ode_solution(SPHERE, MEAN(1.0), 0.8)
-    st = sol.state(0.1)
+    st = sphere_state(sol, 0.1)
     q1 = ha.evaluate_monitor(st, ha.HarnackConfig("chi1"))
     q2 = ha.evaluate_monitor(st, ha.HarnackConfig("chi2"))
     npt.assert_allclose(q1.Q, q2.Q + st.F * st.tr_dF, rtol=1e-12)
@@ -151,7 +151,7 @@ def test_strong_correction_coefficients():
 
 def test_strong_Hp_correction_term_matches_branch():
     sol = flow.sphere_ode_solution(SPHERE, MEAN(0.6), 0.8)
-    st = sol.state(0.05)
+    st = sphere_state(sol, 0.05)
     rep = ha.evaluate_monitor(st, ha.HarnackConfig("strong-Hp"))
     H = 2.0 / np.tan(sol.radius(0.05))
     expected = -strong_correction_coefficient(0.6, 2) * H ** (2 * 0.6 - 1.0)
@@ -164,17 +164,17 @@ def test_strong_Hp_correction_term_matches_branch():
 
 def test_variant_and_ambient_guards():
     sol1 = flow.sphere_ode_solution(SPHERE, MEAN(1.0), 0.8)
-    st1 = sol1.state(0.1)
+    st1 = sphere_state(sol1, 0.1)
     with pytest.raises(ConfigError, match="euclidean variants need ambient curvature c = 0"):
         ha.evaluate_monitor(st1, ha.HarnackConfig("euclidean-contracting"))
     sol0 = flow.sphere_ode_solution(FLAT, MEAN(1.0), 1.0)
-    st0 = sol0.state(0.1)
+    st0 = sphere_state(sol0, 0.1)
     with pytest.raises(ConfigError):
         ha.evaluate_monitor(st0, ha.HarnackConfig("euclidean-expanding"))
-    expanding = flow.sphere_ode_solution(FLAT, MEAN(-0.5), 1.0).state(1.0)
+    expanding = sphere_state(flow.sphere_ode_solution(FLAT, MEAN(-0.5), 1.0), 1.0)
     with pytest.raises(ConfigError, match="euclidean-contracting monitor got an expanding"):
         ha.evaluate_monitor(expanding, ha.HarnackConfig("euclidean-contracting"))
-    steep = flow.sphere_ode_solution(SPHERE, MEAN(1.5), 0.8).state(0.01)
+    steep = sphere_state(flow.sphere_ode_solution(SPHERE, MEAN(1.5), 0.8), 0.01)
     with pytest.raises(ConfigError, match="strong-Hp needs 0 < p <= 1, got 1.5"):
         ha.evaluate_monitor(steep, ha.HarnackConfig("strong-Hp"))
     with pytest.raises(ConfigError):
@@ -183,7 +183,7 @@ def test_variant_and_ambient_guards():
 
 def test_mean_only_variants_reject_other_speeds():
     sol = flow.sphere_ode_solution(SPHERE, NORM(1.0), 0.8)
-    st = sol.state(0.1)
+    st = sphere_state(sol, 0.1)
     for variant in ("chi3", "strong-Hp"):
         with pytest.raises(ConfigError,
                            match=f"{variant} is specific to powers of the mean curvature"):
@@ -191,15 +191,15 @@ def test_mean_only_variants_reject_other_speeds():
 
 
 def test_delta_window_validation():
-    st0 = flow.sphere_ode_solution(FLAT, MEAN(1.0), 1.0).state(0.1)
+    st0 = sphere_state(flow.sphere_ode_solution(FLAT, MEAN(1.0), 1.0), 0.1)
     with pytest.raises(ConfigError):
         # contracting window is delta >= p/(p+1) = 1/2
         ha.evaluate_monitor(st0, ha.HarnackConfig("euclidean-contracting", delta=0.3))
-    exp = flow.sphere_ode_solution(FLAT, MEAN(-0.5), 1.0).state(1.0)
+    exp = sphere_state(flow.sphere_ode_solution(FLAT, MEAN(-0.5), 1.0), 1.0)
     with pytest.raises(ConfigError):
         # expanding window is delta <= -1
         ha.evaluate_monitor(exp, ha.HarnackConfig("euclidean-expanding", delta=-0.5))
-    st1 = flow.sphere_ode_solution(SPHERE, MEAN(1.0), 0.8).state(0.1)
+    st1 = sphere_state(flow.sphere_ode_solution(SPHERE, MEAN(1.0), 0.8), 0.1)
     with pytest.raises(ConfigError):
         ha.evaluate_monitor(st1, ha.HarnackConfig("chi1", delta=0.0))
     with pytest.raises(ConfigError):
@@ -259,6 +259,6 @@ def test_non_finite_delta_is_refused(delta):
 
 
 def test_monitor_requires_positive_time():
-    st = flow.sphere_ode_solution(SPHERE, MEAN(1.0), 0.8).state(0.0)
+    st = sphere_state(flow.sphere_ode_solution(SPHERE, MEAN(1.0), 0.8), 0.0)
     with pytest.raises(ConfigError):
         ha.evaluate_monitor(st, ha.HarnackConfig("chi1"))

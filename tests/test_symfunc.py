@@ -298,7 +298,7 @@ def test_d2F_quadratic_eigenframe_matches_the_einsum_form():
     ed = np.einsum("...aa->...a", eta_hat)
     oracle = np.einsum("...ab,...a,...b->...", hess, ed, ed) \
         + np.einsum("...ab,...ab->...", dd, eta_hat ** 2)
-    npt.assert_allclose(sf.d2F_quadratic_eigenframe(spectrum, eta_hat), oracle,
+    npt.assert_allclose(sf.d2F_quadratic_eigenframe(spectrum, eta_hat, eta_hat ** 2), oracle,
                         rtol=1e-13, atol=1e-13 * np.abs(oracle).max())
 
 

@@ -346,12 +346,10 @@ def test_ladder_refuses_expanding_speed_on_the_sphere_before_running_a_flow(monk
 
 
 @pytest.mark.parametrize("levels, t_check, match", [
-    # dt = 8e-4 (24/64)^2 = 1.125e-4 at N = 64, so t_check/dt = 35.6
-    ((24, 48, 64), 4e-3, r"t_check = 0\.004 .* dt = 0\.0001125 at N = 64"),
     # the centered time difference needs the state at t_check - dt >= 0
     ((24, 48), 0.0, r"t_check = 0 .* dt = 0\.0008 at N = 24"),
     ((24, 48), -8e-4, r"t_check = -0\.0008 .* dt = 0\.0008 at N = 24"),
-], ids=["off-grid", "zero", "negative"])
+], ids=["zero", "negative"])
 def test_ladder_rejects_t_check_off_the_step_grid_before_running_a_flow(
         monkeypatch, levels, t_check, match):
     def no_flow(*args, **kwargs):
@@ -361,6 +359,31 @@ def test_ladder_rejects_t_check_off_the_step_grid_before_running_a_flow(
     with pytest.raises(ConfigError, match=match):
         V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta",), levels=levels,
                           dt0=8e-4, t_check=t_check)
+
+
+def test_an_off_grid_t_check_takes_an_adaptive_prefix_and_two_steps(flow_configs):
+    """dt = 8e-4·(24/64)² = 1.125e-4 at N = 64, so t_check = 4e-3 is 35.56 steps of it;
+    the ladder used to refuse it.  The prefix stores only its first and last steps."""
+    traj = V.standard_test_flow(SPHERE, MEAN_HALF, 64, 1.125e-4, t_check=4e-3)
+    assert [(c.t_end, c.dt, c.store_every) for c in flow_configs] == [
+        (4e-3 - 1.125e-4, None, V._flow.MAX_STEPS), (2.25e-4, 1.125e-4, 1)]
+    assert traj.times.tolist() == [4e-3 - 1.125e-4, 4e-3, 4e-3 + 1.125e-4]
+
+
+def test_t_check_may_fall_short_of_one_coarsest_step_only_within_the_tolerance(flow_configs):
+    """t_check = dt0 within flow.STATE_RTOL is one step of the coarsest level, which
+    then has no prefix; 1e-3 of a step short of dt0 is refused before any flow."""
+    t_check = 1e-3 - 5e-13
+    reports = V.residual_ladder(SPHERE, NORM_HALF, tags=("beta",), levels=(16, 32),
+                                dt0=1e-3, t_check=t_check)
+    assert [c.dt for c in flow_configs] == [1e-3, None, 2.5e-4]
+    assert [r.t for r in reports["beta"].records] == [t_check, t_check]
+    flow_configs.clear()
+    with pytest.raises(ConfigError, match=r"t_check = 0\.000999 is 0\.999 steps "
+                                          r"of dt = 0\.001 at N = 16"):
+        V.residual_ladder(SPHERE, NORM_HALF, tags=("beta",), levels=(16, 32),
+                          dt0=1e-3, t_check=1e-3 - 1e-6)
+    assert flow_configs == []
 
 
 def test_a_ladder_flow_keeps_only_its_last_steps():
@@ -392,14 +415,14 @@ def test_a_ladder_level_steps_adaptively_to_t_check_minus_dt_then_twice_by_dt(mo
 @pytest.mark.parametrize("t_check", [4e-3, 4e-3 + 5e-10], ids=["on-grid", "sliver"])
 def test_ladder_residuals_do_not_depend_on_the_window(monkeypatch, t_check):
     """t_check = 4e-3 + 5e-10 is a whole number of steps within flow.STATE_RTOL, so the
-    tail takes exactly two steps of dt from t_check − dt.  Keeping every step of both
+    tail takes exactly two steps of dt from t_check − dt.  Storing every step of both
     runs changes no residual: the tail starts from the prefix's last step."""
     def ladder():
         return V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta", "grad-commutator"),
                                  levels=(24, 48), dt0=8e-4, t_check=t_check)
     window = ladder()
     real = V._flow.run
-    monkeypatch.setattr(V._flow, "run", lambda config: real(replace(config, keep_last=None)))
+    monkeypatch.setattr(V._flow, "run", lambda config: real(replace(config, store_every=1)))
     whole = ladder()
     for tag in whole:
         assert window[tag].records == whole[tag].records
@@ -430,7 +453,13 @@ def test_ladder_memory_does_not_grow_with_t_check():
     # the odd level used to be refused only after the N = 18 flow had run
     ({"levels": (18, 9)}, r"even node count >= 8, to fit an order, got \(18, 9\)"),
     ({"levels": (6, 12)}, r"even node count >= 8, to fit an order, got \(6, 12\)"),
-], ids=["dt0-zero", "dt0-nan", "t_check-inf", "odd-level", "level-below-8"])
+    # the gates read the last levels as the finest: given as 48, 24 with dt0 = 8e-4,
+    # beta's finest residual used to be the N = 24 level's 8.6e-4 at t_check = 6.4e-3
+    ({"levels": (48, 24)}, r"strictly increasing, each an even node count >= 8, to fit "
+                           r"an order, got \(48, 24\)"),
+    ({"levels": (24, 64, 48)}, r"strictly increasing, .* got \(24, 64, 48\)"),
+], ids=["dt0-zero", "dt0-nan", "t_check-inf", "odd-level", "level-below-8", "descending",
+        "not-increasing"])
 def test_ladder_rejects_bad_step_inputs_before_running_a_flow(monkeypatch, keys, match):
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran before the input was checked")
