@@ -16,9 +16,10 @@ no timestamps, so a rerun of the same configuration is byte-identical.
 
 Exit codes: 0 success, 1 a refused request (a configuration or usage error,
 or an ambient, speed, variant or time outside its domain), 2 loss of
-convexity, 3 numerical instability (a run whose marker grid degenerates
-writes its outputs first), 4 a certified quantity failed its positivity or
-threshold requirement.
+convexity, 3 numerical instability, 4 a certified quantity failed its
+positivity or threshold requirement.  A flow that fails after its first step
+writes its outputs up to its last completed step first.  main maps each
+error class to its exit code and is the only writer to stderr.
 """
 
 from __future__ import annotations
@@ -316,11 +317,6 @@ def _extinction_window(ambient, speed, state0):
     return window
 
 
-def _termination_exit(trajectory) -> int:
-    return {"convexity-lost": EXIT_CONVEXITY,
-            "grid-degenerate": EXIT_INSTABILITY}.get(trajectory.termination, EXIT_OK)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -348,7 +344,9 @@ def cmd_simulate(args, cfg) -> int:
         rows.append([float(state.t), float(state.kappa.min()), float(state.kappa.max()),
                      min_q, arg_q, lo, hi, float(np.abs(state.F).max())])
     emit_outputs(args, cfg, [("simulate", header, rows)], summary)
-    return _termination_exit(traj)
+    if traj.failure:
+        raise traj.failure
+    return EXIT_OK
 
 
 def cmd_monitor(args, cfg) -> int:
@@ -377,7 +375,7 @@ def cmd_monitor(args, cfg) -> int:
         rows.append([float(state.t), rep.min_Q, k] + [float(v[k]) for v in rep.terms.values()])
 
     if not rows:
-        raise ConfigError("monitor produced no rows; lengthen t_end or adjust dt")
+        raise traj.failure or ConfigError("monitor produced no rows; lengthen t_end or adjust dt")
     floor = min(row[1] for row in rows)
     first_bad = next((row[0] for row in rows if row[1] <= 0), None)
     summary = {"variant": hcfg.variant, "delta": delta,
@@ -385,10 +383,9 @@ def cmd_monitor(args, cfg) -> int:
                "first_nonpositive_t": first_bad,
                "termination": traj.termination}
     emit_outputs(args, cfg, [("monitor", header, rows)], summary)
-    code = _termination_exit(traj)
-    if code == EXIT_OK and floor <= 0.0:
-        return EXIT_THRESHOLD
-    return code
+    if traj.failure:
+        raise traj.failure
+    return EXIT_THRESHOLD if floor <= 0.0 else EXIT_OK
 
 
 def cmd_verify_evolution(args, cfg) -> int:

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 There is one class per way the program reacts to a failure: the command-line
-driver maps each to an exit code, flow.run ends a run on ConvexityLost or
-DegenerateGrid, and the monitor skips a row on OutOfRange.  Every other
-refused request is a ConfigError, told apart by its message.
+driver maps each to an exit code, flow.run ends a run at a step that fails
+with ConvexityLost, DegenerateGrid or StabilityViolation, and the monitor
+skips a row on OutOfRange.  Every other refused request is a ConfigError,
+told apart by its message.
 """
 
 
@@ -29,8 +30,9 @@ class DegenerateGrid(HarnackLabError):
 
 
 class StabilityViolation(HarnackLabError):
-    """Time stepping failed: non-finite fields (blow-up / CFL violation), a fixed
-    step that left the convex cone, or an adaptive run past the step budget."""
+    """Time stepping failed: non-finite markers (blow-up / CFL violation), a fixed
+    step that left the convex cone or an adaptive run past the step budget,
+    each of which ends flow.run as "unstable"; or the radius solver did not settle."""
 
 
 class OutOfRange(HarnackLabError):

@@ -23,9 +23,10 @@ on the frozen-coefficient linearization ∂ₜψ = Φ'ᵢ ∂²ψ/∂sᵢ² disc
 periodic_d2, and SAFETY is the fraction of it taken.  The bound is
 invariant under parabolic rescaling, so a rescaled problem takes the same
 number of steps.  An adaptive step that leaves the convex cone is retried
-once at half its size; a fixed step that does so raises StabilityViolation,
+once at half its size; a fixed step that does so is a StabilityViolation,
 since the flow itself keeps convex surfaces convex.  A fixed dt takes
 fixed_steps(t_end, dt) steps on either tier, so neither steps a sliver.
+A step that fails ends the run at its last completed step (run).
 
 Round spheres stay round: their radius obeys ṙ = −F(cot r) (c = 1) or
 ṙ = −F(1/r) (c = 0), which is solved in closed form: for spherical p ≠ 1
@@ -48,8 +49,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import geometry
-from .errors import (ConfigError, ConvexityLost, DegenerateGrid, OutOfRange,
-                     StabilityViolation)
+from .errors import (ConfigError, ConvexityLost, DegenerateGrid, HarnackLabError,
+                     OutOfRange, StabilityViolation)
 from .geometry import AmbientSpace, GeodesicSphere, SurfaceState
 from .symfunc import SpeedFunction, eval_f
 
@@ -58,7 +59,7 @@ from .symfunc import SpeedFunction, eval_f
 STATE_RTOL = 1e-9
 
 # Step budget of one run: a fixed dt on either tier is refused beforehand
-# (check_step_budget); an adaptive grid run raises when it exhausts it (run).
+# (FlowConfig); an adaptive grid run that exhausts it ends as "unstable" (run).
 MAX_STEPS = 2_000_000
 
 # RK4's stability interval on the negative real axis (2.785…) over the
@@ -91,11 +92,11 @@ class FlowConfig:
     as the two steps of Δt that end each convergence ladder level need (the
     level reaches them at the adaptive step); a fixed dt that needs more than
     MAX_STEPS steps is refused here, on the grid-free tier too, which stores
-    its multiples.  The stop rule's max_kappa is positive and at most
-    MAX_KAPPA_LIMIT, so the sphere at the cap assembles to finite fields;
-    min_radius is finite, 0 for none, and measured from the symmetry center
-    (geometry.center_distance).  Expanding speeds raise ConfigError on the
-    sphere.
+    its multiples; an adaptive run that needs more ends "unstable" (run).
+    The stop rule's max_kappa is positive and at most MAX_KAPPA_LIMIT, so the
+    sphere at the cap assembles to finite fields; min_radius is finite, 0 for
+    none, and measured from the symmetry center (geometry.center_distance).
+    Expanding speeds raise ConfigError on the sphere.
     """
 
     ambient: AmbientSpace
@@ -115,8 +116,9 @@ class FlowConfig:
             raise ConfigError(f"t_end must be positive, got {self.t_end!r}")
         if self.dt is not None and (not np.isfinite(self.dt) or self.dt <= 0):
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
-        if self.dt is not None:
-            check_step_budget(self.t_end, self.dt)
+        if self.dt is not None and self.t_end / self.dt > MAX_STEPS:
+            raise ConfigError(f"a fixed dt = {self.dt:g} needs {self.t_end / self.dt:.6g} steps to "
+                              f"reach t = {self.t_end:g}, more than the step budget of {MAX_STEPS}")
         if self.store_every < 1:
             raise ConfigError("store_every must be >= 1")
         if not 0 < self.max_kappa <= MAX_KAPPA_LIMIT:
@@ -142,7 +144,9 @@ class Trajectory:
     read last: a state and its two time neighbours, all that a centered
     difference reads, so no reader assembles a state twice and memory does
     not grow with the run.
-    rejected_steps counts adaptive steps retried at half size.
+    rejected_steps counts adaptive steps retried at half size; failure is
+    the error of the step that ended a "convexity-lost", "grid-degenerate"
+    or "unstable" run (run), else None.
     """
 
     config: FlowConfig
@@ -150,6 +154,7 @@ class Trajectory:
     steps: list
     termination: str
     rejected_steps: int = 0
+    failure: Optional[HarnackLabError] = None
     _assembled: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
@@ -178,17 +183,10 @@ class Trajectory:
         return self[i]
 
 
-def check_step_budget(t_end: float, dt: float) -> None:
-    """Refuse a fixed dt whose ceil(t_end/dt) steps exceed MAX_STEPS."""
-    if t_end / dt > MAX_STEPS:
-        raise ConfigError(f"a fixed dt = {dt:g} needs {t_end / dt:.6g} steps to reach "
-                          f"t = {t_end:g}, more than the step budget of {MAX_STEPS}")
-
-
 def whole_steps(span: float, dt: float) -> Optional[int]:
-    """round(span / dt) if span is that many steps of dt within STATE_RTOL, else None."""
+    """round(span / dt) if span is that many steps of dt within STATE_RTOL < dt/2, else None."""
     n = round(span / dt)
-    return n if abs(n * dt - span) <= STATE_RTOL * max(1.0, abs(span)) else None
+    return n if abs(n * dt - span) <= STATE_RTOL * max(1.0, abs(span)) < 0.5 * dt else None
 
 
 def fixed_steps(span: float, dt: float) -> int:
@@ -232,17 +230,20 @@ def run(config: FlowConfig) -> Trajectory:
 
     Stops at t_end ("completed": after fixed_steps(t_end, dt) steps of
     min(dt, t_end − t), or adaptively within 1e-12·t_end of it) or earlier
-    when an adaptive step and its half-size retry both leave the convex cone
-    ("convexity-lost"), a step's marker grid degenerates ("grid-degenerate"),
-    or a step, the initial data included, meets the curvature cap
-    ("curvature-cap") or the radius floor ("radius-floor").  Every step's
-    markers go through _profile_geometry, whose output also drives the next
-    step; the markers of step 0, of every store_every-th step and of the
-    last completed step are stored (store_every = MAX_STEPS stores only the
-    first and the last), and nothing is assembled here.  Non-convex or
-    degenerate initial data raises ConvexityLost or DegenerateGrid before
-    any step; a fixed-dt step that leaves the cone, and an adaptive run that
-    needs more than MAX_STEPS steps, raise StabilityViolation.
+    when a step, the initial data included, meets the curvature cap
+    ("curvature-cap") or the radius floor ("radius-floor"), or when a step
+    fails.  A failed step ends the run at its last completed step, with the
+    error in Trajectory.failure, and is named by its class: an adaptive step
+    and its half-size retry both leave the convex cone ("convexity-lost"),
+    a step's marker grid degenerates ("grid-degenerate"), or a
+    StabilityViolation ("unstable": a fixed-dt step leaves the cone, markers
+    become non-finite, or an adaptive run needs more than MAX_STEPS steps).
+    Every step's markers go through _profile_geometry, whose output also
+    drives the next step; the markers of step 0, of every store_every-th
+    step and of the last completed step are stored (store_every = MAX_STEPS
+    stores only the first and the last), and nothing is assembled here.
+    After the first step nothing is raised; non-convex or degenerate initial
+    data raises ConvexityLost or DegenerateGrid before it.
 
     An n = 2 profile on N nodes is a double cover: node N−1−k is node k with
     the rotation coordinate negated.  Initial n = 2 markers farther from
@@ -282,7 +283,7 @@ def run(config: FlowConfig) -> Trajectory:
         m = n_nodes // 2
         markers, E, normal, kappa = markers[:m], E[:m], normal[:m], kappa[:m]
     times, steps = [0.0], [initial]
-    t, steps_done, rejected = 0.0, 0, 0
+    t, steps_done, rejected, failure = 0.0, 0, 0, None
     n_fixed = None if config.dt is None else fixed_steps(config.t_end, config.dt)
 
     while termination is None:
@@ -290,8 +291,6 @@ def run(config: FlowConfig) -> Trajectory:
                 else steps_done == n_fixed):
             termination = "completed"
             break
-        if steps_done >= MAX_STEPS:
-            raise StabilityViolation(f"step budget of {MAX_STEPS} exhausted")
         fv = speed.f.value(kappa)       # F and Φ' share one f(κ)
 
         termination = _stop(config, float(kappa.max()),
@@ -308,6 +307,8 @@ def run(config: FlowConfig) -> Trajectory:
 
         k1 = -speed._from_f(fv)[:, None] * normal
         try:
+            if steps_done >= MAX_STEPS:
+                raise StabilityViolation(f"step budget of {MAX_STEPS} exhausted")
             try:
                 stepped, E, normal, kappa = _advance(ambient, speed, markers, dt, k1)
             except ConvexityLost:
@@ -318,11 +319,10 @@ def run(config: FlowConfig) -> Trajectory:
                 rejected += 1
                 dt *= 0.5
                 stepped, E, normal, kappa = _advance(ambient, speed, markers, dt, k1)
-        except ConvexityLost:       # the half-size retry failed too
-            termination = "convexity-lost"
-            break
-        except DegenerateGrid:
-            termination = "grid-degenerate"
+        except (ConvexityLost, DegenerateGrid, StabilityViolation) as exc:
+            failure = exc       # a ConvexityLost here is the half-size retry's
+            termination = {ConvexityLost: "convexity-lost",
+                           DegenerateGrid: "grid-degenerate"}.get(type(exc), "unstable")
             break
         markers, t = stepped, t + dt
         steps_done += 1
@@ -334,7 +334,7 @@ def run(config: FlowConfig) -> Trajectory:
         steps.append(geometry.unfold(markers) if half else markers)
 
     return Trajectory(config=config, times=np.array(times), steps=steps,
-                      termination=termination, rejected_steps=rejected)
+                      termination=termination, rejected_steps=rejected, failure=failure)
 
 
 def _stop(config: FlowConfig, kappa_max: float, distance: Callable) -> Optional[str]:

@@ -319,7 +319,7 @@ def _profile_geometry(ambient, markers, half=False):
     ratio = np.sqrt(hi) / np.sqrt(lo)       # √ is monotone: max √E / min √E
     if ratio > MAX_SPACING_RATIO:
         raise DegenerateGrid(
-            f"marker spacing ratio {ratio:.3g} exceeds {MAX_SPACING_RATIO:g}")
+            f"marker spacing ratio {ratio:.17g} exceeds {MAX_SPACING_RATIO:g}")
 
     normal = np.empty_like(cp)
     if ambient.c == 1:

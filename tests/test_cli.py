@@ -409,6 +409,36 @@ def test_a_ladder_level_that_stops_short_of_t_check_is_refused_with_its_terminat
     assert not out.exists()
 
 
+def test_a_ladder_level_that_fails_in_its_tail_names_its_level_and_ladder_time(tmp_path,
+                                                                               capsys):
+    """N = 16 reaches t = 0.1 at the adaptive step, and its first tail step of
+    dt = 0.05 leaves the cone.  The tail used to raise that mid-run, naming only
+    t = 0.05 on its own clock, and exit 3; the tail now ends as 'unstable' and the
+    level reports it as a prefix that stops does, with no file written."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, exponent=1.0, identities="beta", levels="16, 32", dt0=0.05,
+                    t_check=0.1)
+    assert run_cli("verify-evolution", cfg, out) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: the N = 16 ladder flow stopped with 'unstable' at t = 0.1, short of "
+        "t = 0.15\n")
+    assert not out.exists()
+
+
+def test_a_t_check_short_of_one_tiny_step_is_refused_before_any_output(tmp_path, capsys):
+    """flow.STATE_RTOL·max(1, |t|) is 1e-9 below t = 1, more than half of dt0 = 1e-9, so
+    t_check = 6e-10 used to count as one step: the run exited 0 and labelled as
+    t = 6e-10 the N = 16 residuals it measured at t = 1e-9."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, speed="norm", exponent=0.5, identities="beta", levels="16, 32",
+                    dt0=1e-9, t_check=6e-10)
+    assert run_cli("verify-evolution", cfg, out) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: t_check = 6e-10 is 0.6 steps of dt = 1e-09 at N = 16; it must be at least "
+        "one step of the coarsest level\n")
+    assert not out.exists()
+
+
 def test_a_grid_free_fixed_dt_beyond_the_step_budget_is_refused_before_any_output(
         tmp_path, monkeypatch, capsys):
     """amplitude = 0 runs on the grid-free tier, which takes no steps but stores
@@ -426,30 +456,68 @@ def test_a_grid_free_fixed_dt_beyond_the_step_budget_is_refused_before_any_outpu
     assert not out.exists()
 
 
+def _written_simulate(out):
+    """summary.json and the data rows of a simulate run's outputs, all files present."""
+    assert sorted(os.listdir(out)) == ["manifest.json", "simulate.csv", "summary.json"]
+    rows = (out / "simulate.csv").read_text().splitlines()[1:]
+    return json.loads((out / "summary.json").read_text()), [row.split(",") for row in rows]
+
+
 def test_an_adaptive_run_that_exhausts_the_step_budget_exits_instability(tmp_path,
                                                                          monkeypatch, capsys):
-    """The adaptive run takes 6 steps to t_end; no test used to reach the budget."""
+    """The adaptive run takes 6 steps to t_end; no test used to reach the budget.
+    The run writes its five steps, then exits with the budget's message."""
     monkeypatch.setattr(cli._flow, "MAX_STEPS", 5)
     cfg = write_cfg(tmp_path, exponent=1.0, amplitude=0.05, n_nodes=64, t_end=0.01)
-    assert run_cli("simulate", cfg, tmp_path / "out") == cli.EXIT_INSTABILITY
+    out = tmp_path / "out"
+    assert run_cli("simulate", cfg, out) == cli.EXIT_INSTABILITY
     assert capsys.readouterr().err == "error: step budget of 5 exhausted\n"
+    summary, rows = _written_simulate(out)
+    assert summary["termination"] == "unstable" and len(rows) == 6
+    assert 0.0 < summary["t_final"] == float(rows[-1][0]) < 0.01
 
 
 def test_simulate_fixed_dt_blow_up_exits_instability(tmp_path, capsys):
-    """dt = 1e-2 is far beyond RK4's limit at N = 64: a blow-up, not convexity loss."""
+    """dt = 1e-2 is far beyond RK4's limit at N = 64: a blow-up, not convexity loss.
+    The three steps before it are written; nothing used to be."""
     cfg = write_cfg(tmp_path, exponent=1.0, amplitude=0.05, n_nodes=64,
                     dt=1e-2, t_end=0.05)
-    assert run_cli("simulate", cfg, tmp_path / "out") == cli.EXIT_INSTABILITY
-    err = capsys.readouterr().err
-    assert "dt = 0.01" in err and "t = 0.03" in err
+    out = tmp_path / "out"
+    assert run_cli("simulate", cfg, out) == cli.EXIT_INSTABILITY
+    assert capsys.readouterr().err == (
+        "error: a step of dt = 0.01 from t = 0.03 left the convex cone; the fixed dt is "
+        "too large\n")
+    summary, rows = _written_simulate(out)
+    assert summary["termination"] == "unstable" and summary["t_final"] == 0.03
+    assert [float(row[0]) for row in rows] == pytest.approx([0.0, 0.01, 0.02, 0.03],
+                                                            rel=0, abs=1e-15)
 
 
-def test_simulate_grid_degenerate_writes_outputs_then_exits_instability(tmp_path):
-    """A grid that degenerates mid-run keeps its last good step in the tables."""
+def test_a_run_that_loses_convexity_mid_run_writes_outputs_then_exits_convexity(tmp_path,
+                                                                                 capsys):
+    """Near extinction the adaptive step and its half-size retry both leave the cone;
+    the run keeps its steps up to t = 0.3439 and prints why it stopped (it used to
+    exit 2 silently)."""
+    cfg = write_cfg(tmp_path, exponent=0.5, amplitude=0.05, n_nodes=16, t_end=0.4)
+    out = tmp_path / "out"
+    assert run_cli("simulate", cfg, out) == cli.EXIT_CONVEXITY
+    assert capsys.readouterr().err == (
+        "error: surface is not strictly convex (min kappa = -2.73086)\n")
+    summary, rows = _written_simulate(out)
+    assert summary["termination"] == "convexity-lost"
+    assert summary["t_final"] == pytest.approx(0.343899, rel=1e-5) == float(rows[-1][0])
+
+
+def test_simulate_grid_degenerate_writes_outputs_then_exits_instability(tmp_path, capsys):
+    """A grid that degenerates mid-run keeps its last good step in the tables, and
+    prints its message (it used to exit 3 silently).  The ratio is printed in full,
+    since .3g rounded it onto the limit: "ratio 10 exceeds 10"."""
     cfg = write_cfg(tmp_path, exponent=0.3, amplitude=0.1, n_nodes=32, t_end=0.6,
                     store_every=1000000)
     out = tmp_path / "out"
     assert run_cli("simulate", cfg, out) == cli.EXIT_INSTABILITY
+    assert capsys.readouterr().err == (
+        "error: marker spacing ratio 10.036789154499473 exceeds 10\n")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["termination"] == "grid-degenerate"
     assert 0.0 < summary["t_final"] < 0.6
@@ -470,6 +538,24 @@ def test_monitor_positive_floor(tmp_path):
     lines = (out / "monitor.csv").read_text().splitlines()
     assert lines[0].split(",")[:3] == ["t", "min_Q", "argmin"]
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("dt, t_end, n_rows", [(1e-2, 0.05, 3), (0.1, 0.2, None)],
+                         ids=["mid-run", "first-step"])
+def test_monitor_of_a_run_that_fails_exits_with_the_failure(tmp_path, capsys, dt, t_end,
+                                                            n_rows):
+    """A fixed-dt blow-up writes the rows of its completed steps, then exits 3 with its
+    message; one that fails at its first step has no rows, and exits with the failure
+    rather than as a monitor that produced no rows."""
+    cfg = write_cfg(tmp_path, exponent=1.0, amplitude=0.05, n_nodes=64, dt=dt, t_end=t_end)
+    out = tmp_path / "out"
+    assert run_cli("monitor", cfg, out) == cli.EXIT_INSTABILITY
+    assert "left the convex cone; the fixed dt is too large" in capsys.readouterr().err
+    if n_rows is None:
+        assert not out.exists()
+    else:
+        assert json.loads((out / "summary.json").read_text())["termination"] == "unstable"
+        assert len((out / "monitor.csv").read_text().splitlines()) == 1 + n_rows
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf"])

@@ -211,6 +211,14 @@ def test_both_tiers_take_the_same_number_of_fixed_steps(offset, n_stored):
     assert abs(umbilic.times[-1] - grid.times[-1]) <= flow.STATE_RTOL
 
 
+def test_whole_steps_tolerance_stays_below_half_a_step():
+    """STATE_RTOL·max(1, |span|) is 1e-9 below a span of 1, more than half of dt = 1e-9:
+    6e-10 used to count as one step of it.  A 5e-10 sliver over 49 steps of 1e-4 is
+    still 49 steps."""
+    assert flow.whole_steps(6e-10, 1e-9) is None
+    assert flow.whole_steps(49e-4 + 5e-10, 1e-4) == 49
+
+
 def test_umbilic_run_stopped_early_keeps_the_dt_grid():
     """The radius floor r = 0.5 is reached at t = 0.1875, between grid points."""
     traj = flow.run(flow.FlowConfig(FLAT, _speed(1.0), geo.GeodesicSphere(1.0),
@@ -576,7 +584,7 @@ def test_adaptive_step_that_leaves_the_cone_is_retried_at_half_size(monkeypatch)
     traj = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 32),
                                     t_end=0.005))
     assert traj.termination == "completed" and traj.rejected_steps == 1
-    assert dts[1] == 0.5 * dts[0] == traj.times[1]
+    assert dts[1] == 0.5 * dts[0] == traj.times[1] and traj.failure is None
 
 
 def test_adaptive_step_whose_retry_fails_ends_the_run(monkeypatch):
@@ -584,19 +592,20 @@ def test_adaptive_step_whose_retry_fails_ends_the_run(monkeypatch):
     traj = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 32),
                                     t_end=0.005))
     assert traj.termination == "convexity-lost" and traj.rejected_steps == 1
-    assert list(traj.times) == [0.0]
+    assert list(traj.times) == [0.0] and type(traj.failure) is ConvexityLost
 
 
 @pytest.mark.parametrize("dt", [None, 1e-3], ids=["adaptive", "fixed"])
 def test_non_finite_step_raises_stability_violation(monkeypatch, dt):
     """Every stage's κ is checked finite, so only the RK4 combination itself
-    can go non-finite; a NaN velocity stands in for that here."""
+    can go non-finite; a NaN velocity stands in for that here.  The step's
+    StabilityViolation ends the run as "unstable" at step 0, its last good step."""
     monkeypatch.setattr(flow, "_velocity", lambda ambient, speed, markers: markers * np.nan)
-    cfg = flow.FlowConfig(SPHERE, _speed(1.0), geo.markers_from_radial(SPHERE, 0.8, 16),
-                          t_end=0.005, dt=dt)
-    with pytest.raises(StabilityViolation, match="markers became non-finite") as info:
-        flow.run(cfg)
-    assert info.type is StabilityViolation
+    mk = geo.markers_from_radial(SPHERE, 0.8, 16)
+    traj = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=0.005, dt=dt))
+    assert traj.termination == "unstable" and type(traj.failure) is StabilityViolation
+    assert str(traj.failure) == "markers became non-finite during a step"
+    assert list(traj.times) == [0.0] and traj.steps[0] is mk
 
 
 def test_nonconvex_initial_data_raises():
@@ -607,13 +616,18 @@ def test_nonconvex_initial_data_raises():
 
 
 def test_an_adaptive_run_that_exhausts_the_step_budget_raises(monkeypatch):
-    """The run takes 6 steps to t_end; with a budget of 5 the sixth is refused."""
+    """The run takes 6 steps to t_end; with a budget of 5 the sixth is refused, and
+    the run ends as "unstable" with its five steps stored, as an unbounded run stores them."""
+    mk = geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 64)
+    full = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=0.01))
     monkeypatch.setattr(flow, "MAX_STEPS", 5)
-    cfg = flow.FlowConfig(SPHERE, _speed(1.0),
-                          geo.markers_from_radial(SPHERE, geo.cos_mode_radial(0.8, 0.05, 2), 64),
-                          t_end=0.01)
-    with pytest.raises(StabilityViolation, match="^step budget of 5 exhausted$"):
-        flow.run(cfg)
+    traj = flow.run(flow.FlowConfig(SPHERE, _speed(1.0), mk, t_end=0.01))
+    assert full.termination == "completed" and len(full.times) == 7 and full.failure is None
+    assert traj.termination == "unstable" and type(traj.failure) is StabilityViolation
+    assert str(traj.failure) == "step budget of 5 exhausted"
+    assert list(traj.times) == list(full.times[:6]) and traj.times[-1] < 0.01
+    for got, want in zip(traj.steps, full.steps):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_a_fixed_dt_beyond_the_step_budget_is_refused_on_both_tiers():
@@ -638,6 +652,7 @@ def test_grid_that_degenerates_mid_run_ends_the_run_and_keeps_its_steps():
                                               store_every=n))
                      for n in (1, 10 ** 6))
     assert every.termination == sparse.termination == "grid-degenerate"
+    assert type(every.failure) is type(sparse.failure) is DegenerateGrid
     assert len(every.times) > 2 and 0.0 < sparse.times[-1] < 0.6
     assert list(sparse.times) == [0.0, every.times[-1]]
     npt.assert_array_equal(sparse.steps[-1], every.steps[-1])
