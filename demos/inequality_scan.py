@@ -32,7 +32,8 @@ for rep in scan_inequalities(inequalities=("urbas",),
     print(f"{rep.inequality:>14} {rep.f_name:>14} {rep.n:>3} "
           f"{rep.min_normalized_gap:>11.2e} {rep.witness_max_abs_gap:>11.2e}")
 
-# the 2-norm is convex but not inverse-concave, so Urbas is excluded
+# the 2-norm: the three inequalities for convex f, as in the acceptance
+# scans (it is inverse-concave too, so its default roster adds Urbas)
 for rep in scan_inequalities(inequalities=("f-lemma", "harnack-form",
                                            "fb-dominance"),
                              speed=SpeedFunction(norm(), 0.5),

@@ -71,13 +71,6 @@ def _cast_float(v, key):
         raise ConfigError(f"config key {key!r} expects a number, got {v!r}") from None
 
 
-def _cast_finite(v, key):
-    x = _cast_float(v, key)
-    if not np.isfinite(x):
-        raise ConfigError(f"config key {key!r} must be a finite number, got {v!r}")
-    return x
-
-
 def _cast_opt_float(v, key):
     if v.lower() in ("none", "auto"):
         return None
@@ -145,15 +138,11 @@ SCHEMAS = {
                          "t_check": (_cast_float, 8e-3),
                          "radius": (_cast_opt_float, None),
                          "amplitude": (_cast_float, 0.05),
-                         "mode": (_cast_int, 2),
-                         "min_order": (_cast_finite, 1.8),
-                         "max_residual": (_cast_finite, 1e-4)},
+                         "mode": (_cast_int, 2)},
     "scan-inequalities": {**_SPEED,
                           "inequalities": (_cast_strs, ("all",)),
                           "dimensions": (_cast_ints, (2, 3, 5)),
-                          "samples": (_cast_int, 100_000),
-                          "gap_floor": (_cast_finite, -1e-10),
-                          "witness_tol": (_cast_finite, 1e-8)},
+                          "samples": (_cast_int, 100_000)},
     "sphere-exact": {**_COMMON,
                      "radius": (_cast_opt_float, None),
                      "t_end": (_cast_float, 0.1),
@@ -402,12 +391,12 @@ def cmd_verify_evolution(args, cfg) -> int:
                 for tag, rep in reports.items() for rec in rep.records]
     ord_header = ["identity", "order", "finest_pair_order", "finest_residual", "passed"]
     ord_rows = [[tag, rep.order, rep.finest_pair_order, rep.finest_residual,
-                 int(rep.order >= cfg["min_order"] and rep.finest_residual <= cfg["max_residual"])]
+                 int(rep.order >= _ve.MIN_ORDER and rep.finest_residual <= _ve.MAX_RESIDUAL)]
                 for tag, rep in reports.items()]
     all_ok = all(row[-1] for row in ord_rows)
 
     summary = {"levels": list(cfg["levels"]), "t_check": cfg["t_check"], "dt0": cfg["dt0"],
-               "min_order": cfg["min_order"], "max_residual": cfg["max_residual"],
+               "min_order": _ve.MIN_ORDER, "max_residual": _ve.MAX_RESIDUAL,
                "all_passed": all_ok}
     emit_outputs(args, cfg,
                  [("residuals", res_header, res_rows), ("orders", ord_header, ord_rows)],
@@ -427,10 +416,10 @@ def cmd_scan_inequalities(args, cfg) -> int:
               "min_normalized_gap", "witness_max_abs_gap", "passed"]
     rows = [[rep.inequality, rep.f_name, rep.n, rep.samples, rep.seed,
              rep.min_normalized_gap, rep.witness_max_abs_gap,
-             int(rep.min_normalized_gap >= cfg["gap_floor"]
-                 and rep.witness_max_abs_gap <= cfg["witness_tol"])] for rep in reports]
+             int(rep.min_normalized_gap >= _ve.GAP_FLOOR
+                 and rep.witness_max_abs_gap <= _ve.WITNESS_TOL)] for rep in reports]
     all_ok = all(row[-1] for row in rows)
-    summary = {"gap_floor": cfg["gap_floor"], "witness_tol": cfg["witness_tol"],
+    summary = {"gap_floor": _ve.GAP_FLOOR, "witness_tol": _ve.WITNESS_TOL,
                "all_passed": all_ok}
     emit_outputs(args, cfg, [("scans", header, rows)], summary, seed=args.seed)
     return EXIT_OK if all_ok else EXIT_THRESHOLD

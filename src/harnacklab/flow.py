@@ -234,10 +234,11 @@ def run(config: FlowConfig) -> Trajectory:
     ("curvature-cap") or the radius floor ("radius-floor"), or when a step
     fails.  A failed step ends the run at its last completed step, with the
     error in Trajectory.failure, and is named by its class: an adaptive step
-    and its half-size retry both leave the convex cone ("convexity-lost"),
-    a step's marker grid degenerates ("grid-degenerate"), or a
-    StabilityViolation ("unstable": a fixed-dt step leaves the cone, markers
-    become non-finite, or an adaptive run needs more than MAX_STEPS steps).
+    and its half-size retry both leave the convex cone ("convexity-lost",
+    its message naming t, both step sizes and min κ), a step's marker grid
+    degenerates ("grid-degenerate"), or a StabilityViolation ("unstable": a
+    fixed-dt step leaves the cone, markers become non-finite, or an adaptive
+    run needs more than MAX_STEPS steps).
     Every step's markers go through _profile_geometry, whose output also
     drives the next step; the markers of step 0, of every store_every-th
     step and of the last completed step are stored (store_every = MAX_STEPS
@@ -320,7 +321,10 @@ def run(config: FlowConfig) -> Trajectory:
                 dt *= 0.5
                 stepped, E, normal, kappa = _advance(ambient, speed, markers, dt, k1)
         except (ConvexityLost, DegenerateGrid, StabilityViolation) as exc:
-            failure = exc       # a ConvexityLost here is the half-size retry's
+            failure = exc
+            if type(exc) is ConvexityLost:      # the half-size retry's
+                failure = ConvexityLost(f"a step of dt = {2 * dt:g} from t = {t:g} and its "
+                                        f"retry at dt = {dt:g} left the convex cone: {exc}")
             termination = {ConvexityLost: "convexity-lost",
                            DegenerateGrid: "grid-degenerate"}.get(type(exc), "unstable")
             break

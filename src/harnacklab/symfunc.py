@@ -138,17 +138,18 @@ def mean() -> CurvatureFunction:
 
 
 def norm() -> CurvatureFunction:
-    """Euclidean norm f(κ) = |κ| (convex, not inverse-concave)."""
+    """Euclidean norm f(κ) = |κ|: power_mean(2), convex and inverse-concave."""
     v, g, h = _power_mean_core(2.0)
-    return CurvatureFunction("norm", v, g, h)
+    return CurvatureFunction("norm", v, g, h, inverse_concave=True)
 
 
 def power_mean(r: float) -> CurvatureFunction:
-    """f(κ) = (Σ κᵢ^r)^(1/r); convex for r ≥ 1."""
+    """f(κ) = (Σ κᵢ^r)^(1/r); convex for r ≥ 1, and inverse-concave for r ≥ −1:
+    its dual 1/f(κ⁻¹) is the power mean of exponent −r, concave iff −r ≤ 1."""
     if not np.isfinite(r) or r == 0:
         raise ConfigError(f"power-mean exponent r must be finite and nonzero, got r = {r:g}")
     v, g, h = _power_mean_core(float(r))
-    return CurvatureFunction(f"power-mean({r:g})", v, g, h, inverse_concave=(r == 1.0))
+    return CurvatureFunction(f"power-mean({r:g})", v, g, h, inverse_concave=(r >= -1.0))
 
 
 def harmonic_mean() -> CurvatureFunction:

@@ -15,13 +15,14 @@ residual is
 The label stencils are sixth-order and Δt ∝ N⁻², so the O(Δt²) centered
 time difference sets a fourth-order target in N.  Fitted orders fall below
 it for some identities: the lowest on the acceptance ladders is 3.44 (beta
-under F = |κ|^0.5), and a ladder passes at order 1.8.
+under F = |κ|^0.5), and a ladder passes at order MIN_ORDER = 1.8.
 
 IDENTITIES lists the supported tags, box-commutator ([∂ₜ, □]F) among them;
 chi1, chi2 and chi3 take the f rule of the monitor variant of the same name
-(harnack.f_refusal).  The spatial commutator [∇, □]φ is checked on a single
-state by commutator_residual, with φ fixed to the first marker coordinate
-(the speed F on grid-free states).
+(harnack.f_refusal).  Its last row, grad-commutator, has no subject: the
+spatial commutator [∇, □]φ needs no time difference and is checked on the
+single state at t by commutator_residual, with φ fixed to the first marker
+coordinate (the speed F on grid-free states).
 
 Pointwise inequality scans
 --------------------------
@@ -38,13 +39,14 @@ Each inequality has one kernel in SCAN_KERNELS, under its scan tag: it
 evaluates the derivatives of f (or F) at a batch of κ once and returns
 terms(η̂) → (quad, pos, neg), whose sum quad + pos − neg is the gap, for the
 sample and its equality witness alike.  Samples draw κ log-uniformly and
-η̂ from symmetrized Gaussians, seeded through a splittable 64-bit
-SeedSequence so scans are reproducible per task.  A scan draws and
-evaluates SCAN_BATCH samples at a time, so that one constant fixes both the
-draws and the memory.  Within a batch each (SCAN_BATCH, n, n) array lives
-only while it is read: η̂'s Gaussian is symmetrized in place, metric_pair
-frees each of its Gaussians once read, harnack-form frees g, h and T before
-its kernel runs, and symfunc's spectral calculus works in place.
+η̂ from symmetrized Gaussians, seeded through the children of a 64-bit
+SeedSequence, which the (inequality, n) tasks take by position: a row
+reproduces with the same seed, inequalities and dimensions, in the same
+order.  A scan draws and evaluates SCAN_BATCH samples at a time, so that one constant fixes
+both the draws and the memory.  Within a batch each (SCAN_BATCH, n, n) array
+lives only while it is read: η̂'s Gaussian is symmetrized in place,
+metric_pair frees each of its Gaussians once read, harnack-form frees g, h
+and T before its kernel runs, and symfunc's spectral calculus works in place.
 """
 
 from __future__ import annotations
@@ -369,8 +371,8 @@ def _rhs_box_commutator(s):
 @dataclass(frozen=True)
 class Identity:
     tag: str
-    subject: Callable
-    rhs: Callable
+    subject: Optional[Callable]
+    rhs: Optional[Callable]
 
 
 IDENTITIES = {
@@ -392,6 +394,7 @@ IDENTITIES = {
         Identity("chi3", _ha.chi3, _rhs_chi3),
         Identity("chi1", _ha.chi1, _rhs_chi1),
         Identity("box-commutator", lambda s: box_op(s, s.F), _rhs_box_commutator),
+        Identity("grad-commutator", None, None),    # single-state: commutator_residual
     ]
 }
 
@@ -403,11 +406,11 @@ def applicable_tags(speed: SpeedFunction) -> tuple:
     return tuple(t for t in IDENTITIES if _ha.f_refusal(t, speed) is None)
 
 
-def _identity(tag: str, speed: SpeedFunction, also: tuple = ()) -> Identity:
-    """The identity under tag; ConfigError if there is none (naming the known tags and
-    also), or if the monitor variant of that name refuses f (harnack.f_refusal)."""
+def _identity(tag: str, speed: SpeedFunction) -> Identity:
+    """The identity under tag; ConfigError if there is none (naming the known tags),
+    or if the monitor variant of that name refuses f (harnack.f_refusal)."""
     if tag not in IDENTITIES:
-        raise ConfigError(f"unknown identity tag {tag!r}; known: {IDENTITY_TAGS + also}")
+        raise ConfigError(f"unknown identity tag {tag!r}; known: {IDENTITY_TAGS}")
     if why := _ha.f_refusal(tag, speed):
         raise ConfigError(f"identity {tag!r} {why}")
     return IDENTITIES[tag]
@@ -440,10 +443,13 @@ def evolution_residual(trajectory: Trajectory, tag: str, t: float,
     """Residual of one evolution identity at time t with step Δt.
 
     The subject field is differenced between the stored states at t ± Δt and
-    compared against the closed-form right side on the state at t.
+    compared against the closed-form right side on the state at t; the row
+    with no subject, grad-commutator, is commutator_residual of that state.
     """
     ident = _identity(tag, trajectory.config.speed)
     state = trajectory.state_at(t)
+    if ident.subject is None:
+        return commutator_residual(state)
     lhs = time_derivative(trajectory, ident.subject, t, dt)
     return _residual_record(tag, t, dt, state.n_nodes, lhs, ident.rhs(state))
 
@@ -452,8 +458,8 @@ def commutator_residual(state: SurfaceState) -> ResidualRecord:
     """Residual of the spatial commutator [∇, □]φ on a single state.
 
     φ is the first ambient coordinate restricted to the surface (the speed F
-    on grid-free states, which have no markers).  The time commutator
-    [∂ₜ, □]F is the evolution identity 'box-commutator'.
+    on grid-free states, which have no markers).  This is the IDENTITIES row
+    'grad-commutator'; [∂ₜ, □]F is the row 'box-commutator'.
     """
     phi = _sf.as_float(state.F if state.markers is None else state.markers[:, 0])
     gphi = grad_scalar(state, phi)
@@ -477,6 +483,10 @@ class LadderReport:
     order: float
     finest_pair_order: float
     finest_residual: float
+
+
+MIN_ORDER = 1.8         # a ladder passes at a fitted order of at least MIN_ORDER
+MAX_RESIDUAL = 1e-4     # and a finest residual of at most MAX_RESIDUAL
 
 
 def estimate_order(n_values, residuals) -> float:
@@ -540,12 +550,12 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     Δt is the step of the centered difference only: each level's flow
     (standard_test_flow) reaches t_check − Δt at the stable RK4 step and
     then takes two steps of Δt, and raises OutOfRange if it stops short.
-    Besides the evolution identities, tags may include 'grad-commutator',
-    which needs no time differencing and is checked on the state at t_check;
-    tags=None runs every identity valid for the speed, then 'grad-commutator'.
-    Repeated or unknown tags, an identity that holds only for powers of the
-    mean curvature (chi3) under another f, fewer than two levels, levels
-    that do not strictly increase (the last two are the finest pair) or one
+    tags are IDENTITIES rows; grad-commutator, the last, needs no time
+    difference and is checked on the state at t_check.  tags=None runs
+    applicable_tags(speed), every row valid for the speed.  Repeated or
+    unknown tags, an identity that holds only for powers of the mean
+    curvature (chi3) under another f, fewer than two levels, levels that do
+    not strictly increase (the last two are the finest pair) or one
     that is not an even node count >= 8, a dt0 that is not positive and
     finite, a non-finite t_check and a t_check of less than one step of dt0
     (the centered time difference needs the state at t_check − Δt) raise
@@ -553,13 +563,12 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     finest_pair_order is the order of the last two levels alone.
     """
     if tags is None:
-        tags = applicable_tags(speed) + ("grad-commutator",)
+        tags = applicable_tags(speed)
     repeated = sorted({t for t in tags if tags.count(t) > 1})
     if repeated:
         raise ConfigError(f"repeated identity tag(s) {repeated}")
     for tag in tags:
-        if tag != "grad-commutator":
-            _identity(tag, speed, also=("grad-commutator",))
+        _identity(tag, speed)
     if (len(levels) < 2 or any(a >= b for a, b in zip(levels, levels[1:]))
             or not all(map(_node_count_ok, levels))):
         raise ConfigError(f"need at least two grid levels, strictly increasing, each an "
@@ -576,10 +585,7 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
         traj = standard_test_flow(ambient, speed, n_nodes, dt, t_check, r0=r0,
                                   amplitude=amplitude, mode=mode)
         for tag in tags:
-            if tag == "grad-commutator":
-                ladders[tag].append(commutator_residual(traj.state_at(t_check)))
-            else:
-                ladders[tag].append(evolution_residual(traj, tag, t_check, dt))
+            ladders[tag].append(evolution_residual(traj, tag, t_check, dt))
     reports = {}
     for tag, records in ladders.items():
         residuals = [r.residual for r in records]
@@ -609,16 +615,9 @@ def _f_lemma_kernel(f, speed, kappa):
     return terms
 
 
-def _require_inverse_concave(f):
-    if not f.inverse_concave:
-        raise ConfigError(f"the Urbas inequality needs an inverse-concave f, "
-                          f"got {f.name}")
-
-
 def _urbas_kernel(f, speed, kappa):
     """terms(η̂) → (quad, pos, neg) of the Urbas gap: f^{ij,kl} η̂ η̂ and twice the
-    f-lemma's terms, which share one η̂².  f must be inverse-concave."""
-    _require_inverse_concave(f)
+    f-lemma's terms, which share one η̂² (for inverse-concave f: scan_roster)."""
     lemma = _f_lemma_kernel(f, speed, kappa)
     spectrum = _sf.d2F_spectrum(SpeedFunction(f, 1.0), kappa)
 
@@ -677,6 +676,9 @@ def scan_roster(f: CurvatureFunction) -> tuple:
 # every scan result.
 SCAN_BATCH = 1024
 KAPPA_RANGE = (1e-2, 1e2)
+
+GAP_FLOOR = -1e-10      # a scan row passes at a worst normalized gap of at least GAP_FLOOR
+WITNESS_TOL = 1e-8      # and a largest witness gap of at most WITNESS_TOL
 
 
 @dataclass
@@ -757,13 +759,15 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
 
     Scans f = speed.f (speed defaults to the mean curvature H).  Unknown or
     repeated tags, samples < 1, empty, repeated or non-positive dimensions,
-    a seed that is not a non-negative integer, urbas for an f that is not
-    inverse-concave and a task whose gap is not finite at the corners of the
-    sampled κ box (η̂ all ones; f overflows there) raise ConfigError before
-    any sample is drawn.  One SeedSequence child per (inequality, n) task
-    keeps results reproducible and independent of task order.  Returns ScanReports with the worst
-    normalized gap over all samples and the largest |gap| at the equality
-    witness: η̂ = diag(κ), or η̂ = Tᵀ h T for harnack-form.
+    a seed that is not a non-negative integer, an inequality outside
+    scan_roster(f) (urbas for an f that is not inverse-concave) and a task
+    whose gap is not finite at the corners of the sampled κ box (η̂ all
+    ones; f overflows there) raise ConfigError before any sample is drawn.
+    The tasks take SeedSequence(seed)'s children by position: a row
+    reproduces with the same seed, inequalities and dimensions, in the same
+    order.  Returns ScanReports with the worst normalized gap over all
+    samples and the largest |gap| at the equality witness: η̂ = diag(κ), or
+    η̂ = Tᵀ h T for harnack-form.
     """
     bad = [iq for iq in inequalities if iq not in SCAN_KERNELS]
     if bad:
@@ -781,8 +785,8 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
     if speed is None:
         speed = SpeedFunction(_sf.mean(), 1.0)
     f = speed.f
-    if "urbas" in inequalities:
-        _require_inverse_concave(f)
+    if not set(inequalities) <= set(scan_roster(f)):
+        raise ConfigError(f"the Urbas inequality needs an inverse-concave f, got {f.name}")
     tasks = [(ineq, n) for ineq in inequalities for n in n_values]
     for ineq, n in tasks:
         # row k: k coordinates at the top of the box; f is symmetric, so the

@@ -69,15 +69,9 @@ def test_unknown_key_is_named(tmp_path, capsys):
     ("sphere-exact", "exponent", "x", "config key 'exponent' expects a number, got 'x'"),
     ("sphere-exact", "ambient", "torus",
      "config key 'ambient' must be one of ('sphere', 'euclidean'), got 'torus'"),
-    ("scan-inequalities", "gap_floor", "nan", "config key 'gap_floor' must be a finite"),
-    ("scan-inequalities", "witness_tol", "nan", "config key 'witness_tol' must be a finite"),
-    ("verify-evolution", "min_order", "nan", "config key 'min_order' must be a finite"),
-    ("verify-evolution", "max_residual", "inf", "config key 'max_residual' must be a finite"),
-], ids=["n_nodes", "exponent", "ambient", "gap_floor", "witness_tol", "min_order",
-        "max_residual"])
+], ids=["n_nodes", "exponent", "ambient"])
 def test_a_value_of_the_wrong_kind_is_named_before_any_work(tmp_path, capsys, sub, key,
                                                             value, message):
-    """A non-finite threshold used to fail every row, exit 4 and write NaN into summary.json."""
     cfg = write_cfg(tmp_path, **{"exponent": 1.0, key: value})
     out = tmp_path / "out"
     assert run_cli(sub, cfg, out) == cli.EXIT_CONFIG
@@ -122,8 +116,8 @@ def test_there_is_one_error_class_per_way_the_program_reacts():
      "chi3 is specific to powers of the mean curvature, got f = norm"),
     ("monitor", {"exponent": 1.0, "variant": "euclidean-contracting"},
      "euclidean variants need ambient curvature c = 0"),
-    ("scan-inequalities", {"exponent": 1.0, "speed": "norm", "inequalities": "urbas"},
-     "the Urbas inequality needs an inverse-concave f, got norm"),
+    ("scan-inequalities", {"exponent": 1.0, "speed": "power-mean(-2)", "inequalities": "urbas"},
+     "the Urbas inequality needs an inverse-concave f, got power-mean(-2)"),
     ("sphere-exact", {"exponent": 1.0, "t_end": 0.5},
      "requested time beyond the extinction time 0.180695"),
     ("verify-evolution", {"exponent": 0.5, "speed": "norm", "identities": "chi3"},
@@ -132,7 +126,7 @@ def test_there_is_one_error_class_per_way_the_program_reacts():
      "sphere variants need ambient curvature c = 1"),
     ("monitor", {"ambient": "euclidean", "exponent": 1.0, "variant": "chi1", "delta": 0.01},
      "sphere variants need ambient curvature c = 1"),
-], ids=["expanding-on-sphere", "chi3-for-norm", "euclidean-on-sphere", "urbas-for-norm",
+], ids=["expanding-on-sphere", "chi3-for-norm", "euclidean-on-sphere", "urbas-for-power-mean",
         "past-extinction", "chi3-identity-for-norm", "strong-Hp-in-the-plane",
         "chi1-in-the-plane"])
 def test_a_request_outside_the_domain_is_refused_before_any_flow(tmp_path, monkeypatch,
@@ -496,13 +490,16 @@ def test_simulate_fixed_dt_blow_up_exits_instability(tmp_path, capsys):
 def test_a_run_that_loses_convexity_mid_run_writes_outputs_then_exits_convexity(tmp_path,
                                                                                  capsys):
     """Near extinction the adaptive step and its half-size retry both leave the cone;
-    the run keeps its steps up to t = 0.3439 and prints why it stopped (it used to
-    exit 2 silently)."""
+    the run keeps its steps up to t = 0.3439 and prints why it stopped, naming t and
+    both step sizes (it used to exit 2 silently, then to print only min kappa, as a
+    non-convex start does)."""
     cfg = write_cfg(tmp_path, exponent=0.5, amplitude=0.05, n_nodes=16, t_end=0.4)
     out = tmp_path / "out"
     assert run_cli("simulate", cfg, out) == cli.EXIT_CONVEXITY
     assert capsys.readouterr().err == (
-        "error: surface is not strictly convex (min kappa = -2.73086)\n")
+        "error: a step of dt = 0.000153585 from t = 0.343899 and its retry at dt = "
+        "7.67924e-05 left the convex cone: surface is not strictly convex "
+        "(min kappa = -2.73086)\n")
     summary, rows = _written_simulate(out)
     assert summary["termination"] == "convexity-lost"
     assert summary["t_final"] == pytest.approx(0.343899, rel=1e-5) == float(rows[-1][0])
@@ -649,13 +646,17 @@ PINNED_TABLES = {   # case: (subcommand, config keys, {table: sha256 prefix})
         {"scans": "6a8faf77fe18f963"}),
     # two full batches per task, through every curvature Hessian and speed Φ''
     # branch the spectrum evaluates: the norm (r = 2), a general power mean and
-    # the harmonic mean (the mean's r = 1 is the benchmark's scan above)
+    # the harmonic mean (the mean's r = 1 is the benchmark's scan above); the
+    # norm and the power mean name the three inequalities their pins were
+    # recorded with, before urbas joined their default roster
     "scan-inequalities-norm": (
-        "scan-inequalities", dict(speed="norm", exponent=0.5, dimensions="2,3,5", samples=2048),
+        "scan-inequalities", dict(speed="norm", exponent=0.5, dimensions="2,3,5", samples=2048,
+                                  inequalities="f-lemma, harnack-form, fb-dominance"),
         {"scans": "b9d36a28cbd83d0e"}),
     "scan-inequalities-power-mean": (
         "scan-inequalities",
-        dict(speed="power-mean(3)", exponent=0.3, dimensions="2,3,5", samples=2048),
+        dict(speed="power-mean(3)", exponent=0.3, dimensions="2,3,5", samples=2048,
+             inequalities="f-lemma, harnack-form, fb-dominance"),
         {"scans": "737ceedc0fbb9dea"}),
     "scan-inequalities-harmonic-mean": (
         "scan-inequalities",
@@ -707,12 +708,43 @@ def test_verify_evolution_runs_a_t_check_off_the_step_grid(tmp_path):
                                rtol=5e-3)
 
 
-def test_verify_evolution_threshold_failure_exits_4(tmp_path):
+def test_verify_evolution_threshold_failure_exits_4(tmp_path, monkeypatch):
+    """Negative control of the fixed ladder gates: R_β scaled by 0.999 drops beta's
+    fitted order on this ladder from 5.05 to 0.98 and lifts its finest residual from
+    1.7e-5 to 3.9e-4, so the row fails both gates."""
+    real = _ve._remainder_beta
+    monkeypatch.setattr(_ve, "_remainder_beta", lambda s: 0.999 * real(s))
     cfg = write_cfg(tmp_path, exponent=0.5, identities="beta",
-                    levels="24, 48", dt0=8e-4, t_check=4e-3, min_order=10.0)
+                    levels="24, 48", dt0=8e-4, t_check=4e-3)
     out = tmp_path / "out"
     assert run_cli("verify-evolution", cfg, out) == cli.EXIT_THRESHOLD
+    [row] = [r.split(",") for r in (out / "orders.csv").read_text().splitlines()[1:]]
+    assert row[0] == "beta" and row[-1] == "0"
+    assert float(row[1]) == pytest.approx(0.98, abs=0.01)
+    assert float(row[3]) == pytest.approx(3.9e-4, rel=0.01)
     assert json.loads((out / "summary.json").read_text())["all_passed"] is False
+
+
+@pytest.mark.parametrize("sub, keys, recorded", [
+    ("verify-evolution", dict(exponent=0.5, identities="beta", levels="24, 48", dt0=8e-4,
+                              t_check=4e-3), ['"max_residual": 0.0001', '"min_order": 1.8']),
+    ("scan-inequalities", dict(exponent=1, dimensions=2, samples=100),
+     ['"gap_floor": -1e-10', '"witness_tol": 1e-08']),
+], ids=["verify-evolution", "scan-inequalities"])
+def test_the_fixed_gates_are_recorded_in_the_summary_and_not_requested(tmp_path, capsys,
+                                                                        sub, keys, recorded):
+    """The gates used to be config keys, so "all_passed" could mean a different bar in
+    each run; summary.json records the fixed ones, with the same keys and bytes."""
+    out = tmp_path / "out"
+    assert run_cli(sub, write_cfg(tmp_path, **keys), out) == cli.EXIT_OK
+    summary = (out / "summary.json").read_text()
+    assert all(item in summary for item in recorded)
+    gates = {item.split('"')[1] for item in recorded}
+    assert not gates & json.loads((out / "manifest.json").read_text())["resolved_config"].keys()
+    assert not gates & cli.SCHEMAS[sub].keys()
+    again = write_cfg(tmp_path, "again.cfg", **keys, **{gate: 0 for gate in gates})
+    assert run_cli(sub, again, tmp_path / "again") == cli.EXIT_CONFIG
+    assert "unknown config key(s)" in capsys.readouterr().err
 
 
 def test_verify_evolution_needs_two_levels(tmp_path, capsys):
@@ -747,14 +779,15 @@ def test_verify_evolution_rejects_unknown_identity(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_scan_excludes_urbas_for_non_inverse_concave_f(tmp_path):
-    cfg = write_cfg(tmp_path, exponent=0.5, speed="norm",
+    """power-mean(-2) is not inverse-concave (its dual, power-mean(2), is convex).  Nor
+    is it convex, and its harnack-form row fails at n = 2, so the scan exits 4."""
+    cfg = write_cfg(tmp_path, exponent=0.5, speed="power-mean(-2)",
                     samples=2000, dimensions=2)
     out = tmp_path / "out"
-    assert run_cli("scan-inequalities", cfg, out) == cli.EXIT_OK
-    rows = (out / "scans.csv").read_text().splitlines()[1:]
-    names = [row.split(",")[0] for row in rows]
-    assert "urbas" not in names
-    assert {"f-lemma", "harnack-form", "fb-dominance"} == set(names)
+    assert run_cli("scan-inequalities", cfg, out) == cli.EXIT_THRESHOLD
+    rows = [row.split(",") for row in (out / "scans.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[-1]) for row in rows] == [
+        ("f-lemma", "1"), ("harnack-form", "0"), ("fb-dominance", "1")]
 
 
 @pytest.mark.parametrize("key, value", [("dimension", 3), ("ambient", "euclidean")])

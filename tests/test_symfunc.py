@@ -93,6 +93,23 @@ def test_power_mean_refuses_a_zero_or_non_finite_exponent(r):
         sf.builtin(f"power-mean({r})")
 
 
+@pytest.mark.parametrize("name", ALL_BUILTINS + tuple(
+    f"power-mean({r:g})" for r in (-4.0, -2.0, -1.5, -1.0, 0.5, 1.0, 3.0)))
+def test_inverse_concave_flag_matches_the_concavity_of_the_dual(name):
+    """f is inverse-concave iff its dual f*(κ) = 1/f(1/κ) is concave on Γ₊: second
+    differences of f* along random directions, against the flag.  The norm and the
+    power means with -1 <= r != 1 used to be flagged not inverse-concave."""
+    f = sf.builtin(name)
+    rng = np.random.default_rng(4)
+    kappa = np.exp(rng.uniform(-1.0, 1.0, size=(500, 3)))
+    step = 1e-3 * rng.standard_normal((500, 3))
+
+    def dual(k):
+        return 1.0 / sf.eval_f(f, 1.0 / k)
+    curvature = (dual(kappa + step) - 2.0 * dual(kappa) + dual(kappa - step)) / dual(kappa)
+    assert f.inverse_concave is bool((curvature < 1e-9).all())
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("r, make", [(1.0, sf.mean), (2.0, sf.norm)], ids=["mean", "norm"])

@@ -28,6 +28,7 @@ from oracles import _sample_kappa_eta, _sample_metric_pair, fixed_dt_ladder_flow
 SPHERE = AmbientSpace(c=1, dim=2)
 MEAN_HALF = SpeedFunction(mean(), 0.5)
 NORM_HALF = SpeedFunction(norm(), 0.5)
+PMEAN_MINUS_TWO = SpeedFunction(power_mean(-2.0), 1.0)     # not inverse-concave
 
 
 @pytest.fixture(scope="module")
@@ -51,10 +52,13 @@ def small_ladder():
 # ---------------------------------------------------------------------------
 
 def test_identity_tag_roster():
-    assert len(V.IDENTITY_TAGS) == 17
+    assert len(V.IDENTITY_TAGS) == 18
     for tag in ("metric", "sff", "weingarten-box", "speed", "beta",
                 "theta", "chi1", "chi2", "chi3", "box-commutator"):
         assert tag in V.IDENTITY_TAGS
+    # the single-state check is the last row, the one without a subject
+    assert [t for t, ident in V.IDENTITIES.items() if ident.subject is None] == [
+        "grad-commutator"] == [V.IDENTITY_TAGS[-1]]
 
 
 def test_applicable_tags_drop_chi3_for_general_speeds():
@@ -169,7 +173,8 @@ def test_chi3_residual_needs_mean_speed():
 
 def test_default_ladder_runs_every_applicable_check():
     ladders = V.residual_ladder(SPHERE, MEAN_HALF, levels=(24, 48), dt0=8e-4, t_check=4e-3)
-    assert tuple(ladders) == V.applicable_tags(MEAN_HALF) + ("grad-commutator",)
+    assert tuple(ladders) == V.applicable_tags(MEAN_HALF)
+    assert tuple(ladders)[-1] == "grad-commutator"
 
 
 # Every residual of residual_ladder(levels=(24, 48), dt0=8e-4, t_check=4e-3) at
@@ -511,11 +516,6 @@ def test_gap_witnesses_are_exact_zeros():
     assert float(_harnack_form_gap(MEAN_HALF, g, h, h)) == 0.0
 
 
-def test_urbas_gap_requires_inverse_concavity():
-    with pytest.raises(ConfigError, match="Urbas inequality needs an inverse-concave f, got norm"):
-        _gap("urbas", SpeedFunction(norm(), 1.0), np.array([1.0, 2.0]), np.diag([1.0, -1.0]))
-
-
 def test_harnack_form_decomposes_into_quadratic_and_lemma_gap():
     # F = f^p:  gap = p f^(p-1) [ (d2f)(eta,eta) + 2 * lemma gap ]
     rng = np.random.default_rng(11)
@@ -722,8 +722,8 @@ FROZEN_ONE_BATCH_GAPS = {"mean^1": {
 @pytest.mark.parametrize("name", FROZEN_ONE_BATCH_GAPS)
 def test_a_one_batch_scan_is_frozen_to_rounding(name):
     speed = {"mean^1": MEAN_ONE, "norm^0.5": NORM_HALF}[name]
-    reports = V.scan_inequalities(V.scan_roster(speed.f), (1, 2, 3, 5, 7), samples=1024,
-                                  seed=7, speed=speed)
+    roster = tuple(dict.fromkeys(iq for iq, _ in FROZEN_ONE_BATCH_GAPS[name]))
+    reports = V.scan_inequalities(roster, (1, 2, 3, 5, 7), samples=1024, seed=7, speed=speed)
     assert [(r.inequality, r.n) for r in reports] == list(FROZEN_ONE_BATCH_GAPS[name])
     for rep in reports:
         gap, witness = FROZEN_ONE_BATCH_GAPS[name][rep.inequality, rep.n]
@@ -775,8 +775,9 @@ def test_scan_rejects_an_unknown_inequality_before_drawing_a_sample(monkeypatch)
 def test_scan_refuses_urbas_for_non_inverse_concave_f_before_scanning(monkeypatch):
     calls = []
     monkeypatch.setattr(V, "_scan_once", lambda *args: calls.append(args[0]))
-    with pytest.raises(ConfigError, match="Urbas inequality needs an inverse-concave f"):
-        V.scan_inequalities(("f-lemma", "urbas"), speed=NORM_HALF)
+    with pytest.raises(ConfigError, match=re.escape(
+            "the Urbas inequality needs an inverse-concave f, got power-mean(-2)")):
+        V.scan_inequalities(("f-lemma", "urbas"), speed=PMEAN_MINUS_TWO)
     assert calls == []
 
 
@@ -900,7 +901,21 @@ def test_scan_reports_the_curvature_function_of_the_speed():
 
 def test_scan_default_roster_rejects_non_inverse_concave_f():
     with pytest.raises(ConfigError, match="Urbas inequality needs an inverse-concave f"):
-        V.scan_inequalities(n_values=(2,), samples=200, seed=1, speed=NORM_HALF)
+        V.scan_inequalities(n_values=(2,), samples=200, seed=1, speed=PMEAN_MINUS_TWO)
+
+
+@pytest.mark.parametrize("f, holds", [
+    (norm(), True), (power_mean(-1.0), True), (power_mean(0.5), True), (power_mean(3.0), True),
+    (replace(power_mean(-2.0), inverse_concave=True), False)],
+    ids=["norm", "r=-1", "r=0.5", "r=3", "r=-2-flag-forced"])
+def test_the_urbas_scan_passes_exactly_where_f_is_inverse_concave(f, holds):
+    """The norm and the power means with r >= -1 used to be refused as not
+    inverse-concave.  power-mean(-2), whose dual power-mean(2) is convex, is the
+    negative control: scanned with its flag forced, its gap falls to about -0.2."""
+    reports = V.scan_inequalities(("urbas",), (2, 3), samples=2000, seed=1,
+                                  speed=SpeedFunction(f, 1.0))
+    assert (min(r.min_normalized_gap for r in reports) >= V.GAP_FLOOR) is holds
+    assert max(r.witness_max_abs_gap for r in reports) <= V.WITNESS_TOL
 
 
 def test_scan_explicit_roster_runs_for_norm():
