@@ -524,10 +524,13 @@ def time_derivative(trajectory: Trajectory, extractor, t: float, dt: float):
 
     extractor is a SurfaceState attribute name or a callable on states.
     The states of one trajectory share one Lagrangian grid, so the two
-    sampled fields line up node by node.
+    sampled fields line up node by node.  OutOfRange unless stored states at
+    t ± Δt straddle t (for Δt within STATE_RTOL, state_at may find t itself).
     """
     before = trajectory.state_at(t - dt)
     after = trajectory.state_at(t + dt)
+    if not before.t < t < after.t:
+        raise OutOfRange(f"no stored states straddle t = {t:g} at ± {dt:g}")
     pull = (lambda s: getattr(s, extractor)) if isinstance(extractor, str) else extractor
     xa, xb = np.asarray(pull(after)), np.asarray(pull(before))
     return (xa - xb) / (after.t - before.t)

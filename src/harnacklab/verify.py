@@ -31,18 +31,21 @@ Working in the g-orthonormal Weingarten eigenframe, κ ∈ Γ₊ and a symmetric
 
     f-lemma       Σ (f_i/κ_j) η̂_ij² − (Σ f_i η̂_ii)²/f               ≥ 0
     urbas         Q_f(η̂) + 2Σ (f_i/κ_j) η̂_ij² − 2(Σ f_i η̂_ii)²/f    ≥ 0
-    harnack-form  Q_F(η̂) + 2Σ (Φ'_j/κ_i) η̂_ij² − (Σ Φ'_i η̂_ii)²/(δF) ≥ 0
+    harnack-form  Q_F(η̂) + 2Σ (Φ'_i/κ_j) η̂_ij² − (Σ Φ'_i η̂_ii)²/(δF) ≥ 0
     fb-dominance  min_i (f/κ_i − f_i)                                ≥ 0
 
 with equality at η̂ ∝ diag(κ) for the first three, and δ = speed.delta_default.
-Each inequality has one kernel in SCAN_KERNELS, under its scan tag: it
-evaluates the derivatives of f (or F) at a batch of κ once and returns
-terms(η̂) → (quad, pos, neg), whose sum quad + pos − neg is the gap, for the
-sample and its equality witness alike.  Samples draw κ log-uniformly and
-η̂ from symmetrized Gaussians, seeded through the children of a 64-bit
-SeedSequence, which the (inequality, n) tasks take by position: a row
-reproduces with the same seed, inequalities and dimensions, in the same
-order.  A scan draws and evaluates SCAN_BATCH samples at a time, so that one constant fixes
+The first three are one form, Q + a·Σ (w_i/κ_j) η̂_ij² − b·(Σ w_i η̂_ii)²/v,
+with (w, v, Q, a, b) = (f_i, f, 0, 1, 1), (f_i, f, Q_f, 2, 2) and
+(Φ'_i, δF, Q_F, 2, 1), evaluated by one kernel body, _quadratic_gap.  Each
+inequality has one kernel in SCAN_KERNELS, under its scan tag: it evaluates
+the derivatives of f (or F) at a batch of κ once and returns terms(η̂) →
+(quad, pos, neg), whose sum quad + pos − neg is the gap, for the sample and
+its equality witness alike.  Samples draw κ log-uniformly and η̂ from
+symmetrized Gaussians, from a generator that each (inequality, n) row seeds
+from the seed, n and the tag alone: a row reproduces from the same seed,
+inequality, dimension and sample count, whatever else the scan runs.  A scan
+draws and evaluates SCAN_BATCH samples at a time, so that one constant fixes
 both the draws and the memory.  Within a batch each (SCAN_BATCH, n, n) array
 lives only while it is read: η̂'s Gaussian is symmetrized in place,
 metric_pair frees each of its Gaussians once read, harnack-form frees g, h
@@ -600,50 +603,38 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
 # pointwise inequality gaps (eigenframe inputs)
 # ---------------------------------------------------------------------------
 
-def _f_lemma_kernel(f, speed, kappa):
-    """terms(η̂) → (quad, pos, neg) of the f-lemma gap, which has no quadratic part;
-    terms(η̂, η̂²) reads the elementwise square from a caller that has formed it."""
-    fi = grad_f(f, kappa)
-    fv = eval_f(f, kappa)
+def _quadratic_gap(w, v, kappa, a, b, spectrum=None):
+    """terms(η̂) → (quad, pos, neg) of Q(η̂) + a·Σ (w_i/κ_j) η̂_ij² − b·(Σ w_i η̂_ii)²/v,
+    the form of the f-lemma, Urbas and Harnack-form gaps; Q is F^{ij,kl} η̂ η̂ of
+    the given d2F_spectrum at κ, or 0 without one.  pos and Q share one η̂²."""
     inv = 1.0 / kappa
 
-    def terms(eta_hat, eta_sq=None):
-        pos = np.einsum("...i,...j,...ij->...", fi, inv,
-                        eta_hat ** 2 if eta_sq is None else eta_sq)
-        neg = np.einsum("...i,...ii->...", fi, eta_hat) ** 2 / fv
-        return 0.0, pos, neg
+    def terms(eta_hat):
+        eta_sq = eta_hat ** 2
+        pos = a * np.einsum("...i,...j,...ij->...", w, inv, eta_sq)
+        quad = 0.0 if spectrum is None else \
+            _sf.d2F_quadratic_eigenframe(spectrum, eta_hat, eta_sq)    # overwrites eta_sq
+        neg = b * np.einsum("...i,...ii->...", w, eta_hat) ** 2 / v
+        return quad, pos, neg
     return terms
+
+
+def _f_lemma_kernel(f, speed, kappa):
+    """The f-lemma gap: (w, v, Q, a, b) = (f_i, f, 0, 1, 1)."""
+    return _quadratic_gap(grad_f(f, kappa), eval_f(f, kappa), kappa, 1.0, 1.0)
 
 
 def _urbas_kernel(f, speed, kappa):
-    """terms(η̂) → (quad, pos, neg) of the Urbas gap: f^{ij,kl} η̂ η̂ and twice the
-    f-lemma's terms, which share one η̂² (for inverse-concave f: scan_roster)."""
-    lemma = _f_lemma_kernel(f, speed, kappa)
-    spectrum = _sf.d2F_spectrum(SpeedFunction(f, 1.0), kappa)
-
-    def terms(eta_hat):
-        eta_sq = eta_hat ** 2
-        _, pos, neg = lemma(eta_hat, eta_sq)
-        quad = _sf.d2F_quadratic_eigenframe(spectrum, eta_hat, eta_sq)    # overwrites eta_sq
-        return quad, 2.0 * pos, 2.0 * neg
-    return terms
+    """The Urbas gap, for inverse-concave f (scan_roster): (f_i, f, Q_f, 2, 2)."""
+    return _quadratic_gap(grad_f(f, kappa), eval_f(f, kappa), kappa, 2.0, 2.0,
+                          _sf.d2F_spectrum(SpeedFunction(f, 1.0), kappa))
 
 
 def _harnack_form_kernel(f, speed, kappa):
-    """terms(η̂) → (quad, pos, neg) of the Harnack-form gap in the eigenframe;
-    quad and pos share one η̂²."""
+    """The Harnack-form gap in the eigenframe: (Φ', δF, Q_F, 2, 1)."""
     spectrum = _sf.d2F_spectrum(speed, kappa)
-    phi = spectrum[0]
-    inv = 1.0 / kappa
-    dFv = speed.delta_default * speed.value(kappa)
-
-    def terms(eta_hat):
-        eta_sq = eta_hat ** 2
-        pos = 2.0 * np.einsum("...i,...j,...ij->...", inv, phi, eta_sq)
-        quad = _sf.d2F_quadratic_eigenframe(spectrum, eta_hat, eta_sq)    # overwrites eta_sq
-        neg = np.einsum("...i,...ii->...", phi, eta_hat) ** 2 / dFv
-        return quad, pos, neg
-    return terms
+    return _quadratic_gap(spectrum[0], speed.delta_default * speed.value(kappa), kappa,
+                          2.0, 1.0, spectrum)
 
 
 def _fb_dominance_kernel(f, speed, kappa):
@@ -763,11 +754,12 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
     scan_roster(f) (urbas for an f that is not inverse-concave) and a task
     whose gap is not finite at the corners of the sampled κ box (η̂ all
     ones; f overflows there) raise ConfigError before any sample is drawn.
-    The tasks take SeedSequence(seed)'s children by position: a row
-    reproduces with the same seed, inequalities and dimensions, in the same
-    order.  Returns ScanReports with the worst normalized gap over all
-    samples and the largest |gap| at the equality witness: η̂ = diag(κ), or
-    η̂ = Tᵀ h T for harnack-form.
+    Each (inequality, n) row draws from its own SeedSequence(seed,
+    spawn_key=(n, *tag bytes)), so it reproduces from the same seed,
+    inequality, n and samples, whatever else the scan runs.  Returns
+    ScanReports with the worst normalized gap over all samples and the
+    largest |gap| at the equality witness: η̂ = diag(κ), or η̂ = Tᵀ h T for
+    harnack-form.
     """
     bad = [iq for iq in inequalities if iq not in SCAN_KERNELS]
     if bad:
@@ -797,10 +789,9 @@ def scan_inequalities(inequalities=SCAN_INEQUALITIES, n_values=(2, 3, 5),
         if not np.isfinite(quad + pos - neg).all():
             raise ConfigError(f"the {ineq} gap at n = {n} for f = {f.name} is not finite "
                               f"at the corners of the sampled box {KAPPA_RANGE}^n")
-    children = np.random.SeedSequence(seed).spawn(len(tasks))
     reports = []
-    for (ineq, n), child in zip(tasks, children):
-        rng = np.random.default_rng(child)
+    for ineq, n in tasks:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n, *ineq.encode())))
         gaps, witness_gaps = zip(*(
             _scan_once(ineq, f, speed, rng, min(SCAN_BATCH, samples - done), n)
             for done in range(0, samples, SCAN_BATCH)))

@@ -79,6 +79,13 @@ def test_a_value_of_the_wrong_kind_is_named_before_any_work(tmp_path, capsys, su
     assert not out.exists()
 
 
+def test_a_missing_config_file_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("simulate", str(tmp_path / "absent.cfg"), out) == cli.EXIT_CONFIG
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_exponent_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, speed="mean")
     assert run_cli("sphere-exact", cfg, tmp_path / "out") == cli.EXIT_CONFIG
@@ -126,9 +133,22 @@ def test_there_is_one_error_class_per_way_the_program_reacts():
      "sphere variants need ambient curvature c = 1"),
     ("monitor", {"ambient": "euclidean", "exponent": 1.0, "variant": "chi1", "delta": 0.01},
      "sphere variants need ambient curvature c = 1"),
+    ("simulate", {"exponent": 0.5, "dt": 0}, "dt must be positive, got 0.0"),
+    ("simulate", {"exponent": 0.5, "store_every": 0}, "store_every must be >= 1"),
+    ("simulate", {"exponent": 0.5, "dimension": 0},
+     "hypersurface dimension must be >= 1, got 0"),
+    ("simulate", {"exponent": 0.5, "amplitude": 1.5},
+     "radial profile must be positive and finite"),
+    ("simulate", {"exponent": 0.5, "radius": 3.2, "amplitude": 0.05},
+     "spherical radial profile must stay below pi"),
+    ("simulate", {"exponent": 0.5, "speed": "power-mean(x)"},
+     "cannot parse power-mean exponent in 'power-mean(x)'"),
+    ("simulate", {"ambient": "euclidean", "exponent": -1.5},
+     "expanding speeds need exponent −β with 0 < β < 1, got -1.5"),
 ], ids=["expanding-on-sphere", "chi3-for-norm", "euclidean-on-sphere", "urbas-for-power-mean",
         "past-extinction", "chi3-identity-for-norm", "strong-Hp-in-the-plane",
-        "chi1-in-the-plane"])
+        "chi1-in-the-plane", "zero-dt", "zero-store-every", "zero-dimension",
+        "negative-profile", "profile-past-pi", "unparsed-power-mean", "expanding-too-fast"])
 def test_a_request_outside_the_domain_is_refused_before_any_flow(tmp_path, monkeypatch,
                                                                  capsys, sub, keys, message):
     """A monitor variant or an identity that cannot apply used to be refused only after a
@@ -319,6 +339,17 @@ def test_simulate_round_sphere(tmp_path):
     lines = (out / "simulate.csv").read_text().splitlines()
     assert lines[0].startswith("t,min_kappa,max_kappa,min_Q")
     summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "completed"
+
+
+def test_simulate_euclidean_expanding_has_no_extinction_window(tmp_path):
+    cfg = write_cfg(tmp_path, ambient="euclidean", exponent=-0.5, amplitude=0.05,
+                    n_nodes=32, t_end=0.05)
+    out = tmp_path / "out"
+    assert run_cli("simulate", cfg, out) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["variant"] == "euclidean-expanding"
+    assert '"extinction_window": null' in (out / "summary.json").read_text()
     assert summary["termination"] == "completed"
 
 
@@ -588,6 +619,20 @@ def test_monitor_trajectory_source_on_the_grid_free_tier(tmp_path):
         [k * 1e-3 for k in range(1, 10)], rel=1e-12)
 
 
+@pytest.mark.parametrize("dt", [5e-4, 5e-10])
+def test_monitor_trajectory_source_writes_only_centered_rows(tmp_path, dt):
+    """At dt = 5e-10, below the state lookup's tolerance, the last state used to
+    find itself as its t + dt neighbour, and its backward difference was
+    written as a tenth, centered row."""
+    cfg = write_cfg(tmp_path, exponent=0.5, variant="chi1", dtf_source="trajectory",
+                    amplitude=0.05, n_nodes=16, store_every=1, dt=dt, t_end=10 * dt)
+    out = tmp_path / "out"
+    assert run_cli("monitor", cfg, out) == cli.EXIT_OK
+    rows = (out / "monitor.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == pytest.approx(
+        [k * dt for k in range(1, 10)], rel=1e-9)
+
+
 def test_monitor_trajectory_source_needs_dense_storage(tmp_path, capsys):
     cfg = write_cfg(tmp_path, exponent=0.5, dtf_source="trajectory",
                     t_end=0.02)     # no dt given
@@ -643,25 +688,25 @@ PINNED_TABLES = {   # case: (subcommand, config keys, {table: sha256 prefix})
     # the benchmark's scan, ten batches per task
     "scan-inequalities": (
         "scan-inequalities", dict(speed="mean", exponent=1, dimensions="2,3,5", samples=10000),
-        {"scans": "6a8faf77fe18f963"}),
+        {"scans": "b76708b5ebe9f1b9"}),
     # two full batches per task, through every curvature Hessian and speed Φ''
     # branch the spectrum evaluates: the norm (r = 2), a general power mean and
-    # the harmonic mean (the mean's r = 1 is the benchmark's scan above); the
-    # norm and the power mean name the three inequalities their pins were
-    # recorded with, before urbas joined their default roster
+    # the harmonic mean (the mean's r = 1 is the benchmark's scan above); a
+    # row depends only on the seed, its inequality, n and the sample count, so
+    # the norm and the power mean leave out urbas only to keep these scans small
     "scan-inequalities-norm": (
         "scan-inequalities", dict(speed="norm", exponent=0.5, dimensions="2,3,5", samples=2048,
                                   inequalities="f-lemma, harnack-form, fb-dominance"),
-        {"scans": "b9d36a28cbd83d0e"}),
+        {"scans": "592c63517063917a"}),
     "scan-inequalities-power-mean": (
         "scan-inequalities",
         dict(speed="power-mean(3)", exponent=0.3, dimensions="2,3,5", samples=2048,
              inequalities="f-lemma, harnack-form, fb-dominance"),
-        {"scans": "737ceedc0fbb9dea"}),
+        {"scans": "d29f77735e9e7cfb"}),
     "scan-inequalities-harmonic-mean": (
         "scan-inequalities",
         dict(speed="harmonic-mean", exponent=1, dimensions="2,3,5", samples=2048),
-        {"scans": "eb086d46a349249c"}),
+        {"scans": "70c80aa87b7fc724"}),
 }
 
 

@@ -247,6 +247,12 @@ def test_marker_shape_validation():
     bad = np.zeros((16, 3))
     with pytest.raises(ConfigError):
         geo.assemble(bad, FLAT, MEAN1)
+    sphere = geo.markers_from_radial(SPHERE, 1.0, 16)
+    sphere[3, 0] = np.nan
+    with pytest.raises(ConfigError, match="markers contain non-finite entries"):
+        geo.assemble(sphere, SPHERE, MEAN1)
+    with pytest.raises(ConfigError, match="must lie on the unit sphere"):
+        geo.assemble(1.1 * geo.markers_from_radial(SPHERE, 1.0, 16), SPHERE, MEAN1)
 
 
 @pytest.mark.parametrize("n_nodes", [6, 9, 18])

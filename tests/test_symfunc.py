@@ -164,6 +164,8 @@ def test_cone_violation_raises():
         sf.eval_f(sf.mean(), np.array([1.0, -1.0]))
     with pytest.raises(ConvexityLost):
         sf.eval_f(sf.norm(), np.array([0.0, 2.0]))
+    with pytest.raises(ConvexityLost, match="non-finite entries"):
+        sf.eval_f(sf.mean(), np.array([1.0, np.inf]))
 
 
 def test_unknown_builtin_raises():
