@@ -9,6 +9,7 @@
 #   python correction_conditions.py
 import numpy as np
 
+from harnacklab.harnack import zeta_branch_threshold
 from harnacklab.verify import zeta_conditions
 
 H_GRID = np.logspace(-1.0, 1.0, 9)
@@ -16,7 +17,7 @@ KEYS = ("correction-size", "correction-square", "correction-slope",
         "gradient-term", "closure-identity")
 
 for n in (2, 3, 5):
-    thr = 0.5 + 1.0 / (2.0 * n)
+    thr = zeta_branch_threshold(n)
     print(f"n = {n}  (threshold p = {thr:.4f})")
     print(f"{'p':>6} " + " ".join(f"{k:>18}" for k in KEYS))
     for p in np.linspace(0.55, 1.0, 10):

@@ -276,10 +276,10 @@ def _run_flow(cfg, ambient, speed, hcfg):
                         t_end=cfg["t_end"], dt=cfg["dt"],
                         store_every=cfg["store_every"], max_kappa=cfg["max_kappa"],
                         min_radius=cfg["min_radius"])
-    cap = _geo.assemble(GeodesicSphere(_flow.cap_radius(ambient, config.max_kappa)),
-                        ambient, speed, config.t_end)
     with np.errstate(all="ignore"):
-        if not np.isfinite(_ha.evaluate_monitor(cap, hcfg).Q).all():
+        cap = _geo.assemble(GeodesicSphere(_flow.cap_radius(ambient, config.max_kappa)),
+                            ambient, speed, config.t_end)
+        if not (np.isfinite(cap.F).all() and np.isfinite(_ha.evaluate_monitor(cap, hcfg).Q).all()):
             raise ConfigError(f"max_kappa = {config.max_kappa:g} makes the {hcfg.variant} "
                               f"monitor overflow on the sphere at the cap")
     return _flow.run(config)

@@ -48,7 +48,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import geometry
+from . import geometry, symfunc
 from .errors import (ConfigError, ConvexityLost, DegenerateGrid, HarnackLabError,
                      OutOfRange, StabilityViolation)
 from .geometry import AmbientSpace, GeodesicSphere, SurfaceState
@@ -196,7 +196,7 @@ def fixed_steps(span: float, dt: float) -> int:
 
 def _project(ambient, markers):
     if ambient.c == 1:
-        return markers / np.sqrt(geometry._row_dot(markers, markers))[:, None]
+        return markers / np.sqrt(symfunc._column_sum(markers * markers))[:, None]
     return markers
 
 

@@ -35,14 +35,18 @@ normal of the profile is m = c′ × c / |c′| on the sphere and
 n = (ρ′, −x′)/|c′| in the half-plane; with these conventions h is positive
 definite on convex data and ∂ₜx = −Fν contracts.
 
-Label derivatives use sixth-order periodic central differences; Christoffel
-symbols are assembled from the same differenced metric, which makes the
-discrete covariant derivative of g vanish to machine precision.
+assemble() has two tiers: the grid-free one writes a geodesic sphere's base
+fields (g, g⁻¹, h, b, h², κ and the eigenbasis) in closed form, the grid one
+reads them off the marker profile, and SurfaceState derives every other
+field when it is built.  Label derivatives use sixth-order periodic central
+differences; Christoffel symbols are assembled from the same differenced
+metric, which makes the discrete covariant derivative of g vanish to
+machine precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -229,6 +233,10 @@ class SurfaceState:
 
     Tensor components refer to the Lagrangian coordinate frame (label u and,
     for n = 2, the rotation angle v).  Leading axis is the node index.
+
+    Each tier supplies the base, the fields up to eigT; __post_init__ derives
+    the twelve below it, with Γ and ∇h zero on a grid-free state (markers
+    None).  Only F^{ij,kl} (d2F) stays lazy, built on first read.
     """
 
     ambient: AmbientSpace
@@ -245,20 +253,45 @@ class SurfaceState:
     h_sq: np.ndarray                # (h²)_{ij} = h_{ik} g^{kl} h_{lj}
     kappa: np.ndarray               # principal curvatures,     (N, n)
     eigT: np.ndarray                # g-orthonormal Weingarten eigenbasis
-    christoffel: np.ndarray         # Γ^k_{ij},                 (N, n, n, n)
-    nabla_h: Optional[np.ndarray] = None    # ∇_k h_{ij},       (N, n, n, n)
 
-    # filled by _attach_speed_quantities
-    F: Optional[np.ndarray] = None          # speed,            (N,)
-    dF: Optional[np.ndarray] = None         # F^{ij}
-    tr_dF: Optional[np.ndarray] = None      # g_{ij} F^{ij} = Σ Φ'
-    grad_F: Optional[np.ndarray] = None     # ∇_i F
-    hess_F: Optional[np.ndarray] = None     # ∇²_{ij} F
-    alpha: Optional[np.ndarray] = None      # ∇²F + F h²
-    gamma: Optional[np.ndarray] = None      # b^{kl} ∇_k F ∇_l h
-    eta: Optional[np.ndarray] = None        # α − γ
-    beta: Optional[np.ndarray] = None       # F^{ij} α_{ij}
-    theta: Optional[np.ndarray] = None      # b^{ij} ∇_i F ∇_j F
+    # derived by __post_init__
+    christoffel: np.ndarray = field(init=False)     # Γ^k_{ij},  (N, n, n, n)
+    nabla_h: np.ndarray = field(init=False)         # ∇_k h_{ij}, (N, n, n, n)
+    F: np.ndarray = field(init=False)               # speed,     (N,)
+    dF: np.ndarray = field(init=False)              # F^{ij}
+    tr_dF: np.ndarray = field(init=False)           # g_{ij} F^{ij} = Σ Φ'
+    grad_F: np.ndarray = field(init=False)          # ∇_i F
+    hess_F: np.ndarray = field(init=False)          # ∇²_{ij} F
+    alpha: np.ndarray = field(init=False)           # ∇²F + F h²
+    gamma: np.ndarray = field(init=False)           # b^{kl} ∇_k F ∇_l h
+    eta: np.ndarray = field(init=False)             # α − γ
+    beta: np.ndarray = field(init=False)            # F^{ij} α_{ij}
+    theta: np.ndarray = field(init=False)           # b^{ij} ∇_i F ∇_j F
+
+    def __post_init__(self):
+        shape = (self.n_nodes,) + 3 * (self.dim,)
+        if self.markers is None:
+            self.christoffel, self.nabla_h = np.zeros(shape), np.zeros(shape)
+        else:
+            # Christoffel symbols from the same differenced metric, so the
+            # discrete covariant derivative of g vanishes identically.
+            dg = np.zeros(shape, dtype=self.g.dtype)
+            dg[:, 0] = periodic_d1(self.g, self.du)
+            self.christoffel = 0.5 * (np.einsum("nkl,nilj->nkij", self.g_inv, dg)
+                                      + np.einsum("nkl,njli->nkij", self.g_inv, dg)
+                                      - np.einsum("nkl,nlij->nkij", self.g_inv, dg))
+            self.nabla_h = covariant_derivative(self, self.h, ("lo", "lo"))
+        phi = self.speed.dvalue(self.kappa)
+        self.F = self.speed.value(self.kappa)
+        self.dF = dF_from_eig(phi, self.eigT)
+        self.tr_dF = np.sum(phi, axis=-1)
+        self.grad_F = grad_scalar(self, self.F)
+        self.hess_F = covariant_hessian(self, self.F)
+        self.alpha = self.hess_F + self.F[:, None, None] * self.h_sq
+        self.gamma = np.einsum("nkl,nk,nlij->nij", self.b, self.grad_F, self.nabla_h)
+        self.eta = self.alpha - self.gamma
+        self.beta = np.einsum("nij,nij->n", self.dF, self.alpha)
+        self.theta = np.einsum("nij,ni,nj->n", self.b, self.grad_F, self.grad_F)
 
     @property
     def n_nodes(self) -> int:
@@ -283,14 +316,6 @@ class SurfaceState:
 # profile differential geometry (shared by assembly and the flow stepper)
 # ---------------------------------------------------------------------------
 
-def _row_dot(x, y):
-    """np.sum(x * y, axis=1) of (N, d) arrays by explicit column sums: same bits, less overhead."""
-    out = x[:, 0] * y[:, 0]
-    for j in range(1, x.shape[1]):
-        out += x[:, j] * y[:, j]
-    return out
-
-
 def _profile_geometry(ambient, markers, half=False):
     """Metric component, normal and curvature components of a marker profile.
 
@@ -308,7 +333,7 @@ def _profile_geometry(ambient, markers, half=False):
     du = 2.0 * np.pi / (2 * n_nodes if half else n_nodes)
     cp = periodic_d1(markers, du, half)
     cpp = periodic_d2(markers, du, half)
-    E = _row_dot(cp, cp)
+    E = symfunc._column_sum(cp * cp)
     # two reductions check every node: a NaN fails both comparisons
     lo, hi = E.min(), E.max()
     if not (lo > 0 and hi < np.inf):
@@ -331,7 +356,7 @@ def _profile_geometry(ambient, markers, half=False):
         np.multiply(cp[:, ::-1], (1.0, -1.0), out=normal)      # (x′, ρ′) ↦ (ρ′, −x′)
     normal /= spacing[:, None]
 
-    h_uu = -_row_dot(cpp, normal)
+    h_uu = -symfunc._column_sum(cpp * normal)
     kappa = np.empty((n_nodes, ambient.dim), dtype=E.dtype)
     np.divide(h_uu, E, out=kappa[:, 0])
     if ambient.dim == 2:
@@ -401,16 +426,11 @@ def _assemble_umbilic(ambient, speed, r, t):
     n = ambient.dim
     a, kap = (np.sin(r) if ambient.c == 1 else r), _umbilic_kappa(ambient, r)
     eye = np.eye(n)[None]
-    kappa = np.full((1, n), kap)
-    state = SurfaceState(
+    return SurfaceState(
         ambient=ambient, speed=speed, t=t, markers=None, du=0.0, radius=float(r),
         g=a * a * eye.copy(), g_inv=eye / (a * a), h=kap * a * a * eye.copy(),
         b=eye / (kap * a * a), h_sq=kap * kap * a * a * eye.copy(),
-        kappa=kappa, eigT=eye / a, christoffel=np.zeros((1, n, n, n)),
-        nabla_h=np.zeros((1, n, n, n)),
-    )
-    _attach_speed_quantities(state)
-    return state
+        kappa=np.full((1, n), kap), eigT=eye / a)
 
 
 def _assemble_grid(ambient, speed, markers, t):
@@ -439,38 +459,9 @@ def _assemble_grid(ambient, speed, markers, t):
     b[:, idx, idx] = 1.0 / h[:, idx, idx]
     h_sq = np.einsum("nik,nkl,nlj->nij", h, g_inv, h)
 
-    # Christoffel symbols from the same differenced metric, so the discrete
-    # covariant derivative of g vanishes identically.
-    dg = np.zeros((n_nodes, n, n, n), dtype=markers.dtype)
-    dg[:, 0] = periodic_d1(g, du)
-    christoffel = 0.5 * (np.einsum("nkl,nilj->nkij", g_inv, dg)
-                         + np.einsum("nkl,njli->nkij", g_inv, dg)
-                         - np.einsum("nkl,nlij->nkij", g_inv, dg))
-
-    state = SurfaceState(
+    return SurfaceState(
         ambient=ambient, speed=speed, t=t, markers=markers, du=du, radius=None,
-        g=g, g_inv=g_inv, h=h, b=b, h_sq=h_sq, kappa=kappa, eigT=eigT,
-        christoffel=christoffel,
-    )
-    state.nabla_h = covariant_derivative(state, h, ("lo", "lo"))
-    _attach_speed_quantities(state)
-    return state
-
-
-def _attach_speed_quantities(state):
-    """Fill F, F^{ij}, gradients and the auxiliary tensors α, γ, η, β, θ."""
-    speed = state.speed
-    phi = speed.dvalue(state.kappa)
-    state.F = speed.value(state.kappa)
-    state.dF = dF_from_eig(phi, state.eigT)
-    state.tr_dF = np.sum(phi, axis=-1)
-    state.grad_F = grad_scalar(state, state.F)
-    state.hess_F = covariant_hessian(state, state.F)
-    state.alpha = state.hess_F + state.F[:, None, None] * state.h_sq
-    state.gamma = np.einsum("nkl,nk,nlij->nij", state.b, state.grad_F, state.nabla_h)
-    state.eta = state.alpha - state.gamma
-    state.beta = np.einsum("nij,nij->n", state.dF, state.alpha)
-    state.theta = np.einsum("nij,ni,nj->n", state.b, state.grad_F, state.grad_F)
+        g=g, g_inv=g_inv, h=h, b=b, h_sq=h_sq, kappa=kappa, eigT=eigT)
 
 
 # ---------------------------------------------------------------------------

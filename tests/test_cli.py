@@ -302,18 +302,22 @@ def test_simulate_refuses_a_cap_whose_sphere_cannot_be_represented(tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sub, exponent, max_kappa", [
-    ("simulate", 3.0, 1e100), ("simulate", 1.0, MAX_KAPPA_LIMIT), ("monitor", 3.0, 1e100)],
-    ids=["simulate-p3", "simulate-p1-at-the-limit", "monitor-p3"])
+@pytest.mark.parametrize("sub, speed, exponent, max_kappa", [
+    ("simulate", "mean", 3.0, 1e100), ("simulate", "mean", 1.0, MAX_KAPPA_LIMIT),
+    ("monitor", "mean", 3.0, 1e100), ("simulate", "power-mean(100)", 0.5, 1e4)],
+    ids=["simulate-p3", "simulate-p1-at-the-limit", "monitor-p3", "simulate-power-mean-100"])
 def test_a_cap_at_which_the_monitor_overflows_is_refused(tmp_path, monkeypatch, capsys, sub,
-                                                          exponent, max_kappa):
+                                                          speed, exponent, max_kappa):
     """F = H^3 capped at 1e100 used to exit 0 with min_Q = nan in the stop row and three
-    RuntimeWarnings (F·tr Ḟ overflows); F = H capped at the limit wrote min_Q = inf."""
+    RuntimeWarnings (F·tr Ḟ overflows); F = H capped at the limit wrote min_Q = inf.  The
+    power mean of order 100 overflows F itself at the default cap 1e4: that used to print
+    numpy overflow warnings and then blame a delta the config never set."""
     def no_flow(config):
         raise AssertionError("a flow ran before the cap was refused")
 
     monkeypatch.setattr(cli._flow, "run", no_flow)
-    cfg = write_cfg(tmp_path, exponent=exponent, amplitude=0, t_end=0.4, max_kappa=max_kappa)
+    cfg = write_cfg(tmp_path, speed=speed, exponent=exponent, amplitude=0, t_end=0.4,
+                    max_kappa=max_kappa)
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

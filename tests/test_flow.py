@@ -131,6 +131,13 @@ def test_radius_queries_past_extinction_raise():
         sphere_state(sol, 0.25)
 
 
+def test_a_radius_newton_cannot_settle_is_a_stability_violation(monkeypatch):
+    sol = flow.sphere_ode_solution(SPHERE, _speed(0.6), 0.8)
+    monkeypatch.setattr(flow, "NEWTON_STEPS", 1)
+    with pytest.raises(StabilityViolation, match="radius did not settle in 1 Newton steps"):
+        sol.radius(0.1)
+
+
 @pytest.mark.parametrize("ambient, exponent", [(SPHERE, 0.6), (FLAT, -0.5)],
                          ids=["sphere", "flat-expanding"])
 @pytest.mark.parametrize("t", [np.nan, np.inf, np.array([0.0, np.nan])],

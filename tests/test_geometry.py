@@ -1,6 +1,8 @@
 """Discrete-geometry checks: assembled states against round-sphere formulas,
 compatibility identities that hold exactly, and stencil convergence."""
 
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -59,6 +61,50 @@ def test_umbilic_radius_validation():
         geo.assemble(geo.GeodesicSphere(-1.0), FLAT, MEAN1)
 
 
+def test_ambient_space_refuses_a_curvature_other_than_0_or_1():
+    with pytest.raises(ConfigError, match="ambient curvature must be 0 .* or 1 .*, got 2"):
+        geo.AmbientSpace(2, 2)
+
+
+# ---------------------------------------------------------------------------
+# a state is complete when built
+# ---------------------------------------------------------------------------
+
+DERIVED = ("christoffel", "nabla_h", "F", "dF", "tr_dF", "grad_F", "hess_F",
+           "alpha", "gamma", "eta", "beta", "theta")
+
+
+def test_a_state_takes_its_base_and_derives_the_rest():
+    fields = dataclasses.fields(geo.SurfaceState)
+    assert tuple(f.name for f in fields if not f.init) == DERIVED
+    assert sum(f.init for f in fields) == 13
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_gridded_state_derives_every_field_when_built(n, c, dtype):
+    ambient = geo.AmbientSpace(c, n)
+    mk = geo.markers_from_radial(ambient, geo.cos_mode_radial(0.8, 0.05, 2), 16)
+    st = geo.assemble(mk.astype(dtype), ambient, MEAN1)
+    for name in DERIVED:
+        value = getattr(st, name)
+        assert isinstance(value, np.ndarray) and value.shape[0] == 16, name
+        assert value.dtype == dtype, name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_grid_free_state_has_two_distinct_zero_connection_arrays(n):
+    st = geo.assemble(geo.GeodesicSphere(0.7), geo.AmbientSpace(1, n), MEAN1)
+    for name in DERIVED:
+        value = getattr(st, name)
+        assert isinstance(value, np.ndarray) and value.shape[0] == 1, name
+    for value in (st.christoffel, st.nabla_h):
+        assert value.shape == (1, n, n, n)
+        npt.assert_array_equal(value, 0.0)
+    assert not np.shares_memory(st.christoffel, st.nabla_h)
+
+
 # ---------------------------------------------------------------------------
 # gridded tier
 # ---------------------------------------------------------------------------
@@ -82,6 +128,15 @@ def test_grid_marker_radii():
     npt.assert_allclose(np.arccos(st.markers[:, 0]), 0.8, rtol=1e-12)
     st0 = _perturbed(FLAT, 48, r0=1.5, amplitude=0.0)
     npt.assert_allclose(np.linalg.norm(st0.markers, axis=1), 1.5, rtol=1e-14)
+
+
+@pytest.mark.parametrize("index_types, message", [
+    (("lo",), "index_types must describe every tensor slot"),
+    (("lo", "mid"), "index type must be 'up' or 'lo', got 'mid'")], ids=["too-few", "mid"])
+def test_covariant_derivative_refuses_bad_index_types(index_types, message):
+    st = _perturbed(SPHERE, 16)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        geo.covariant_derivative(st, st.g, index_types)
 
 
 def test_metric_compatibility_is_exact():

@@ -121,6 +121,10 @@ def test_zeta_general_values():
     step = 1e-6
     fd = (ha.zeta_general(p, n, F + step) - ha.zeta_general(p, n, F - step)) / (2 * step)
     npt.assert_allclose(ha.zeta_general(p, n, F, order=1), fd, rtol=1e-8)
+    with pytest.raises(ConfigError, match="zeta formula needs p > 1/2, got p = 0.5"):
+        ha.zeta_general(0.5, n, F)
+    with pytest.raises(ConfigError, match="zeta derivatives are available up to order 2"):
+        ha.zeta_general(p, n, F, order=3)
 
 
 def test_zeta_monitor_vanishes_outside_first_branch():
