@@ -294,16 +294,11 @@ def _extents(state):
 
 
 def _extinction_window(ambient, speed, state0):
-    """Comparison-sphere bracket [t_ext(inner), t_ext(outer)] for contracting flows."""
+    """Comparison-sphere bracket [t_ext(inner), t_ext(outer)] for contracting flows; a
+    convex CLI start lies within π/2 of its center e₀, so both comparison spheres exist."""
     if not speed.contracting:
         return None
-    window = []
-    for r in _extents(state0):
-        try:
-            window.append(_flow.sphere_ode_solution(ambient, speed, r).t_extinction)
-        except HarnackLabError:
-            window.append(None)
-    return window
+    return [_flow.sphere_ode_solution(ambient, speed, r).t_extinction for r in _extents(state0)]
 
 
 # ---------------------------------------------------------------------------

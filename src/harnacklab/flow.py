@@ -51,7 +51,7 @@ import numpy as np
 from . import geometry, symfunc
 from .errors import (ConfigError, ConvexityLost, DegenerateGrid, HarnackLabError,
                      OutOfRange, StabilityViolation)
-from .geometry import AmbientSpace, GeodesicSphere, SurfaceState
+from .geometry import MAX_KAPPA_LIMIT, AmbientSpace, GeodesicSphere, SurfaceState
 from .symfunc import SpeedFunction, eval_f
 
 # Relative tolerance (scaled by max(1, |t|)) within which a stored time
@@ -69,10 +69,6 @@ RK4_LIMIT = 2.785 / (1088.0 / 180.0)
 
 # Fraction of RK4_LIMIT an adaptive step takes.
 SAFETY = 0.8
-
-# Largest curvature cap: the round sphere of curvature κ has metric a² ≈ κ⁻²
-# and inverse metric κ², both normal floats up to κ = 1/√tiny ≈ 6.7e153.
-MAX_KAPPA_LIMIT = 1.0 / math.sqrt(np.finfo(float).tiny)
 
 SERIES_TERMS = 60     # terms of each power series in _tan_power_integral
 
@@ -94,8 +90,9 @@ class FlowConfig:
     MAX_STEPS steps is refused here, on the grid-free tier too, which stores
     its multiples; an adaptive run that needs more ends "unstable" (run).
     The stop rule's max_kappa is positive and at most MAX_KAPPA_LIMIT, so the
-    sphere at the cap assembles to finite fields; min_radius is finite, 0 for
-    none, and measured from the symmetry center (geometry.center_distance).
+    sphere at the cap assembles to a finite base (g, g⁻¹, h, b, h², κ, T),
+    though at the limit β = F^{ij}α_{ij} can overflow; min_radius is finite,
+    0 for none, measured from the symmetry center (geometry.center_distance).
     Expanding speeds raise ConfigError on the sphere.
     """
 
@@ -288,17 +285,7 @@ def run(config: FlowConfig) -> Trajectory:
     n_fixed = None if config.dt is None else fixed_steps(config.t_end, config.dt)
 
     while termination is None:
-        if (config.t_end - t <= 1e-12 * config.t_end if n_fixed is None
-                else steps_done == n_fixed):
-            termination = "completed"
-            break
         fv = speed.f.value(kappa)       # F and Φ' share one f(κ)
-
-        termination = _stop(config, float(kappa.max()),
-                            lambda: geometry.center_distance(ambient, markers).min())
-        if termination:
-            break
-
         dt = config.dt
         if dt is None:
             ds_min = math.sqrt(float(E.min())) * (2.0 * np.pi / n_nodes)
@@ -333,6 +320,11 @@ def run(config: FlowConfig) -> Trajectory:
         if steps_done % config.store_every == 0:
             times.append(t)
             steps.append(geometry.unfold(markers) if half else markers)
+        # completion wins on the last step; otherwise the stop rule reads the new state
+        done = (config.t_end - t <= 1e-12 * config.t_end if n_fixed is None
+                else steps_done == n_fixed)
+        termination = "completed" if done else _stop(
+            config, float(kappa.max()), lambda: geometry.center_distance(ambient, markers).min())
     if steps_done % config.store_every:
         times.append(t)
         steps.append(geometry.unfold(markers) if half else markers)

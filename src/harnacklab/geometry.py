@@ -46,6 +46,7 @@ machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -62,6 +63,10 @@ MAX_SPACING_RATIO = 10.0
 # An n = 2 marker array whose mirror_defect exceeds this is no surface of
 # revolution; markers_from_radial leaves at most about 7e-16.
 MIRROR_RTOL = 1e-12
+
+# Largest curvature cap: the round sphere of curvature κ has metric a² ≈ κ⁻²
+# and inverse metric κ², both normal floats up to κ = 1/√tiny ≈ 6.7e153.
+MAX_KAPPA_LIMIT = 1.0 / math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -323,11 +328,13 @@ def _profile_geometry(ambient, markers, half=False):
     label derivatives c′ and c″; for n = 2 the rotation components of position
     and normal are markers[:, -1] and normal[:, -1].  half=True reads markers
     as the upper half of an n = 2 profile on 2·len(markers) nodes, which the
-    stencils pad by reflection.  This is the only
-    validation of each RK4 stage's and each assembly's E, spacing and κ:
+    stencils pad by reflection.  This is the only validation of each RK4
+    stage's E, spacing and κ, and of each assembly's E and spacing:
     DegenerateGrid if E is not positive and finite or the spacing √E
     varies by a ratio above MAX_SPACING_RATIO (10), ConvexityLost if any
-    principal curvature is not finite or is <= 0.
+    principal curvature is not finite or is <= 0.  An assembled state checks
+    κ's cone once more when it evaluates F (SurfaceState, by speed.value and
+    speed.dvalue).
     """
     n_nodes = markers.shape[0]
     du = 2.0 * np.pi / (2 * n_nodes if half else n_nodes)
@@ -393,6 +400,10 @@ def _validate_radius(ambient, r):
     if ambient.c == 1 and r >= np.pi / 2:
         raise ConvexityLost(
             f"geodesic spheres in the unit sphere are strictly convex only for r < pi/2, got {r:g}")
+    with np.errstate(over="ignore"):        # κ of a subnormal radius overflows to inf
+        if _umbilic_kappa(ambient, r) > MAX_KAPPA_LIMIT:
+            raise ConfigError(f"a geodesic radius of {r:g} has curvature above the largest "
+                              f"cap {MAX_KAPPA_LIMIT:.6g}")
 
 
 def _umbilic_kappa(ambient, r):

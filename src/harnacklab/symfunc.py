@@ -2,8 +2,11 @@
 
 A curvature function f is a smooth symmetric function on the positive cone
 Γ₊ = {κ ∈ ℝⁿ : κᵢ > 0}, strictly monotone (∂f/∂κᵢ > 0) and homogeneous of
-degree one.  The flow speed is F = f^α with α > 0 (contracting) or
-F = −f^(−β) with 0 < β < 1 (expanding), so that Φ' > 0 in both modes.
+degree one.  Every built-in f is a power mean (Σ κᵢ^r)^(1/r), up to a
+constant factor: the mean (r = 1), the norm (r = 2), power_mean(r) and the
+harmonic mean (n² times r = −1), all from one value, gradient and Hessian.
+The flow speed is F = f^α with α > 0 (contracting) or F = −f^(−β) with
+0 < β < 1 (expanding), so that Φ' > 0 in both modes.
 
 Given a metric g (SPD) and a second fundamental form h (symmetric), the
 Weingarten map g⁻¹h is self-adjoint with respect to g; its eigenvalues are
@@ -53,7 +56,8 @@ SYMMETRY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class CurvatureFunction:
-    """A symmetric, 1-homogeneous curvature function on Γ₊.
+    """A symmetric, 1-homogeneous curvature function on Γ₊; every built-in
+    one is a power mean (_power_mean_core), up to a constant factor.
 
     name identifies it in configs and reports.  value, gradient and hessian
     evaluate it at κ of shape (..., n), returning (...,), (..., n) and
@@ -153,34 +157,16 @@ def power_mean(r: float) -> CurvatureFunction:
 
 
 def harmonic_mean() -> CurvatureFunction:
-    """f(κ) = n² / Σ κᵢ⁻¹, normalized so f(1, …, 1) = n.
+    """f(κ) = n² / Σ κᵢ⁻¹ = n² · power_mean(−1), normalized so f(1, …, 1) = n.
 
-    Concave but inverse-concave: its dual 1/f(κ⁻¹) = Σ κᵢ / n² is linear.
+    Its value, gradient and Hessian are power_mean(−1)'s times n², each a new
+    array.  Concave and inverse-concave: its dual 1/f(κ⁻¹) = Σ κᵢ / n² is linear.
     """
+    def times_n_squared(closure):
+        return lambda kappa: kappa.shape[-1] ** 2 * closure(kappa)
 
-    def value(kappa):
-        n = kappa.shape[-1]
-        return n * n / np.sum(1.0 / kappa, axis=-1)
-
-    def gradient(kappa):
-        n = kappa.shape[-1]
-        s = np.sum(1.0 / kappa, axis=-1)[..., None]
-        return n * n / (s * s) * kappa ** -2.0
-
-    def hessian(kappa):
-        n = kappa.shape[-1]
-        s = np.sum(1.0 / kappa, axis=-1)[..., None, None]
-        k2 = kappa ** -2.0
-        hess = k2[..., :, None] * k2[..., None, :]
-        hess *= 2.0 / s ** 3
-        diag = _diag_embed(kappa ** -3.0)
-        diag *= 2.0 / s ** 2
-        hess -= diag
-        hess *= n * n
-        return hess
-
-    return CurvatureFunction("harmonic-mean", value, gradient, hessian,
-                             inverse_concave=True)
+    v, g, h = map(times_n_squared, _power_mean_core(-1.0))
+    return CurvatureFunction("harmonic-mean", v, g, h, inverse_concave=True)
 
 
 _BUILTINS = {"mean": mean, "norm": norm, "harmonic-mean": harmonic_mean}

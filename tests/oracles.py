@@ -18,7 +18,7 @@ from harnacklab.geometry import (GeodesicSphere, SurfaceState, _profile_geometry
                                  _validated_markers, assemble, cos_mode_radial, initial_radius,
                                  markers_from_radial, periodic_d1, periodic_d2)
 from harnacklab.harnack import zeta_branch_threshold
-from harnacklab.symfunc import EIG_COINCIDENCE_RTOL, _column_sum, _diag_embed
+from harnacklab.symfunc import EIG_COINCIDENCE_RTOL, _column_sum, _diag_embed, power_mean
 from harnacklab.verify import KAPPA_RANGE
 
 
@@ -151,12 +151,8 @@ def _sample_metric_pair(rng, samples: int, n: int, kappa):
 
 def _out_of_place_hessian(f, kappa):
     """f's Hessian as whole-array expressions: a new array per operation."""
-    n = kappa.shape[-1]
     if f.name == "harmonic-mean":
-        s = np.sum(1.0 / kappa, axis=-1)[..., None, None]
-        k2 = kappa ** -2.0
-        outer = k2[..., :, None] * k2[..., None, :]
-        return n * n * (2.0 / s ** 3 * outer - 2.0 / s ** 2 * _diag_embed(kappa ** -3.0))
+        return kappa.shape[-1] ** 2 * _out_of_place_hessian(power_mean(-1.0), kappa)
     r = {"mean": 1.0, "norm": 2.0}.get(f.name) or float(f.name[len("power-mean("):-1])
     if r == 1.0:
         s = _column_sum(kappa)

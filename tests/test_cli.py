@@ -7,6 +7,7 @@ certification lives in test_acceptance.py.
 """
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -90,6 +91,21 @@ def test_missing_exponent_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, speed="mean")
     assert run_cli("sphere-exact", cfg, tmp_path / "out") == cli.EXIT_CONFIG
     assert "exponent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, library, names", [
+    ("verify-evolution", _ve.residual_ladder,
+     {"levels": "levels", "dt0": "dt0", "t_check": "t_check", "radius": "r0",
+      "amplitude": "amplitude", "mode": "mode"}),
+    ("scan-inequalities", _ve.scan_inequalities,
+     {"dimensions": "n_values", "samples": "samples"}),
+])
+def test_the_cli_defaults_are_the_librarys(sub, library, names):
+    """SCHEMAS repeats these defaults as literals; each must be the one its library
+    function states, so a config that leaves a key out asks what the library would."""
+    params = inspect.signature(library).parameters
+    for key, param in names.items():
+        assert cli.SCHEMAS[sub][key][1] == params[param].default, key
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +315,26 @@ def test_simulate_refuses_a_cap_whose_sphere_cannot_be_represented(tmp_path, cap
         warnings.simplefilter("error")
         assert run_cli("simulate", cfg, out) == cli.EXIT_CONFIG
     assert "max_kappa must lie in (0, 6.7039e+153]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", [1e-200, 5e-324])
+@pytest.mark.parametrize("ambient", ["sphere", "euclidean"])
+@pytest.mark.parametrize("sub", ["simulate", "sphere-exact"])
+def test_a_grid_free_radius_curved_beyond_the_largest_cap_is_refused(tmp_path, capsys, sub,
+                                                                    ambient, radius):
+    """radius = 1e-200 used to print numpy RuntimeWarnings from the assembly (a² underflows,
+    so g⁻¹ = inf and h² = NaN) and exit 0 after a t = 0 cap stop; sphere-exact exited 1,
+    blaming "the extinction time -0".  A subnormal radius has κ = inf."""
+    keys = dict(ambient=ambient, exponent=1, radius=radius)
+    cfg = write_cfg(tmp_path, **keys, **({"amplitude": 0} if sub == "simulate" else {}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(sub, cfg, out) == cli.EXIT_CONFIG
+    assert not caught
+    assert capsys.readouterr().err == (f"error: a geodesic radius of {radius:g} has curvature "
+                                       f"above the largest cap 6.7039e+153\n")
     assert not out.exists()
 
 
@@ -693,11 +729,12 @@ PINNED_TABLES = {   # case: (subcommand, config keys, {table: sha256 prefix})
     "scan-inequalities": (
         "scan-inequalities", dict(speed="mean", exponent=1, dimensions="2,3,5", samples=10000),
         {"scans": "b76708b5ebe9f1b9"}),
-    # two full batches per task, through every curvature Hessian and speed Φ''
+    # two full batches per task, through every power-mean Hessian and speed Φ''
     # branch the spectrum evaluates: the norm (r = 2), a general power mean and
-    # the harmonic mean (the mean's r = 1 is the benchmark's scan above); a
-    # row depends only on the seed, its inequality, n and the sample count, so
-    # the norm and the power mean leave out urbas only to keep these scans small
+    # the harmonic mean, n² times r = −1 (the mean's r = 1 is the benchmark's
+    # scan above); a row depends only on the seed, its inequality, n and the
+    # sample count, so the norm and the power mean leave out urbas only to
+    # keep these scans small
     "scan-inequalities-norm": (
         "scan-inequalities", dict(speed="norm", exponent=0.5, dimensions="2,3,5", samples=2048,
                                   inequalities="f-lemma, harnack-form, fb-dominance"),
@@ -710,7 +747,7 @@ PINNED_TABLES = {   # case: (subcommand, config keys, {table: sha256 prefix})
     "scan-inequalities-harmonic-mean": (
         "scan-inequalities",
         dict(speed="harmonic-mean", exponent=1, dimensions="2,3,5", samples=2048),
-        {"scans": "70c80aa87b7fc724"}),
+        {"scans": "de910a851ab650f3"}),
 }
 
 

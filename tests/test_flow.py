@@ -395,6 +395,28 @@ def test_grid_flow_stores_the_state_it_stops_at(stop):
     npt.assert_array_equal(sparse.steps[-1], every.steps[-1])
 
 
+@pytest.mark.parametrize("ambient, keys", [
+    (SPHERE, dict(t_end=0.01, dt=1e-3)),
+    (FLAT, dict(t_end=1.0, max_kappa=8.0)),
+], ids=["fixed-10-steps", "adaptive-to-the-cap"])
+def test_the_stop_rule_judges_each_state_once(monkeypatch, ambient, keys):
+    """_stop reads step 0 and each stepped state but the last of a completed run:
+    10 calls for 10 fixed steps, and one per stored state of a run to the cap."""
+    calls = []
+    real = flow._stop
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+    monkeypatch.setattr(flow, "_stop", counted)
+    traj = flow.run(flow.FlowConfig(ambient, _speed(1.0),
+                                    geo.markers_from_radial(ambient, 0.8, 32), **keys))
+    if "dt" in keys:
+        assert traj.termination == "completed" and len(traj.times) == 11 and len(calls) == 10
+    else:
+        assert traj.termination == "curvature-cap" and len(calls) == len(traj.times) > 10
+
+
 def test_grid_flow_stores_at_cadence():
     cfg = flow.FlowConfig(SPHERE, _speed(0.5), geo.markers_from_radial(SPHERE, 0.8, 32),
                           t_end=0.02, dt=1e-3, store_every=4)

@@ -131,6 +131,19 @@ def test_closed_form_mean_and_norm_keep_the_general_power_mean_bits(r, make, n, 
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_the_harmonic_mean_is_n_squared_times_the_power_mean_of_exponent_minus_one(n, dtype):
+    """Value, gradient and Hessian of harmonic_mean() against n² times those of
+    power_mean(-1), bit for bit, in the κ's dtype."""
+    kappa = np.random.default_rng(n).uniform(0.01, 50.0, (64, n)).astype(dtype) / dtype(3)
+    hm, pm = sf.harmonic_mean(), sf.power_mean(-1.0)
+    for part in ("value", "gradient", "hessian"):
+        got, want = getattr(hm, part)(kappa), n ** 2 * getattr(pm, part)(kappa)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want), part
+
+
 def test_mean_hessian_vanishes():
     npt.assert_array_equal(sf.mean().hessian(np.array([1.0, 2.0, 3.0])),
                            np.zeros((3, 3)))
