@@ -14,12 +14,13 @@ writes a manifest.json, which records the resolved request, next to its
 data files; nothing is overwritten unless --force is passed.  Outputs carry
 no timestamps, so a rerun of the same configuration is byte-identical.
 
-Exit codes: 0 success, 1 a refused request (a configuration or usage error,
-or an ambient, speed, variant or time outside its domain), 2 loss of
-convexity, 3 numerical instability, 4 a certified quantity failed its
+Exit codes: 0 success (and --help), 1 a refused request (a usage error, a
+config that cannot be read or is malformed, an --out that cannot be created
+or written, or an ambient, speed, variant or time outside its domain), 2 loss
+of convexity, 3 numerical instability, 4 a certified quantity failed its
 positivity or threshold requirement.  A flow that fails after its first step
-writes its outputs up to its last completed step first.  main maps each
-error class to its exit code and is the only writer to stderr.
+writes its outputs up to its last completed step first.  main maps each error
+class to its exit code through one table and is the only writer to stderr.
 """
 
 from __future__ import annotations
@@ -171,9 +172,9 @@ def parse_config_text(text: str) -> dict:
 def load_config(path: str, subcommand: str) -> dict:
     schema = SCHEMAS[subcommand]
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     raw = parse_config_text(text)
     unknown = sorted(set(raw) - set(schema))
@@ -461,8 +462,15 @@ HANDLERS = {
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ConfigError into main's table; only --help exits here."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parse_args(argv):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="harnack-lab",
         description="curvature-flow laboratory: simulation, identity residuals, "
                     "Harnack monitors and inequality scans")
@@ -479,19 +487,14 @@ def _parse_args(argv):
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
     try:
+        args = _parse_args(argv)
         cfg = load_config(args.config, args.subcommand)
         return HANDLERS[args.subcommand](args, cfg)
-    except ConvexityLost as exc:
+    except (HarnackLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVEXITY
-    except (StabilityViolation, DegenerateGrid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSTABILITY
-    except HarnackLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return {ConvexityLost: EXIT_CONVEXITY, StabilityViolation: EXIT_INSTABILITY,
+                DegenerateGrid: EXIT_INSTABILITY}.get(type(exc), EXIT_CONFIG)
 
 
 if __name__ == "__main__":

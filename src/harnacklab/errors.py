@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
 There is one class per way the program reacts to a failure: the command-line
-driver maps each to an exit code, flow.run ends a run at a step that fails
-with ConvexityLost, DegenerateGrid or StabilityViolation, and the monitor
-skips a row on OutOfRange.  Every other refused request is a ConfigError,
-told apart by its message.
+driver maps each through one table to its exit code, flow.run ends a run at a
+step that fails with ConvexityLost, DegenerateGrid or StabilityViolation, and
+the monitor skips a row on OutOfRange.  Every other refused request is a
+ConfigError, told apart by its message.
 """
 
 

@@ -555,11 +555,11 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     then takes two steps of Δt, and raises OutOfRange if it stops short.
     tags are IDENTITIES rows; grad-commutator, the last, needs no time
     difference and is checked on the state at t_check.  tags=None runs
-    applicable_tags(speed), every row valid for the speed.  Repeated or
-    unknown tags, an identity that holds only for powers of the mean
-    curvature (chi3) under another f, fewer than two levels, levels that do
-    not strictly increase (the last two are the finest pair) or one
-    that is not an even node count >= 8, a dt0 that is not positive and
+    applicable_tags(speed), every row valid for the speed.  An empty tag
+    list, repeated or unknown tags, an identity that holds only for powers
+    of the mean curvature (chi3) under another f, fewer than two levels,
+    levels that do not strictly increase (the last two are the finest pair)
+    or one that is not an even node count >= 8, a dt0 that is not positive and
     finite, a non-finite t_check and a t_check of less than one step of dt0
     (the centered time difference needs the state at t_check − Δt) raise
     ConfigError before any flow runs.  Returns {tag: LadderReport}, whose
@@ -567,6 +567,8 @@ def residual_ladder(ambient: AmbientSpace, speed: SpeedFunction,
     """
     if tags is None:
         tags = applicable_tags(speed)
+    if not tags:
+        raise ConfigError("a ladder needs at least one identity tag")
     repeated = sorted({t for t in tags if tags.count(t) > 1})
     if repeated:
         raise ConfigError(f"repeated identity tag(s) {repeated}")

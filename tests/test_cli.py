@@ -87,6 +87,18 @@ def test_a_missing_config_file_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_config_behind_a_byte_order_mark_reads_as_the_same_config(tmp_path):
+    """A BOM used to be read into the first key, which was then refused as unknown."""
+    text = b"exponent = 1\nsamples = 500\ndimensions = 2\n"
+    tables = []
+    for name, data in [("plain", text), ("bom", b"\xef\xbb\xbf" + text)]:
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+        cfg.write_bytes(data)
+        assert run_cli("scan-inequalities", str(cfg), out) == cli.EXIT_OK
+        tables.append((out / "scans.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_missing_exponent_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, speed="mean")
     assert run_cli("sphere-exact", cfg, tmp_path / "out") == cli.EXIT_CONFIG
@@ -178,6 +190,43 @@ def test_a_request_outside_the_domain_is_refused_before_any_flow(tmp_path, monke
     assert run_cli(sub, write_cfg(tmp_path, **keys), out) == cli.EXIT_CONFIG
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _door_case(tmp_path, case):
+    """argv of one refused request that used to leave without main's exit table."""
+    cfg, out = write_cfg(tmp_path, exponent=1.0), str(tmp_path / "out")
+    if case == "file-as-out":
+        Path(out).write_text("a file, not a directory\n", encoding="utf-8")
+    if case == "latin-1-config":
+        Path(cfg).write_bytes("exponent = 1  # café\n".encode("latin-1"))
+    usage_errors = {
+        "missing-out": ["sphere-exact", "--config", cfg],
+        "seed-abc": ["scan-inequalities", "--config", cfg, "--out", out, "--seed", "abc"],
+        "unknown-subcommand": ["nope", "--config", cfg, "--out", out]}
+    return usage_errors.get(case, ["sphere-exact", "--config", cfg, "--out", out])
+
+
+@pytest.mark.parametrize("case", ["missing-out", "seed-abc", "unknown-subcommand",
+                                  "file-as-out", "latin-1-config"])
+def test_every_refusal_leaves_by_main(tmp_path, capsys, case):
+    """As the shell sees it: argparse used to exit 2, the code of convexity loss, and an
+    --out that is a file or a config that is not UTF-8 used to end in a traceback."""
+    argv = _door_case(tmp_path, case)
+    src = str(Path(harnacklab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "harnacklab.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr and "usage:" not in proc.stderr
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == proc.stderr
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: harnack-lab simulate")
 
 
 # ---------------------------------------------------------------------------
@@ -958,8 +1007,9 @@ def test_a_non_finite_power_mean_exponent_is_refused(tmp_path, capsys, sub):
     ("scan-inequalities", {"dimensions": ""}),
     ("scan-inequalities", {"inequalities": ""}),
     ("sphere-exact", {"n_times": 0}),
+    ("verify-evolution", {"identities": ""}),
 ], ids=["samples0", "samples-5", "dimension0", "no-dimensions", "no-inequalities",
-        "n_times0"])
+        "n_times0", "no-identities"])
 def test_empty_certification_is_refused(tmp_path, capsys, sub, keys):
     """A run that would check nothing must not report a pass."""
     cfg = write_cfg(tmp_path, exponent=1.0, **keys)

@@ -329,6 +329,14 @@ def test_ladder_rejects_bad_input_before_running_a_flow(monkeypatch):
         V.residual_ladder(SPHERE, MEAN_HALF, tags=("beta", "beta"), levels=(24, 48))
 
 
+def test_a_ladder_with_no_identity_is_refused_before_any_flow(flow_configs):
+    """An empty tag list used to run every level's flow, check nothing and pass."""
+    with pytest.raises(ConfigError, match=r"^a ladder needs at least one identity tag$"):
+        V.residual_ladder(SPHERE, MEAN_HALF, tags=(), levels=(16, 24), dt0=8e-4,
+                          t_check=4e-3)
+    assert flow_configs == []
+
+
 def test_an_unknown_tag_refusal_names_every_tag_the_ladder_accepts(monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran before the tags were checked")
